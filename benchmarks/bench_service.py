@@ -29,8 +29,8 @@ from repro.sim.campaign import CampaignRequest, ScenarioSpec, _record_json, exec
 from repro.sim.service import (
     CampaignClient,
     CampaignService,
+    CellFault,
     ChaosSchedule,
-    WorkerFaultPlan,
     serve_tcp,
 )
 
@@ -133,8 +133,8 @@ def test_supervised_pool_throughput_and_kill_recovery(benchmark):
     request = CampaignRequest(specs=tuple(specs))
     baseline = "".join(
         _record_json(r) + "\n" for r in execute_request(request).records)
-    kill = ChaosSchedule(plans=(
-        (0, WorkerFaultPlan(kill_at_cell=1, kill_phase="report")),))
+    # the second dispatch dies after computing: it fires by construction
+    kill = ChaosSchedule(faults=((1, CellFault(kill="report")),))
 
     async def sweep(chaos) -> tuple[float, str, dict]:
         service = CampaignService(workers_proc=WORKERS, chaos=chaos,
@@ -165,8 +165,9 @@ def test_supervised_pool_throughput_and_kill_recovery(benchmark):
     faulted_s, faulted_stream, faulted_sup = faulted
     assert clean_stream == baseline          # supervised == local, bytes
     assert faulted_stream == baseline        # ...even across a worker kill
-    assert clean_sup["lost"] == 0
-    assert faulted_sup["lost"] >= 1 and faulted_sup["respawns"] >= 1
+    assert (clean_sup["lost"], clean_sup["requeues"], clean_sup["respawns"]) == (0, 0, 0)
+    assert (faulted_sup["lost"], faulted_sup["requeues"],
+            faulted_sup["respawns"]) == (1, 1, 1)
 
     cells_per_sec = len(specs) / clean_s
     recovery_overhead_s = max(0.0, faulted_s - clean_s)

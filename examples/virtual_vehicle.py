@@ -8,7 +8,7 @@ CAN controller (real MMIO + ISR work in assembled guest firmware),
 transforms the window-lift command, and publishes it onto the LIN
 sub-bus, where the window-lift slave ECU applies it to its actuator
 register.  Everything shares one discrete-event clock; the guest cores
-execute their firmware under the trace-superblock engine between bus
+execute their firmware under the trace engine between bus
 events.
 
 Every observed latency is then cross-checked against the composed

@@ -15,64 +15,45 @@ contrast the paper draws between its two implementations.
 
 Execution engines
 -----------------
-Four tiers produce bit-identical architectural results (registers, flags,
+Two engines produce bit-identical architectural results (registers, flags,
 cycle counts, bus statistics, traces); the property tests in
 ``tests/test_fastpath_properties.py`` diff complete machine state across
-all four on randomised programs:
+both on randomised programs, and the golden corpus pins both:
 
-* ``step()`` - the **reference interpreter**: full decode and dispatch
-  every instruction.  Always used for single-stepping, IT-block
-  predication, sleep (WFI) ticks, and anything a core defers (the
-  ARM1156's restartable LDM/STM windows).  This tier is the semantic
-  ground truth the other three are checked against.
-* the **predecoded engine** (``run()`` with ``superblocks = False``) -
-  dispatches one bound micro-op per loop iteration through a predecoded
-  table (:mod:`repro.isa.predecode`) with per-core cycle costs prebound by
-  :meth:`BaseCpu.compile_cycles`.  Polls the interrupt controller before
-  every instruction whenever requests are queued, exactly like ``step()``.
-* the **superblock engine** (``superblocks = True`` with
-  ``trace_superblocks = False``) - links chainable micro-ops to their
-  fall-through successor at bind time, groups straight-line runs into
-  *superblocks*, and executes each as a single Python loop with no
-  per-step dict dispatch, no per-step interrupt poll, and slimmer bound
-  steps (pure ALU steps skip all memory/outcome bookkeeping).  Hot blocks
-  are *fused* into single generated code objects
-  (:mod:`repro.core.superblock`).  Interrupt exactness is preserved by an
-  **event horizon**: the earliest ``assert_cycle`` of any queued request,
-  conservatively ignoring masking and priority.  While ``cycles`` is
-  below the horizon no controller poll can have an effect, so chained
-  execution is unobservable; once the horizon is reached the engine drops
-  to poll-per-instruction dispatch, which is the predecoded engine's
-  behaviour.  Superblocks are built lazily per entry address (so a branch
-  target mid-block simply starts its own block) and invalidated with the
+* ``step()`` - the **reference interpreter** (``cpu.fastpath = False``):
+  full decode and dispatch every instruction.  It is the semantic ground
+  truth the trace engine is checked against.  The trace engine also
+  falls back to it for IT-block predication, sleep (WFI) ticks, and
+  anything a core defers (the ARM1156's restartable LDM/STM windows).
+* the **trace engine** (the default) - binds predecoded micro-ops
+  (:mod:`repro.isa.predecode`) with per-core cycle costs prebound by
+  :meth:`BaseCpu.compile_cycles`, chains them into *superblocks* (the
+  straight-line run from an entry address, continued through
+  unconditional direct branches), and executes each superblock as one
+  dispatch with no per-step interrupt poll.  Hot superblocks are *fused*
+  into single generated code objects (:mod:`repro.core.superblock`); a
+  fused block ending in a loop *back-edge* loops inside the generated code
+  under an inline guard, so a whole loop iteration is one generated
+  function executed N times with zero engine dispatch between iterations.
+  Superblocks are built lazily per entry address (a branch target
+  mid-block simply starts its own block) and invalidated with the
   micro-op table when the program's execution index is reassigned.
-* the **trace engine** (the default: ``trace_superblocks = True``) -
-  everything the superblock engine does, plus a predictable taken branch
-  no longer terminates fusion: a fused block ending in a loop *back-edge*
-  (a direct branch whose target is the block's own head) loops inside the
-  generated code object under an inline guard that revalidates the branch
-  condition and the event horizon each iteration, so a whole loop
-  iteration is one generated function executed N times with zero engine
-  dispatch between iterations.  When the guard fails (loop exit, an IRQ
-  entering the queue, instruction budget) the function returns with the
-  machine bit-exactly where per-step execution would have left it.  The
-  fuser also closes the two per-core fetch/data fast-path holes: the
-  ARM1156's cached instruction fetch is emitted inline (hit/miss/parity
-  accounting transcribed from ``Cache.read``), and MPU-guarded data
-  accesses (Cortex-M3, cacheless ARM1156) inline the bus fast path behind
-  a per-access MPU check that faults bit-exactly mid-block.
 
-``cpu.fastpath = False`` forces the reference interpreter for a whole
-``run()`` (the equivalence benchmarks and property tests do); with
-``fastpath`` on, ``step()`` is still used for the states noted above.
+Interrupt exactness is preserved by an **event horizon**: the earliest
+``assert_cycle`` of any queued request, conservatively ignoring masking
+and priority.  While ``cycles`` is below the horizon no controller poll
+can have an effect, so chained execution is unobservable; once the
+horizon is reached the engine polls the controller and dispatches one
+bound micro-op per instruction, exactly like ``step()``.
 
-:meth:`BaseCpu.run_until_cycle` is the **cycle-coupled** entry used by the
-multi-ECU co-simulation (:mod:`repro.vehicle`): it runs the configured
-engine tier up to a cycle ceiling, stopping at the first instruction
-boundary at or past it, with the quantum folded into the event horizon so
-fused trace superblocks stay fused between bus events.  Bounded runs
-compose exactly: any sequence of ceilings executes the same instruction
-stream as one run to the final ceiling.
+One dispatch loop serves both public entries.  :meth:`BaseCpu.run` runs
+to halt; :meth:`BaseCpu.run_until_cycle`, the **cycle-coupled** entry used
+by the multi-ECU co-simulation (:mod:`repro.vehicle`), stops at the first
+instruction boundary at or past a cycle ceiling.  The ceiling joins the
+event horizon, so fused loops keep looping between bus events, and
+bounded runs compose exactly: any sequence of ceilings executes the same
+instruction stream as one run to the final ceiling.  Both entries share
+the cached and fused superblocks, so a machine may alternate them freely.
 """
 
 from __future__ import annotations
@@ -92,13 +73,12 @@ from repro import obs
 # at import so hot paths pay one enabled-flag check per event; every
 # site observes execution and never alters it - architectural results
 # stay bit-identical with telemetry on or off.
-_RUNS = obs.counter("engine.runs", "run()/run_until_cycle() entries by tier")
+_RUNS = obs.counter("engine.runs", "run()/run_until_cycle() entries by engine")
 _RUNS_REFERENCE = _RUNS.labels(tier="reference")
-_RUNS_UOPS = _RUNS.labels(tier="uops")
-_RUNS_SUPERBLOCK = _RUNS.labels(tier="superblock")
+_RUNS_TRACE = _RUNS.labels(tier="trace")
 _DISPATCHES = obs.counter(
     "engine.superblock.dispatches",
-    "Superblock-engine dispatches by mode: fused generated code, "
+    "Trace-engine dispatches by mode: fused generated code, "
     "list-of-steps, poll-per-instruction (at the event horizon), or "
     "guarded per-step prefix (horizon/budget boundary)")
 _DISPATCH_FUSED = _DISPATCHES.labels(mode="fused")
@@ -116,6 +96,15 @@ HALT_ADDRESS = 0xFFFFFFFE
 
 #: sentinel: no interrupt queue has been bound into fused blocks yet
 _UNBOUND_QUEUE = object()
+
+#: the cycle ceiling of an unbounded run(): past any reachable cycle count
+_NO_CEILING = 1 << 62
+
+
+def _runaway(max_instructions: int, until: int | None) -> ExecutionError:
+    """The instruction-budget error of a run to halt or to cycle ``until``."""
+    goal = "halting" if until is None else f"reaching cycle {until}"
+    return ExecutionError(f"exceeded {max_instructions} instructions without {goal}")
 
 
 def return_stack_branch_inline(target: int) -> list[str] | None:
@@ -137,12 +126,6 @@ class BaseCpu:
 
     #: human-readable core name, overridden by subclasses
     name = "base"
-
-    #: True while the cycle-coupled engine (:meth:`run_until_cycle`) owns
-    #: the superblock cache: fused loop guards then also test the cycle
-    #: ceiling, so co-simulation quanta join the interrupt event horizon
-    #: instead of breaking fusion.  Toggling engines drops cached blocks.
-    _sb_cycle_coupled = False
 
     #: the live interrupt-controller queue, overridden as a property by
     #: cores: when it is an empty list the fast loop may skip
@@ -171,23 +154,14 @@ class BaseCpu:
         self.current_address = 0
         self.current_size = 4
         self.svc_log: list[int] = []
-        #: dispatch through the predecoded micro-op table in run()
+        #: the engine switch: the trace engine when True, the reference
+        #: interpreter when False
         self.fastpath = True
-        #: chain micro-ops into superblocks; set to False to fall back to
-        #: per-instruction predecoded dispatch
-        self.superblocks = True
-        #: fuse across loop back-edges (the trace engine, the fastest
-        #: tier); False reproduces the plain superblock engine, which
-        #: breaks fusion at every taken branch
-        self.trace_superblocks = True
-        #: instruction ceiling of the current run(), read by fused loop
-        #: guards (set per run by _run_superblocks)
+        #: instruction ceiling of the current run, read by fused loop
+        #: guards (set per run by _run_trace)
         self._sb_limit = 0
-        #: cycle ceiling read by fused loop guards in cycle-coupled mode
-        #: (set per block dispatch by _run_superblocks_until)
+        #: cycle limit read by fused loop guards (set by _run_trace)
         self._sb_cycle_limit = 0
-        #: per-entry worst-case cycle caps (cycle-coupled dispatch only)
-        self._sb_caps: dict[int, int] = {}
         self._fast_table: dict | None = None
         self._fast_index: dict | None = None
         self._fast_outcome = Outcome()
@@ -197,10 +171,6 @@ class BaseCpu:
         #: bind the queue list at fuse time); a controller swap between
         #: runs drops the fused blocks so they rebind
         self._sb_bound_queue: object = _UNBOUND_QUEUE
-        #: the trace_superblocks value the cached blocks were built under:
-        #: block shapes (goto chaining) and fused emission both depend on
-        #: it, so toggling the engine tier drops the cache
-        self._sb_trace_mode: object = _UNBOUND_QUEUE
 
     # ------------------------------------------------------------------
     # hooks for subclasses
@@ -589,7 +559,6 @@ class BaseCpu:
             self._fast_index = index
             self._sb_blocks = {}
             self._sb_steps = {}
-            self._sb_caps = {}
         return self._fast_table
 
     #: runaway guard for a single superblock (keeps lazy build bounded)
@@ -613,26 +582,26 @@ class BaseCpu:
         A superblock is the maximal straight-line run of chainable
         micro-ops starting at ``pc``, optionally terminated by one
         non-chainable micro-op executed through its general bound step.
-        With ``trace_superblocks`` on, an *unconditional direct branch*
-        does not terminate the run: the walk continues at the branch
-        target (a goto is just a straight line with a relocated next
-        address - the branch's own step sets the PC, and the following
-        steps are exactly the target's), so diamond join points and loop
-        preheaders chain into one trace.  Targets already in the trace,
+        An *unconditional direct branch* does not terminate the run: the
+        walk continues at the branch target (a goto is just a straight
+        line with a relocated next address - the branch's own step sets
+        the PC, and the following steps are exactly the target's), so
+        diamond join points and loop preheaders chain into one trace.  Targets already in the trace,
         halt-address branches, and targets with exception-return semantics
         end the trace as before.  Branch targets inside an existing block
         simply get their own block on first dispatch; blocks overlap
         freely and share bound steps.
 
-        The cached entry is ``[steps, uops, countdown, fused]``: after
-        ``countdown`` list-mode dispatches the block is fused into a
+        The cached entry is ``[steps, uops, countdown, fused, cap]``:
+        after ``countdown`` list-mode dispatches the block is fused into a
         single generated function (:mod:`repro.core.superblock`), so
-        compile cost is only paid for blocks that are actually hot.
+        compile cost is only paid for blocks that are actually hot; ``cap``
+        is the block's worst-case cycle cost (:meth:`_block_cycle_cap`),
+        computed on first use under a cycle ceiling.
         """
         table = self._fast_dispatch_table()
         uop_table = predecode(self.program)
         split_block_ops = self._split_block_ops
-        chain_gotos = self.trace_superblocks
         steps: list = []
         uops: list = []
         addr = pc
@@ -655,7 +624,7 @@ class BaseCpu:
                 steps.append(ender)
                 uops.append(uop)
                 target = uop.branch_target
-                if (chain_gotos and uop.ins.mnemonic == "B"
+                if (uop.ins.mnemonic == "B"
                         and uop.cond_check is None and target is not None
                         and target != HALT_ADDRESS
                         and target not in visited
@@ -673,7 +642,7 @@ class BaseCpu:
         if not steps:
             raise ExecutionError(
                 f"no instruction at pc={pc:#010x} ({self.name})")
-        entry = [steps, uops, FUSE_THRESHOLD, None]
+        entry = [steps, uops, FUSE_THRESHOLD, None, None]
         self._sb_blocks[pc] = entry
         _SB_BUILT.add()
         return entry
@@ -682,114 +651,110 @@ class BaseCpu:
         """Run until halt; returns instructions executed.  Raises if the
         instruction budget is exhausted (runaway program guard).
 
-        Picks the execution engine (see the module docstring): reference
-        interpreter when ``fastpath`` is False, per-instruction predecoded
-        dispatch when ``superblocks`` is False, superblock chaining
-        otherwise.  Results (registers, flags, cycles, bus statistics,
-        traces) are identical for all three."""
-        start = self.instructions_executed
-        if not self.fastpath:
-            _RUNS_REFERENCE.add()
-            while not self.halted:
-                if self.instructions_executed - start >= max_instructions:
-                    raise ExecutionError(
-                        f"exceeded {max_instructions} instructions without halting")
-                self.step()
-            return self.instructions_executed - start
-        if self.superblocks:
-            _RUNS_SUPERBLOCK.add()
-            return self._run_superblocks(start, max_instructions)
-        _RUNS_UOPS.add()
-        return self._run_uops(start, max_instructions)
+        Runs the trace engine, or the reference interpreter when
+        ``fastpath`` is False (see the module docstring).  Results
+        (registers, flags, cycles, bus statistics, traces) are identical
+        for both."""
+        return self._run(max_instructions, None)
 
-    def _run_loop_env(self):
-        """Shared engine state: (step, check_interrupts, defer, irq_queue,
-        poll_always); captured per run() so a controller swapped in
-        between runs is honoured.  ``raise_irq()`` mutates the same queue
-        list, so storms raised mid-run (or from handlers) stay visible.
+    def run_until_cycle(self, until: int,
+                        max_instructions: int = 10_000_000) -> int:
+        """Advance to the first instruction boundary at or past ``until``.
+
+        The co-simulation entry point (:mod:`repro.vehicle`): the CPU runs
+        under the selected engine until its cycle counter reaches
+        ``until``, stopping at an exact instruction boundary so repeated
+        bounded runs compose: running to ``t1`` and then to ``t2`` executes
+        the identical instruction stream (and leaves bit-identical state)
+        as one run straight to ``t2``, for any split.  The quantum joins
+        the interrupt event horizon rather than replacing it - fused trace
+        superblocks keep looping below both ceilings, so guest code stays
+        on the trace engine between bus events.
+
+        Returns the number of instructions executed.  The method returns
+        early when the core goes to sleep (WFI): idle time is the
+        caller's to fast-forward (sleep ticks are pure ``cycles += 1``
+        polls, which :class:`repro.vehicle.Ecu` skips in O(1)).
         """
-        defer = None
-        if type(self)._fastpath_defer is not BaseCpu._fastpath_defer:
-            defer = self._fastpath_defer
-        irq_queue = self._irq_queue
-        # Unknown interrupt scheme (override without a declared queue):
-        # poll unconditionally, as the reference loop does.
-        poll_always = (irq_queue is None
-                       and type(self).check_interrupts is not BaseCpu.check_interrupts)
-        return self.step, self.check_interrupts, defer, irq_queue, poll_always
+        return self._run(max_instructions, until)
 
-    def _run_uops(self, start: int, max_instructions: int) -> int:
-        """The predecoded engine: one micro-op dispatch per loop pass."""
-        table = self._fast_dispatch_table()
-        table_get = table.get
+    def _run(self, max_instructions: int, until: int | None) -> int:
+        """Both public entries: the selected engine under the instruction
+        budget and the optional cycle ceiling ``until``."""
+        start = self.instructions_executed
         limit = start + max_instructions
-        step, check_interrupts, defer, irq_queue, poll_always = self._run_loop_env()
-        pc_slot = self.regs.values
-        while not self.halted:
-            if self.instructions_executed >= limit:
-                raise ExecutionError(
-                    f"exceeded {max_instructions} instructions without halting")
-            if self.sleeping or self._it_queue or (defer is not None and defer()):
-                step()
-                continue
-            if poll_always or irq_queue:
-                check_interrupts()
-                if self.halted:
+        if self.fastpath:
+            _RUNS_TRACE.add()
+            self._run_trace(limit, max_instructions, until)
+        else:
+            _RUNS_REFERENCE.add()
+            ceiling = _NO_CEILING if until is None else until
+            while not self.halted and self.cycles < ceiling:
+                if until is not None and self.sleeping:
                     break
-            fast_step = table_get(pc_slot[15])
-            if fast_step is None:
-                fast_step = self._predecode_missing(table, pc_slot[15])
-            fast_step()
+                if self.instructions_executed >= limit:
+                    raise _runaway(max_instructions, until)
+                self.step()
         return self.instructions_executed - start
 
-    def _sync_sb_cache(self, irq_queue, cycle_coupled: bool) -> None:
-        """Drop cached superblocks when the bound configuration changed.
+    def _run_trace(self, limit: int, max_instructions: int,
+                   until: int | None) -> None:
+        """The trace engine's dispatch loop, with an optional cycle ceiling.
 
-        Fused loop guards bind the controller's queue list and their
-        emission depends on the engine tier (``trace_superblocks``) and
-        on whether the run is cycle-coupled (which adds the
-        ``_sb_cycle_limit`` guard): any change means the cached blocks
-        were generated against a stale configuration, so the run rebuilds
-        them.  Both engine loops share this one invalidation rule.
-        """
-        self._sb_cycle_coupled = cycle_coupled
-        mode = (self.trace_superblocks, cycle_coupled)
-        if (self._sb_bound_queue is not irq_queue
-                or self._sb_trace_mode != mode):
-            if self._sb_blocks:
-                self._sb_blocks = {}
-                _SB_INVALIDATED.add()
-            self._sb_caps = {}
-            self._sb_bound_queue = irq_queue
-            self._sb_trace_mode = mode
-
-    def _run_superblocks(self, start: int, max_instructions: int) -> int:
-        """The superblock engine: straight-line runs execute as one loop.
-
-        The **event horizon** is the earliest ``assert_cycle`` of any
-        queued interrupt request, ignoring masking and priority (so it is
-        always at or before the cycle at which ``check_interrupts`` could
-        first do anything).  Below the horizon, polls are provably no-ops
-        and whole superblocks execute with no per-instruction checks
-        beyond a cycle comparison; at or past it, the engine polls and
-        single-steps exactly like :meth:`_run_uops` until the queue
-        drains or recedes into the future again.
+        Below the event horizon whole superblocks execute with no
+        per-instruction checks; at or past it the engine polls and
+        single-steps exactly like ``step()`` until the queue drains or
+        recedes into the future again.  The ceiling ``until`` (the
+        co-simulation quantum; unbounded runs use one past any reachable
+        cycle) folds into the horizon: a block, or one more iteration of
+        a fused loop (whose guard tests ``_sb_cycle_limit``), runs free
+        only while the interrupt queue is empty *and* its worst-case cycle
+        cap fits under the ceiling.  Otherwise the engine dispatches steps
+        with an exact cycle test, which pins the stop point to the first
+        instruction boundary at or past ``until`` (and IRQ service to the
+        horizon) regardless of quantum splits, fusion state, or cap
+        accuracy.  A bounded run also returns when the core goes to sleep;
+        an unbounded one ticks through WFI with ``step()``.
         """
         table = self._fast_dispatch_table()
-        limit = start + max_instructions
-        # fused loop guards compare against the same ceiling this loop
+        # fused loop guards compare against the same ceilings this loop
         # enforces, so a loop-fused block never overruns the budget the
         # per-block dispatch would have respected
         self._sb_limit = limit
-        step, check_interrupts, defer, irq_queue, poll_always = self._run_loop_env()
-        self._sync_sb_cache(irq_queue, cycle_coupled=False)
+        step, check_interrupts = self.step, self.check_interrupts
+        defer = None
+        if type(self)._fastpath_defer is not BaseCpu._fastpath_defer:
+            defer = self._fastpath_defer
+        # captured per run, so a controller swapped in between runs is
+        # honoured; raise_irq() mutates this same list, so storms raised
+        # mid-run (or from handlers) stay visible
+        irq_queue = self._irq_queue
+        # unknown interrupt scheme (override without a declared queue):
+        # poll unconditionally, as the reference loop does
+        poll_always = (irq_queue is None
+                       and type(self).check_interrupts is not BaseCpu.check_interrupts)
+        if self._sb_bound_queue is not irq_queue:
+            # fused loop guards bind the queue list at fuse time: blocks
+            # fused over another controller's queue are stale
+            if self._sb_blocks:
+                self._sb_blocks = {}
+                _SB_INVALIDATED.add()
+            self._sb_bound_queue = irq_queue
+        bounded = until is not None
+        ceiling = until if bounded else _NO_CEILING
+        # whole-block dispatch needs the cycle count at or below this
+        # limit, and fused loops iterate only while below it: the ceiling
+        # itself when unbounded, one block cycle cap under the ceiling
+        # (set per dispatch) when bounded
+        self._sb_cycle_limit = ceiling
         blocks_get = self._sb_blocks.get
         pc_slot = self.regs.values
-        while not self.halted:
+        while not self.halted and self.cycles < ceiling:
+            if bounded and self.sleeping:
+                break
             executed = self.instructions_executed
             if executed >= limit:
-                raise ExecutionError(
-                    f"exceeded {max_instructions} instructions without halting")
+                raise _runaway(max_instructions, until)
             if self.sleeping or self._it_queue or (defer is not None and defer()):
                 step()
                 continue
@@ -798,10 +763,10 @@ class BaseCpu:
                 horizon = min(request.assert_cycle for request in irq_queue)
             if poll_always or (horizon is not None and self.cycles >= horizon):
                 # an interrupt may be eligible right now (or an undeclared
-                # controller needs polling): poll-per-instruction dispatch,
-                # exactly the _run_uops iteration (no defer re-check after
-                # the poll - the reference loop executes the instruction at
-                # the post-entry PC within the same step)
+                # controller needs polling): poll, then one bound micro-op
+                # (no defer re-check after the poll - the reference loop
+                # executes the instruction at the post-entry PC within the
+                # same step)
                 check_interrupts()
                 if self.halted:
                     break
@@ -817,106 +782,36 @@ class BaseCpu:
                 entry = self._superblock_at(pc)
             steps = entry[0]
             if horizon is None and len(steps) <= limit - executed:
-                fused = entry[3]
-                if fused is not None:
-                    fused()
-                    _DISPATCH_FUSED.add()
+                if bounded:
+                    cap = entry[4]
+                    if cap is None:
+                        cap = entry[4] = self._block_cycle_cap(entry[1])
+                    self._sb_cycle_limit = until - cap
+                if self.cycles <= self._sb_cycle_limit:
+                    # empty queue and the whole block fits under the ceiling
+                    # (a cap shortfall could only overrun the *quantum*, a
+                    # boundary the IRQ delivery latency already absorbs)
+                    fused = entry[3]
+                    if fused is not None:
+                        fused()
+                        _DISPATCH_FUSED.add()
+                        continue
+                    for fast_step in steps:
+                        fast_step()
+                    _DISPATCH_LIST.add()
+                    entry[2] -= 1
+                    if entry[2] <= 0:
+                        entry[3] = fuse_block(self, entry[1], steps)
                     continue
-                for fast_step in steps:
-                    fast_step()
-                _DISPATCH_LIST.add()
-                entry[2] -= 1
-                if entry[2] <= 0:
-                    entry[3] = fuse_block(self, entry[1], steps)
-                continue
             if len(steps) > limit - executed:
                 # budget guard: run the allowed prefix, then raise above
                 steps = steps[:limit - executed]
             _DISPATCH_STEP.add()
-            if horizon is None:
-                for fast_step in steps:
-                    fast_step()
-                continue
-            chain = iter(steps)
-            next(chain)()  # first step: horizon was checked above
-            for fast_step in chain:
-                if self.cycles >= horizon:
+            bound = ceiling if horizon is None or horizon > ceiling else horizon
+            for fast_step in steps:
+                if self.cycles >= bound:
                     break
                 fast_step()
-        return self.instructions_executed - start
-
-    # ------------------------------------------------------------------
-    # cycle-coupled execution (co-simulation quanta)
-    # ------------------------------------------------------------------
-    def run_until_cycle(self, until: int,
-                        max_instructions: int = 10_000_000) -> int:
-        """Advance to the first instruction boundary at or past ``until``.
-
-        The co-simulation entry point (:mod:`repro.vehicle`): the CPU runs
-        under the configured engine tier until its cycle counter reaches
-        ``until``, stopping at an exact instruction boundary so repeated
-        bounded runs compose: running to ``t1`` and then to ``t2`` executes
-        the identical instruction stream (and leaves bit-identical state)
-        as one run straight to ``t2``, for any split.  The quantum joins
-        the interrupt event horizon rather than replacing it - fused trace
-        superblocks keep looping below both ceilings (their generated
-        guard also tests ``_sb_cycle_limit`` in this mode), so guest code
-        stays on the trace engine between bus events.
-
-        Returns the number of instructions executed.  The method returns
-        early when the core goes to sleep (WFI): idle time is the
-        caller's to fast-forward (sleep ticks are pure ``cycles += 1``
-        polls, which :class:`repro.vehicle.Ecu` skips in O(1)).
-        """
-        start = self.instructions_executed
-        if not self.fastpath:
-            _RUNS_REFERENCE.add()
-            while (not self.halted and not self.sleeping
-                   and self.cycles < until):
-                if self.instructions_executed - start >= max_instructions:
-                    raise ExecutionError(
-                        f"exceeded {max_instructions} instructions "
-                        f"without reaching cycle {until}")
-                self.step()
-            return self.instructions_executed - start
-        if self.superblocks:
-            _RUNS_SUPERBLOCK.add()
-            return self._run_superblocks_until(start, max_instructions, until)
-        _RUNS_UOPS.add()
-        return self._run_uops_until(start, max_instructions, until)
-
-    def _run_uops_until(self, start: int, max_instructions: int,
-                        until: int) -> int:
-        """Predecoded dispatch with a cycle ceiling (no superblocks)."""
-        table = self._fast_dispatch_table()
-        table_get = table.get
-        limit = start + max_instructions
-        step, check_interrupts, defer, irq_queue, poll_always = self._run_loop_env()
-        pc_slot = self.regs.values
-        while not self.halted and not self.sleeping and self.cycles < until:
-            if self.instructions_executed >= limit:
-                raise ExecutionError(
-                    f"exceeded {max_instructions} instructions "
-                    f"without reaching cycle {until}")
-            if self._it_queue or (defer is not None and defer()):
-                step()
-                continue
-            if poll_always or irq_queue:
-                check_interrupts()
-                if self.halted:
-                    break
-            fast_step = table_get(pc_slot[15])
-            if fast_step is None:
-                fast_step = self._predecode_missing(table, pc_slot[15])
-            fast_step()
-        return self.instructions_executed - start
-
-    #: extra per-block allowance folded into every cycle cap.  With the
-    #: device-declared ``worst_stall`` protocol the caps are sound on
-    #: their own, so the default is 0; it remains as a widening knob for
-    #: experiments (a larger value only trades fused dispatch near the
-    #: quantum edge for slack, never correctness).
-    _CAP_SLACK = 0
 
     #: upper bound on the *core-side* cycles of any instruction whose
     #: compiled cycle model is dynamic (no ``static_taken`` attached).
@@ -936,23 +831,23 @@ class BaseCpu:
     def _block_cycle_cap(self, uops) -> int:
         """A sound worst-case cycle bound for one superblock execution.
 
-        Used only by the cycle-coupled engine to decide whether a whole
-        block (or one more fused-loop iteration) fits under the quantum
-        ceiling - and only while the interrupt queue is empty, so an IRQ
-        can never be serviced late because of it.  The bound is built
-        from *declared* interfaces rather than heuristics: each uop
-        contributes its static taken-path cost (the maximum over outcome
-        shapes; :attr:`WORST_DYNAMIC_CYCLES` covers the few dynamic
-        cycle models) plus the memory system's declared
-        :meth:`worst_access_stall` per access (the fetch, plus one data
-        access for mem uops or one per transferred register).  An
-        overestimate only means per-step dispatch near the boundary; the
-        declared protocol keeps the estimate tight enough that fused
-        blocks run close to the quantum edge.
+        Used by the dispatch loop to decide whether a whole block (or one
+        more fused-loop iteration) fits under the cycle ceiling - and only
+        while the interrupt queue is empty, so an IRQ can never be
+        serviced late because of it.  The bound is built from *declared*
+        interfaces rather than heuristics: each uop contributes its static
+        taken-path cost (the maximum over outcome shapes;
+        :attr:`WORST_DYNAMIC_CYCLES` covers the few dynamic cycle models)
+        plus the memory system's declared :meth:`worst_access_stall` per
+        access (the fetch, plus one data access for mem uops or one per
+        transferred register).  An overestimate only means per-step
+        dispatch near the ceiling; the declared protocol keeps the
+        estimate tight enough that fused blocks run close to the quantum
+        edge.
         """
         stall = self.worst_access_stall()
         worst_dynamic = self.WORST_DYNAMIC_CYCLES
-        total = self._CAP_SLACK
+        total = 0
         for uop in uops:
             cycle_fn = self.compile_cycles(uop.ins)
             static = (getattr(cycle_fn, "static_taken", None)
@@ -968,97 +863,6 @@ class BaseCpu:
             total += static + stall * accesses
         return total
 
-    def _run_superblocks_until(self, start: int, max_instructions: int,
-                               until: int) -> int:
-        """The superblock engine under a cycle ceiling (the co-sim quantum).
-
-        Identical engine-selection rules to :meth:`_run_superblocks`, with
-        the quantum folded into the event horizon: ``bound`` is the lower
-        of the IRQ horizon and ``until``.  A block (or fused loop) runs
-        free of per-step checks only while the interrupt queue is empty
-        *and* its worst-case cycle cap fits under ``until``; fused
-        back-edge loops additionally re-test ``_sb_cycle_limit`` per
-        iteration (emitted only in this mode), so hot guest loops stay
-        fused between bus events.  With a live horizon, or within the
-        final sub-cap window, the engine falls back to per-step slim
-        dispatch with an exact cycle test, which pins the stop point to
-        the first instruction boundary at or past ``until`` (and IRQ
-        service to the horizon, exactly as the unbounded engine does)
-        regardless of quantum splits, fusion state, or cap accuracy.
-        """
-        table = self._fast_dispatch_table()
-        limit = start + max_instructions
-        self._sb_limit = limit
-        step, check_interrupts, defer, irq_queue, poll_always = self._run_loop_env()
-        self._sync_sb_cache(irq_queue, cycle_coupled=True)
-        blocks_get = self._sb_blocks.get
-        caps = self._sb_caps
-        pc_slot = self.regs.values
-        while not self.halted and not self.sleeping:
-            if self.cycles >= until:
-                break
-            executed = self.instructions_executed
-            if executed >= limit:
-                raise ExecutionError(
-                    f"exceeded {max_instructions} instructions "
-                    f"without reaching cycle {until}")
-            if self._it_queue or (defer is not None and defer()):
-                step()
-                continue
-            horizon = None
-            if irq_queue:
-                horizon = min(request.assert_cycle for request in irq_queue)
-            if poll_always or (horizon is not None and self.cycles >= horizon):
-                check_interrupts()
-                if self.halted:
-                    break
-                fast_step = table.get(pc_slot[15])
-                if fast_step is None:
-                    fast_step = self._predecode_missing(table, pc_slot[15])
-                fast_step()
-                _DISPATCH_POLL.add()
-                continue
-            bound = until if horizon is None or horizon > until else horizon
-            pc = pc_slot[15]
-            entry = blocks_get(pc)
-            if entry is None:
-                entry = self._superblock_at(pc)
-            steps = entry[0]
-            if horizon is None and len(steps) <= limit - executed:
-                cap = caps.get(pc)
-                if cap is None:
-                    caps[pc] = cap = self._block_cycle_cap(entry[1])
-                if self.cycles + cap <= until:
-                    # empty queue and comfortably inside the quantum: run
-                    # exactly like the unbounded engine (which also only
-                    # dispatches whole blocks below the event horizon, so
-                    # a cap shortfall can only overrun the *quantum*, a
-                    # boundary the IRQ delivery latency already absorbs);
-                    # a fused loop keeps iterating while it stays below
-                    # _sb_cycle_limit (one cap of headroom)
-                    self._sb_cycle_limit = until - cap
-                    fused = entry[3]
-                    if fused is not None:
-                        fused()
-                        _DISPATCH_FUSED.add()
-                        continue
-                    for fast_step in steps:
-                        fast_step()
-                    _DISPATCH_LIST.add()
-                    entry[2] -= 1
-                    if entry[2] <= 0:
-                        entry[3] = fuse_block(self, entry[1], steps)
-                    continue
-            if len(steps) > limit - executed:
-                # budget guard: run the allowed prefix, then raise above
-                steps = steps[:limit - executed]
-            _DISPATCH_STEP.add()
-            for fast_step in steps:
-                if self.cycles >= bound:
-                    break
-                fast_step()
-        return self.instructions_executed - start
-
     def _predecode_missing(self, table: dict, pc: int):
         """Lazily bind an address the predecode pass did not see.
 
@@ -1072,12 +876,6 @@ class BaseCpu:
         fast_step = self._bind_uop(compile_uop(ins, self.program.isa))
         table[pc] = fast_step
         return fast_step
-
-    def run_cycles(self, budget: int) -> None:
-        """Run until at least ``budget`` cycles have elapsed (or halt)."""
-        target = self.cycles + budget
-        while not self.halted and self.cycles < target:
-            self.step()
 
     # ------------------------------------------------------------------
     # conveniences for tests / harnesses

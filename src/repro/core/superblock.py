@@ -1,6 +1,6 @@
-"""Superblock fusion: compile a straight-line run into one code object.
+"""Superblock fusion: compile a trace-engine superblock into one code object.
 
-The superblock engine (``BaseCpu._run_superblocks``) executes chained
+The trace engine (``BaseCpu._run_trace``) executes a superblock's chained
 micro-op closures in a list loop, which already removes the per-step dict
 dispatch and interrupt poll.  This module removes the remaining
 per-instruction Python *frames*: once a superblock has been dispatched
@@ -12,20 +12,20 @@ update - and compiles it once.  The hottest operand shapes (register
 moves and ALU, compares, immediate shifts, immediate/register-offset
 loads and stores, MOVW/MOVT, zero/sign extension) are inlined as raw
 statements; everything else calls its already-bound step or exec closure,
-so partial inlining still wins.
+so partial inlining still wins.  Data accesses inline the bus fast path
+(behind a per-access MPU check on protected cores), and runs of
+raise-free steps coalesce their accounting (:func:`_flush_span`).
 
-**Trace superblocks** (``cpu.trace_superblocks``, the default engine) go
-one step further: a block terminated by a predictable taken branch - a
-loop *back-edge* whose target is the block's own head - does not end
-fusion at the branch.  The generated function wraps the body in a loop
-whose taken path revalidates the branch condition inline and re-enters
-the body directly, so a whole loop iteration is one code object executed
-N times under the interrupt event horizon; the guard falls back to the
-engine (bit-exactly, at an instruction boundary) on loop exit, on any
-queued interrupt, and at the instruction budget
-(:func:`_emit_loop_backedge`).  Conditional execution inside fused code
-costs no closure call either - condition checks are emitted as flag
-expressions (``_COND_EXPRS``).
+A block terminated by a predictable taken branch - a loop *back-edge*
+whose target is the block's own head - does not end fusion at the
+branch.  The generated function wraps the body in a loop whose taken path
+revalidates the branch condition inline and re-enters the body directly,
+so a whole loop iteration is one code object executed N times under the
+interrupt event horizon; the guard falls back to the engine (bit-exactly,
+at an instruction boundary) on loop exit, on any queued interrupt, at the
+cycle ceiling, and at the instruction budget (:func:`_emit_loop_backedge`).
+Conditional execution inside fused code costs no closure call either -
+condition checks are emitted as flag expressions (``_COND_EXPRS``).
 
 Bit-exactness contract
 ----------------------
@@ -394,21 +394,6 @@ def _load_sign_lines(sign_bits):
     return [f"v = (v | {ext}) if v >= {sign} else v"]
 
 
-def _active_plan(cpu) -> str | None:
-    """The data-inline plan for the engine tier being fused.
-
-    The plain superblock tier (``trace_superblocks`` off, the PR 2
-    engine) only ever inlined the *unchecked* bus fast path; the
-    ``"mpu"`` plan - inline access with a per-access protection check -
-    belongs to the trace tier, so fusing with the flag off falls back to
-    the mediated ``cpu.read``/``cpu.write`` calls exactly as before.
-    """
-    plan = cpu._data_inline_plan()
-    if plan == "mpu" and not cpu.trace_superblocks:
-        return None
-    return plan
-
-
 def _mpu_preamble(cpu, ns, addr_expr: str, size: int, is_write: bool) -> list:
     """The per-access MPU consultation of an ``"mpu"`` inline plan.
 
@@ -433,7 +418,7 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
         return None, None
     size = _LOAD_SIZES[ins.mnemonic]
     sign_bits = _SIGNED_LOADS.get(ins.mnemonic)
-    plan = _active_plan(cpu)
+    plan = cpu._data_inline_plan()
     if mem.rn == PC:
         if mem.rm is not None:
             return None, None
@@ -481,8 +466,7 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
                 else:
                     _flash_track_dynamic(device, address, size, ftrack)
                     lines += _flash_fetch_lines(device, dev, f"DA{index}",
-                                                address, size, "ds",
-                                                inline_access=True)
+                                                address, size, "ds")
                 lines.append(
                     f"v = IFB(DV{index}.data[{offset}:{offset + size}], 'little')")
             else:
@@ -569,7 +553,7 @@ def _emit_store(cpu, ins, index, ns, ftrack):
         addr_expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
                      f" & {MASK32})) & {MASK32}")
     ftrack.clear()  # runtime-addressed access: may land on a flash device
-    plan = _active_plan(cpu)
+    plan = cpu._data_inline_plan()
     if plan is not None:
         ns.setdefault("AR", AccessRecord)
         ns.setdefault("SRT", Sram)
@@ -703,17 +687,15 @@ def _flash_track_dynamic(device, address, size, ftrack) -> None:
         ftrack[id(device)] = (line, None)
 
 
-def _flash_fetch_lines(device, dev, da, address, size, stall_var,
-                       inline_access: bool) -> list[str]:
+def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
     """The flash instruction-fetch sequence leaving stalls in ``stall_var``.
 
-    The buffered-line hit test is always inline (PR 2 form).  With
-    ``inline_access`` (the trace tier) the miss arm additionally
-    transcribes ``Flash._access`` statement for statement - stream-state
-    reads stay dynamic, the geometry (line address, line width, array
-    latency, prefetch mode) folds at fuse time like the SRAM wait states
-    do - so steady-state line crossings pay no Python call.  A fetch
-    straddling two lines keeps the bound ``_access`` call for its second
+    The buffered-line hit test is inline, and the miss arm transcribes
+    ``Flash._access`` statement for statement - stream-state reads stay
+    dynamic, the geometry (line address, line width, array latency,
+    prefetch mode) folds at fuse time like the SRAM wait states do - so
+    steady-state line crossings pay no Python call.  A fetch straddling
+    two lines keeps the bound ``_access`` call (``da``) for its second
     line (rare, and the first access just rewrote the stream state).
     """
     line = address & ~(device.line_bytes - 1)
@@ -724,30 +706,27 @@ def _flash_fetch_lines(device, dev, da, address, size, stall_var,
         f"    {stall_var} = 0",
         "else:",
     ]
-    if inline_access:
-        miss = [
-            f"b = {dev}._buffered_line",
-            f"if {dev}._streaming and b is not None and b == {line - device.line_bytes}:",
-            f"    {dev}._buffered_line = {line}",
-            f"    {dev}.array_accesses += 1",
-        ]
-        if device.prefetch:
-            miss += [f"    {dev}.sequential_hits += 1",
-                     f"    {stall_var} = 0"]
-        else:
-            miss.append(f"    {stall_var} = {device.access_cycles}")
-        miss += [
-            "else:",
-            "    if b is not None:",
-            f"        {dev}.stream_breaks += 1",
-            f"    {dev}._buffered_line = {line}",
-            f"    {dev}._streaming = True",
-            f"    {dev}.array_accesses += 1",
-            f"    {stall_var} = {device.access_cycles}",
-        ]
-        lines += ["    " + stmt for stmt in miss]
+    miss = [
+        f"b = {dev}._buffered_line",
+        f"if {dev}._streaming and b is not None and b == {line - device.line_bytes}:",
+        f"    {dev}._buffered_line = {line}",
+        f"    {dev}.array_accesses += 1",
+    ]
+    if device.prefetch:
+        miss += [f"    {dev}.sequential_hits += 1",
+                 f"    {stall_var} = 0"]
     else:
-        lines.append(f"    {stall_var} = {da}({address})")
+        miss.append(f"    {stall_var} = {device.access_cycles}")
+    miss += [
+        "else:",
+        "    if b is not None:",
+        f"        {dev}.stream_breaks += 1",
+        f"    {dev}._buffered_line = {line}",
+        f"    {dev}._streaming = True",
+        f"    {dev}.array_accesses += 1",
+        f"    {stall_var} = {device.access_cycles}",
+    ]
+    lines += ["    " + stmt for stmt in miss]
     if straddles:
         lines.append(f"{stall_var} += {da}({address + size - 1})")
     return lines
@@ -879,24 +858,22 @@ def _emit_fetch(cpu, uop, index, ns, ftrack):
         ns[dev] = device
         ns[f"DA{index}"] = device._access
         ns.setdefault("AR", AccessRecord)
-        if cpu.trace_superblocks:
-            static = _flash_static_parts(device, dev, address, size, ftrack)
-            if static is not None:
-                stmts, counters, stalls = static
-                lines = list(stmts)
-                lines += [f"{name}.{attr} += 1" for name, attr in counters]
-                lines += [
-                    "bus.reads += 1",
-                    f"bus.total_stalls += {stalls}",
-                    "if bus.record:",
-                    f"    bus.accesses.append("
-                    f"AR({address}, {size}, 'R', 'I', {stalls}))",
-                ]
-                return lines, stalls
-            _flash_track_dynamic(device, address, size, ftrack)
+        static = _flash_static_parts(device, dev, address, size, ftrack)
+        if static is not None:
+            stmts, counters, stalls = static
+            lines = list(stmts)
+            lines += [f"{name}.{attr} += 1" for name, attr in counters]
+            lines += [
+                "bus.reads += 1",
+                f"bus.total_stalls += {stalls}",
+                "if bus.record:",
+                f"    bus.accesses.append("
+                f"AR({address}, {size}, 'R', 'I', {stalls}))",
+            ]
+            return lines, stalls
+        _flash_track_dynamic(device, address, size, ftrack)
         lines = _flash_fetch_lines(device, dev, f"DA{index}",
-                                   address, size, "s",
-                                   inline_access=cpu.trace_superblocks)
+                                   address, size, "s")
         lines += [
             "bus.reads += 1",
             "bus.total_stalls += s",
@@ -907,7 +884,7 @@ def _emit_fetch(cpu, uop, index, ns, ftrack):
     # fetches through caches or opaque ports may reach flash devices
     # behind the scenes: forget any statically tracked stream state
     ftrack.clear()
-    cache = cpu._fetch_cache() if cpu.trace_superblocks else None
+    cache = cpu._fetch_cache()
     if cache is not None:
         lines = _emit_cache_fetch(cpu, cache, address, size, index, ns)
         if lines is not None:
@@ -1079,17 +1056,19 @@ def _backedge_eligible(cpu, uop, entry) -> bool:
 def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
     """Inline a loop back-edge that *continues* the enclosing while-loop.
 
-    The trace-engine variant of :func:`_emit_branch_ender` for a direct
-    branch whose target is the block's own head: the taken path performs
-    the identical branch bookkeeping, then revalidates the conditions the
+    The looping variant of :func:`_emit_branch_ender` for a direct branch
+    whose target is the block's own head: the taken path performs the
+    identical branch bookkeeping, then revalidates the conditions the
     engine's dispatch loop would have checked before re-entering the block
     - PC really back at the head and not halted (only when the real
     ``cpu.branch`` had to be called), interrupt queue still empty (the
-    event horizon: with an empty queue no poll can have an effect), and
-    one more full iteration inside the instruction budget.  When every
-    guard holds the generated loop continues with zero engine dispatch;
-    otherwise the function returns with the machine exactly where per-step
-    execution would have left it, and the engine takes over.  Returns
+    event horizon: with an empty queue no poll can have an effect), one
+    more full iteration under the cycle ceiling (``_sb_cycle_limit``, one
+    block cycle cap below it), and one more full iteration inside the
+    instruction budget.  When every guard holds the generated loop
+    continues with zero engine dispatch; otherwise the function returns
+    with the machine exactly where per-step execution would have left it,
+    and the engine takes over.  Returns
     ``None`` when the back-edge has no static-cost inline form (the block
     then fuses as a plain straight-line superblock).
     """
@@ -1129,14 +1108,12 @@ def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
     # IRQQ is the controller queue bound at fuse time (the engine drops
     # all fused blocks if the controller is swapped between runs), so the
     # event-horizon revalidation is one truthiness test per iteration.
-    # Under the cycle-coupled engine (co-simulation quanta) the guard
-    # additionally tests the cycle ceiling, so a fused loop keeps looping
-    # between bus events and returns, bit-exactly at an iteration
-    # boundary, when the quantum (minus the block's cycle cap) is reached.
-    guard = f"IRQQ or cpu.instructions_executed + {count} > cpu._sb_limit"
-    if cpu._sb_cycle_coupled:
-        guard = ("IRQQ or cpu.cycles >= cpu._sb_cycle_limit"
-                 f" or cpu.instructions_executed + {count} > cpu._sb_limit")
+    # The cycle test keeps a fused loop looping between co-simulation bus
+    # events and returns, bit-exactly at an iteration boundary, when the
+    # quantum (minus the block's cycle cap) is reached; unbounded runs set
+    # the limit past any reachable cycle.
+    guard = ("IRQQ or cpu.cycles >= cpu._sb_cycle_limit"
+             f" or cpu.instructions_executed + {count} > cpu._sb_limit")
     taken_lines += [
         f"if {guard}:",
         "    return",
@@ -1259,8 +1236,7 @@ def _lean_fetch(cpu, uop, index, ns, ftrack, base):
             _flash_track_dynamic(device, address, size, ftrack)
             stall_var = f"s{index}"
             entry["fetch"] = _flash_fetch_lines(device, dev, f"DA{index}",
-                                                address, size, stall_var,
-                                                inline_access=True)
+                                                address, size, stall_var)
             entry["stall_vars"].append(stall_var)
             entry["records"].append(
                 f"AR({address}, {size}, 'R', 'I', {stall_var})")
@@ -1302,7 +1278,7 @@ def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
         return None
     if mem.rm == PC or (not load and mem.rn == PC):
         return None
-    plan = _active_plan(cpu)
+    plan = cpu._data_inline_plan()
     if plan is None or (plan == "mpu" and cpu.mpu is not None):
         return None
     cycle_fn = cpu.compile_cycles(ins)
@@ -1383,8 +1359,7 @@ def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
                 _flash_track_dynamic(device, address, size, ftrack)
                 stall_var = f"ds{index}"
                 body += _flash_fetch_lines(device, dev, f"DAL{index}",
-                                           address, size, stall_var,
-                                           inline_access=True)
+                                           address, size, stall_var)
                 entry["stall_vars"].append(stall_var)
                 entry["records"].append(
                     f"AR({address}, {size}, 'R', 'D', {stall_var})")
@@ -1595,13 +1570,13 @@ def _fuse_block(cpu, uops, steps):
     (:func:`_lean_step` / :func:`_flush_span`); every other position is a
     barrier that flushes first, keeping mid-block faults bit-exact.
 
-    With ``cpu.trace_superblocks`` set and the block terminated by a loop
-    back-edge (a direct branch back to the block's own head), the whole
-    body is wrapped in a ``while True:`` whose taken-branch path continues
-    in place (see :func:`_emit_loop_backedge`): a full loop iteration runs
-    as one generated code object executed N times, with the per-iteration
-    guard limited to the branch condition, the interrupt queue, and the
-    instruction budget.
+    When the block is terminated by a loop back-edge (a direct branch
+    back to the block's own head), the whole body is wrapped in a
+    ``while True:`` whose taken-branch path continues in place (see
+    :func:`_emit_loop_backedge`): a full loop iteration runs as one
+    generated code object executed N times, with the per-iteration guard
+    limited to the branch condition, the interrupt queue, the cycle
+    ceiling, and the instruction budget.
     """
     ns = {
         "cpu": cpu,
@@ -1612,14 +1587,13 @@ def _fuse_block(cpu, uops, steps):
     if getattr(cpu, "bus", None) is not None:
         ns["bus"] = cpu.bus
     last = len(uops) - 1
-    is_loop = (cpu.trace_superblocks and not uops[last].chainable
+    is_loop = (not uops[last].chainable
                and _backedge_eligible(cpu, uops[last], uops[0].address))
     if is_loop:
         ns["IRQQ"] = cpu._irq_queue
     lines = []
     span: list = []
     isa = cpu.program.isa
-    coalesce = cpu.trace_superblocks
     ftrack: dict = {}
     for index, (uop, fast_step) in enumerate(zip(uops, steps)):
         if is_loop and index == last:
@@ -1628,11 +1602,9 @@ def _fuse_block(cpu, uops, steps):
                                              uops[0].address, len(uops),
                                              ftrack))
             continue
-        lean = _lean_step(cpu, uop, index, ns, isa, ftrack) if coalesce else None
-        if lean is None and coalesce:
-            lean = _lean_mem_step(cpu, uop, index, ns, ftrack, span)
-        if lean is None and coalesce:
-            lean = _lean_branch_step(cpu, uop, index, ns, ftrack)
+        lean = (_lean_step(cpu, uop, index, ns, isa, ftrack)
+                or _lean_mem_step(cpu, uop, index, ns, ftrack, span)
+                or _lean_branch_step(cpu, uop, index, ns, ftrack))
         if lean is not None:
             span.append(lean)
             continue

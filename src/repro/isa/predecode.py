@@ -27,10 +27,10 @@ copies and pointer-walking loops stay on the fast path.
 Each micro-op also carries a *kind* - ``"alu"`` (pure register state),
 ``"mem"`` (touches the data bus, cannot branch) or ``"ctl"`` (may branch,
 halt, sleep, predicate, or is a fallback whose behaviour is unknown) - and
-a derived ``chainable`` flag.  The superblock engine
-(``BaseCpu._run_superblocks``) links chainable micro-ops to their
-fall-through successor and executes straight-line runs as a single Python
-loop with no per-step dispatch; ``ctl`` micro-ops terminate a superblock.
+a derived ``chainable`` flag.  The trace engine (``BaseCpu._run_trace``)
+links chainable micro-ops to their fall-through successor and executes
+straight-line runs as a single Python loop with no per-step dispatch;
+``ctl`` micro-ops terminate a superblock.
 
 The table is keyed by program address and cached on the
 :class:`~repro.isa.assembler.Program`, so every core model running the same
@@ -87,7 +87,7 @@ COND_CHECKS: dict[Condition, Callable] = {
 class MicroOp:
     """One predecoded instruction, ready for the fast execution loop.
 
-    ``kind`` classifies the bound closure for the superblock engine:
+    ``kind`` classifies the bound closure for the trace engine:
 
     * ``"alu"``  - mutates registers/flags only; cannot branch, halt,
       sleep, touch memory, or start an IT block;

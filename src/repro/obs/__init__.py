@@ -1,6 +1,6 @@
 """Determinism-safe telemetry: one metrics registry + span tracer.
 
-Every layer of the system - the four-tier execution engine, the
+Every layer of the system - the two execution engines, the
 campaign runner, the sweep service and its supervised worker fleet, and
 the parallel co-simulation - instruments itself through this package:
 labeled counters, gauges, and fixed-layout histograms
@@ -9,7 +9,7 @@ labeled counters, gauges, and fixed-layout histograms
 
 **The one hard rule is that telemetry is out-of-band.**  The repo's
 foundational guarantee is that records are pure functions of specs and
-streams are byte-identical across workers, shards, engine tiers, quanta,
+streams are byte-identical across workers, shards, engines, quanta,
 and faults; no metric or span value may therefore enter a spec, a cache
 key, a record field, or the bytes/order of a stream.  Telemetry on and
 off must be observationally equivalent to every record consumer -

@@ -21,7 +21,6 @@ from repro.sim.campaign import (
     execute_request,
     interrupt_sweep_matrix,
     read_campaign_stream,
-    run_campaign,
     run_scenario,
     shard_bounds,
     smoke_matrix,
@@ -45,7 +44,6 @@ __all__ = [
     "execute_request",
     "interrupt_sweep_matrix",
     "read_campaign_stream",
-    "run_campaign",
     "run_scenario",
     "shard_bounds",
     "smoke_matrix",

@@ -30,7 +30,7 @@ domain** (see :mod:`repro.sim.domains`):
   determinism guarantee below: injected traffic and forced error
   windows are scheduled in bus time, and mid-run memory flips settle to
   the guest's next WFI boundary, so records are byte-identical across
-  engine tiers, quantum sizes, workers, and shards.
+  engines, quantum sizes, workers, and shards.
 
 Determinism is the hard guarantee that makes campaigns distributable:
 
@@ -41,8 +41,8 @@ Determinism is the hard guarantee that makes campaigns distributable:
 * :meth:`CampaignResult.to_json` and the JSONL stream are canonical
   (sorted keys, no wall-clock or host state), so a campaign's output is
   **byte-identical** for 1, 2, or N workers - and, because records are a
-  pure function of each spec, across *shards*: ``run_campaign(specs,
-  shard=(k, n))`` runs the k-th of ``n`` contiguous partitions, and the
+  pure function of each spec, across *shards*: a request with
+  ``shard=(k, n)`` runs the k-th of ``n`` contiguous partitions, and the
   concatenation of all shard streams in ``k`` order is byte-identical to
   the unsharded stream.  That is the whole distribution recipe: give every
   host the same spec list and a distinct ``(k, n)``, then ``cat`` the
@@ -62,8 +62,7 @@ Every way a campaign runs goes through :class:`CampaignRequest`
 (:func:`execute_request`), the CLI (which parses its flags *into* a
 request), the ``--launch N`` shard launcher (which derives each child's
 argv *from* the request via :meth:`CampaignRequest.cli_argv`), and the
-resident campaign service.  :func:`run_campaign` survives as a thin
-backward-compatible shim over the same core.
+resident campaign service.
 
 The campaign service (``repro.sim.service``)
 --------------------------------------------
@@ -321,7 +320,7 @@ def _parse_stream_line(path, lineno: int, line: str):
 
 def read_campaign_stream(path, on_error: str = "raise",
                          errors: list | None = None) -> list:
-    """Load the records a ``run_campaign(..., stream_path=...)`` run wrote.
+    """Load the records an ``execute_request(..., stream_path=...)`` run wrote.
 
     Every line must be one complete canonical record; a file that does not
     end in a newline was truncated mid-write (the writer always emits the
@@ -434,37 +433,6 @@ def shard_bounds(total: int, shard: tuple[int, int]) -> tuple[int, int]:
     if n <= 0 or not 0 <= k < n:
         raise ValueError(f"shard index must satisfy 0 <= k < n, got {shard!r}")
     return (total * k) // n, (total * (k + 1)) // n
-
-
-def run_campaign(specs: list[ScenarioSpec], *, workers: int | None = None,
-                 stream_path=None, collect: bool | None = None,
-                 shard: tuple[int, int] | None = None,
-                 on_record=None, cache=None) -> CampaignResult:
-    """Run a scenario matrix, optionally across worker processes and hosts.
-
-    .. deprecated::
-        Thin backward-compatible shim: new code should build a
-        :class:`CampaignRequest` and call :func:`execute_request` (one
-        request shape shared by the library, the CLI, the shard launcher,
-        and the campaign service).  This wrapper only packs its arguments
-        into a request; behaviour and output bytes are identical.  Its
-        arguments past ``specs`` are keyword-only.
-
-    ``workers`` of ``None``, 0, or 1 runs serially in-process.  Output is
-    identical (byte-for-byte once serialised) for every worker count.
-
-    ``shard=(k, n)`` runs only the ``k``-th of ``n`` contiguous partitions
-    of ``specs`` (see :func:`shard_bounds`).  Records are a pure function
-    of each spec, so sharding is pure partitioning: the concatenation of
-    all ``n`` shard streams in ``k`` order is byte-identical to the
-    unsharded stream.
-
-    ``stream_path``, ``collect``, ``on_record``, and ``cache`` behave as
-    documented on :func:`execute_request`.
-    """
-    request = CampaignRequest(specs=tuple(specs), shard=shard, workers=workers)
-    return execute_request(request, stream_path=stream_path, collect=collect,
-                           on_record=on_record, cache=cache)
 
 
 # ----------------------------------------------------------------------

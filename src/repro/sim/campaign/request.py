@@ -13,8 +13,7 @@ same object rides the service's wire protocol, and a CLI-equivalent argv
 from the flag parser: both are derived from the request, not rebuilt by
 hand.
 
-:func:`execute_request` is the single local runner core (the body that
-used to live in ``run_campaign``, which is now a thin shim over it).
+:func:`execute_request` is the single local runner core.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Determinism: both runs are pure functions of the spec (network and fault
 synthesis draw from forked ``spec.rng()`` streams; injected traffic,
 forced error windows, and soft-error flip points are all scheduled in
 bus time or settled to WFI boundaries), so records are byte-identical
-across engine tiers, quantum sizes, workers, and shards - property-tested
+across engines, quantum sizes, workers, and shards - property-tested
 like every other domain.
 
 Params (via ``ScenarioSpec.params``):

@@ -45,9 +45,10 @@ echoed), and the disk cache is flushed before the fleet stops.
 All of this is proven reproducibly by the deterministic chaos harness
 (:mod:`repro.sim.service.chaos`): :meth:`ChaosSchedule.seeded` derives a
 fault schedule (worker kills in the recv or report phase, silent or
-heartbeating stalls, poisoned specs) from one integer seed, the worker
-executes its own faults from the ``REPRO_WORKER_CHAOS`` environment
-variable, and the property suite (``tests/test_service_chaos.py``) plus
+heartbeating stalls, poisoned specs) from one integer seed, keyed by the
+supervisor's global dispatch ordinal so every fault fires by
+construction; the worker executes the fault its ``cell`` frame carries,
+and the property suite (``tests/test_service_chaos.py``) plus
 the CI ``chaos-smoke`` job assert stream bytes and slot accounting match
 an undisturbed run - ``--chaos "seed=7,kills=2,stalls=1"`` replays any
 schedule from the command line.
@@ -92,7 +93,7 @@ from repro.sim.service.protocol import (
     decode_message,
     encode_message,
 )
-from repro.sim.service.chaos import ChaosSchedule, WorkerFaultPlan
+from repro.sim.service.chaos import CellFault, ChaosSchedule
 from repro.sim.service.client import CampaignClient, submit_and_stream
 from repro.sim.service.server import CampaignService, serve_stdio, serve_tcp
 from repro.sim.service.supervisor import (
@@ -107,8 +108,8 @@ __all__ = [
     "CampaignServiceError",
     "CampaignClient",
     "CellFailed",
+    "CellFault",
     "ChaosSchedule",
-    "WorkerFaultPlan",
     "WorkerPoolError",
     "WorkerSupervisor",
     "decode_message",

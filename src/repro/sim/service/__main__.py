@@ -133,7 +133,7 @@ async def _amain(args) -> int:
     if args.chaos is not None:
         from repro.sim.service.chaos import ChaosSchedule
 
-        chaos = ChaosSchedule.from_spec(args.chaos, workers=args.workers_proc or 1)
+        chaos = ChaosSchedule.from_spec(args.chaos)
     supervisor_options = {}
     if args.heartbeat is not None:
         supervisor_options["heartbeat"] = args.heartbeat

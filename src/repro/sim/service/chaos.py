@@ -2,28 +2,30 @@
 
 Robustness claims are only trustworthy when the faults that prove them
 are reproducible.  This module describes worker-fleet fault schedules as
-plain frozen data - *which* worker (by spawn sequence number) dies or
-stalls, at which of *its* cells, in which phase - so a test, a benchmark,
-or the CI ``chaos-smoke`` job can replay the exact same injection and
+plain frozen data - *which* dispatch (by the supervisor's global
+dispatch ordinal) dies or stalls, and how - so a test, a benchmark, or
+the CI ``chaos-smoke`` job can replay the exact same injection and
 assert the exact same outcome: the client-visible record stream is
-byte-identical to a fault-free run, and the queue-slot accounting returns
-to zero.
+byte-identical to a fault-free run, the queue-slot accounting returns to
+zero, and the fleet lost exactly as many workers as faults were
+scheduled.
 
-The injection path is the worker subprocess itself
-(:mod:`repro.sim.service.worker`): the supervisor serialises each spawned
-worker's :class:`WorkerFaultPlan` into the ``REPRO_WORKER_CHAOS``
-environment variable, and the worker executes its own faults -
-``os._exit`` at the scheduled cell (before computing or after computing
-but *before reporting*, the juiciest window: the cell is lost and must be
-recomputed elsewhere), or a stall (silent: heartbeats stop, the
+Faults fire **by construction**.  The supervisor numbers every ``cell``
+frame it sends (0, 1, 2, ... across the whole fleet, requeues included)
+and attaches the scheduled :class:`CellFault`, if any, to that frame; the
+worker (:mod:`repro.sim.service.worker`) acts on the frame it received.
+So a fault scheduled at an ordinal below the sweep's cell count always
+fires, whichever worker the scheduler hands that dispatch to.  A fault is
+an ``os._exit`` (before computing, or after computing but *before
+reporting*, the juiciest window: the cell is lost and must be recomputed
+elsewhere), or a stall after computing (silent: heartbeats stop, the
 supervisor's liveness timeout fires; busy: heartbeats continue, the hard
 per-cell deadline fires).  Poisoned spec keys are global - *every*
-worker, respawns included, dies on them - which is what drives the
+dispatch of them kills its worker on receipt - which is what drives the
 supervisor's two-strike quarantine.
 
 Client-side faults (severing a connection mid-stream) have no schedule
-entry: they are plain test actions, listed here only in
-:class:`ChaosSchedule.seeded`'s docstring for completeness.
+entry: they are plain test actions.
 
 Schedules are built three ways:
 
@@ -36,82 +38,64 @@ Schedules are built three ways:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.sim.rng import DeterministicRng
 
-#: the environment variable a worker reads its fault plan from
-CHAOS_ENV = "REPRO_WORKER_CHAOS"
-
 
 @dataclass(frozen=True)
-class WorkerFaultPlan:
-    """The faults one spawned worker inflicts on itself.
+class CellFault:
+    """What the worker serving one dispatch does to itself.
 
-    ``kill_at_cell``/``stall_at_cell`` count the cells *that worker*
-    handles (0-based), not global dispatch order - which spec lands in
-    the window depends on scheduling, and must not matter: the stream
-    bytes are asserted equal regardless.  ``kill_phase`` is ``"recv"``
-    (die before computing: the cell is simply lost) or ``"report"`` (die
-    after computing, before writing the result line: the work is lost
-    *and* may race a requeue - the dedup-by-construction case).
+    ``kill`` is ``"recv"`` (die before computing: the cell is simply
+    lost) or ``"report"`` (die after computing, before writing the result
+    line: the work is lost *and* may race a requeue - the
+    dedup-by-construction case).  Otherwise ``stall`` seconds pass after
+    computing: ``silent`` stalls stop heartbeats (the liveness window
+    fires), busy ones keep heartbeating (the per-cell deadline fires).
     """
 
-    kill_at_cell: int | None = None
-    kill_phase: str = "report"  # 'recv' | 'report'
-    stall_at_cell: int | None = None
-    stall_seconds: float = 0.0
-    stall_silent: bool = True  # silent: heartbeats stop (liveness fires);
-    #                            busy: heartbeats continue (deadline fires)
+    kill: str | None = None  # 'recv' | 'report'
+    stall: float = 0.0
+    silent: bool = True
+
+    def to_obj(self) -> dict:
+        """The ``chaos`` field of the ``cell`` frame carrying this fault."""
+        return {"kill": self.kill, "stall": self.stall, "silent": self.silent}
+
+
+#: the fault every dispatch of a poisoned spec carries
+POISON_KILL = CellFault(kill="recv")
 
 
 @dataclass(frozen=True)
 class ChaosSchedule:
-    """A full fleet fault schedule: per-spawn plans plus global poison.
+    """A full fleet fault schedule: per-dispatch faults plus global poison.
 
-    ``plans`` maps worker *spawn sequence numbers* (0..N-1 are the
-    initial fleet; N, N+1, ... are respawns in order) to their fault
-    plans; workers without an entry run clean - so a seeded schedule's
-    respawned workers are healthy and recovery always converges.
-    ``poison`` spec keys crash any worker that receives them, every
-    time - the supervisor must quarantine them, not retry forever.
+    ``faults`` maps supervisor *dispatch ordinals* (the n-th ``cell``
+    frame sent to any worker, requeued dispatches included) to the fault
+    that dispatch carries; other dispatches run clean.  ``poison`` spec
+    keys crash whichever worker receives them, every time - the
+    supervisor must quarantine them, not retry forever.
     """
 
-    plans: tuple[tuple[int, WorkerFaultPlan], ...] = ()
+    faults: tuple[tuple[int, CellFault], ...] = ()
     poison: tuple[str, ...] = ()
 
-    def plan_for(self, spawn_index: int) -> WorkerFaultPlan | None:
-        for index, plan in self.plans:
-            if index == spawn_index:
-                return plan
+    def fault_for(self, dispatch: int, key: str) -> CellFault | None:
+        """The fault dispatch number ``dispatch`` of spec ``key`` carries."""
+        if key in self.poison:
+            return POISON_KILL
+        for ordinal, fault in self.faults:
+            if ordinal == dispatch:
+                return fault
         return None
-
-    def plan_env(self, spawn_index: int) -> str | None:
-        """The ``REPRO_WORKER_CHAOS`` value for one spawned worker."""
-        payload: dict = {}
-        plan = self.plan_for(spawn_index)
-        if plan is not None:
-            if plan.kill_at_cell is not None:
-                payload["kill"] = {"cell": plan.kill_at_cell, "phase": plan.kill_phase}
-            if plan.stall_at_cell is not None:
-                payload["stall"] = {
-                    "cell": plan.stall_at_cell,
-                    "seconds": plan.stall_seconds,
-                    "silent": plan.stall_silent,
-                }
-        if self.poison:
-            payload["poison"] = list(self.poison)
-        if not payload:
-            return None
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def seeded(
         cls,
         seed: int,
         *,
-        workers: int = 2,
         cells: int = 8,
         kills: int = 1,
         stalls: int = 0,
@@ -120,41 +104,30 @@ class ChaosSchedule:
     ) -> ChaosSchedule:
         """An RNG-derived schedule: one seed reproduces one fault pattern.
 
-        ``kills`` workers die (random initial spawn index, random cell in
-        the first ``max(1, cells // workers)`` they handle, random
-        phase); ``stalls`` workers stall silently past the liveness
-        window at a random cell.  Kill and stall targets are drawn from
-        the *initial* fleet only, so respawned workers are healthy and
-        every schedule terminates.  The remaining chaos mode the property
-        suite exercises - severing a client mid-stream - is a test-side
-        action with no worker plan.
+        ``kills`` dispatches die (random phase) and ``stalls`` dispatches
+        stall silently past the liveness window, each at a distinct
+        random ordinal below ``cells``.  Size ``cells`` to at most the
+        sweep's cell count: every cell is dispatched at least once, so
+        every fault then fires, and each costs exactly one worker.
         """
+        faults = kills + stalls
+        if faults > cells:
+            raise ValueError(f"{faults} faults do not fit in {cells} dispatches")
         rng = DeterministicRng(seed)
-        window = max(1, cells // max(1, workers))
-        plans: dict[int, dict] = {}
-        targets = list(range(workers))
-        rng.shuffle(targets)
-        for _ in range(kills):
-            victim = targets[0] if len(targets) == 1 else targets.pop()
-            plans.setdefault(victim, {})["kill_at_cell"] = rng.randint(0, window - 1)
-            plans[victim]["kill_phase"] = rng.choice(["recv", "report"])
-        for _ in range(stalls):
-            victim = targets[0] if len(targets) == 1 else targets.pop()
-            plans.setdefault(victim, {})["stall_at_cell"] = rng.randint(0, window - 1)
-            plans[victim]["stall_seconds"] = stall_seconds
-            plans[victim]["stall_silent"] = True
-        return cls(
-            plans=tuple(
-                (index, WorkerFaultPlan(**fields)) for index, fields in sorted(plans.items())
-            ),
-            poison=tuple(poison),
-        )
+        ordinals = list(range(cells))
+        rng.shuffle(ordinals)
+        scheduled = [
+            (ordinals.pop(), CellFault(kill=rng.choice(["recv", "report"])))
+            for _ in range(kills)
+        ]
+        scheduled += [(ordinals.pop(), CellFault(stall=stall_seconds)) for _ in range(stalls)]
+        return cls(faults=tuple(sorted(scheduled)), poison=tuple(poison))
 
     @classmethod
-    def from_spec(cls, spec: str, *, workers: int = 2) -> ChaosSchedule:
+    def from_spec(cls, spec: str) -> ChaosSchedule:
         """Parse the CLI form: ``"seed=7,kills=2,stalls=1[,cells=8]
-        [,stall-seconds=2]"`` (``cells`` sizes the fault window; keep it
-        near the real per-worker cell count so the faults actually fire).
+        [,stall-seconds=2]"`` (``cells`` is the dispatch window the faults
+        land in; keep it at most the sweep's cell count so they all fire).
         """
         fields = {"seed": 0, "kills": 1, "stalls": 0, "cells": 8,
                   "stall-seconds": 1.5}
@@ -173,7 +146,6 @@ class ChaosSchedule:
             fields[key] = float(value) if key == "stall-seconds" else int(value)
         return cls.seeded(
             fields["seed"],
-            workers=workers,
             cells=fields["cells"],
             kills=fields["kills"],
             stalls=fields["stalls"],

@@ -31,9 +31,10 @@ framing over pipes, and gives the campaign server one call -
 * **Graceful drain.**  :meth:`stop` sends every idle worker ``exit``,
   waits briefly, and kills stragglers.
 
-Fault injection for the deterministic chaos harness rides each spawned
-worker's environment (:mod:`repro.sim.service.chaos`); the supervisor
-itself contains no test-only code paths.
+Fault injection for the deterministic chaos harness rides the ``cell``
+frames: the supervisor numbers every dispatch and attaches the fault the
+schedule keys to that ordinal (:mod:`repro.sim.service.chaos`); the
+worker acts on it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.sim.campaign.request import record_from_obj, spec_to_obj
-from repro.sim.service.chaos import CHAOS_ENV, ChaosSchedule
+from repro.sim.service.chaos import ChaosSchedule
 from repro.sim.service.protocol import encode_message
 from repro.sim.service.worker import HEARTBEAT_ENV
 
@@ -107,14 +108,12 @@ class WorkerPoolError(Exception):
 
 
 class _Worker:
-    """One spawned subprocess plus its pipes and per-life counters."""
+    """One spawned subprocess plus its pipes."""
 
-    __slots__ = ("index", "proc", "cells", "ready")
+    __slots__ = ("proc", "ready")
 
-    def __init__(self, index: int, proc: asyncio.subprocess.Process):
-        self.index = index  # spawn sequence number (chaos plans key on it)
+    def __init__(self, proc: asyncio.subprocess.Process):
         self.proc = proc
-        self.cells = 0
         self.ready = False  # first frame seen (spawn grace no longer applies)
 
     @property
@@ -165,10 +164,10 @@ class WorkerSupervisor:
         self.lost = 0
         self.requeues = 0
         self.quarantined = 0
-        self._spawned = 0
         self._alive: set[_Worker] = set()
         self._idle: asyncio.Queue[_Worker] = asyncio.Queue()
         self._strikes: dict[str, int] = {}
+        #: the global dispatch ordinal: one per ``cell`` frame sent
         self._jobs = itertools.count()
         self._closing = False
         self._failed: str | None = None
@@ -214,11 +213,6 @@ class WorkerSupervisor:
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
         env[HEARTBEAT_ENV] = str(self.heartbeat)
-        env.pop(CHAOS_ENV, None)
-        if self.chaos is not None:
-            plan = self.chaos.plan_env(self._spawned)
-            if plan is not None:
-                env[CHAOS_ENV] = plan
         # -c, not -m: the package __init__ imports this module, so runpy
         # would warn about re-executing an already-imported module
         proc = await asyncio.create_subprocess_exec(
@@ -229,8 +223,7 @@ class WorkerSupervisor:
             stdout=asyncio.subprocess.PIPE,
             env=env,
         )
-        worker = _Worker(self._spawned, proc)
-        self._spawned += 1
+        worker = _Worker(proc)
         _WORKERS_SPAWNED.inc()
         self._alive.add(worker)
         self._idle.put_nowait(worker)
@@ -291,7 +284,6 @@ class WorkerSupervisor:
                 await asyncio.sleep(min(self.backoff * (2 ** (attempt - 1)), BACKOFF_CAP))
                 continue
             self._strikes.pop(key, None)
-            worker.cells += 1
             self._idle.put_nowait(worker)
             if reply.get("op") == "cell-error":
                 raise CellFailed("compute-error", reply.get("message", "worker reported failure"))
@@ -313,8 +305,12 @@ class WorkerSupervisor:
     async def _execute(self, worker: _Worker, spec) -> dict:
         """One job round trip; every failure mode becomes WorkerLost."""
         job = next(self._jobs)
+        frame = {"op": "cell", "job": job, "spec": spec_to_obj(spec)}
+        fault = None if self.chaos is None else self.chaos.fault_for(job, spec.key())
+        if fault is not None:
+            frame["chaos"] = fault.to_obj()
         try:
-            await worker.send({"op": "cell", "job": job, "spec": spec_to_obj(spec)})
+            await worker.send(frame)
         except (ConnectionError, OSError):
             raise WorkerLost("pipe closed while dispatching") from None
         loop = asyncio.get_running_loop()

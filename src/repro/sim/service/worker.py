@@ -5,8 +5,9 @@ line-JSON framing over its own stdin/stdout (see
 :mod:`repro.sim.service.protocol`, "worker wire"):
 
 * supervisor -> worker: ``{"op": "cell", "job": J, "spec":
-  <spec_to_obj>}`` asks for one cell, ``{"op": "exit"}`` asks for a
-  graceful drain (EOF on stdin means the same thing);
+  <spec_to_obj>}`` asks for one cell (plus a ``"chaos"`` fault under the
+  chaos harness), ``{"op": "exit"}`` asks for a graceful drain (EOF on
+  stdin means the same thing);
 * worker -> supervisor: ``{"op": "heartbeat", "job": J}`` roughly every
   ``REPRO_WORKER_HEARTBEAT`` seconds while a cell computes (a background
   thread; silence is how the supervisor tells a wedged worker from a
@@ -24,13 +25,13 @@ harmless: records are pure functions of specs, so the requeued result is
 byte-identical and the service's content-addressed dedup keeps the
 client stream single-copy.
 
-Chaos injection (tests and the CI ``chaos-smoke`` job only): the
-``REPRO_WORKER_CHAOS`` environment variable carries this worker's
-:class:`~repro.sim.service.chaos.WorkerFaultPlan` - scheduled
-``os._exit`` (before computing, or after computing but before
-reporting), scheduled stalls (silent or with heartbeats), and globally
-poisoned spec keys that kill any worker on receipt.  Without the
-variable the fault paths do not exist.
+Chaos injection (tests and the CI ``chaos-smoke`` job only): a ``cell``
+frame may carry a ``"chaos"`` field, a
+:class:`~repro.sim.service.chaos.CellFault` the supervisor scheduled for
+that dispatch - ``os._exit`` before computing or after computing but
+before reporting, or a stall after computing (silent or with
+heartbeats).  The worker acts on the frame it received, so the fault
+fires whichever worker the dispatch lands on.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import sys
 import threading
 import time
 
-from repro.sim.service.chaos import CHAOS_ENV
 from repro.sim.service.protocol import encode_message
 
 #: seconds between heartbeats while a cell computes
@@ -54,10 +54,6 @@ def main() -> int:
     stdout = sys.stdout.buffer
     write_lock = threading.Lock()  # heartbeat thread and main thread share stdout
     heartbeat_s = float(os.environ.get(HEARTBEAT_ENV, str(DEFAULT_HEARTBEAT)))
-    plan = json.loads(os.environ.get(CHAOS_ENV) or "{}")
-    kill = plan.get("kill") or {}
-    stall = plan.get("stall") or {}
-    poison = frozenset(plan.get("poison") or ())
 
     def emit(payload: dict) -> None:
         frame = encode_message(payload)
@@ -74,7 +70,6 @@ def main() -> int:
 
     emit({"op": "ready"})
 
-    cells = 0  # cells *this worker* has handled (chaos plans count these)
     while True:
         line = stdin.readline()
         if not line:
@@ -90,12 +85,9 @@ def main() -> int:
             continue
         job = msg.get("job")
         spec = spec_from_obj(msg["spec"])
-
-        # -- chaos: scheduled and poisoned deaths ----------------------
-        if kill.get("cell") == cells and kill.get("phase", "report") == "recv":
+        chaos = msg.get("chaos") or {}
+        if chaos.get("kill") == "recv":
             os._exit(9)  # die before computing: the cell is simply lost
-        if spec.key() in poison:
-            os._exit(9)  # a poisoned spec kills every worker it reaches
 
         beating = threading.Event()
 
@@ -115,22 +107,20 @@ def main() -> int:
                 "message": f"{type(exc).__name__}: {exc}",
             }
 
-        # -- chaos: scheduled stalls and report-phase deaths -----------
-        if stall.get("cell") == cells:
-            if stall.get("silent", True):
+        if chaos.get("stall"):
+            if chaos.get("silent", True):
                 beating.set()  # a wedged process heartbeats nothing
                 heartbeat.join()
-            time.sleep(float(stall.get("seconds", 0.0)))
+            time.sleep(float(chaos["stall"]))
         beating.set()
         heartbeat.join()
-        if kill.get("cell") == cells and kill.get("phase", "report") == "report":
+        if chaos.get("kill") == "report":
             os._exit(9)  # computed but never reported: the dedup window
 
         try:
             emit(reply)
         except (BrokenPipeError, OSError):
             return 0  # the supervisor gave up on us (e.g. after a stall)
-        cells += 1
 
 
 if __name__ == "__main__":

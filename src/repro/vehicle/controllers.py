@@ -46,7 +46,7 @@ ACTUATOR_BASE = 0x4003_0000
 class MmioDevice:
     """Word-register device base: aligned 32-bit accesses, zero stalls."""
 
-    #: stall bound advertised to the cycle-coupled engine's block caps
+    #: stall bound advertised to the trace engine's block cycle caps
     worst_stall = 0
 
     def __init__(self, base: int, size: int = 0x40) -> None:

@@ -3,9 +3,9 @@
 An :class:`Ecu` owns a complete simulated MCU (core + flash + SRAM +
 memory-mapped network controllers), runs real assembled firmware, and is
 advanced by the :class:`~repro.vehicle.vehicle.VirtualVehicle` clock in
-*quanta*: ``advance_to_us(T)`` runs the guest - under whatever execution
-engine tier the core is configured for, the trace-superblock engine by
-default - until its cycle counter reaches ``T`` on its own clock.
+*quanta*: ``advance_to_us(T)`` runs the guest - under whichever execution
+engine the core is configured for, the trace engine by default - until
+its cycle counter reaches ``T`` on its own clock.
 
 Determinism contract
 --------------------
@@ -184,10 +184,10 @@ class Ecu:
         quantum- and engine-invariant if it lands at a *unique*
         architectural point.  Busy execution stops at engine-dependent
         boundaries (a fused loop iteration may overrun where the
-        reference tier would pause), so after advancing to the event
-        cycle we *settle*: run until the guest parks on WFI (or halts).
-        No engine tier can overrun past a WFI, and cycle accounting is
-        bit-identical across tiers, so every tier reaches the same sleep
+        reference interpreter would pause), so after advancing to the
+        event cycle we *settle*: run until the guest parks on WFI (or
+        halts).  No engine can overrun past a WFI, and cycle accounting
+        is bit-identical across engines, so both reach the same sleep
         point - the mutation is then a pure function of the instruction
         stream.  Raises :class:`CosimDeterminismError` if the core has
         already executed past the event cycle, and ``RuntimeError`` if
@@ -241,7 +241,7 @@ class Ecu:
     # ------------------------------------------------------------------
     def fused_block_count(self) -> int:
         """How many superblock entries have been fused to generated code
-        (non-zero proves the guest ran on the trace engine's fast tier)."""
+        (non-zero proves the guest ran fused code on the trace engine)."""
         return sum(1 for entry in self.cpu._sb_blocks.values()
                    if entry[3] is not None)
 

@@ -23,7 +23,7 @@ BodyNetwork` before its run:
   co-simulation (composing :class:`~repro.memory.faults.
   SoftErrorInjector` with the co-sim clock), landing at the guest's next
   WFI boundary so the corruption point is a pure function of the
-  instruction stream - byte-identical across engine tiers and quanta.
+  instruction stream - byte-identical across engines and quanta.
 
 Every scenario computes **per-claim safety verdicts** after the run
 (:data:`VERDICT_CLAIMS`): latency bounds held, frame conservation,
@@ -332,7 +332,7 @@ class FirmwareSoftError(FaultScenario):
     forwarded command path stays clean - a contained, fail-silent upset.
     The flip lands at the guest's next WFI boundary at or after the
     event time (:meth:`~repro.vehicle.ecu.Ecu.advance_for_event`), the
-    unique architectural point every engine tier reaches identically.
+    unique architectural point every engine reaches identically.
     """
 
     def __init__(self, fault: FaultSpec) -> None:

@@ -2,7 +2,7 @@
 
 This is the layer where everything the repository models finally executes
 *together*: N real CPU-core models (ARM7 / Cortex-M3 / ARM1156, each
-running real assembled firmware under the trace-superblock engine), the
+running real assembled firmware under the trace engine), the
 discrete-event CAN bus, and the LIN sub-bus behind a gateway ECU, all on
 one shared :class:`~repro.sim.events.EventScheduler` clock - the paper's
 "distributed ECU network as a single compute resource" claim, run rather

@@ -6,11 +6,12 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.campaign import (
+    CampaignRequest,
     InterruptProfile,
     ScenarioSpec,
+    execute_request,
     interrupt_sweep_matrix,
     read_campaign_stream,
-    run_campaign,
     run_scenario,
     table1_matrix,
 )
@@ -32,9 +33,9 @@ def small_matrix() -> list[ScenarioSpec]:
 
 def test_campaign_byte_identical_across_worker_counts():
     specs = small_matrix()
-    serial = run_campaign(specs, workers=1)
-    two = run_campaign(specs, workers=2)
-    three = run_campaign(specs, workers=3)
+    serial = execute_request(CampaignRequest(specs=tuple(specs), workers=1))
+    two = execute_request(CampaignRequest(specs=tuple(specs), workers=2))
+    three = execute_request(CampaignRequest(specs=tuple(specs), workers=3))
     assert serial.to_json() == two.to_json() == three.to_json()
     assert serial.all_verified
 
@@ -101,8 +102,8 @@ def test_matrix_builders_cover_expected_cells():
 
 def test_campaign_interrupt_storm_deterministic_and_parallel():
     matrix = interrupt_sweep_matrix(rates=(400,), scale=2)
-    serial = run_campaign(matrix, workers=1)
-    parallel = run_campaign(matrix, workers=2)
+    serial = execute_request(CampaignRequest(specs=tuple(matrix), workers=1))
+    parallel = execute_request(CampaignRequest(specs=tuple(matrix), workers=2))
     assert serial.to_json() == parallel.to_json()
     assert serial.all_verified
     assert any(r.irqs_serviced for r in serial.records)
@@ -113,27 +114,31 @@ def test_campaign_streams_records_to_jsonl(tmp_path):
     order, byte-identical across worker counts, without keeping records
     in memory unless asked."""
     matrix = small_matrix()
-    collected = run_campaign(matrix, workers=1)
+    request = CampaignRequest(specs=tuple(matrix), workers=1)
+    collected = execute_request(request)
 
     serial_path = tmp_path / "serial.jsonl"
-    streamed = run_campaign(matrix, workers=1, stream_path=serial_path)
+    streamed = execute_request(request, stream_path=serial_path)
     assert streamed.records == []          # collect defaults off when streaming
     loaded = read_campaign_stream(serial_path)
     assert loaded == collected.records
 
     parallel_path = tmp_path / "parallel.jsonl"
-    run_campaign(matrix, workers=2, stream_path=parallel_path)
+    execute_request(CampaignRequest(specs=tuple(matrix), workers=2),
+                    stream_path=parallel_path)
     assert parallel_path.read_bytes() == serial_path.read_bytes()
 
     # append semantics: a second run extends the file (resumable sweeps)
-    run_campaign(matrix[:2], workers=1, stream_path=serial_path)
+    execute_request(CampaignRequest(specs=tuple(matrix[:2]), workers=1),
+                    stream_path=serial_path)
     assert read_campaign_stream(serial_path) == collected.records + collected.records[:2]
 
 
 def test_campaign_stream_with_collect_keeps_records(tmp_path):
     matrix = small_matrix()[:3]
     path = tmp_path / "both.jsonl"
-    result = run_campaign(matrix, workers=1, stream_path=path, collect=True)
+    result = execute_request(CampaignRequest(specs=tuple(matrix), workers=1),
+                             stream_path=path, collect=True)
     assert len(result.records) == 3
     assert read_campaign_stream(path) == result.records
 
@@ -144,19 +149,20 @@ def test_record_cache_resumed_run_byte_identical(tmp_path):
     from repro.sim.campaign.cache import RecordCache
 
     matrix = small_matrix()
+    request = CampaignRequest(specs=tuple(matrix), workers=1)
     cold_path = tmp_path / "cold.jsonl"
-    run_campaign(matrix, workers=1, stream_path=cold_path)
+    execute_request(request, stream_path=cold_path)
 
     cache = RecordCache(tmp_path / "cache")
     first_path = tmp_path / "first.jsonl"
-    run_campaign(matrix, workers=1, stream_path=first_path, cache=cache)
+    execute_request(request, stream_path=first_path, cache=cache)
     assert first_path.read_bytes() == cold_path.read_bytes()
     assert cache.hits == 0 and cache.misses == len(matrix)
 
     # resume: every cell replays from the cache, bytes unchanged
     resumed = RecordCache(tmp_path / "cache")
     resumed_path = tmp_path / "resumed.jsonl"
-    run_campaign(matrix, workers=1, stream_path=resumed_path, cache=resumed)
+    execute_request(request, stream_path=resumed_path, cache=resumed)
     assert resumed_path.read_bytes() == cold_path.read_bytes()
     assert resumed.hits == len(matrix) and resumed.misses == 0
 
@@ -167,15 +173,15 @@ def test_record_cache_partial_resume_and_workers(tmp_path):
     from repro.sim.campaign.cache import RecordCache
 
     matrix = small_matrix()
-    cold = run_campaign(matrix, workers=1)
+    cold = execute_request(CampaignRequest(specs=tuple(matrix), workers=1))
 
     cache = RecordCache(tmp_path / "cache")
     # warm every second cell, as an interrupted sweep would have
     for spec, record in list(zip(matrix, cold.records))[::2]:
         cache.put(spec, record)
     path = tmp_path / "resumed.jsonl"
-    result = run_campaign(matrix, workers=2, stream_path=path, cache=cache,
-                          collect=True)
+    result = execute_request(CampaignRequest(specs=tuple(matrix), workers=2),
+                             stream_path=path, cache=cache, collect=True)
     assert result.to_json() == cold.to_json()
     assert cache.hits == (len(matrix) + 1) // 2
     assert cache.misses == len(matrix) // 2
@@ -211,16 +217,15 @@ def test_record_cache_ignores_corrupt_and_foreign_files(tmp_path):
 # the request shape (PR 6): one object behind every front door
 # ----------------------------------------------------------------------
 
-def test_run_campaign_is_keyword_only_past_specs():
-    """The shim kept its name but not its positional tail."""
+def test_execute_request_is_keyword_only_past_request():
+    """Everything past the request (stream path, cache, callbacks) is a
+    keyword: a positional tail cannot be mistaken for a request field."""
     with pytest.raises(TypeError):
-        run_campaign(small_matrix(), 2)  # workers must be a keyword
+        execute_request(CampaignRequest(specs=tuple(small_matrix())), "out.jsonl")
 
 
 def test_request_json_round_trip_is_exact():
     import json
-
-    from repro.sim.campaign import CampaignRequest
 
     spec = ScenarioSpec(label="irq", core="m3", isa="thumb2",
                         workload="canrdr", scale=2,
@@ -238,11 +243,7 @@ def test_request_json_round_trip_is_exact():
 def test_request_cli_argv_round_trip():
     """launch_shards builds child argvs from the request; the flag parser
     must rebuild the identical request (no drift between the two)."""
-    from repro.sim.campaign import (
-        CampaignRequest,
-        build_parser,
-        request_from_args,
-    )
+    from repro.sim.campaign import build_parser, request_from_args
 
     request = CampaignRequest(matrix="smoke", seed=7, scale=2,
                               workers=3, cache="/tmp/c", priority=2)
@@ -253,8 +254,6 @@ def test_request_cli_argv_round_trip():
 
 
 def test_request_validation():
-    from repro.sim.campaign import CampaignRequest
-
     with pytest.raises(ValueError, match="not both"):
         CampaignRequest(matrix="smoke", specs=(small_matrix()[0],))
     with pytest.raises(ValueError, match="unknown matrix"):
@@ -263,10 +262,3 @@ def test_request_validation():
         CampaignRequest(specs=(small_matrix()[0],)).cli_argv()
 
 
-def test_shim_and_request_produce_identical_output(tmp_path):
-    from repro.sim.campaign import CampaignRequest, execute_request
-
-    specs = small_matrix()[:3]
-    shim = run_campaign(specs, workers=1)
-    core = execute_request(CampaignRequest(specs=tuple(specs)))
-    assert shim.to_json() == core.to_json()

@@ -23,7 +23,6 @@ from repro.sim.campaign import (
     execute_request,
     main,
     read_campaign_stream,
-    run_campaign,
     run_scenario,
     shard_bounds,
     smoke_matrix,
@@ -275,8 +274,8 @@ def test_shard_concatenation_property(picks, n):
 
 def test_mixed_domain_campaign_parallel_equals_serial(tmp_path):
     specs = _cheap_pool()
-    serial = run_campaign(specs, workers=1)
-    parallel = run_campaign(specs, workers=3)
+    serial = execute_request(CampaignRequest(specs=tuple(specs), workers=1))
+    parallel = execute_request(CampaignRequest(specs=tuple(specs), workers=3))
     assert serial.to_json() == parallel.to_json()
     assert serial.all_verified
     assert serial.by_domain() == {"kernel": 2, "osek": 2, "can": 2,
@@ -290,7 +289,8 @@ def test_mixed_domain_campaign_parallel_equals_serial(tmp_path):
 def test_every_domain_record_round_trips_through_the_stream(tmp_path):
     specs = _cheap_pool()
     path = tmp_path / "mixed.jsonl"
-    result = run_campaign(specs, workers=1, stream_path=path, collect=True)
+    result = execute_request(CampaignRequest(specs=tuple(specs)),
+                             stream_path=path, collect=True)
     loaded = read_campaign_stream(path)
     assert loaded == result.records
     assert [type(r) for r in loaded] == [type(r) for r in result.records]
@@ -300,7 +300,8 @@ def test_every_domain_record_round_trips_through_the_stream(tmp_path):
 
 def test_truncated_trailing_line_is_rejected(tmp_path):
     path = tmp_path / "trunc.jsonl"
-    run_campaign(_cheap_pool()[:3], workers=1, stream_path=path)
+    execute_request(CampaignRequest(specs=tuple(_cheap_pool()[:3])),
+                    stream_path=path)
     whole = path.read_bytes()
     path.write_bytes(whole[:-10])               # interrupt the final write
     with pytest.raises(CampaignStreamError, match="truncated trailing line"):
@@ -314,7 +315,8 @@ def test_truncated_trailing_line_is_rejected(tmp_path):
 
 def test_corrupt_record_is_rejected_with_line_number(tmp_path):
     path = tmp_path / "corrupt.jsonl"
-    run_campaign(_cheap_pool()[:2], workers=1, stream_path=path)
+    execute_request(CampaignRequest(specs=tuple(_cheap_pool()[:2])),
+                    stream_path=path)
     lines = path.read_text().splitlines()
     lines.insert(1, "{not json at all")
     path.write_text("\n".join(lines) + "\n")
@@ -385,8 +387,9 @@ def test_cli_rerun_replaces_the_stream(tmp_path, capsys):
 def test_on_record_callback_sees_every_record_in_order(tmp_path):
     specs = _cheap_pool()[:4]
     seen: list = []
-    result = run_campaign(specs, workers=2, stream_path=tmp_path / "cb.jsonl",
-                          on_record=seen.append)
+    result = execute_request(CampaignRequest(specs=tuple(specs), workers=2),
+                             stream_path=tmp_path / "cb.jsonl",
+                             on_record=seen.append)
     assert result.records == []                 # collect stayed off
     assert [r.label for r in seen] == [s.label for s in specs]
 

@@ -1,10 +1,10 @@
 """Cross-engine conformance against a committed golden corpus.
 
-The property tests in ``test_fastpath_properties.py`` prove the three
-execution engines agree with *each other*; this corpus pins them all to
+The property tests in ``test_fastpath_properties.py`` prove the two
+execution engines agree with *each other*; this corpus pins both to
 committed fingerprints (registers, flags, cycle counts, bus statistics,
 scratch memory) for representative programs on all three cores, so future
-engine work - trace superblocks, an ARM1156 fused icache path - cannot
+engine work - new fused shapes, an ARM1156 fused icache path - cannot
 silently drift the absolute scenario results either.
 
 The corpus lives in ``tests/golden/conformance_<core>_<isa>.json``.  To
@@ -39,14 +39,11 @@ CONFIGS = (
     ("arm1156", "thumb2"),
 )
 
-#: (label, fastpath, superblocks, trace_superblocks) - reference
-#: interpreter, predecoded micro-op dispatch, superblock chaining, and
-#: trace superblocks with loop fusion (see repro/core/cpu.py).
+#: (label, fastpath) - the reference interpreter and the trace engine
+#: (see repro/core/cpu.py).
 ENGINES = (
-    ("reference", False, False, False),
-    ("uops", True, False, False),
-    ("superblock", True, True, False),
-    ("trace", True, True, True),
+    ("reference", False),
+    ("trace", True),
 )
 
 #: AutoIndy kernels in the corpus: table-driven, bit-twiddling, and
@@ -268,20 +265,12 @@ def _fingerprint(machine, result: int) -> dict:
     }
 
 
-def _set_engine(machine, fastpath: bool, superblocks: bool,
-                trace_superblocks: bool) -> None:
-    machine.cpu.fastpath = fastpath
-    machine.cpu.superblocks = superblocks
-    machine.cpu.trace_superblocks = trace_superblocks
-
-
-def _run_kernel(core: str, isa: str, name: str, fastpath: bool,
-                superblocks: bool, trace_superblocks: bool) -> dict:
+def _run_kernel(core: str, isa: str, name: str, fastpath: bool) -> dict:
     workload = WORKLOADS_BY_NAME[name]
     fn = workload.build()
     program = compile_program([fn], isa, base=FLASH_BASE)
     machine = build_machine(core, program)
-    _set_engine(machine, fastpath, superblocks, trace_superblocks)
+    machine.cpu.fastpath = fastpath
     prepared = workload.make_input(DeterministicRng(KERNEL_SEED), KERNEL_SCALE)
     machine.load_data(SRAM_BASE, prepared.data)
     result = machine.call(fn.name, *prepared.args(SRAM_BASE))
@@ -289,15 +278,14 @@ def _run_kernel(core: str, isa: str, name: str, fastpath: bool,
     return _fingerprint(machine, result)
 
 
-def _run_asm(core: str, isa: str, name: str, fastpath: bool,
-             superblocks: bool, trace_superblocks: bool) -> dict:
+def _run_asm(core: str, isa: str, name: str, fastpath: bool) -> dict:
     spec = ASM_PROGRAMS[name]
     program = assemble(spec["source"], isa, base=FLASH_BASE)
     kwargs = {}
     if "mpu" in spec:
         kwargs["mpu"] = spec["mpu"]()
     machine = build_machine(core, program, **kwargs)
-    _set_engine(machine, fastpath, superblocks, trace_superblocks)
+    machine.cpu.fastpath = fastpath
     for number, cycle in spec.get("irqs", ()):
         controller = getattr(machine.cpu, "nvic", None)
         if controller is None:
@@ -316,16 +304,13 @@ def corpus_programs(core: str, isa: str) -> list[str]:
     return names
 
 
-def compute_fingerprints(core: str, isa: str, fastpath: bool,
-                         superblocks: bool, trace_superblocks: bool) -> dict:
+def compute_fingerprints(core: str, isa: str, fastpath: bool) -> dict:
     fingerprints = {}
     for name in corpus_programs(core, isa):
         if name in ASM_PROGRAMS:
-            fingerprints[name] = _run_asm(core, isa, name, fastpath,
-                                          superblocks, trace_superblocks)
+            fingerprints[name] = _run_asm(core, isa, name, fastpath)
         else:
-            fingerprints[name] = _run_kernel(core, isa, name, fastpath,
-                                             superblocks, trace_superblocks)
+            fingerprints[name] = _run_kernel(core, isa, name, fastpath)
     return fingerprints
 
 
@@ -343,16 +328,14 @@ def golden() -> dict:
     return corpora
 
 
-@pytest.mark.parametrize("engine,fastpath,superblocks,trace_superblocks",
-                         ENGINES, ids=[e[0] for e in ENGINES])
+@pytest.mark.parametrize("engine,fastpath", ENGINES,
+                         ids=[e[0] for e in ENGINES])
 @pytest.mark.parametrize("core,isa", CONFIGS,
                          ids=[f"{c}-{i}" for c, i in CONFIGS])
-def test_engine_matches_golden_corpus(golden, core, isa, engine, fastpath,
-                                      superblocks, trace_superblocks):
-    """Every engine on every core must reproduce the committed corpus."""
+def test_engine_matches_golden_corpus(golden, core, isa, engine, fastpath):
+    """Both engines on every core must reproduce the committed corpus."""
     expected = golden[(core, isa)]["programs"]
-    computed = compute_fingerprints(core, isa, fastpath, superblocks,
-                                    trace_superblocks)
+    computed = compute_fingerprints(core, isa, fastpath)
     assert sorted(computed) == sorted(expected), (
         f"{core}/{isa}: corpus program set changed; regenerate the corpus")
     for name, fingerprint in computed.items():
@@ -446,9 +429,7 @@ def regenerate() -> None:
             "isa": isa,
             "seed": KERNEL_SEED,
             "scale": KERNEL_SCALE,
-            "programs": compute_fingerprints(core, isa, fastpath=False,
-                                             superblocks=False,
-                                             trace_superblocks=False),
+            "programs": compute_fingerprints(core, isa, fastpath=False),
         }
         path = golden_path(core, isa)
         with open(path, "w", encoding="utf-8") as stream:

@@ -115,7 +115,8 @@ def test_dashboard_renders_live_chaos_fleet(tmp_path):
         [sys.executable, "-m", "repro.sim.service",
          "--port", "0", "--port-file", str(port_file),
          "--workers-proc", "2", "--obs", "--heartbeat", "0.2",
-         "--chaos", "seed=7,kills=1", "--quarantine-strikes", "3"],
+         # the kill lands inside the lin matrix's 6 dispatches, so it fires
+         "--chaos", "seed=7,kills=1,cells=6", "--quarantine-strikes", "3"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT)
     try:
         deadline = time.monotonic() + 30
@@ -152,9 +153,9 @@ def test_dashboard_renders_live_chaos_fleet(tmp_path):
         assert got["cells_by_domain"] == {"lin": 6}
         assert got["pool"] == "workers-proc"
         fleet = got["supervisor"]
-        # the chaos kill was absorbed: a loss and a respawn, no quarantine,
-        # and the full fleet alive again at the end
-        assert fleet["lost"] >= 1 and fleet["respawns"] >= 1
+        # the chaos kill was absorbed: one loss, one requeue, one respawn,
+        # no quarantine, and the full fleet alive again at the end
+        assert (fleet["lost"], fleet["requeues"], fleet["respawns"]) == (1, 1, 1)
         assert fleet["quarantined"] == 0
         assert fleet["alive"] == fleet["workers"] == 2
     finally:

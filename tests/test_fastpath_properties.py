@@ -1,9 +1,9 @@
-"""Property tests: every execution engine == reference interpreter.
+"""Property tests: the trace engine == the reference interpreter.
 
-The predecoded engine, the superblock engine, and the trace engine
-(:mod:`repro.isa.predecode` + ``BaseCpu.run``, see the execution-engines
-section of :mod:`repro.core.cpu`) must be *architecturally
-indistinguishable* from single-stepping the reference interpreter: same
+The trace engine (:mod:`repro.isa.predecode` + ``BaseCpu.run``, see the
+execution-engines section of :mod:`repro.core.cpu`) must be
+*architecturally indistinguishable* from single-stepping the reference
+interpreter: same
 registers, flags, memory, cycle counts, bus statistics, and trace - on
 every core, for arbitrary programs, with and without interrupts.  These
 tests generate randomised programs (hypothesis) including LDM/STM,
@@ -11,7 +11,7 @@ write-back addressing, predicated skips, and loopy control flow
 (back-edges, loop-carried flags, IT blocks inside loops), and run curated
 worst cases (IT blocks, WFI, interrupt storms landing mid-superblock and
 exactly on loop back-edge cycles, restartable LDM windows, access-record
-streams), executing each on all four engines and diffing the complete
+streams), executing each on both engines and diffing the complete
 machine state.
 """
 
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     FLASH_BASE,
+    HALT_ADDRESS,
     SRAM_BASE,
     build_arm7,
     build_arm1156,
@@ -71,46 +72,30 @@ def _state(machine) -> dict:
     }
 
 
-#: (label, fastpath, superblocks, trace_superblocks) for the four engines
+#: (label, fastpath) for the two engines
 ENGINES = (
-    ("trace", True, True, True),
-    ("superblock", True, True, False),
-    ("uops", True, False, False),
-    ("reference", False, False, False),
+    ("trace", True),
+    ("reference", False),
 )
-
-
-def set_engine(machine, fastpath: bool, superblocks: bool,
-               trace_superblocks: bool) -> None:
-    machine.cpu.fastpath = fastpath
-    machine.cpu.superblocks = superblocks
-    machine.cpu.trace_superblocks = trace_superblocks
 
 
 def run_engines(isa: str, source: str, args=(), core: str = "",
                 trace: bool = False) -> list[dict]:
-    """Run ``source`` through all four engines; return the final states."""
+    """Run ``source`` through both engines; return the final states."""
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(isa, source, core=core, trace=trace)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         machine.call("main", *args, max_instructions=200_000)
         states.append(_state(machine))
     return states
-
-
-def run_both(isa: str, source: str, args=(), core: str = "",
-             trace: bool = False) -> tuple[dict, dict]:
-    """Back-compat helper: (superblock-engine state, reference state)."""
-    states = run_engines(isa, source, args=args, core=core, trace=trace)
-    return states[0], states[-1]
 
 
 def assert_equivalent(isa: str, source: str, args=(), core: str = "",
                       trace: bool = False) -> None:
     states = run_engines(isa, source, args=args, core=core, trace=trace)
     reference = states[-1]
-    for (label, _, _, _), state in zip(ENGINES, states):
+    for (label, _), state in zip(ENGINES, states):
         assert state == reference, (
             f"{label} engine diverged on {core or isa}: "
             f"{ {k: (state[k], reference[k]) for k in state if state[k] != reference[k]} }")
@@ -356,7 +341,7 @@ def _backedge_cycles(isa: str, source: str, core: str = "",
     loop's back-edge branch, about to execute it."""
     machine = _build_machine(isa, source, core=core)
     cpu = machine.cpu
-    set_engine(machine, False, False, False)
+    machine.cpu.fastpath = False
     program = cpu.program
     loop_head = program.symbols["loop"]
     backedge = None
@@ -388,10 +373,10 @@ def test_irq_storms_exactly_on_backedge_cycles(stride, offset):
     edges = _backedge_cycles(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE)
     asserts = [cycle + offset - 1 for cycle in edges[::stride]][:12]
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE,
                                  trace=True)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         handler = machine.cpu.program.symbols["handler"]
         for number, cycle in enumerate(asserts, start=1):
             machine.cpu.nvic.raise_irq(number, handler=handler,
@@ -415,10 +400,10 @@ def test_vic_irqs_on_backedge_cycles_bit_identical():
         edges = _backedge_cycles(isa, VIC_LOOP_SOURCE, core=core)
         asserts = [cycle for cycle in edges[::4]][:8]
         states = []
-        for _, fastpath, superblocks, trace_sb in ENGINES:
+        for _, fastpath in ENGINES:
             machine = _build_machine(isa, VIC_LOOP_SOURCE, core=core,
                                      trace=True)
-            set_engine(machine, fastpath, superblocks, trace_sb)
+            machine.cpu.fastpath = fastpath
             handler = machine.cpu.program.symbols["handler"]
             for number, cycle in enumerate(asserts, start=1):
                 machine.cpu.vic.raise_irq(number, handler=handler,
@@ -535,9 +520,9 @@ handler:
 def test_m3_interrupt_storm_bit_identical():
     """NVIC stacking, tail-chaining, and EXC_RETURN through the fast loop."""
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, INTERRUPT_SOURCE, trace=True)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         handler = machine.cpu.program.symbols["handler"]
         for number, cycle in ((1, 60), (2, 60), (3, 200), (4, 205)):
             machine.cpu.nvic.raise_irq(number, handler=handler,
@@ -558,14 +543,14 @@ def test_m3_interrupt_storm_bit_identical():
 @settings(max_examples=25, deadline=None)
 def test_irq_asserts_land_mid_superblock(cycles):
     """IRQs asserting at arbitrary cycles - including in the middle of a
-    straight-line run the superblock engine would otherwise chain through -
+    straight-line run the trace engine would otherwise chain through -
     must be taken at exactly the same instruction boundary on every
     engine (the event-horizon guarantee)."""
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE,
                                  trace=True)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         handler = machine.cpu.program.symbols["handler"]
         for number, cycle in enumerate(cycles, start=1):
             machine.cpu.nvic.raise_irq(number, handler=handler,
@@ -610,9 +595,9 @@ handler:
 
 def test_arm7_interrupts_bit_identical():
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB, ARM7_IRQ_SOURCE, trace=True)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         handler = machine.cpu.program.symbols["handler"]
         machine.cpu.vic.raise_irq(1, handler=handler, at_cycle=80)
         machine.cpu.vic.raise_irq(2, handler=handler, at_cycle=90, priority=1)
@@ -654,9 +639,9 @@ def test_wfi_wakeup_bit_identical():
     """Sleep ticks take the reference path inside run(); the wake-up and
     subsequent fast dispatch must agree with pure slow-path execution."""
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, WFI_SOURCE)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         handler = machine.cpu.program.symbols["handler"]
         machine.cpu.nvic.raise_irq(1, handler=handler, at_cycle=40)
         assert machine.call("main") == 1
@@ -691,9 +676,9 @@ def test_arm1156_restartable_ldm_bit_identical():
     (the event horizon replaces the old defer-everything rule).  A
     far-future IRQ left in the queue exercises exactly that split."""
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, LDM_SOURCE, core="arm1156")
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         machine.load_data(SRAM_BASE, bytes(range(16)))
         handler = machine.cpu.program.symbols["handler"]
         machine.cpu.vic.raise_irq(1, handler=handler, at_cycle=70)
@@ -735,9 +720,9 @@ def test_merged_program_images_use_lazy_predecode():
         ISA_THUMB2, base=FLASH_BASE + 0x4000,
     )
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = build_cortexm3(kernel)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         machine.load_program(isr)
         merged = dict(kernel._by_address)
         merged.update(isr._by_address)
@@ -810,9 +795,9 @@ def test_access_records_bit_identical():
     kind, side, stalls - fetches and data interleaved) must be identical
     on every engine, fused superblocks included."""
     streams = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, RECORDED_SOURCE)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         machine.bus.record = True
         machine.call("main", SRAM_BASE)
         streams.append([(a.addr, a.size, a.kind, a.side, a.stalls)
@@ -846,9 +831,9 @@ def test_fused_blx_through_lr_reads_target_before_linking():
         bx lr
     """
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         machine = _build_machine(ISA_THUMB2, source)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         assert machine.call("main") == 100
         states.append(_state(machine))
     assert all(state == states[0] for state in states)
@@ -879,11 +864,11 @@ def test_mpu_faults_identical_across_engines():
     """
     program = _asm(source, ISA_THUMB2, base=FLASH_BASE)
     states = []
-    for _, fastpath, superblocks, trace_sb in ENGINES:
+    for _, fastpath in ENGINES:
         mpu = Mpu(background_perms="none")
         mpu.configure(0, SRAM_BASE, 0x1000, perms="rw")
         machine = build_cortexm3(program, mpu=mpu)
-        set_engine(machine, fastpath, superblocks, trace_sb)
+        machine.cpu.fastpath = fastpath
         with pytest.raises(DataAbort):
             # the hot loop (fused well before iteration 60) stays legal;
             # the post-loop store hits unmapped MPU space and aborts
@@ -893,24 +878,6 @@ def test_mpu_faults_identical_across_engines():
         states.append(state)
     assert all(state == states[0] for state in states)
     assert states[0]["mpu_faults"] == 1
-
-
-def test_trace_flag_toggle_rebuilds_cached_blocks():
-    """Toggling the engine tier on a *reused* machine must not serve the
-    other tier's cached fused blocks: block shapes (goto chaining) and
-    emission both depend on trace_superblocks."""
-    machine = _build_machine(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE)
-    machine.call("main")
-    fused_before = {pc: entry[3]
-                    for pc, entry in machine.cpu._sb_blocks.items()}
-    assert any(fn is not None for fn in fused_before.values()), \
-        "trace run never fused its hot loop"
-    machine.cpu.trace_superblocks = False
-    machine.call("main")
-    for pc, entry in machine.cpu._sb_blocks.items():
-        if entry[3] is not None and fused_before.get(pc) is not None:
-            assert entry[3] is not fused_before[pc], \
-                "stale trace-tier fused block survived the engine toggle"
 
 
 def test_hot_superblocks_fuse():
@@ -923,6 +890,68 @@ def test_hot_superblocks_fuse():
     blocks = machine.cpu._sb_blocks.values()
     assert any(entry[3] is not None for entry in blocks), \
         "no superblock was fused on a 40-iteration loop"
+
+
+def test_call_and_cycle_ladder_share_one_engine():
+    """One CPU alternating both public entries - ``call()`` to halt and a
+    ``run_until_cycle`` ladder through the same routine - with IRQs queued
+    mid-run ends bit-identical to the reference interpreter doing the
+    same, rung for rung.  Both entries run one dispatch loop over one
+    block cache, so the fused blocks survive every switch as the very
+    same objects."""
+
+    def fused_blocks(cpu) -> dict:
+        return {pc: entry[3] for pc, entry in cpu._sb_blocks.items()
+                if entry[3] is not None}
+
+    def drive(fastpath: bool):
+        machine = _build_machine(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE,
+                                 trace=True)
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        handler = cpu.program.symbols["handler"]
+        rungs = []
+        fused = []
+        raised = 0
+        for round_ in range(3):
+            cpu.nvic.raise_irq(5, handler=handler, at_cycle=cpu.cycles + 700)
+            raised += 1
+            machine.call("main")
+            fused.append(fused_blocks(cpu))
+            cpu.regs.lr = HALT_ADDRESS
+            cpu.regs.pc = cpu.program.symbols["main"]
+            cpu.halted = False
+            until = cpu.cycles
+            while not cpu.halted:
+                until += 97 + 31 * round_
+                if len(rungs) % 3 == 1:
+                    cpu.nvic.raise_irq(1 + len(rungs) % 4, handler=handler,
+                                       at_cycle=until + 13,
+                                       priority=len(rungs) % 3)
+                    raised += 1
+                cpu.run_until_cycle(until)
+                rungs.append((cpu.cycles, cpu.instructions_executed,
+                              cpu.regs.pc))
+            fused.append(fused_blocks(cpu))
+        state = _state(machine)
+        state["rungs"] = rungs
+        state["irqs"] = [(r.number, r.assert_cycle, r.entry_cycle,
+                          r.exit_cycle, r.tail_chained)
+                         for r in cpu.nvic.stats.records]
+        state["handled"] = machine.sram.data[0x100]
+        state["raised"] = raised
+        return state, fused
+
+    trace, fused = drive(fastpath=True)
+    reference, _ = drive(fastpath=False)
+    assert trace == reference
+    # every queued request was taken, and its handler ran once
+    assert len(trace["irqs"]) == trace["handled"] == trace["raised"] == 15
+    assert fused[0], "the first call() never fused its hot loop"
+    for before, after in zip(fused, fused[1:]):
+        for pc, block in before.items():
+            assert after[pc] is block, (
+                f"fused block at {pc:#x} was rebuilt across an entry switch")
 
 
 def test_cond_checks_agree_with_condition_passed_exhaustively():

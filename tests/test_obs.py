@@ -237,7 +237,6 @@ def test_engine_and_campaign_counters_tick_out_of_band(obs_enabled):
 
     runs_before, dispatches_before = engine_counts()
     machine = build_machine("m3", program)
-    machine.cpu.superblocks = True
     assert machine.call("sum_to_n", 10) == 55
     runs_after, dispatches_after = engine_counts()
     assert runs_after > runs_before

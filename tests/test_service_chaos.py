@@ -8,7 +8,10 @@ kill every worker they touch - the client-visible record stream is
 **byte-identical** to a fault-free run, and the service's bounded-queue
 accounting (active requests, active cells, in-flight table) returns to
 zero.  Fault schedules are frozen data (:mod:`repro.sim.service.chaos`)
-keyed by worker spawn sequence number, so every test replays exactly.
+keyed by the supervisor's global dispatch ordinal, so every scheduled
+fault fires whichever worker its dispatch lands on, and every test
+asserts the exact number of workers lost, cells requeued and workers
+respawned.
 
 Per-cell failure is data, not transport: a quarantined or cleanly
 raising spec streams as a ``domain="cell_error"`` record with
@@ -32,8 +35,8 @@ from repro.sim.service import (
     CampaignClient,
     CampaignService,
     CampaignServiceError,
+    CellFault,
     ChaosSchedule,
-    WorkerFaultPlan,
     serve_tcp,
 )
 
@@ -93,66 +96,67 @@ def assert_accounting_zero(status: dict) -> None:
     assert status["inflight"] == 0
 
 
+def assert_fleet(status: dict, *, lost: int, requeues: int, respawns: int,
+                 quarantined: int = 0) -> None:
+    """The exact fault bill: every scheduled fault cost one worker."""
+    fleet = status["supervisor"]
+    assert (fleet["lost"], fleet["requeues"], fleet["respawns"],
+            fleet["quarantined"]) == (lost, requeues, respawns, quarantined)
+
+
 # ----------------------------------------------------------------------
 # the tentpole property: seeded schedules cannot change the stream bytes
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [3, 11, 2005])
 def test_seeded_kill_schedules_stream_byte_identical(seed, fault_free_bytes):
-    """Sweep the seeded schedule space: one or two worker kills (recv or
-    report phase, RNG's choice) recover to the exact fault-free bytes."""
-    # strikes=3: with exactly two scheduled kills, a requeued cell that
-    # happens to land in the *other* worker's kill window (scheduling-
-    # dependent) still gets a third, clean attempt - quarantine is
-    # impossible by construction and the assertion below is deterministic
-    schedule = ChaosSchedule.seeded(seed, workers=2, cells=8, kills=2)
+    """Sweep the seeded schedule space: two worker kills (recv or report
+    phase, RNG's choice) recover to the exact fault-free bytes."""
+    # strikes=3: a requeued cell whose redispatch carries the *other*
+    # kill still gets a third, clean attempt - quarantine is impossible
+    # by construction.  Both kills sit below the 8-cell dispatch count,
+    # so both fire.
+    schedule = ChaosSchedule.seeded(seed, cells=8, kills=2)
     summary, status, stream, _ = asyncio.run(run_under(
         schedule, options={"quarantine_strikes": 3}))
     assert summary["status"] == "ok" and summary["failed"] == 0
     assert stream == fault_free_bytes
-    assert status["supervisor"]["lost"] >= 1        # the faults really fired
-    assert status["supervisor"]["requeues"] >= 1    # and cells were recovered
+    assert_fleet(status, lost=2, requeues=2, respawns=2)
     assert_accounting_zero(status)
 
 
 def test_report_phase_kill_recomputes_the_lost_cell(fault_free_bytes):
     """The dedup window: a worker that computed a cell but died before
     reporting it loses the work; the requeued recompute is byte-equal."""
-    schedule = ChaosSchedule(plans=(
-        (0, WorkerFaultPlan(kill_at_cell=1, kill_phase="report")),))
+    schedule = ChaosSchedule(faults=((1, CellFault(kill="report")),))
     summary, status, stream, _ = asyncio.run(run_under(schedule))
     assert summary["status"] == "ok"
     assert stream == fault_free_bytes
-    assert status["supervisor"]["lost"] == 1
-    assert status["supervisor"]["respawns"] == 1
+    assert_fleet(status, lost=1, requeues=1, respawns=1)
     assert_accounting_zero(status)
 
 
 def test_silent_stall_trips_liveness_and_recovers(fault_free_bytes):
     """A wedged worker (heartbeats stop, process never exits) is detected
     by heartbeat silence, killed, and its cell requeued."""
-    schedule = ChaosSchedule(plans=(
-        (0, WorkerFaultPlan(stall_at_cell=1, stall_seconds=3.0)),))
+    schedule = ChaosSchedule(faults=((1, CellFault(stall=3.0)),))
     summary, status, stream, _ = asyncio.run(run_under(schedule))
     assert summary["status"] == "ok"
     assert stream == fault_free_bytes
-    assert status["supervisor"]["lost"] == 1        # liveness window fired
+    assert_fleet(status, lost=1, requeues=1, respawns=1)  # liveness fired
     assert_accounting_zero(status)
 
 
 def test_busy_stall_trips_the_hard_deadline(fault_free_bytes):
     """A livelocked worker (heartbeats keep coming, the cell never ends)
     is bounded by the per-cell deadline, not trusted forever."""
-    schedule = ChaosSchedule(plans=(
-        (0, WorkerFaultPlan(stall_at_cell=1, stall_seconds=30.0,
-                            stall_silent=False)),))
+    schedule = ChaosSchedule(faults=((1, CellFault(stall=30.0, silent=False)),))
     summary, status, stream, _ = asyncio.run(run_under(
         schedule, workers=1,
         options={"cell_timeout": 3.0, "timeout_floor": 3.0}))
     assert summary["status"] == "ok"
     assert stream == fault_free_bytes
-    assert status["supervisor"]["lost"] == 1        # the deadline fired
-    assert status["supervisor"]["requeues"] == 1
+    assert_fleet(status, lost=1, requeues=1, respawns=1)  # deadline fired
     assert_accounting_zero(status)
 
 
@@ -172,9 +176,9 @@ def test_poisoned_spec_quarantines_as_typed_record(fault_free_bytes):
     assert errors[0].error == "quarantined"
     assert errors[0].status == "error" and errors[0].key == poisoned.key()
     assert records.index(errors[0]) == 3            # in its spec slot
-    # two strikes = two dead workers, then no further retries
-    assert status["supervisor"]["quarantined"] == 1
-    assert status["supervisor"]["lost"] == 2
+    # two strikes = two dead workers, one requeue between them, then no
+    # further retries
+    assert_fleet(status, lost=2, requeues=1, respawns=2, quarantined=1)
     # every healthy cell matches the fault-free run positionally
     reference = fault_free_bytes.decode("utf-8").splitlines(keepends=True)
     for index, record in enumerate(records):
@@ -195,8 +199,7 @@ def test_inworker_exception_is_a_cell_error_record_not_a_transport_error():
     assert isinstance(records[1], CellErrorRecord)
     assert records[1].error == "compute-error"
     assert "ValueError" in records[1].message
-    assert status["supervisor"]["lost"] == 0        # no worker died for this
-    assert status["supervisor"]["respawns"] == 0
+    assert_fleet(status, lost=0, requeues=0, respawns=0)  # no worker died
     assert_accounting_zero(status)
 
 
@@ -204,8 +207,7 @@ def test_pool_exhaustion_fails_the_request_typed():
     """A fleet that dies faster than its respawn budget allows fails the
     request loudly - a typed error summary, not a hang - and frees its
     bounded-queue slots."""
-    schedule = ChaosSchedule(plans=(
-        (0, WorkerFaultPlan(kill_at_cell=0, kill_phase="recv")),))
+    schedule = ChaosSchedule(faults=((0, CellFault(kill="recv")),))
 
     async def go():
         service = CampaignService(workers_proc=1, chaos=schedule,
@@ -225,6 +227,7 @@ def test_pool_exhaustion_fails_the_request_typed():
     summary, status = asyncio.run(go())
     assert summary["status"] == "error"
     assert "worker pool exhausted" in summary["message"]
+    assert_fleet(status, lost=1, requeues=1, respawns=0)
     assert_accounting_zero(status)
 
 
@@ -237,7 +240,7 @@ def test_severed_client_reattaches_to_the_full_stream(tmp_path,
     """Sever the client's connection mid-stream (while workers are being
     killed): the request keeps computing server-side, and a fresh
     connection re-streams the complete sequence byte-identically."""
-    schedule = ChaosSchedule.seeded(5, workers=2, cells=8, kills=1)
+    schedule = ChaosSchedule.seeded(5, cells=8, kills=1)
     path = tmp_path / "reattached.jsonl"
 
     async def go():
@@ -271,6 +274,7 @@ def test_severed_client_reattaches_to_the_full_stream(tmp_path,
     done, status = asyncio.run(go())
     assert done["status"] == "ok" and done["ran"] == len(REQUEST.specs)
     assert path.read_bytes() == fault_free_bytes
+    assert_fleet(status, lost=1, requeues=1, respawns=1)
     assert_accounting_zero(status)
 
 
@@ -280,7 +284,7 @@ def test_queue_full_during_respawn_storm_backs_off_and_succeeds(
     respawning workers, a submit refused with ``queue-full`` retries with
     backoff and lands once the first sweep's slot frees - typed error
     only if the budget were exhausted, which it is not here."""
-    schedule = ChaosSchedule.seeded(7, workers=2, cells=8, kills=2)
+    schedule = ChaosSchedule.seeded(7, cells=8, kills=2)
     path = tmp_path / "second.jsonl"
 
     async def go():
@@ -319,6 +323,7 @@ def test_queue_full_during_respawn_storm_backs_off_and_succeeds(
     assert done_two["status"] == "ok"
     assert done_two["replayed"] == len(REQUEST.specs)   # pure cache replay
     assert path.read_bytes() == fault_free_bytes
+    assert_fleet(status, lost=2, requeues=2, respawns=2)
     assert_accounting_zero(status)
 
 
@@ -358,14 +363,19 @@ def test_queue_full_budget_exhaustion_still_surfaces_typed():
 # ----------------------------------------------------------------------
 
 def test_chaos_schedules_are_deterministic_and_parseable():
-    one = ChaosSchedule.seeded(7, workers=2, cells=8, kills=2, stalls=1)
-    two = ChaosSchedule.seeded(7, workers=2, cells=8, kills=2, stalls=1)
+    one = ChaosSchedule.seeded(7, cells=8, kills=2, stalls=1)
+    two = ChaosSchedule.seeded(7, cells=8, kills=2, stalls=1)
     assert one == two                             # same seed, same schedule
-    assert one == ChaosSchedule.from_spec("seed=7,kills=2,stalls=1,cells=8",
-                                          workers=2)
-    # the worker-facing env payload is canonical JSON, stable across runs
-    assert one.plan_env(0) == two.plan_env(0)
-    assert one.plan_env(99) is None               # respawns run clean
+    assert one == ChaosSchedule.from_spec("seed=7,kills=2,stalls=1,cells=8")
+    # three distinct ordinals inside the window: all three faults fire
+    ordinals = [ordinal for ordinal, _ in one.faults]
+    assert len(set(ordinals)) == 3 and all(0 <= o < 8 for o in ordinals)
+    assert sorted(f.kill is None for _, f in one.faults) == [False, False, True]
+    assert one.fault_for(99, "any-key") is None   # later dispatches run clean
+    poisoned = ChaosSchedule(poison=("bad-key",))
+    assert poisoned.fault_for(99, "bad-key") == CellFault(kill="recv")
+    with pytest.raises(ValueError):
+        ChaosSchedule.seeded(1, cells=2, kills=3)  # cannot all fire
     with pytest.raises(ValueError):
         ChaosSchedule.from_spec("seed=7,warp=1")
     with pytest.raises(ValueError):

@@ -86,8 +86,7 @@ def test_frames_and_sequences_are_conserved(body_network):
 def test_guests_stay_on_the_trace_engine(body_network):
     net, _ = body_network
     for ecu in net.vehicle.ecus:
-        assert ecu.cpu.fastpath and ecu.cpu.superblocks
-        assert ecu.cpu.trace_superblocks
+        assert ecu.cpu.fastpath
         assert ecu.fused_block_count() > 0, (
             f"{ecu.name} never fused a superblock: the co-simulation "
             f"fell off the trace engine")

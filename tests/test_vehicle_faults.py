@@ -9,7 +9,7 @@ Three layers of coverage:
 * the **vehicle_fault scenario domain** - every fault kind produces its
   specified per-claim verdicts (a babbling idiot demonstrably violates a
   latency bound its fault-free twin meets), and records stay pure
-  functions of the spec across quantum sizes, engine tiers, workers,
+  functions of the spec across quantum sizes, engines, workers,
   and shards;
 * the **stream robustness satellites** - vehicle_fault records round-trip
   through ``read_campaign_stream``, and a record carrying an unknown
@@ -34,10 +34,11 @@ from repro.network.can_bus import (
 )
 from repro.network.can_frame import CanFrame
 from repro.sim.campaign import (
+    CampaignRequest,
     CampaignStreamError,
     ScenarioSpec,
+    execute_request,
     read_campaign_stream,
-    run_campaign,
     run_scenario,
 )
 from repro.sim.domains.vehicle import synthesize_network
@@ -54,13 +55,6 @@ from repro.vehicle import (
     build_body_network,
     scenario_for,
     synthesize_fault,
-)
-
-ENGINES = (
-    ("reference", False, False, False),
-    ("uops", True, False, False),
-    ("superblock", True, True, False),
-    ("trace", True, True, True),
 )
 
 
@@ -285,10 +279,10 @@ def test_fault_matrix_covers_every_kind_with_unique_keys():
 
 
 # ----------------------------------------------------------------------
-# determinism: quantum, engine tiers, workers, shards
+# determinism: quantum, engines, workers, shards
 # ----------------------------------------------------------------------
 
-def _faulted_fingerprint(kind: str, engine=(True, True, True),
+def _faulted_fingerprint(kind: str, fastpath: bool = True,
                          quantum_us: int | None = None) -> str:
     net_spec = synthesize_network(DeterministicRng(11).fork(1), 2,
                                   125_000, 200)
@@ -296,8 +290,7 @@ def _faulted_fingerprint(kind: str, engine=(True, True, True),
                              net_spec, 150_000)
     network = build_body_network(net_spec)
     for ecu in network.vehicle.ecus:
-        (ecu.cpu.fastpath, ecu.cpu.superblocks,
-         ecu.cpu.trace_superblocks) = engine
+        ecu.cpu.fastpath = fastpath
     scenario = scenario_for(fault)
     scenario.arm(network)
     network.run(horizon_us=150_000, quantum_us=quantum_us)
@@ -331,15 +324,12 @@ def test_faulted_network_byte_identical_across_quantum_sizes(kind):
 
 
 @pytest.mark.parametrize("kind", ["bus-off-storm", "soft-error"])
-@pytest.mark.parametrize("name,fastpath,superblocks,trace", ENGINES[:3],
-                         ids=[e[0] for e in ENGINES[:3]])
-def test_faulted_network_byte_identical_across_engines(kind, name, fastpath,
-                                                       superblocks, trace):
+def test_faulted_network_byte_identical_across_engines(kind):
     """Fault injection (including mid-run SRAM flips settled to WFI)
-    must not observe the engine tier."""
-    reference = _faulted_fingerprint(kind, (True, True, True))
-    assert _faulted_fingerprint(kind, (fastpath, superblocks,
-                                       trace)) == reference, (kind, name)
+    must not observe the engine: the reference interpreter reproduces
+    the trace engine's fingerprint."""
+    assert (_faulted_fingerprint(kind, fastpath=False)
+            == _faulted_fingerprint(kind)), kind
 
 
 def _fault_specs() -> list[ScenarioSpec]:
@@ -362,7 +352,8 @@ def test_fault_campaign_byte_identical_across_workers_and_shards(tmp_path):
 
     def stream_bytes(name: str, workers=None, shard=None) -> bytes:
         path = tmp_path / f"{name}.jsonl"
-        run_campaign(specs, workers=workers, stream_path=path, shard=shard)
+        execute_request(CampaignRequest(specs=tuple(specs), workers=workers,
+                                        shard=shard), stream_path=path)
         return path.read_bytes()
 
     serial = stream_bytes("serial")
@@ -380,7 +371,7 @@ def test_fault_campaign_byte_identical_across_workers_and_shards(tmp_path):
 def _write_fault_stream(tmp_path):
     path = tmp_path / "faults.jsonl"
     specs = _fault_specs()[:2]
-    run_campaign(specs, stream_path=path)
+    execute_request(CampaignRequest(specs=tuple(specs)), stream_path=path)
     return path, specs
 
 

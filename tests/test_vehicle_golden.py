@@ -1,12 +1,11 @@
-"""Golden two-ECU CAN round-trip fingerprint, pinned across all four
-engines.
+"""Golden two-ECU CAN round-trip fingerprint, pinned on both engines.
 
 The cross-engine conformance corpus (``test_conformance_golden.py``) pins
 single-machine runs; this file extends it to the co-simulation layer: a
 committed fingerprint of a whole two-ECU round-trip network - both CPUs'
 registers and cycle counts, both nodes' bus statistics and scratch SRAM,
 and the complete CAN frame log (identifier, node, queue/completion times,
-attempts) - which every engine tier must reproduce exactly.  Future
+attempts) - which both engines must reproduce exactly.  Future
 engine or bus-timing work cannot silently drift the executed network.
 
 Regenerate after an *intentional* timing-model change::
@@ -28,12 +27,10 @@ from repro.vehicle import RoundTripSpec, build_round_trip
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "conformance_vehicle.json"
 
-#: (label, fastpath, superblocks, trace_superblocks)
+#: (label, fastpath)
 ENGINES = (
-    ("reference", False, False, False),
-    ("uops", True, False, False),
-    ("superblock", True, True, False),
-    ("trace", True, True, True),
+    ("reference", False),
+    ("trace", True),
 )
 
 #: the pinned scenario: M3 requester + ARM7 responder, 45 ms horizon
@@ -41,13 +38,10 @@ SPEC = RoundTripSpec()
 HORIZON_US = 45_000
 
 
-def compute_fingerprint(fastpath: bool, superblocks: bool,
-                        trace_superblocks: bool) -> dict:
+def compute_fingerprint(fastpath: bool) -> dict:
     network = build_round_trip(SPEC)
     for ecu in network.vehicle.ecus:
         ecu.cpu.fastpath = fastpath
-        ecu.cpu.superblocks = superblocks
-        ecu.cpu.trace_superblocks = trace_superblocks
     network.run(horizon_us=HORIZON_US)
     return network.fingerprint()
 
@@ -62,11 +56,10 @@ def golden() -> dict:
         return json.load(stream)
 
 
-@pytest.mark.parametrize("engine,fastpath,superblocks,trace_superblocks",
-                         ENGINES, ids=[e[0] for e in ENGINES])
-def test_round_trip_matches_golden_corpus(golden, engine, fastpath,
-                                          superblocks, trace_superblocks):
-    computed = compute_fingerprint(fastpath, superblocks, trace_superblocks)
+@pytest.mark.parametrize("engine,fastpath", ENGINES,
+                         ids=[e[0] for e in ENGINES])
+def test_round_trip_matches_golden_corpus(golden, engine, fastpath):
+    computed = compute_fingerprint(fastpath)
     expected = golden["fingerprint"]
     drift = {key: (computed[key], expected[key])
              for key in computed if computed[key] != expected[key]}
@@ -92,7 +85,7 @@ def regenerate() -> None:
     payload = {
         "_comment": (
             "Golden two-ECU CAN round-trip fingerprint (registers + bus "
-            "stats + frame log), pinned across all four engines; "
+            "stats + frame log), pinned on both engines; "
             "regenerate with 'PYTHONPATH=src python "
             "tests/test_vehicle_golden.py' and review every changed "
             "number as a behaviour change."),
@@ -103,8 +96,7 @@ def regenerate() -> None:
             "period_us": SPEC.period_us,
             "bitrate": SPEC.can_bitrate,
         },
-        "fingerprint": compute_fingerprint(fastpath=False, superblocks=False,
-                                           trace_superblocks=False),
+        "fingerprint": compute_fingerprint(fastpath=False),
     }
     with open(GOLDEN_PATH, "w", encoding="utf-8") as stream:
         json.dump(payload, stream, indent=1, sort_keys=True)

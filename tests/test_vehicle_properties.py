@@ -5,8 +5,8 @@ The hard guarantees that make the virtual vehicle campaign-distributable:
 * **quantum invariance** - a whole-network run is byte-identical for any
   co-simulation quantum (the quantum joins the engine's event horizon;
   nothing about a pause point is architecturally observable);
-* **engine invariance** - all four execution tiers (reference, predecoded,
-  superblock, trace) produce the identical co-simulated network;
+* **engine invariance** - both engines (reference and trace) produce
+  the identical co-simulated network;
 * **distribution invariance** - vehicle campaign records stream
   byte-identically across worker counts and shard splits, like every
   other domain.
@@ -30,7 +30,6 @@ from repro.sim.campaign import (
     CampaignRequest,
     ScenarioSpec,
     execute_request,
-    run_campaign,
     run_scenario,
 )
 from repro.sim.domains.vehicle import vehicle_matrix
@@ -45,19 +44,16 @@ from repro.vehicle import (
 from repro.workloads.kernels import WORKLOADS_BY_NAME
 
 ENGINES = (
-    ("reference", False, False, False),
-    ("uops", True, False, False),
-    ("superblock", True, True, False),
-    ("trace", True, True, True),
+    ("reference", False),
+    ("trace", True),
 )
 
 
-def _round_trip_fingerprint(quantum_us: int, engine=(True, True, True),
+def _round_trip_fingerprint(quantum_us: int, fastpath: bool = True,
                             parallel: int | None = None) -> str:
     rt = build_round_trip(RoundTripSpec())
     for ecu in rt.vehicle.ecus:
-        (ecu.cpu.fastpath, ecu.cpu.superblocks,
-         ecu.cpu.trace_superblocks) = engine
+        ecu.cpu.fastpath = fastpath
     rt.run(horizon_us=45_000, quantum_us=quantum_us, parallel=parallel)
     return json.dumps(rt.fingerprint(), sort_keys=True)
 
@@ -68,14 +64,12 @@ def test_round_trip_byte_identical_across_quantum_sizes():
         assert _round_trip_fingerprint(quantum) == reference, quantum
 
 
-@pytest.mark.parametrize("name,fastpath,superblocks,trace", ENGINES,
+@pytest.mark.parametrize("name,fastpath", ENGINES,
                          ids=[e[0] for e in ENGINES])
-def test_round_trip_byte_identical_across_engines(name, fastpath,
-                                                  superblocks, trace):
+def test_round_trip_byte_identical_across_engines(name, fastpath):
     reference = _round_trip_fingerprint(100)
-    engine = (fastpath, superblocks, trace)
-    assert _round_trip_fingerprint(100, engine) == reference, name
-    assert _round_trip_fingerprint(333, engine) == reference, name
+    assert _round_trip_fingerprint(100, fastpath) == reference, name
+    assert _round_trip_fingerprint(333, fastpath) == reference, name
 
 
 def _body_fingerprint(quantum_us: int, parallel: int | None = None) -> str:
@@ -225,7 +219,8 @@ def test_vehicle_campaign_byte_identical_across_workers_and_shards(tmp_path):
 
     def stream_bytes(name: str, workers=None, shard=None) -> bytes:
         path = tmp_path / f"{name}.jsonl"
-        run_campaign(specs, workers=workers, stream_path=path, shard=shard)
+        execute_request(CampaignRequest(specs=tuple(specs), workers=workers,
+                                        shard=shard), stream_path=path)
         return path.read_bytes()
 
     serial = stream_bytes("serial")
