@@ -18,15 +18,16 @@ def report(title: str, lines: list[str]) -> None:
     print("=" * width)
 
 
-#: engine -> suite -> ns/instruction, flushed to BENCH_summary.json at
-#: session end: a flat, greppable cross-PR perf trajectory next to the
-#: pytest-benchmark artifact (which needs downloading and jq to compare)
+#: engine -> suite -> value (ns/instruction unless the suite key names
+#: its unit), flushed to BENCH_summary.json at session end: a flat,
+#: greppable cross-PR perf trajectory next to the pytest-benchmark
+#: artifact (which needs downloading and jq to compare)
 _SUMMARY: dict[str, dict[str, float]] = {}
 
 
-def record_summary(engine: str, suite: str, ns_per_instruction: float) -> None:
+def record_summary(engine: str, suite: str, value: float) -> None:
     """Register one (engine, suite) cell for the flat summary artifact."""
-    _SUMMARY.setdefault(engine, {})[suite] = round(ns_per_instruction, 1)
+    _SUMMARY.setdefault(engine, {})[suite] = round(value, 1)
 
 
 def pytest_sessionfinish(session, exitstatus):

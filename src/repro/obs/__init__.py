@@ -1,8 +1,8 @@
 """Determinism-safe telemetry: one metrics registry + span tracer.
 
 Every layer of the system - the two execution engines, the
-campaign runner, the sweep service and its supervised worker fleet, and
-the parallel co-simulation - instruments itself through this package:
+campaign runner, and the sweep service and its supervised worker
+fleet - instruments itself through this package:
 labeled counters, gauges, and fixed-layout histograms
 (:mod:`repro.obs.metrics`) plus a bounded span tracer
 (:mod:`repro.obs.tracing`).

@@ -60,7 +60,7 @@ SECONDS_BUCKETS = (
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: fine-grained layout (seconds): superblock compiles, barrier waits
+#: fine-grained layout (seconds): superblock compiles
 FAST_SECONDS_BUCKETS = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 0.1,

@@ -382,13 +382,8 @@ class CampaignResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def run_scenario(spec: ScenarioSpec, parallel: int | None = None):
+def run_scenario(spec: ScenarioSpec):
     """Run one scenario through its domain (also the worker entry point).
-
-    ``parallel`` asks domains that support it (co-simulations) to advance
-    their ECUs on that many worker threads.  It is an execution-level
-    knob like ``workers`` - never part of the spec, its cache key, or the
-    record, because output is byte-identical for every value.
 
     Telemetry (when :mod:`repro.obs` is enabled) is strictly out-of-band:
     the span and latency histogram observe the run, never influence it.
@@ -396,12 +391,12 @@ def run_scenario(spec: ScenarioSpec, parallel: int | None = None):
     from repro.sim.domains import get_domain
 
     if not obs.REGISTRY.enabled:
-        return get_domain(spec.domain).run(spec, parallel=parallel)
+        return get_domain(spec.domain).run(spec)
     import time
 
     with obs.span("cell", domain=spec.domain, label=spec.label):
         start = time.perf_counter()
-        record = get_domain(spec.domain).run(spec, parallel=parallel)
+        record = get_domain(spec.domain).run(spec)
         _CELL_SECONDS.labels(domain=spec.domain).observe(
             time.perf_counter() - start)
     return record
@@ -666,11 +661,6 @@ def build_parser():
     parser.add_argument("--retries", type=int, default=2,
                         help="retry budget per failed shard under --launch")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="advance each co-simulation cell's ECUs on N "
-                             "worker threads (vehicle domains; ignored "
-                             "elsewhere) - records are byte-identical to "
-                             "a serial run for every N")
     parser.add_argument("--stream", default=None, metavar="PATH",
                         help="write records to PATH as canonical JSONL "
                              "(truncated first: shard retries must replace, "
@@ -703,7 +693,7 @@ def request_from_args(args) -> CampaignRequest:
     """The parsed CLI flags as a :class:`CampaignRequest`."""
     return CampaignRequest(matrix=args.matrix, seed=args.seed,
                            scale=args.scale, shard=args.shard,
-                           workers=args.workers, parallel=args.parallel,
+                           workers=args.workers,
                            cache=args.cache, priority=args.priority,
                            metrics=args.metrics)
 

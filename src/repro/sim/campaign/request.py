@@ -88,18 +88,15 @@ class CampaignRequest:
     Exactly one of ``matrix`` (a built-in matrix name, resolved with
     ``seed``/``scale``) or ``specs`` (explicit cells) may be set; ``shard``
     selects the ``k``-th of ``n`` contiguous partitions of the resolved
-    list.  ``workers``, ``parallel``, and ``cache`` configure local
-    execution (:func:`execute_request`); a service executing the request
-    uses its own shared pool and cache and ignores them.  ``parallel``
-    asks co-simulation domains to advance each cell's ECUs on that many
-    worker threads - like ``workers`` it is an execution-level knob, never
-    part of a spec, its cache key, or a record, because output is
-    byte-identical for every value.  ``priority`` orders the request
-    against other clients' sweeps on a service (higher runs first); local
-    execution ignores it.  ``metrics`` asks the CLI front ends to dump a
-    :mod:`repro.obs` telemetry snapshot to that path after the run (the
-    launcher merges per-shard dumps); like every telemetry knob it is
-    out-of-band - record streams are byte-identical with or without it.
+    list.  ``workers`` and ``cache`` configure local execution
+    (:func:`execute_request`); a service executing the request uses its
+    own shared pool and cache and ignores them.  ``priority`` orders the
+    request against other clients' sweeps on a service (higher runs
+    first); local execution ignores it.  ``metrics`` asks the CLI front
+    ends to dump a :mod:`repro.obs` telemetry snapshot to that path after
+    the run (the launcher merges per-shard dumps); like every telemetry
+    knob it is out-of-band - record streams are byte-identical with or
+    without it.
     """
 
     matrix: str | None = None
@@ -108,7 +105,6 @@ class CampaignRequest:
     scale: int = 1
     shard: tuple[int, int] | None = None
     workers: int | None = None
-    parallel: int | None = None
     cache: str | None = None
     priority: int = 0
     metrics: str | None = None
@@ -162,8 +158,6 @@ class CampaignRequest:
             argv += ["--shard", f"{self.shard[0]}/{self.shard[1]}"]
         if self.workers is not None:
             argv += ["--workers", str(self.workers)]
-        if self.parallel is not None:
-            argv += ["--parallel", str(self.parallel)]
         if self.cache:
             argv += ["--cache", self.cache]
         if self.priority:
@@ -181,7 +175,6 @@ class CampaignRequest:
             "scale": self.scale,
             "shard": list(self.shard) if self.shard is not None else None,
             "workers": self.workers,
-            "parallel": self.parallel,
             "cache": self.cache,
             "priority": self.priority,
             "metrics": self.metrics,
@@ -200,7 +193,6 @@ class CampaignRequest:
             scale=obj.get("scale", 1),
             shard=tuple(shard) if shard is not None else None,
             workers=obj.get("workers"),
-            parallel=obj.get("parallel"),
             cache=obj.get("cache"),
             priority=obj.get("priority", 0),
             metrics=obj.get("metrics"),
@@ -224,14 +216,10 @@ def execute_request(request: CampaignRequest, *, stream_path=None,
     functions of their specs and come back in input order regardless of
     worker scheduling.
     """
-    import functools
-
     from repro import obs
     from repro.sim.campaign import CampaignResult, _record_json, run_scenario
     from repro.sim.campaign.cache import RecordCache
 
-    runner = (run_scenario if request.parallel is None
-              else functools.partial(run_scenario, parallel=request.parallel))
     specs = request.resolve_specs()
     workers = request.workers
     if cache is None:
@@ -280,14 +268,14 @@ def execute_request(request: CampaignRequest, *, stream_path=None,
         if workers is None or workers <= 1 or len(misses) <= 1:
             for spec, hit in zip(specs, cached):
                 consume(hit if hit is not None
-                        else computed(runner(spec), spec))
+                        else computed(run_scenario(spec), spec))
         else:
             with multiprocessing.Pool(processes=min(workers, len(misses))) as pool:
                 # imap (not map): records arrive incrementally, and pulling
                 # the miss iterator while walking specs in input order keeps
                 # cache replays interleaved exactly where a cold run would
                 # have produced those records
-                miss_records = pool.imap(runner, misses, chunksize=1)
+                miss_records = pool.imap(run_scenario, misses, chunksize=1)
                 for spec, hit in zip(specs, cached):
                     consume(hit if hit is not None
                             else computed(next(miss_records), spec))

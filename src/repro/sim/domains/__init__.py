@@ -32,10 +32,6 @@ class ScenarioDomain:
     name: str = ""
     #: the record dataclass this domain produces (stream reconstruction)
     record_class: type | None = None
-    #: True for domains whose ``execute`` accepts ``parallel=N`` (co-sim
-    #: ECU quanta on worker threads, byte-identical to serial); the knob
-    #: is execution-level only and never reaches specs or records
-    supports_parallel: bool = False
 
     def build(self, spec):
         """Synthesize the scenario from the spec (pure function of it)."""
@@ -45,15 +41,8 @@ class ScenarioDomain:
         """Run a built scenario; return an instance of ``record_class``."""
         raise NotImplementedError
 
-    def run(self, spec, parallel=None):
-        """Worker entry: build then execute.
-
-        ``parallel`` is forwarded only to domains declaring
-        ``supports_parallel`` - everywhere else it is ignored, so the
-        knob is always safe to pass campaign-wide.
-        """
-        if parallel is not None and self.supports_parallel:
-            return self.execute(spec, self.build(spec), parallel=parallel)
+    def run(self, spec):
+        """Worker entry: build then execute."""
         return self.execute(spec, self.build(spec))
 
 

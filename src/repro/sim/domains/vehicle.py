@@ -108,7 +108,6 @@ class VehicleDomain(ScenarioDomain):
 
     name = "vehicle"
     record_class = VehicleRecord
-    supports_parallel = True
 
     def build(self, spec):
         sensors = int(spec.param("sensors", 2))
@@ -117,12 +116,12 @@ class VehicleDomain(ScenarioDomain):
         return synthesize_network(spec.rng().fork(1), sensors, bitrate,
                                   quantum)
 
-    def execute(self, spec, network_spec, parallel=None):
+    def execute(self, spec, network_spec):
         from repro.vehicle import build_body_network
 
         horizon = int(spec.param("horizon_us", 200_000)) * max(spec.scale, 1)
         network = build_body_network(network_spec)
-        network.run(horizon_us=horizon, parallel=parallel)
+        network.run(horizon_us=horizon)
         report = network.report()
         conservation = network.vehicle.frame_conservation()
         ecus = network.vehicle.ecus

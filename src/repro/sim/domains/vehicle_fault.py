@@ -148,7 +148,6 @@ class VehicleFaultDomain(ScenarioDomain):
 
     name = "vehicle_fault"
     record_class = VehicleFaultRecord
-    supports_parallel = True
 
     def _horizon(self, spec) -> int:
         return int(spec.param("horizon_us", 200_000)) * max(spec.scale, 1)
@@ -167,7 +166,7 @@ class VehicleFaultDomain(ScenarioDomain):
                                  self._horizon(spec))
         return network_spec, fault
 
-    def execute(self, spec, built, parallel=None):
+    def execute(self, spec, built):
         from repro.vehicle import build_body_network
 
         network_spec, fault = built
@@ -175,14 +174,14 @@ class VehicleFaultDomain(ScenarioDomain):
 
         # the fault-free twin: same cell, same horizon, no scenario
         twin = build_body_network(network_spec)
-        twin.run(horizon_us=horizon, parallel=parallel)
+        twin.run(horizon_us=horizon)
         twin_report = twin.report()
 
         # the faulted run
         network = build_body_network(network_spec)
         scenario = scenario_for(fault)
         scenario.arm(network)
-        network.run(horizon_us=horizon, parallel=parallel)
+        network.run(horizon_us=horizon)
         report = network.report()
         verdicts = scenario.verdicts(network, report)
 

@@ -3,10 +3,8 @@
 Real CPU-core models running real assembled firmware, wired to the
 discrete-event CAN bus and the LIN sub-bus through memory-mapped network
 controllers, all on one shared clock - see :mod:`repro.vehicle.vehicle`
-for the composition model, the determinism contract, and the parallel
-lookahead/merge contract (``run(parallel=N)`` advances every ECU's
-quantum concurrently under the declared TX lookahead, byte-identical
-to the serial pump).
+for the composition model, the event-driven pump that advances only the
+ECUs with work, and why skipping idle ECUs changes no byte.
 """
 
 from repro.vehicle.controllers import (

@@ -221,15 +221,7 @@ class CanController(MmioDevice):
             self.frames_submitted += 1
             self.can_bus.submit(frame, node=self.node)
 
-        # Inside a parallel TX window the scheduler heap is off-limits
-        # (other ECUs are advancing concurrently): park the submission in
-        # the ECU's buffer; the barrier drains buffers in ECU order, so
-        # the scheduler sees the exact call sequence of a serial pump.
-        window = self.ecu.tx_buffer
-        if window is not None:
-            window.append((at_us, submit))
-        else:
-            scheduler.at(at_us, submit)
+        scheduler.at(at_us, submit)
 
     def _on_delivery(self, frame, record) -> None:
         if record.node == self.node or frame.can_id not in self.accept:

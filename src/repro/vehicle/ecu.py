@@ -5,7 +5,10 @@ memory-mapped network controllers), runs real assembled firmware, and is
 advanced by the :class:`~repro.vehicle.vehicle.VirtualVehicle` clock in
 *quanta*: ``advance_to_us(T)`` runs the guest - under whichever execution
 engine the core is configured for, the trace engine by default - until
-its cycle counter reaches ``T`` on its own clock.
+its cycle counter reaches ``T`` on its own clock.  The clock advances an
+ECU only while it has work (:meth:`Ecu.next_work_cycle`); a core parked
+on WFI with no eligible interrupt queued is left behind and caught up by
+the next advance that reaches it.
 
 Determinism contract
 --------------------
@@ -22,7 +25,9 @@ about a quantum boundary is architecturally observable:
 * device state deposited at bus time T is visibility-gated to the
   corresponding guest cycle (see :mod:`repro.vehicle.controllers`);
 * idle time (the guest parked on WFI) fast-forwards in O(1) with the
-  exact semantics of the reference sleep loop (one poll per cycle).
+  exact semantics of the reference sleep loop (one poll per cycle), and
+  lands on the same wake cycle however far behind the bus clock the
+  parked core was left.
 
 :meth:`raise_irq` *verifies* the contract: the delivery latency must
 exceed the core's quantum overrun (bounded by one instruction / one fused
@@ -77,10 +82,6 @@ class Ecu:
         self.cpu.regs.lr = HALT_ADDRESS
         self.cpu.regs.pc = program.symbols[entry]
         self.devices: list = []
-        #: open TX window: when not None, doorbell submissions buffer
-        #: here as (at_us, action) instead of going to the scheduler -
-        #: the parallel pump's merge step drains them at the barrier
-        self.tx_buffer: list | None = None
 
     # ------------------------------------------------------------------
     # clock-domain conversion (exact integer arithmetic)
@@ -122,35 +123,6 @@ class Ecu:
         self.controller.raise_irq(number, handler=handler,
                                   at_cycle=assert_cycle, priority=priority,
                                   nmi=nmi)
-
-    # ------------------------------------------------------------------
-    # parallel TX windows
-    # ------------------------------------------------------------------
-    def begin_tx_window(self) -> None:
-        """Open a buffered TX window for one parallel quantum.
-
-        While the window is open, the ECU's controllers park outbound bus
-        traffic in :attr:`tx_buffer` instead of touching the (thread-
-        unsafe) scheduler heap.  The scheduler itself is the *only* piece
-        of shared state a guest advance can mutate, so with windows open
-        every ECU's quantum is free of cross-ECU writes and can run on a
-        worker thread.
-        """
-        self.tx_buffer = []
-
-    def end_tx_window(self, scheduler) -> None:
-        """Close the window and merge its traffic into the scheduler.
-
-        Called at the barrier, on the main thread, in the vehicle's fixed
-        ECU order: each buffered doorbell reaches ``scheduler.at`` in
-        exactly the order the serial pump would have produced (ECUs in
-        list order, each in its own program order), so event sequence
-        numbers - and therefore every downstream tie-break - are
-        byte-identical to the serial run.
-        """
-        buffered, self.tx_buffer = self.tx_buffer, None
-        for at_us, action in buffered:
-            scheduler.at(at_us, action)
 
     # ------------------------------------------------------------------
     # bounded advancement
@@ -212,22 +184,38 @@ class Ecu:
                                 max_instructions=self.max_instructions)
         return cpu.cycles
 
+    def next_work_cycle(self) -> int | None:
+        """The smallest target cycle at which :meth:`advance_to_cycle`
+        would execute anything, or None if no target would.
+
+        A running core works at any target past its cycle counter.  A
+        core parked on WFI works only once its earliest *eligible* queued
+        interrupt (NMI, or any request while interrupts are unmasked)
+        asserts, and never before its next poll; below that cycle an
+        advance merely sets ``cycles = target``.  A halted core, or a
+        parked one with nothing eligible queued, never works.  The
+        vehicle's pump and :meth:`_sleep_until` share this one test.
+        """
+        cpu = self.cpu
+        if cpu.halted:
+            return None
+        if not cpu.sleeping:
+            return cpu.cycles + 1
+        masked = not cpu.interrupts_enabled
+        wake = min((request.assert_cycle for request in self.controller.queue
+                    if request.nmi or not masked), default=None)
+        if wake is None:
+            return None
+        return max(wake, cpu.cycles + 1)
+
     def _sleep_until(self, target: int) -> None:
         """Fast-forward WFI sleep: the reference loop charges one cycle
         per poll, and below the earliest eligible assert every poll is
         provably a no-op - so jump straight to the wake-up (or the
         target) and poll once, which is bit-identical to stepping."""
         cpu = self.cpu
-        masked = not cpu.interrupts_enabled
-        eligible = [request.assert_cycle
-                    for request in self.controller.queue
-                    if request.nmi or not masked]
-        wake = min(eligible, default=None)
-        if wake is None:
-            cpu.cycles = target
-            return
-        wake = max(wake, cpu.cycles + 1)
-        if wake > target:
+        wake = self.next_work_cycle()
+        if wake is None or wake > target:
             cpu.cycles = target
             return
         cpu.cycles = wake

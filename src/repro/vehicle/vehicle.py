@@ -10,9 +10,19 @@ than merely analysed.
 
 Composition model
 -----------------
-* Every ECU is advanced in bounded quanta
-  (:meth:`~repro.vehicle.ecu.Ecu.advance_to_us`): a pump event walks all
-  ECUs up to the current bus time and re-arms itself one quantum later.
+* ECUs advance in bounded quanta (:meth:`~repro.vehicle.ecu.Ecu.
+  advance_to_us`) on a fixed grid of pump points: the multiples of the
+  quantum, then the horizon.  The pump is event-driven.  At a grid point
+  it advances only the ECUs with work due by then
+  (:meth:`~repro.vehicle.ecu.Ecu.next_work_cycle`): a running core, or a
+  core parked on WFI whose earliest eligible queued IRQ asserts by that
+  point.  It then re-arms at the first grid point at or after the
+  earlier of the next ECU work and the next queued scheduler event, so
+  quanta in which every core sleeps cost nothing.  A parked ECU with
+  nothing eligible is left behind.  The first thing that touches it
+  catches it up: a later pump once its IRQ is raised, the LIN responder,
+  :meth:`~repro.vehicle.ecu.Ecu.advance_for_event`, or the final
+  advance to the horizon.
 * Bus → CPU coupling is interrupt-shaped: a frame arriving at a node's
   CAN/LIN controller raises its VIC/NVIC line with an absolute assert
   cycle derived from the bus time (plus a fixed delivery latency), and
@@ -27,36 +37,44 @@ All cross-domain timestamps are pure functions of bus times and guest
 instruction streams - never of quantum placement - which makes whole
 runs byte-identical across quantum sizes (property-tested).
 
-Parallel execution: the lookahead/merge contract
-------------------------------------------------
-``run(..., parallel=N)`` executes every ECU's quantum concurrently on a
-worker pool, byte-identically to the serial pump.  The scheme is a
-conservative parallel discrete-event simulation whose lookahead is the
-*declared* cross-ECU latency floor:
+Why skipping idle work changes no byte
+--------------------------------------
+Compared with an eager pump that advances every ECU at every grid point
+(rebuilt as a test oracle in ``tests/test_vehicle_properties.py``):
 
-* **Lookahead.** The only ways one ECU affects another are bus
-  deliveries (which assert IRQs ``irq_latency_cycles`` after the bus
-  time) and doorbell transmissions (which enter arbitration
-  ``tx_delay_us`` after the store's guest time).  Both delays are fixed,
-  declared per ECU, and already enforced at runtime by
-  :class:`~repro.vehicle.ecu.CosimDeterminismError` guards.  A quantum
-  no wider than ``min(ecu.tx_delay_us)`` therefore cannot carry a
-  within-window cross-ECU effect: every effect lands at a strictly
-  later bus event, after the barrier.  ``run`` validates this
-  precondition eagerly.
-* **Window.** At each pump the main thread opens a TX window per ECU
-  (:meth:`~repro.vehicle.ecu.Ecu.begin_tx_window`), dispatches every
-  ``advance_to_us(now)`` to the pool, and joins.  During the window a
-  guest advance mutates only its own machine; the scheduler heap - the
-  single piece of shared state a doorbell would touch - is off-limits,
-  with submissions parked in the ECU's buffer instead.
-* **Merge.** At the barrier the main thread drains the buffers in the
-  vehicle's fixed ECU order (each in its own program order), replaying
-  the exact ``scheduler.at`` call sequence of the serial pump.  Event
-  sequence numbers, and with them every same-timestamp tie-break, are
-  identical - so records, traces, and golden fingerprints are
-  byte-identical for every worker count (property-tested and
-  ``cmp``-checked in CI, like quantum sizes and shards).
+* A WFI-parked core with no eligible IRQ up to the target executes
+  nothing: the skipped ``advance_to_cycle`` would only have set
+  ``cpu.cycles = target``.
+* Before a sleeping core's next advance, only the "already past" guards
+  of :meth:`~repro.vehicle.ecu.Ecu.raise_irq` and
+  :meth:`~repro.vehicle.ecu.Ecu.advance_for_event` read its ``cycles``.
+  A core that lags behind can never trip them.  Where the eager counter
+  is ahead, it sits at a grid point no later than the current bus time,
+  strictly below every assert or event cycle derived from that time
+  (the delivery latency is at least one cycle), so the eager guard
+  cannot trip either.
+* On catch-up, ``_sleep_until`` jumps to ``max(wake, cycles + 1)``.  The
+  wake lies past every grid point the eager pump advanced the core to,
+  so from either starting point that is the same wake cycle.
+* Running ECUs get exactly the eager pump's ``run_until_cycle`` targets,
+  in the same list order, so doorbell ``scheduler.at`` calls come in the
+  same order.
+* The pump stays at priority 9.  Fewer pump events take sequence
+  numbers, but ties among the other events keep their order.
+* Every event that can wake a core or touch an ECU is a scheduler event
+  at or after the queue head the pump peeked at, so no pump that is
+  needed gets skipped.  This is conservative lookahead in the
+  Chandy-Misra-Bryant sense: nothing can happen to an ECU before the
+  earliest pending event, and ECUs affect one another only through
+  scheduled bus events (doorbells enter arbitration ``tx_delay_us``
+  after the store; deliveries assert ``irq_latency_cycles`` after the
+  bus time).
+* The eligible-wake test lives in one helper,
+  :meth:`~repro.vehicle.ecu.Ecu.next_work_cycle`, which both the pump
+  and ``_sleep_until`` call, so the two cannot drift apart.
+
+Quantum-ladder invariance, the eager-pump oracle and the vehicle golden
+corpus prove the identity.
 
 The quantum edge itself is sound because the per-block cycle caps that
 bound speculative superblock execution are built from *declared* device
@@ -79,11 +97,10 @@ two-ECU CAN request/response network the conformance corpus pins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 
-from repro import obs
 from repro.core.arm1156 import Arm1156Core
 from repro.core.machines import (
     DEFAULT_FLASH_SIZE,
@@ -94,7 +111,7 @@ from repro.core.machines import (
     build_cortexm3,
 )
 from repro.core.vic import VicController
-from repro.isa import ISA_THUMB, ISA_THUMB2, assemble
+from repro.isa import ISA_THUMB, ISA_THUMB2, Program, assemble
 from repro.memory.bus import SystemBus
 from repro.memory.cache import Cache
 from repro.memory.flash import Flash
@@ -123,28 +140,28 @@ ENTRY_EXIT_ALLOWANCE = 64
 #: measured-WCET safety margin (certification-style padding)
 WCET_MARGIN = 0.5
 
-_COSIM_WINDOWS = obs.counter(
-    "cosim.windows",
-    "Barrier-synchronized parallel co-simulation windows executed")
-_BARRIER_WAIT = obs.histogram(
-    "cosim.window.barrier_wait_seconds",
-    "Per window, total worker idle time at the merge barrier: "
-    "sum over ECUs of (slowest ECU's busy time - this ECU's busy time)",
-    buckets=obs.FAST_SECONDS_BUCKETS)
-_PARALLEL_EFFICIENCY = obs.gauge(
-    "cosim.parallel_efficiency",
-    "Cumulative ECU busy seconds / (workers x window wall seconds) for "
-    "this run: 1.0 is perfect scaling, 1/workers is serial")
-
 
 def guest_isa(core: str) -> str:
     """The ISA each guest core runs (the harmonized Thumb subset)."""
     return ISA_THUMB if core == "arm7" else ISA_THUMB2
 
 
+@functools.lru_cache(maxsize=64)
+def _assemble_firmware(source: str, isa: str) -> Program:
+    """Assemble one guest firmware image, once per process."""
+    return assemble(source, isa, base=FLASH_BASE)
+
+
 def build_guest_machine(core: str, source: str,
                         flash_access_cycles: int | None = None) -> Machine:
     """Assemble firmware and build the matching MCU for one ECU node.
+
+    The assembled program is memoised by (source, ISA): every machine
+    running the same firmware - calibration twins included - shares one
+    :class:`~repro.isa.Program` and the micro-op table ``predecode``
+    caches on it.  A guest machine's program must therefore not be
+    patched in place: assemble a private copy with
+    :func:`~repro.isa.assemble` to patch one.
 
     The ARM1156 variant runs with its instruction cache but *no data
     cache*: the data side carries the memory-mapped network controllers,
@@ -153,7 +170,7 @@ def build_guest_machine(core: str, source: str,
     maps peripheral space device-type (uncached), which a missing dcache
     models exactly.
     """
-    program = assemble(source, guest_isa(core), base=FLASH_BASE)
+    program = _assemble_firmware(source, guest_isa(core))
     if core == "arm7":
         return build_arm7(program)
     if core in ("m3", "cortex-m3"):
@@ -228,117 +245,57 @@ class VirtualVehicle:
         self.scheduler.at(self.scheduler.now + offset_us, fire,
                           priority=priority)
 
-    def run(self, horizon_us: int, quantum_us: int = 200,
-            parallel: int | None = None) -> None:
+    def run(self, horizon_us: int, quantum_us: int = 200) -> None:
         """Advance the whole network deterministically to the horizon.
 
-        With ``parallel=N`` (N >= 2), each pump dispatches every ECU's
-        quantum to a worker pool and merges the buffered bus traffic at
-        the barrier - byte-identical to the serial run (see the module
-        docstring's lookahead/merge contract).  The quantum must fit
-        under the declared TX lookahead (``min(ecu.tx_delay_us)``); a
-        wider window could outrun a cross-ECU effect and is rejected
-        eagerly instead of failing deep inside a campaign.
+        The pump fires on the quantum grid (multiples of ``quantum_us``,
+        then the horizon) but skips grid points before the next scheduler
+        event or ECU work, and advances only the ECUs with work due.
+        Every ECU is caught up to the horizon at the end (see the module
+        docstring).
         """
         if quantum_us <= 0:
             raise ValueError("quantum_us must be positive")
-        workers = 0
-        if parallel is not None and int(parallel) >= 2 and len(self.ecus) >= 2:
-            workers = min(int(parallel), len(self.ecus))
-            lookahead = min(ecu.tx_delay_us for ecu in self.ecus)
-            if quantum_us > lookahead:
-                raise ValueError(
-                    f"parallel co-simulation needs quantum_us "
-                    f"({quantum_us}) <= the declared TX lookahead "
-                    f"({lookahead}us, min over ecu.tx_delay_us): a "
-                    f"window may not outrun the earliest cross-ECU "
-                    f"effect")
         self.horizon_us = horizon_us
         scheduler = self.scheduler
-        pool = None
-        if workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=workers)
-
-        # telemetry accumulators for this run (out-of-band: the merge
-        # order and every simulated outcome are identical without them)
-        cosim_busy = 0.0
-        cosim_wall = 0.0
-
-        def timed_advance(ecu, now: int) -> float:
-            t0 = perf_counter()
-            ecu.advance_to_us(now)
-            return perf_counter() - t0
-
-        def advance_all(now: int) -> None:
-            nonlocal cosim_busy, cosim_wall
-            if pool is None:
-                for ecu in self.ecus:
-                    ecu.advance_to_us(now)
-                return
-            observing = obs.REGISTRY.enabled
-            # one barrier-synchronized window: every ECU advances on a
-            # worker with its TX buffered, then the main thread merges
-            # buffers in ECU order - the scheduler sees the serial
-            # pump's exact call sequence (see the module docstring)
-            for ecu in self.ecus:
-                ecu.begin_tx_window()
-            try:
-                if not observing:
-                    futures = [pool.submit(ecu.advance_to_us, now)
-                               for ecu in self.ecus]
-                    # collect every outcome before touching shared state:
-                    # no worker may still be running when buffers drain
-                    errors = [exc for exc in (f.exception() for f in futures)
-                              if exc is not None]
-                else:
-                    start = perf_counter()
-                    futures = [pool.submit(timed_advance, ecu, now)
-                               for ecu in self.ecus]
-                    errors, busy = [], []
-                    for future in futures:
-                        exc = future.exception()
-                        if exc is not None:
-                            errors.append(exc)
-                        else:
-                            busy.append(future.result())
-                    wall = perf_counter() - start
-                    _COSIM_WINDOWS.add()
-                    if busy:
-                        slowest = max(busy)
-                        _BARRIER_WAIT.observe(
-                            sum(slowest - b for b in busy))
-                    cosim_busy += sum(busy)
-                    cosim_wall += wall
-                    if cosim_wall > 0.0:
-                        _PARALLEL_EFFICIENCY.set(
-                            round(cosim_busy / (workers * cosim_wall), 4))
-            finally:
-                for ecu in self.ecus:
-                    ecu.end_tx_window(scheduler)
-            if errors:
-                raise errors[0]
+        ecus = self.ecus
 
         def pump() -> None:
             now = scheduler.now
-            advance_all(now)
-            if now < horizon_us:
-                scheduler.at(min(now + quantum_us, horizon_us), pump,
-                             priority=9)
+            due = None  # earliest bus time at which some ECU has work
+            for ecu in ecus:
+                work = ecu.next_work_cycle()
+                if work is not None and work <= ecu.cycle_of_us(now):
+                    ecu.advance_to_us(now)
+                    work = ecu.next_work_cycle()
+                if work is not None:
+                    at_us = ecu.us_of_cycle(work)
+                    if due is None or at_us < due:
+                        due = at_us
+            if now >= horizon_us:
+                return
+            # nothing reaches an ECU before the next scheduler event, so
+            # the next pump is due at the first grid point at or after
+            # the earlier of that event and the earliest ECU work
+            head = scheduler.peek_time()
+            if head is not None and (due is None or head < due):
+                due = head
+            if due is None:
+                next_us = horizon_us
+            else:
+                next_us = max(now + quantum_us,
+                              -(-due // quantum_us) * quantum_us)
+            scheduler.at(min(next_us, horizon_us), pump, priority=9)
 
         # priority 9: at any shared timestamp, bus events (deliveries,
-        # LIN slots) run first - ECU advancement is order-independent
-        # anyway, but keeping one canonical order aids debugging
-        try:
-            scheduler.at(min(quantum_us, horizon_us), pump, priority=9)
-            if self.lin is not None:
-                self.lin.start(offset_us=0)
-            scheduler.run(until=horizon_us)
-            advance_all(horizon_us)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        # LIN slots) run first, so a pump sees every IRQ raised at its
+        # own grid point
+        scheduler.at(min(quantum_us, horizon_us), pump, priority=9)
+        if self.lin is not None:
+            self.lin.start(offset_us=0)
+        scheduler.run(until=horizon_us)
+        for ecu in ecus:
+            ecu.advance_to_us(horizon_us)
 
     # ------------------------------------------------------------------
     def frame_conservation(self) -> dict:
@@ -556,11 +513,9 @@ class BodyNetwork:
             self.vehicle.every(node.period_us, sample,
                                offset_us=node.offset_us)
 
-    def run(self, horizon_us: int, quantum_us: int | None = None,
-            parallel: int | None = None) -> None:
+    def run(self, horizon_us: int, quantum_us: int | None = None) -> None:
         self.vehicle.run(horizon_us,
-                         quantum_us=quantum_us or self.spec.quantum_us,
-                         parallel=parallel)
+                         quantum_us=quantum_us or self.spec.quantum_us)
 
     # ------------------------------------------------------------------
     # analytic bounds (calibration twin + RTA + CAN + LIN composition)
@@ -842,11 +797,9 @@ class RoundTrip:
                 1, self._timer_handler, at_us=self.vehicle.scheduler.now),
             offset_us=spec.offset_us)
 
-    def run(self, horizon_us: int, quantum_us: int | None = None,
-            parallel: int | None = None) -> None:
+    def run(self, horizon_us: int, quantum_us: int | None = None) -> None:
         self.vehicle.run(horizon_us,
-                         quantum_us=quantum_us or self.spec.quantum_us,
-                         parallel=parallel)
+                         quantum_us=quantum_us or self.spec.quantum_us)
 
     # ------------------------------------------------------------------
     def expected_state(self) -> tuple[int, int, int]:

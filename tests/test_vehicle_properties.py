@@ -7,6 +7,9 @@ The hard guarantees that make the virtual vehicle campaign-distributable:
   nothing about a pause point is architecturally observable);
 * **engine invariance** - both engines (reference and trace) produce
   the identical co-simulated network;
+* **pump invariance** - the event-driven pump, which skips idle ECUs
+  and all-idle quanta, matches an eager pump that advances every ECU at
+  every grid point, with faults armed too;
 * **distribution invariance** - vehicle campaign records stream
   byte-identically across worker counts and shard splits, like every
   other domain.
@@ -26,20 +29,18 @@ from hypothesis import strategies as st
 
 from repro.codegen import compile_program
 from repro.core import FLASH_BASE, SRAM_BASE, build_machine
-from repro.sim.campaign import (
-    CampaignRequest,
-    ScenarioSpec,
-    execute_request,
-    run_scenario,
-)
+from repro.sim.campaign import CampaignRequest, ScenarioSpec, execute_request
 from repro.sim.domains.vehicle import vehicle_matrix
 from repro.sim.rng import DeterministicRng
 from repro.vehicle import (
     BodyNetworkSpec,
+    Ecu,
     RoundTripSpec,
     SensorNode,
     build_body_network,
     build_round_trip,
+    scenario_for,
+    synthesize_fault,
 )
 from repro.workloads.kernels import WORKLOADS_BY_NAME
 
@@ -50,17 +51,19 @@ ENGINES = (
 
 
 def _round_trip_fingerprint(quantum_us: int, fastpath: bool = True,
-                            parallel: int | None = None) -> str:
+                            arm=None) -> str:
     rt = build_round_trip(RoundTripSpec())
     for ecu in rt.vehicle.ecus:
         ecu.cpu.fastpath = fastpath
-    rt.run(horizon_us=45_000, quantum_us=quantum_us, parallel=parallel)
+    if arm is not None:
+        arm(rt)
+    rt.run(horizon_us=45_000, quantum_us=quantum_us)
     return json.dumps(rt.fingerprint(), sort_keys=True)
 
 
 def test_round_trip_byte_identical_across_quantum_sizes():
     reference = _round_trip_fingerprint(100)
-    for quantum in (17, 50, 250, 499):
+    for quantum in (1, 7, 17, 50, 250, 499):
         assert _round_trip_fingerprint(quantum) == reference, quantum
 
 
@@ -72,14 +75,19 @@ def test_round_trip_byte_identical_across_engines(name, fastpath):
     assert _round_trip_fingerprint(333, fastpath) == reference, name
 
 
-def _body_fingerprint(quantum_us: int, parallel: int | None = None) -> str:
-    spec = BodyNetworkSpec(sensors=(
-        SensorNode("wheel", "m3", 80, 0x120, 20_000),
-        SensorNode("seat", "arm1156", 160, 0x180, 25_000, raw_salt=7),
-        SensorNode("door", "arm7", 48, 0x200, 50_000, raw_salt=3),
-    ))
-    net = build_body_network(spec)
-    net.run(horizon_us=180_000, quantum_us=quantum_us, parallel=parallel)
+BODY_SPEC = BodyNetworkSpec(sensors=(
+    SensorNode("wheel", "m3", 80, 0x120, 20_000),
+    SensorNode("seat", "arm1156", 160, 0x180, 25_000, raw_salt=7),
+    SensorNode("door", "arm7", 48, 0x200, 50_000, raw_salt=3),
+))
+BODY_HORIZON_US = 180_000
+
+
+def _body_fingerprint(quantum_us: int, arm=None) -> str:
+    net = build_body_network(BODY_SPEC)
+    if arm is not None:
+        arm(net)
+    net.run(horizon_us=BODY_HORIZON_US, quantum_us=quantum_us)
     state = {
         "frames": [(d.can_id, d.node, d.queued_at, d.completed_at,
                     d.attempts) for d in net.vehicle.can.deliveries],
@@ -101,82 +109,88 @@ def _body_fingerprint(quantum_us: int, parallel: int | None = None) -> str:
 
 def test_body_network_byte_identical_across_quantum_sizes():
     reference = _body_fingerprint(200)
-    for quantum in (37, 100, 433):
+    for quantum in (1, 7, 37, 100, 433):
         assert _body_fingerprint(quantum) == reference, quantum
 
 
 # ----------------------------------------------------------------------
-# parallel invariance: concurrent ECU advance under declared lookahead
+# pump invariance: skipping idle ECUs changes no byte
 # ----------------------------------------------------------------------
 
-def test_round_trip_byte_identical_parallel_vs_serial():
-    """Concurrent ECU advance is unobservable: every worker count yields
-    the serial run's bytes (split points, doorbell merge order, and
-    scheduler seq allocation all replicate the serial pump)."""
-    reference = _round_trip_fingerprint(100)
-    for parallel in (2, 3, 4):
-        assert _round_trip_fingerprint(100, parallel=parallel) == reference, \
-            parallel
+def _eager_pump(quantum_us: int):
+    """An ``arm`` hook for an eager pump: at every grid point, advance
+    every ECU to the bus time.  Armed beside the real pump it makes every
+    advance eager - the reference the event-driven pump must match."""
+
+    def arm(network) -> None:
+        vehicle = network.vehicle
+
+        def advance_all() -> None:
+            for ecu in vehicle.ecus:
+                ecu.advance_to_us(vehicle.scheduler.now)
+
+        vehicle.every(quantum_us, advance_all, offset_us=quantum_us,
+                      priority=9)
+
+    return arm
 
 
-def test_body_network_byte_identical_parallel_vs_serial():
-    reference = _body_fingerprint(200)
-    for parallel in (2, 3, 5):  # 5 clamps to the 5-ECU network's width
-        assert _body_fingerprint(200, parallel=parallel) == reference, parallel
+def test_round_trip_matches_eager_pump():
+    assert (_round_trip_fingerprint(100, arm=_eager_pump(100))
+            == _round_trip_fingerprint(100))
 
 
-def test_parallel_campaign_records_byte_identical():
-    """``run_scenario(spec, parallel=N)`` emits the identical record JSON
-    for both co-simulation domains - the knob can never leak into a
-    record, a cache key, or a stream byte."""
-    from repro.sim.campaign import _record_json
-
-    specs = [
-        ScenarioSpec(label="pp vehicle", domain="vehicle", seed=5,
-                     params=(("sensors", 2), ("horizon_us", 90_000))),
-        ScenarioSpec(label="pp fault", domain="vehicle_fault", seed=5,
-                     params=(("kind", "babbling-idiot"), ("sensors", 2),
-                             ("horizon_us", 120_000))),
-    ]
-    for spec in specs:
-        serial = _record_json(run_scenario(spec))
-        for parallel in (2, 3):
-            assert _record_json(run_scenario(spec, parallel=parallel)) \
-                == serial, (spec.label, parallel)
+def test_body_network_matches_eager_pump():
+    assert _body_fingerprint(200, arm=_eager_pump(200)) \
+        == _body_fingerprint(200)
 
 
-def test_parallel_rejects_quantum_beyond_lookahead():
-    """A quantum wider than the declared TX lookahead could carry a frame
-    into the window it was computed in - parallel runs must refuse it
-    eagerly (serial runs are unaffected: their pump needs no lookahead)."""
-    spec = BodyNetworkSpec(sensors=(
-        SensorNode("wheel", "m3", 80, 0x120, 20_000),
-        SensorNode("door", "arm7", 48, 0x200, 50_000, raw_salt=3),
-    ))
-    net = build_body_network(spec)
-    with pytest.raises(ValueError, match="lookahead"):
-        net.run(horizon_us=10_000, quantum_us=600, parallel=2)
+@pytest.mark.parametrize("kind", ["soft-error", "babbling-idiot"])
+def test_faulted_body_network_matches_eager_pump(kind):
+    """The soft error lands through ``advance_for_event``, which catches
+    a lagging gateway up; the babbling idiot floods the bus with events
+    no ECU needs.  Both fire exactly as often as their spec says."""
+    fault = synthesize_fault(DeterministicRng(11).fork(2), kind, BODY_SPEC,
+                             BODY_HORIZON_US)
+    expected = (fault.flips if kind == "soft-error"
+                else -(-(fault.end_us - fault.start_us) // fault.period_us))
+
+    def faulted(eager: bool) -> str:
+        scenario = scenario_for(fault)
+
+        def arm(network) -> None:
+            scenario.arm(network)
+            if eager:
+                _eager_pump(200)(network)
+
+        fingerprint = _body_fingerprint(200, arm=arm)
+        assert scenario.activations == expected, (kind, eager)
+        return fingerprint
+
+    assert faulted(eager=True) == faulted(eager=False), kind
 
 
-def test_parallel_request_round_trips_and_streams_identically(tmp_path):
-    """``parallel`` rides every request encoding (JSON, argv) and leaves
-    ``execute_request`` stream bytes untouched."""
-    request = CampaignRequest(matrix="vehicle-smoke", parallel=3)
-    assert CampaignRequest.from_obj(request.to_obj()) == request
-    argv = request.cli_argv()
-    assert argv[argv.index("--parallel") + 1] == "3"
+def test_pump_leaves_idle_sleepers_alone(monkeypatch):
+    """Only the LIN responder (once per slot, on the gateway) and the
+    final horizon catch-up (once per ECU) may advance a core that is
+    parked with an empty IRQ queue; with ``_eager_pump(200)`` armed this
+    network makes 4,437 such advances."""
+    idle: dict[str, int] = {}
+    advance = Ecu.advance_to_cycle
 
-    specs = tuple(_vehicle_specs())
+    def counting(ecu, target):
+        if ecu.cpu.sleeping and not ecu.controller.queue:
+            idle[ecu.name] = idle.get(ecu.name, 0) + 1
+        return advance(ecu, target)
 
-    def stream_bytes(name: str, parallel=None) -> bytes:
-        path = tmp_path / f"{name}.jsonl"
-        execute_request(CampaignRequest(specs=specs, parallel=parallel),
-                        stream_path=path)
-        return path.read_bytes()
-
-    serial = stream_bytes("serial")
-    assert serial
-    assert stream_bytes("parallel", parallel=2) == serial
+    monkeypatch.setattr(Ecu, "advance_to_cycle", counting)
+    net = build_body_network(BODY_SPEC)
+    net.run(horizon_us=BODY_HORIZON_US, quantum_us=200)
+    lin_slots = BODY_HORIZON_US // BODY_SPEC.lin_slot_us + 1
+    assert idle.get("gateway", 0) <= lin_slots + 1
+    for ecu in net.vehicle.ecus:
+        if ecu is not net.gateway:
+            assert idle.get(ecu.name, 0) <= 1, ecu.name
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +209,6 @@ def test_quantum_edges_exact_under_starved_cycle_cap(monkeypatch):
     monkeypatch.setattr(BaseCpu, "_block_cycle_cap",
                         lambda self, uops: 10**9)
     assert _body_fingerprint(200) == reference
-    assert _body_fingerprint(200, parallel=3) == reference
 
 
 # ----------------------------------------------------------------------
