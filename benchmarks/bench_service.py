@@ -1,21 +1,22 @@
 """Campaign service load benchmark: concurrent overlapping clients.
 
-Starts the resident sweep service in-process, fans out several TCP
-clients whose requests overlap (consecutive windows over one spec pool),
-and streams every request to completion.  Reports requests/sec,
-cells/sec, and the dedup rate - the fraction of requested cells served
-from the cache or joined in flight instead of recomputed - and asserts
-the service's core economy claim: the number of cells actually executed
-equals the size of the union, not the sum, of the requests.
+Starts the resident sweep service in-process on its supervised worker
+fleet, fans out several TCP clients whose requests overlap (consecutive
+windows over one spec pool), and streams every request to completion.
+Reports requests/sec, cells/sec, and the dedup rate - the fraction of
+requested cells served from the cache or joined in flight instead of
+recomputed - and asserts the service's core economy claim: the number of
+cells actually executed equals the size of the union, not the sum, of
+the requests.
 
 ``REPRO_BENCH_REDUCED=1`` shrinks the pool and client count (CI smoke);
-``REPRO_BENCH_WORKERS`` sizes the service's worker pool.
+``REPRO_BENCH_WORKERS`` sizes the service's worker fleet.
 
-The supervised-fleet benchmarks run the same sweep through worker
-*subprocesses* (``workers_proc``) twice - fault-free, then with one
-chaos-injected worker kill - and report supervised cells/sec plus the
-recovery overhead of losing and respawning a worker mid-sweep (the
-streams are asserted byte-identical, faulted or not).
+The kill-recovery benchmark runs one sweep through the fleet twice -
+fault-free, then with one chaos-injected worker kill - and reports
+supervised cells/sec plus the recovery overhead of losing and respawning
+a worker mid-sweep (the streams are asserted byte-identical, faulted or
+not).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def test_service_concurrent_overlapping_load(benchmark):
     unique = {s.key() for r in requests for s in r.specs}
 
     async def run_load() -> tuple[list[dict], CampaignService]:
-        service = CampaignService(workers=WORKERS,
+        service = CampaignService(workers_proc=WORKERS,
                                   max_pending=CLIENTS + 1)
         await service.start()
         server = await serve_tcp(service)
@@ -110,7 +111,7 @@ def test_service_concurrent_overlapping_load(benchmark):
     requests_per_sec = CLIENTS / seconds
     cells_per_sec = delivered / seconds
     dedup_pct = 100.0 * deduped / requested
-    report(f"campaign service load ({CLIENTS} clients, workers={WORKERS})"
+    report(f"campaign service load ({CLIENTS} clients, workers_proc={WORKERS})"
            + (" [reduced]" if REDUCED else ""),
            [f"{CLIENTS} overlapping requests ({requested} cells, "
             f"{len(unique)} unique) in {seconds:.2f}s",
@@ -137,8 +138,9 @@ def test_supervised_pool_throughput_and_kill_recovery(benchmark):
     kill = ChaosSchedule(faults=((1, CellFault(kill="report")),))
 
     async def sweep(chaos) -> tuple[float, str, dict]:
-        service = CampaignService(workers_proc=WORKERS, chaos=chaos,
-                                  supervisor_options={"heartbeat": 0.2})
+        service = CampaignService(workers_proc=WORKERS,
+                                  supervisor_options={"heartbeat": 0.2,
+                                                      "chaos": chaos})
         await service.start()
         loop = asyncio.get_running_loop()
         try:
@@ -177,7 +179,7 @@ def test_supervised_pool_throughput_and_kill_recovery(benchmark):
             f"({cells_per_sec:.1f} cells/s through subprocess workers)",
             f"same sweep with one report-phase worker kill: {faulted_s:.2f}s "
             f"(+{recovery_overhead_s:.2f}s to detect, requeue, respawn)",
-            "both streams byte-identical to the local pooled run"])
+            "both streams byte-identical to the local run"])
     record_summary("service", "supervised_cells_per_sec", cells_per_sec)
     record_summary("service", "kill_recovery_overhead_s", recovery_overhead_s)
     benchmark.extra_info["workers_proc"] = WORKERS

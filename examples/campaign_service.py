@@ -1,16 +1,17 @@
 """Campaign-as-a-service: two overlapping sweeps, one shared computation.
 
-Starts the resident campaign service in-process, connects two clients
-whose sweeps overlap, and submits both while the dispatcher is paused -
-so the overlap is visible as *joined* cells (computed once, delivered to
-both) rather than cache replays.  Each client streams its records to a
+Starts the resident campaign service in-process (its cells run on a
+one-worker supervised fleet), connects two clients whose sweeps overlap,
+and submits both while the dispatcher is paused - so the overlap is
+visible as *joined* cells (computed once, delivered to both) rather than
+cache replays.  Each client streams its records to a
 JSONL file; the example then proves both files byte-identical to local
-pooled runs of the same requests, and that the server computed exactly
-the union of cells.
+runs of the same requests, and that the server computed exactly the
+union of cells.
 
 The same service runs standalone for real cross-process traffic::
 
-    python -m repro.sim.service --port 0 --port-file port.txt --workers 4
+    python -m repro.sim.service --port 0 --port-file port.txt --workers-proc 4
     python -m repro.sim.campaign --matrix smoke --connect 127.0.0.1:$(cat port.txt) --stream out.jsonl
 
 Run:  python examples/campaign_service.py
@@ -40,12 +41,12 @@ SWEEP_TWO = CampaignRequest(specs=tuple(POOL[1:]))
 
 
 async def run_service(tmp: Path) -> tuple[dict, dict, int]:
-    service = CampaignService(workers=1)
+    service = CampaignService()
     await service.start()
     server = await serve_tcp(service)
     port = server.sockets[0].getsockname()[1]
     print(f"service up on 127.0.0.1:{port} "
-          f"(workers={service.workers}, in-memory cache)")
+          f"(fleet of {service.workers} worker, in-memory cache)")
     try:
         one = await CampaignClient.connect(port=port)
         two = await CampaignClient.connect(port=port)

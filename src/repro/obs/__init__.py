@@ -13,14 +13,14 @@ streams are byte-identical across workers, shards, engines, quanta,
 and faults; no metric or span value may therefore enter a spec, a cache
 key, a record field, or the bytes/order of a stream.  Telemetry on and
 off must be observationally equivalent to every record consumer -
-property-tested in ``tests/test_obs.py`` by diffing campaign CLI,
-shard-launcher, and service streams under ``REPRO_OBS=1`` vs ``0``.
+property-tested in ``tests/test_obs.py`` by diffing campaign CLI
+(serial and fleet-backed) and service streams under ``REPRO_OBS=1`` vs
+``0``.
 
 Three export surfaces, all read-only:
 
 * the service's ``metrics`` protocol op (snapshot JSON, ``seq``-echoed);
-* ``python -m repro.sim.campaign ... --metrics out.json`` dumps (the
-  shard launcher merges per-shard dumps via :func:`merge_snapshots`);
+* ``python -m repro.sim.campaign ... --metrics out.json`` dumps;
 * the live terminal dashboard, ``python -m repro.sim.service.dashboard
   HOST:PORT``.
 
@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     dump,
     gauge,
     histogram,
-    merge_snapshots,
     snapshot,
 )
 from repro.obs.tracing import TRACER, Tracer, span
@@ -82,7 +81,6 @@ __all__ = [
     "enabled",
     "gauge",
     "histogram",
-    "merge_snapshots",
     "metrics",
     "snapshot",
     "span",

@@ -24,25 +24,23 @@ Semantics, deliberately small:
   (``set_fn``) sampled at snapshot time (queue depths, heartbeat age);
 * **Histogram** - fixed bucket layout chosen at creation
   (:data:`SECONDS_BUCKETS` / :data:`FAST_SECONDS_BUCKETS`), cumulative
-  ``le`` counts plus ``count``/``sum``; layouts are part of the metric's
-  identity so shard snapshots merge bucket-by-bucket.
+  ``le`` counts plus ``count``/``sum``.
 
 **Label cardinality is bounded**: a metric holds at most
 :data:`MAX_SERIES` label combinations; the excess folds into one
 ``other="overflow"`` series instead of growing without limit (a campaign
 sweeping a million cells must not allocate a million series).
 
-Everything is process-local.  Worker subprocesses and multiprocessing
-pool children accumulate into their own registries, which die with them;
-parent-side metrics therefore time and count at *observation* points
-(the dispatcher's await, the cache-put callback), and the shard launcher
-merges child ``--metrics`` dumps explicitly (:func:`merge_snapshots`).
+Everything is process-local.  Worker subprocesses of the supervised
+fleet accumulate into their own registries, which die with them and are
+not yet sent home; parent-side metrics therefore time and count at
+*observation* points (the dispatcher's await, the cache-put callback).
 Increments are plain attribute updates - atomic enough under the GIL for
 telemetry; series *creation* is locked.
 
 ``REPRO_OBS=0`` in the environment disables the default registry at
 import (benchmarks use it to measure the bare path; the flag inherits
-into launcher shards and fleet workers automatically).
+into fleet workers automatically).
 """
 
 from __future__ import annotations
@@ -327,44 +325,6 @@ def histogram(name: str, help: str = "", buckets=SECONDS_BUCKETS) -> Histogram:
 
 def snapshot() -> dict:
     return REGISTRY.snapshot()
-
-
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Aggregate snapshots from several processes (the launcher recipe).
-
-    Counters and histogram buckets sum (the layouts must match - they are
-    part of the metric's identity); gauges take the max, the only
-    aggregate that is meaningful for point-in-time values like queue
-    depth without inventing per-process identity labels.
-    """
-    merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snap in snapshots:
-        for name, series in snap.get("counters", {}).items():
-            out = merged["counters"].setdefault(name, {})
-            for key, value in series.items():
-                out[key] = out.get(key, 0) + value
-        for name, series in snap.get("gauges", {}).items():
-            out = merged["gauges"].setdefault(name, {})
-            for key, value in series.items():
-                out[key] = max(out.get(key, value), value)
-        for name, series in snap.get("histograms", {}).items():
-            out = merged["histograms"].setdefault(name, {})
-            for key, cell in series.items():
-                into = out.get(key)
-                if into is None:
-                    out[key] = {"count": cell["count"], "sum": cell["sum"],
-                                "le": list(cell["le"]),
-                                "buckets": list(cell["buckets"])}
-                    continue
-                if into["le"] != cell["le"]:
-                    raise ValueError(
-                        f"histogram {name!r} bucket layouts differ; "
-                        f"snapshots are not mergeable")
-                into["count"] += cell["count"]
-                into["sum"] += cell["sum"]
-                into["buckets"] = [a + b for a, b in
-                                   zip(into["buckets"], cell["buckets"])]
-    return merged
 
 
 def dump(path, registry: MetricsRegistry | None = None) -> None:

@@ -2,8 +2,8 @@
 
 A *span* is one named, timed region with optional attributes and a
 parent link (spans opened inside another span on the same task/thread
-nest via a :mod:`contextvars` stack, so async service code and pool
-threads each see their own ancestry).  Finished spans land in a bounded
+nest via a :mod:`contextvars` stack, so async tasks and threads each
+see their own ancestry).  Finished spans land in a bounded
 ring buffer - the tracer never grows without limit and dropping the
 oldest spans is the designed behaviour, not a failure.
 

@@ -4,8 +4,8 @@ The paper's core argument is that automotive parts differentiate on
 *system scenarios* - OSEK task sets, CAN body networks, soft-error
 resilience - not just core throughput.  This module turns such sweeps into
 first-class objects: a list of :class:`ScenarioSpec` cells fanned across
-``multiprocessing`` workers, where each cell belongs to a **scenario
-domain** (see :mod:`repro.sim.domains`):
+a supervised fleet of worker processes, where each cell belongs to a
+**scenario domain** (see :mod:`repro.sim.domains`):
 
 * ``kernel`` - AutoIndy kernels on the core models (Table 1 / Figure 4),
   optionally under deterministic IRQ storms;
@@ -60,17 +60,25 @@ One request shape, many front doors
 Every way a campaign runs goes through :class:`CampaignRequest`
 (:mod:`repro.sim.campaign.request`): the library call
 (:func:`execute_request`), the CLI (which parses its flags *into* a
-request), the ``--launch N`` shard launcher (which derives each child's
-argv *from* the request via :meth:`CampaignRequest.cli_argv`), and the
-resident campaign service.
+request), and the resident campaign service.
+
+One executor sends cells to other processes: the supervised worker fleet
+(:class:`repro.sim.service.supervisor.WorkerSupervisor`).  A local run
+with ``workers >= 2`` (``--workers N``) computes its cache misses on a
+fleet of its own, and the service always runs its cells on one, so both
+share the fleet's failure model: deadlines, requeue of lost cells, and
+quarantine.  A cell the fleet cannot compute streams as a
+:class:`CellErrorRecord` in its slot.  The serial loop (``workers`` of
+``None`` or 1) runs in this process, is the reference every
+byte-identity test compares against, and lets a failing cell raise.
 
 The campaign service (``repro.sim.service``)
 --------------------------------------------
 
 ``python -m repro.sim.service`` runs a long-lived asyncio sweep server
-over the same worker pools; ``python -m repro.sim.campaign --connect
-HOST:PORT`` (or :class:`repro.sim.service.CampaignClient`) submits
-requests to it instead of running locally.  The wire protocol is
+on the same supervised worker fleet; ``python -m repro.sim.campaign
+--connect HOST:PORT`` (or :class:`repro.sim.service.CampaignClient`)
+submits requests to it instead of running locally.  The wire protocol is
 line-oriented JSON (one message per ``\\n``-terminated line, canonical
 ``sort_keys`` encoding) over TCP or stdio:
 
@@ -93,7 +101,7 @@ line-oriented JSON (one message per ``\\n``-terminated line, canonical
   full), ``unknown-request``, ``duplicate-request``, ``unknown-op``.
 
 Ordering and dedup guarantees: a request's record stream is exactly the
-bytes a local pooled run of the same request would write (records are
+bytes a local run of the same request would write (records are
 pure functions of specs; the client re-serialises each record in the same
 canonical form).  Cells are deduplicated **across requests** through the
 shared content-addressed record cache keyed by ``spec.key()`` - two
@@ -102,11 +110,11 @@ finished earlier replays from the cache (``replayed``), a cell currently
 in flight for another request is joined, not recomputed (``joined``), and
 only the remainder is computed (``computed``).
 
-Run with ``--workers-proc N`` the service executes cells on a
-*supervised fleet* of worker subprocesses and the guarantees above
-survive worker crashes, hangs, and kills: a lost cell is requeued onto a
-healthy worker (see :mod:`repro.sim.service.supervisor` for the full
-failure model) and the stream stays byte-identical to a fault-free run.
+The service executes cells on a *supervised fleet* of ``--workers-proc
+N`` worker subprocesses, so the guarantees above survive worker crashes,
+hangs, and kills: a lost cell is requeued onto a healthy worker (see
+:mod:`repro.sim.service.supervisor` for the full failure model) and the
+stream stays byte-identical to a fault-free run.
 A spec the fleet cannot compute surfaces *in the stream* as a
 :class:`CellErrorRecord` - a typed per-cell ``status="error"`` record at
 the cell's spec position (domain tag ``cell_error``) - never as a
@@ -254,17 +262,18 @@ class ScenarioRecord:
 
 @dataclass
 class CellErrorRecord:
-    """A cell the service could not compute, surfaced *in the stream*.
+    """A cell the worker fleet could not compute, surfaced *in the stream*.
 
-    The supervised worker fleet quarantines a spec that kills two
-    workers in a row (and reports a spec that raises cleanly in-worker)
-    as one of these instead of failing the whole request: the client
-    sees a typed per-cell ``status="error"`` record at the cell's spec
-    position, every other cell streams normally, and ``verified`` is
-    False so sweep exit codes stay honest.  ``error`` is the failure
-    kind (``"quarantined"`` or ``"compute-error"``); ``key`` is the
-    failed cell's ``spec.key()`` so the cell can be re-run alone.  Error
-    records are never cached: a restarted service retries the spec.
+    The supervised worker fleet (behind the service and behind a local
+    ``workers >= 2`` run) quarantines a spec that kills two workers in a
+    row (and reports a spec that raises cleanly in-worker) as one of
+    these instead of failing the whole request: the client sees a typed
+    per-cell ``status="error"`` record at the cell's spec position, every
+    other cell streams normally, and ``verified`` is False so sweep exit
+    codes stay honest.  ``error`` is the failure kind (``"quarantined"``
+    or ``"compute-error"``); ``key`` is the failed cell's ``spec.key()``
+    so the cell can be re-run alone.  Error records are never cached: a
+    rerun, or a restarted service, retries the spec.
     """
 
     label: str
@@ -551,95 +560,9 @@ def _parse_shard(text: str) -> tuple[int, int]:
         raise ValueError(f"--shard wants K/N (e.g. 0/4), got {text!r}") from exc
 
 
-def launch_shards(request: CampaignRequest, count: int, stream_path: str,
-                  retries: int = 2, echo=print) -> int:
-    """Spawn ``count`` shard subprocesses and concatenate their streams.
-
-    The distribution recipe, automated: every child runs the same
-    named-matrix :class:`CampaignRequest` with a distinct ``shard=
-    (k, count)`` and its own stream file; failed shards are retried
-    (records are pure functions of specs, so a retry is always safe and,
-    with a shared cache, cheap); the shard streams are concatenated in
-    ``k`` order into ``stream_path``, which is byte-identical to an
-    unsharded run.  Returns the worst child exit code (0 = all ran and
-    verified).
-
-    Each child's command line is derived from the request itself
-    (:meth:`CampaignRequest.cli_argv`), not rebuilt flag by flag - so a
-    request field added tomorrow flows through the launcher automatically.
-
-    When the request carries a ``metrics`` path, each child dumps its own
-    snapshot to ``<path>.shardK`` and the launcher merges them into
-    ``<path>`` (counters and histograms sum, gauges take the max) -
-    telemetry is observational only, so a shard retried without a dump
-    just contributes nothing to the merge.
-    """
-    import dataclasses
-    import subprocess
-    import sys
-
-    if request.shard is not None:
-        raise ValueError("launch_shards partitions the whole request; "
-                         "it cannot start from an already-sharded one")
-    shard_paths = [f"{stream_path}.shard{k}" for k in range(count)]
-    metric_paths = ([f"{request.metrics}.shard{k}" for k in range(count)]
-                    if request.metrics else None)
-    commands = [
-        [sys.executable, "-m", "repro.sim.campaign",
-         *dataclasses.replace(
-             request.with_shard((k, count)),
-             metrics=metric_paths[k] if metric_paths else None).cli_argv(),
-         "--stream", shard_paths[k]]
-        for k in range(count)
-    ]
-    exit_codes = [None] * count
-    procs = [subprocess.Popen(cmd) for cmd in commands]
-    for k, proc in enumerate(procs):
-        exit_codes[k] = proc.wait()
-    for attempt in range(retries):
-        failed = [k for k in range(count)
-                  if exit_codes[k] not in (0, 2)]  # 2 = ran, unverified
-        if not failed:
-            break
-        echo(f"retrying shards {failed} (attempt {attempt + 1}/{retries})")
-        retry_procs = {k: subprocess.Popen(commands[k]) for k in failed}
-        for k, proc in retry_procs.items():
-            exit_codes[k] = proc.wait()
-    worst = max((code if code is not None else 1) for code in exit_codes)
-    if any(code not in (0, 2) for code in exit_codes):
-        echo(f"shard exit codes: {exit_codes}; stream not assembled")
-        return worst
-    with open(stream_path, "wb") as out:
-        for path in shard_paths:
-            with open(path, "rb") as shard_stream:
-                out.write(shard_stream.read())
-    import os
-
-    for path in shard_paths:
-        os.remove(path)
-    if metric_paths:
-        snapshots = []
-        for path in metric_paths:
-            try:
-                with open(path, encoding="utf-8") as dump_file:
-                    snapshots.append(json.load(dump_file))
-                os.remove(path)
-            except (OSError, json.JSONDecodeError):
-                continue  # observational: a missing dump loses no records
-        merged = obs.merge_snapshots(snapshots)
-        with open(request.metrics, "w", encoding="utf-8") as out:
-            json.dump(merged, out, indent=1, sort_keys=True)
-            out.write("\n")
-    echo(f"launched {count} shards -> {stream_path} "
-         f"(exit codes {exit_codes})")
-    return worst
-
-
 def build_parser():
     """The CLI flag parser.  Flags parse into a :class:`CampaignRequest`
-    via :func:`request_from_args`; :meth:`CampaignRequest.cli_argv` is the
-    inverse, and the two are round-trip tested so launcher-spawned shard
-    commands can never drift from the parser."""
+    via :func:`request_from_args`."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -653,14 +576,11 @@ def build_parser():
     parser.add_argument("--scale", type=int, default=1)
     parser.add_argument("--shard", type=_parse_shard, default=None,
                         metavar="K/N", help="run the K-th of N partitions")
-    parser.add_argument("--launch", type=int, default=None, metavar="N",
-                        help="orchestrate: spawn N --shard subprocesses "
-                             "(sharing --cache when given), retry failures, "
-                             "and concatenate their streams into --stream "
-                             "in shard order")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="retry budget per failed shard under --launch")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="N >= 2 computes the cells on a supervised "
+                             "fleet of N worker processes (a failing cell "
+                             "streams as a cell_error record); default "
+                             "serial, in this process")
     parser.add_argument("--stream", default=None, metavar="PATH",
                         help="write records to PATH as canonical JSONL "
                              "(truncated first: shard retries must replace, "
@@ -673,11 +593,9 @@ def build_parser():
     parser.add_argument("--metrics", default=None, metavar="PATH",
                         help="dump a telemetry snapshot (repro.obs "
                              "registry JSON) to PATH after the run; "
-                             "implies REPRO_OBS=1 for this process and, "
-                             "under --launch, per-shard dumps merged "
-                             "into PATH.  Purely observational: record "
-                             "streams are byte-identical with or "
-                             "without it")
+                             "implies REPRO_OBS=1 for this process.  "
+                             "Purely observational: record streams are "
+                             "byte-identical with or without it")
     parser.add_argument("--priority", type=int, default=0,
                         help="service-side scheduling priority (higher "
                              "runs first; only meaningful with --connect)")
@@ -703,13 +621,12 @@ def main(argv: list[str] | None = None) -> int:
 
     A thin client over the request core: flags parse into one
     :class:`CampaignRequest`, which is then executed locally
-    (:func:`execute_request`), fanned out as shard subprocesses
-    (``--launch``), or submitted to a resident campaign service
+    (:func:`execute_request`) or submitted to a resident campaign service
     (``--connect``).
     """
     # Use the canonically-imported module, not this (possibly __main__)
-    # namespace: worker processes and stream readers must see one set of
-    # spec/record classes regardless of how the CLI was launched.
+    # namespace: stream readers must see one set of spec/record classes
+    # regardless of how the CLI was launched.
     from repro.sim import campaign as mod
 
     parser = mod.build_parser()
@@ -732,19 +649,6 @@ def main(argv: list[str] | None = None) -> int:
         # Telemetry on for this process; the record stream is unaffected
         # (property-tested: bytes identical with REPRO_OBS on and off).
         obs.enable()
-
-    if args.launch is not None:
-        if args.launch < 1:
-            parser.error("--launch wants a positive shard count")
-        if args.shard is not None:
-            parser.error("--launch and --shard are mutually exclusive")
-        if not args.stream:
-            parser.error("--launch needs --stream for the assembled output")
-        if args.connect:
-            parser.error("--launch runs locally; a service already fans "
-                         "out by itself (submit the request via --connect)")
-        return mod.launch_shards(request, args.launch, args.stream,
-                                 retries=args.retries)
 
     total = len(matrices[args.matrix](args.seed, args.scale))
     if args.stream:

@@ -1,25 +1,27 @@
 """The one campaign request shape - and the one runner core under it.
 
 Every way a campaign is run - the library call, the ``python -m
-repro.sim.campaign`` CLI, the ``--launch N`` shard launcher, and the
-resident service (:mod:`repro.sim.service`) - describes the sweep with the
-same :class:`CampaignRequest`: either an explicit spec list or a named
-matrix plus ``seed``/``scale``, an optional ``shard=(k, n)`` partition,
-worker-pool and cache settings, and a service-side ``priority``.  The
-request is a frozen dataclass with a canonical JSON form
-(:meth:`CampaignRequest.to_obj` / :meth:`CampaignRequest.from_obj`), so the
-same object rides the service's wire protocol, and a CLI-equivalent argv
-(:meth:`CampaignRequest.cli_argv`), so the shard launcher can never drift
-from the flag parser: both are derived from the request, not rebuilt by
-hand.
+repro.sim.campaign`` CLI, and the resident service
+(:mod:`repro.sim.service`) - describes the sweep with the same
+:class:`CampaignRequest`: either an explicit spec list or a named matrix
+plus ``seed``/``scale``, an optional ``shard=(k, n)`` partition, worker
+and cache settings, and a service-side ``priority``.  The request is a
+frozen dataclass with a canonical JSON form
+(:meth:`CampaignRequest.to_obj` / :meth:`CampaignRequest.from_obj`), so
+the same object rides the service's wire protocol.
 
-:func:`execute_request` is the single local runner core.
+:func:`execute_request` is the single local runner core.  It has two
+executors and picks one from ``workers`` alone: ``workers >= 2`` computes
+the cache misses on a supervised worker fleet
+(:class:`~repro.sim.service.supervisor.WorkerSupervisor`, the service's
+executor) and inherits its failure model, while anything less runs the
+in-process serial loop, the reference every byte-identity test compares
+against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass
 
 
@@ -89,14 +91,18 @@ class CampaignRequest:
     ``seed``/``scale``) or ``specs`` (explicit cells) may be set; ``shard``
     selects the ``k``-th of ``n`` contiguous partitions of the resolved
     list.  ``workers`` and ``cache`` configure local execution
-    (:func:`execute_request`); a service executing the request uses its
-    own shared pool and cache and ignores them.  ``priority`` orders the
-    request against other clients' sweeps on a service (higher runs
-    first); local execution ignores it.  ``metrics`` asks the CLI front
-    ends to dump a :mod:`repro.obs` telemetry snapshot to that path after
-    the run (the launcher merges per-shard dumps); like every telemetry
-    knob it is out-of-band - record streams are byte-identical with or
-    without it.
+    (:func:`execute_request`): ``workers >= 2`` runs the cells on a
+    supervised fleet of that many worker processes, with its failure
+    model (a cell that raises or keeps killing workers becomes a
+    :class:`~repro.sim.campaign.CellErrorRecord` in its slot), while
+    ``None`` or 1 runs the in-process serial loop, the reference, where
+    such a cell raises.  A service executing the request uses its own
+    fleet and cache and ignores both.  ``priority`` orders the request
+    against other clients' sweeps on a service (higher runs first); local
+    execution ignores it.  ``metrics`` asks the CLI front ends to dump a
+    :mod:`repro.obs` telemetry snapshot to that path after the run; like
+    every telemetry knob it is out-of-band - record streams are
+    byte-identical with or without it.
     """
 
     matrix: str | None = None
@@ -139,33 +145,6 @@ class CampaignRequest:
         """The same request restricted to one shard partition."""
         return dataclasses.replace(self, shard=shard)
 
-    def cli_argv(self) -> list[str]:
-        """``python -m repro.sim.campaign`` flags reproducing this request.
-
-        Only named-matrix requests can ride an argv (explicit specs have
-        no flag form).  The shard launcher builds every child command from
-        this - one encoding of the request shape, shared with the flag
-        parser, so a new request field cannot silently miss the launcher
-        path (see ``test_request_cli_argv_round_trip``).
-        """
-        if not self.matrix:
-            raise ValueError(
-                "only named-matrix requests can be rebuilt as a command line; "
-                "this request carries explicit specs")
-        argv = ["--matrix", self.matrix,
-                "--seed", str(self.seed), "--scale", str(self.scale)]
-        if self.shard is not None:
-            argv += ["--shard", f"{self.shard[0]}/{self.shard[1]}"]
-        if self.workers is not None:
-            argv += ["--workers", str(self.workers)]
-        if self.cache:
-            argv += ["--cache", self.cache]
-        if self.priority:
-            argv += ["--priority", str(self.priority)]
-        if self.metrics:
-            argv += ["--metrics", self.metrics]
-        return argv
-
     def to_obj(self) -> dict:
         """The canonical JSON-able form (the service ``submit`` payload)."""
         return {
@@ -204,17 +183,24 @@ def execute_request(request: CampaignRequest, *, stream_path=None,
     """Run a :class:`CampaignRequest` locally - the one runner core.
 
     ``stream_path`` appends each record to that file as one canonical JSON
-    line as soon as it comes off a worker, in input order; ``collect``
-    defaults to False when streaming and True otherwise; ``on_record`` is
-    called with each record in input order.  ``cache`` (a directory path
-    or a :class:`~repro.sim.campaign.cache.RecordCache`) overrides
+    line as soon as it is ready, in input order; ``collect`` defaults to
+    False when streaming and True otherwise; ``on_record`` is called with
+    each record in input order.  ``cache`` (a directory path or a
+    :class:`~repro.sim.campaign.cache.RecordCache`) overrides
     ``request.cache``; either way, replayed cells interleave exactly where
     a cold run would have produced them, so the output - stream bytes
     included - is byte-identical to a cold run.
 
-    Output is byte-identical for every ``workers`` value: records are pure
-    functions of their specs and come back in input order regardless of
-    worker scheduling.
+    ``request.workers >= 2`` computes the cache misses on a supervised
+    fleet of ``min(workers, misses)`` worker processes: a cell that raises
+    in its worker, or that keeps killing workers, comes back as a
+    :class:`~repro.sim.campaign.CellErrorRecord` in its slot, and a fleet
+    that dies past its respawn budget raises
+    :class:`~repro.sim.service.supervisor.WorkerPoolError`.  Otherwise
+    the cells run serially in this process, and a cell that raises
+    propagates.  Records are pure functions of their specs and come back
+    in input order, so a run whose cells all compute is byte-identical
+    for every ``workers`` value.
     """
     from repro import obs
     from repro.sim.campaign import CampaignResult, _record_json, run_scenario
@@ -242,7 +228,7 @@ def execute_request(request: CampaignRequest, *, stream_path=None,
     cached = [None] * len(specs) if cache is None else [cache.get(s) for s in specs]
     misses = [s for s, hit in zip(specs, cached) if hit is None]
 
-    # Out-of-band telemetry, counted parent-side so pool children (whose
+    # Out-of-band telemetry, counted parent-side so fleet workers (whose
     # process-local registries die with them) still show up: every cell
     # requested, every cache replay, every freshly computed record.
     if obs.REGISTRY.enabled:
@@ -265,21 +251,58 @@ def execute_request(request: CampaignRequest, *, stream_path=None,
         return record
 
     try:
-        if workers is None or workers <= 1 or len(misses) <= 1:
+        if workers is not None and workers >= 2 and misses:
+            # asyncio and the fleet load only on this branch: their
+            # ~90 ms import must not reach a serial run's start-up
+            import asyncio
+
+            asyncio.run(_run_on_fleet(specs, cached, misses, min(workers, len(misses)),
+                                      consume, computed))
+        else:
             for spec, hit in zip(specs, cached):
                 consume(hit if hit is not None
                         else computed(run_scenario(spec), spec))
-        else:
-            with multiprocessing.Pool(processes=min(workers, len(misses))) as pool:
-                # imap (not map): records arrive incrementally, and pulling
-                # the miss iterator while walking specs in input order keeps
-                # cache replays interleaved exactly where a cold run would
-                # have produced those records
-                miss_records = pool.imap(run_scenario, misses, chunksize=1)
-                for spec, hit in zip(specs, cached):
-                    consume(hit if hit is not None
-                            else computed(next(miss_records), spec))
     finally:
         if stream is not None:
             stream.close()
     return CampaignResult(records=records)
+
+
+async def _run_on_fleet(specs, cached, misses, size, consume, computed) -> None:
+    """:func:`execute_request`'s ``workers >= 2`` executor.
+
+    Runs ``misses`` on a ``size``-worker fleet with at most ``size``
+    ``run_cell`` calls outstanding (each waiting checkout polls the
+    fleet), consumes every record in spec order as it arrives, and
+    drains the fleet on every exit path.  A :class:`CellFailed` becomes
+    its :class:`~repro.sim.campaign.CellErrorRecord` in that slot,
+    neither cached nor counted as computed.
+    """
+    import asyncio
+
+    from repro.sim.service.supervisor import CellFailed, WorkerSupervisor
+
+    supervisor = WorkerSupervisor(size)
+    slots = asyncio.Semaphore(size)
+
+    async def compute(spec):
+        async with slots:
+            return await supervisor.run_cell(spec)
+
+    tasks: list[asyncio.Task] = []
+    try:
+        await supervisor.start()
+        tasks = [asyncio.create_task(compute(spec)) for spec in misses]
+        fresh = iter(tasks)
+        for spec, hit in zip(specs, cached):
+            if hit is None:
+                try:
+                    hit = computed(await next(fresh), spec)
+                except CellFailed as exc:
+                    hit = exc.record(spec)
+            consume(hit)
+    finally:
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await supervisor.stop()

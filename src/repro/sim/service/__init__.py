@@ -5,7 +5,7 @@ turns the runner into a long-lived **service** that many concurrent
 clients submit :class:`~repro.sim.campaign.CampaignRequest`\\ s to, with:
 
 * per-request **streaming** of records as cells complete, always in spec
-  order, byte-identical to a local pooled run of the same request;
+  order, byte-identical to a local run of the same request;
 * **cross-request dedup** through the shared content-addressed record
   cache (``spec.key()``): overlapping sweeps from concurrent clients
   compute the union of cells once;
@@ -14,13 +14,13 @@ clients submit :class:`~repro.sim.campaign.CampaignRequest`\\ s to, with:
   **resume** from the cache.
 
 Run it:  ``python -m repro.sim.service --port 0 --port-file port.txt
---workers 4 --cache sweep-cache`` (or ``--stdio`` for a single piped
-client).  Talk to it: ``python -m repro.sim.campaign --matrix smoke
+--workers-proc 4 --cache sweep-cache`` (or ``--stdio`` for a single
+piped client).  Talk to it: ``python -m repro.sim.campaign --matrix smoke
 --connect 127.0.0.1:PORT --stream out.jsonl``, or programmatically via
 :class:`CampaignClient` / :func:`submit_and_stream`.
 
-**The failure model** (``--workers-proc N``): cells execute on a
-supervised fleet of worker *subprocesses* (:class:`WorkerSupervisor`
+**The failure model**: cells execute on a supervised fleet of
+``--workers-proc N`` worker *subprocesses* (:class:`WorkerSupervisor`
 over :mod:`repro.sim.service.worker`), so a segfault, OOM kill, wedged
 cell, or plain SIGKILL takes out one worker, never the service.  The
 supervisor observes exactly three failure signals - a closed pipe
@@ -74,7 +74,7 @@ Three ways to look at it:
   a registry snapshot plus recent spans, ``seq``-echoed like any other
   reply - and answers empty series, not an error, when telemetry is off;
 * ``python -m repro.sim.campaign --metrics out.json`` dumps a snapshot
-  after a CLI or ``--launch`` run (shard dumps are merged);
+  after a CLI run;
 * ``python -m repro.sim.service.dashboard HOST:PORT`` renders a live
   terminal dashboard - queue depth, fleet health, cells/sec, dedup
   rate, per-domain progress - by polling ``status`` + ``metrics``

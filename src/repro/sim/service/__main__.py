@@ -36,19 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve exactly one client over stdin/stdout instead of TCP",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="cell worker pool size (2+ uses a process pool; default serial)",
-    )
-    parser.add_argument(
         "--workers-proc",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="run cells on a supervised fleet of N worker subprocesses "
-        "instead of --workers: crashes/hangs are detected, lost cells "
-        "requeue with backoff, dead workers respawn up to a budget",
+        help="fleet size: cells run on N supervised worker subprocesses "
+        "(default 1); crashes/hangs are detected, lost cells requeue with "
+        "backoff, dead workers respawn up to a budget",
     )
     parser.add_argument(
         "--cell-timeout",
@@ -134,21 +128,19 @@ async def _amain(args) -> int:
         from repro.sim.service.chaos import ChaosSchedule
 
         chaos = ChaosSchedule.from_spec(args.chaos)
-    supervisor_options = {}
-    if args.heartbeat is not None:
-        supervisor_options["heartbeat"] = args.heartbeat
-    if args.quarantine_strikes is not None:
-        supervisor_options["quarantine_strikes"] = args.quarantine_strikes
+    options = {
+        "cell_timeout": args.cell_timeout,
+        "respawn_budget": args.respawn_budget,
+        "heartbeat": args.heartbeat,
+        "quarantine_strikes": args.quarantine_strikes,
+        "chaos": chaos,
+    }
     service = CampaignService(
-        workers=args.workers,
+        workers_proc=args.workers_proc,
         cache=args.cache,
         max_pending=args.max_pending,
         max_active_cells=args.max_cells,
-        workers_proc=args.workers_proc,
-        cell_timeout=args.cell_timeout,
-        respawn_budget=args.respawn_budget,
-        chaos=chaos,
-        supervisor_options=supervisor_options or None,
+        supervisor_options={k: v for k, v in options.items() if v is not None},
     )
     await service.start()
     try:

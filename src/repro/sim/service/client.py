@@ -4,7 +4,7 @@
 :class:`~repro.sim.campaign.CampaignRequest`, then ``stream`` its records
 - which arrive in spec order and are re-serialised in the campaign's
 canonical record form, so a streamed file is byte-identical to a local
-pooled run of the same request.  One connection multiplexes freely:
+run of the same request.  One connection multiplexes freely:
 ``status`` and ``cancel`` work while a stream is in flight (every
 operation carries a ``seq`` the server echoes on its replies).
 

@@ -46,24 +46,22 @@ keys keep their meaning):
 ``protocol``           :data:`PROTOCOL_VERSION` of the serving process
 ``uptime_s``           seconds since :meth:`CampaignService.start`
                        (monotonic clock, rounded to milliseconds)
-``pool``               worker-pool mode: ``"workers-proc"`` (supervised
-                       worker-subprocess fleet), ``"process-pool"``
-                       (multiprocessing pool), or ``"in-proc"``
+``pool``               always ``"workers-proc"``: cells run on the
+                       supervised worker-subprocess fleet
 ``active``             requests not yet finished or cancelled
 ``active_cells``       cells belonging to active requests
 ``computed``           cells computed since start (global)
 ``cache_hits`` /       shared record-cache outcomes since start
 ``cache_misses``
 ``inflight``           cells currently being computed
-``workers``            configured worker count
-``supervised``         true under the supervised fleet
+``workers``            configured fleet size
+``supervised``         always true
 ``max_pending`` /      the bounded queue capacities (back-pressure)
 ``max_active_cells``
 ``requests``           per-request objects: ``id``, ``state``,
                        ``cells``, ``streamed``, ``priority``
-``supervisor``         (supervised fleet only) the supervisor summary:
-                       spawned/lost/respawns/requeues/quarantined plus
-                       per-worker state
+``supervisor``         the supervisor summary: workers/alive/idle,
+                       lost/respawns/respawn_budget/requeues/quarantined
 =====================  ================================================
 
 **metrics** (``{"op": "metrics", "seq": S}``) answers ``{"op":

@@ -1,14 +1,14 @@
-"""The resident campaign sweep server: asyncio over the worker pools.
+"""The resident campaign sweep server: asyncio over a supervised fleet.
 
-:class:`CampaignService` holds the shared state - one worker pool, one
-content-addressed record cache, one priority queue of cells - and any
-number of transports feed it connections (:func:`serve_tcp`,
+:class:`CampaignService` holds the shared state - one supervised worker
+fleet, one content-addressed record cache, one priority queue of cells -
+and any number of transports feed it connections (:func:`serve_tcp`,
 :func:`serve_stdio`, or tests calling :meth:`CampaignService.submit`
 directly).  The design invariants:
 
 * **Spec-order streaming.**  Each request's records are delivered in spec
   order no matter how workers interleave; a streaming client's file is
-  byte-identical to a local pooled run of the same request.
+  byte-identical to a local run of the same request.
 * **Cross-request dedup.**  A cell is identified by ``spec.key()``.
   Before computing, a request consults the shared cache (cells finished
   by *anyone*, ever, with a disk cache) and the in-flight table (cells
@@ -25,8 +25,8 @@ directly).  The design invariants:
 * **Crash resume.**  Every computed cell is ``put`` into the cache as it
   completes, so a service killed mid-sweep and restarted on the same
   cache directory replays the finished cells and computes only the rest.
-* **Supervised workers.**  With ``workers_proc=N`` cells execute on a
-  supervised fleet of worker *subprocesses*
+* **Supervised workers.**  Cells execute on a supervised fleet of
+  ``workers_proc`` worker *subprocesses*
   (:mod:`repro.sim.service.supervisor`): worker death (SIGKILL, crash,
   closed pipe), hangs (heartbeat silence), and per-cell deadline
   overruns are detected and the lost cell is requeued onto a healthy
@@ -45,7 +45,7 @@ directly).  The design invariants:
   cells already executing (they land in the cache), fails the rest
   typed, answers every open stream with a ``shutting-down`` error frame
   (its ``seq`` echoed) instead of a bare closed socket, flushes the disk
-  cache, and only then stops the pool.
+  cache, and only then stops the fleet.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro import obs
-from repro.sim.campaign import CellErrorRecord, run_scenario
 from repro.sim.campaign.cache import MemoryRecordCache, RecordCache
 from repro.sim.campaign.request import CampaignRequest, record_to_obj
 from repro.sim.service.protocol import (
@@ -163,26 +161,24 @@ class _RequestState:
 class CampaignService:
     """A long-running sweep server many concurrent clients submit to.
 
-    ``workers`` sizes the cell pool: 2+ uses a process pool (the same
-    worker entry the campaign runner forks, ``run_scenario``); 0/1/None
-    computes serially on a single thread (determinism is unaffected -
-    records are pure functions of specs).  ``cache`` is a directory path,
-    a :class:`RecordCache`, or None for a process-lifetime in-memory
-    cache.  Call :meth:`start` inside a running event loop, then hand
-    :meth:`handle_connection` to any stream transport.
+    ``workers_proc`` sizes the supervised worker fleet every cell runs on
+    (determinism is unaffected - records are pure functions of specs);
+    ``supervisor_options`` is passed unchanged to
+    :class:`~repro.sim.service.supervisor.WorkerSupervisor` (deadlines,
+    heartbeat, respawn budget, quarantine strikes, chaos schedule).
+    ``cache`` is a directory path, a :class:`RecordCache`, or None for a
+    process-lifetime in-memory cache.  Call :meth:`start` inside a
+    running event loop, then hand :meth:`handle_connection` to any
+    stream transport.
     """
 
     def __init__(
         self,
         *,
-        workers: int | None = None,
+        workers_proc: int = 1,
         cache=None,
         max_pending: int = 8,
         max_active_cells: int = 100_000,
-        workers_proc: int | None = None,
-        cell_timeout: float | None = None,
-        respawn_budget: int | None = None,
-        chaos=None,
         supervisor_options: dict | None = None,
     ):
         if cache is None:
@@ -190,18 +186,8 @@ class CampaignService:
         elif not isinstance(cache, RecordCache):
             cache = RecordCache(cache)
         self.cache = cache
-        if workers_proc is not None and workers is not None:
-            raise ValueError("pick one pool: workers (in-process) or "
-                             "workers_proc (supervised subprocesses)")
-        self.workers_proc = workers_proc
-        self.workers = max(1, workers_proc or workers or 1)
-        self._supervisor_kwargs = dict(supervisor_options or {})
-        if cell_timeout is not None:
-            self._supervisor_kwargs.setdefault("cell_timeout", cell_timeout)
-        if respawn_budget is not None:
-            self._supervisor_kwargs.setdefault("respawn_budget", respawn_budget)
-        if chaos is not None:
-            self._supervisor_kwargs.setdefault("chaos", chaos)
+        self.workers = max(1, workers_proc)
+        self._supervisor = WorkerSupervisor(self.workers, **(supervisor_options or {}))
         self.max_pending = max_pending
         self.max_active_cells = max_active_cells
         self.requests: dict[str, _RequestState] = {}
@@ -212,8 +198,6 @@ class CampaignService:
         self._active = 0  # unfinished requests
         self._active_cells = 0  # their total cells
         self._closing = False
-        self._executor = None
-        self._supervisor: WorkerSupervisor | None = None
         self._dispatcher: asyncio.Task | None = None
         self._request_tasks: set[asyncio.Task] = set()
         self._cell_tasks: set[asyncio.Task] = set()
@@ -226,15 +210,8 @@ class CampaignService:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Create the worker pool and start the cell dispatcher."""
-        if self.workers_proc is not None:
-            self._supervisor = WorkerSupervisor(self.workers_proc,
-                                                **self._supervisor_kwargs)
-            await self._supervisor.start()
-        elif self.workers >= 2:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        else:
-            self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="campaign-cell")
+        """Spawn the worker fleet and start the cell dispatcher."""
+        await self._supervisor.start()
         self._queue = asyncio.PriorityQueue()
         self._slots = asyncio.Semaphore(self.workers)
         self._unpaused = asyncio.Event()
@@ -271,7 +248,7 @@ class CampaignService:
         abandoned, their requests finish with a shutdown error, and
         every open stream is answered with a typed ``shutting-down``
         error frame (its ``seq`` echoed) - no client ever sees a bare
-        closed socket.  The disk cache is flushed before the pool stops,
+        closed socket.  The disk cache is flushed before the fleet stops,
         so a new service started on the same cache directory completes
         interrupted sweeps from where this one stopped (the crash-resume
         recipe; a SIGKILL'd service resumes the same way, it just drains
@@ -309,10 +286,7 @@ class CampaignService:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         self.cache.flush()
-        if self._supervisor is not None:
-            await self._supervisor.stop()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        await self._supervisor.stop()
 
     def pause(self) -> None:
         """Hold the dispatcher (cells queue but none start).  Tests use
@@ -385,28 +359,18 @@ class CampaignService:
             await self._finish(state)
         return state.summary()
 
-    @property
-    def pool_mode(self) -> str:
-        """The worker-pool flavour: ``"workers-proc"`` (supervised
-        subprocess fleet), ``"process-pool"``, or ``"in-proc"``."""
-        if self.workers_proc is not None:
-            return "workers-proc"
-        if self.workers >= 2:
-            return "process-pool"
-        return "in-proc"
-
     def status(self) -> dict:
         """Global and per-request counters (the ``status`` op payload).
 
         The full payload schema is documented in
         :mod:`repro.sim.service.protocol`.
         """
-        payload = {
+        return {
             "op": "status",
             "protocol": PROTOCOL_VERSION,
             "uptime_s": (round(time.monotonic() - self._started, 3)
                          if self._started is not None else 0.0),
-            "pool": self.pool_mode,
+            "pool": "workers-proc",
             "active": self._active,
             "active_cells": self._active_cells,
             "computed": self.computed,
@@ -414,14 +378,12 @@ class CampaignService:
             "cache_misses": self.cache.misses,
             "inflight": len(self._inflight),
             "workers": self.workers,
-            "supervised": self._supervisor is not None,
+            "supervised": True,
             "max_pending": self.max_pending,
             "max_active_cells": self.max_active_cells,
             "requests": {rid: state.summary() for rid, state in self.requests.items()},
+            "supervisor": self._supervisor.summary(),
         }
-        if self._supervisor is not None:
-            payload["supervisor"] = self._supervisor.summary()
-        return payload
 
     def _get(self, rid) -> _RequestState:
         state = self.requests.get(rid)
@@ -543,13 +505,9 @@ class CampaignService:
             job.future.cancel()
 
     async def _run_cell(self, job: _CellJob) -> None:
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
-            if self._supervisor is not None:
-                record = await self._supervisor.run_cell(job.spec)
-            else:
-                record = await loop.run_in_executor(self._executor, run_scenario, job.spec)
+            record = await self._supervisor.run_cell(job.spec)
         except asyncio.CancelledError:
             self._inflight.pop(job.key, None)
             if not job.future.done():
@@ -559,8 +517,7 @@ class CampaignService:
             # the fleet gave up on this spec (quarantined, or it raised
             # in-worker): surface a typed per-cell error *record* in the
             # stream, never cached - a restarted service retries it
-            record = CellErrorRecord(label=job.spec.label, key=job.key,
-                                     error=exc.kind, message=exc.detail)
+            record = exc.record(job.spec)
             _CELLS_FAILED.inc(kind=exc.kind)
             self._inflight.pop(job.key, None)
             if not job.future.done():

@@ -2,8 +2,9 @@
 
 :class:`WorkerSupervisor` owns a pool of worker *subprocesses*
 (:mod:`repro.sim.service.worker`) speaking the service's line-JSON
-framing over pipes, and gives the campaign server one call -
-:meth:`run_cell` - with a hard robustness contract:
+framing over pipes, and gives the campaign server and the local runner
+(``execute_request`` with ``workers >= 2``) one call, :meth:`run_cell`,
+with a hard robustness contract:
 
 * **Failure detection.**  A worker is declared lost on a closed pipe or
   exit (SIGKILL, crash), on heartbeat silence longer than the liveness
@@ -20,7 +21,7 @@ framing over pipes, and gives the campaign server one call -
   records**, byte-identical to a fault-free run.
 * **Quarantine.**  A spec that kills ``quarantine_strikes`` (default 2)
   workers in a row is not retried forever: :meth:`run_cell` raises
-  :class:`CellFailed` (kind ``"quarantined"``) and the server turns it
+  :class:`CellFailed` (kind ``"quarantined"``) and the caller turns it
   into a typed ``status="error"`` record in the stream.  A spec that
   merely *raises* inside a worker costs one round trip, no respawn:
   the worker reports ``cell-error`` and stays in the fleet
@@ -48,6 +49,7 @@ import time
 from pathlib import Path
 
 from repro import obs
+from repro.sim.campaign import CellErrorRecord
 from repro.sim.campaign.request import record_from_obj, spec_to_obj
 from repro.sim.service.chaos import ChaosSchedule
 from repro.sim.service.protocol import encode_message
@@ -93,14 +95,19 @@ class CellFailed(Exception):
 
     ``"quarantined"``: the spec killed ``quarantine_strikes`` workers in
     a row.  ``"compute-error"``: the spec raised inside a (healthy)
-    worker.  The server renders both as per-cell ``status="error"``
-    records, never as transport errors.
+    worker.  The server and the local runner render both as per-cell
+    ``status="error"`` records, never as transport errors.
     """
 
     def __init__(self, kind: str, detail: str):
         super().__init__(f"{kind}: {detail}")
         self.kind = kind
         self.detail = detail
+
+    def record(self, spec) -> CellErrorRecord:
+        """The typed error record that stands in ``spec``'s stream slot."""
+        return CellErrorRecord(label=spec.label, key=spec.key(),
+                               error=self.kind, message=self.detail)
 
 
 class WorkerPoolError(Exception):

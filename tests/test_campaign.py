@@ -3,10 +3,18 @@ and interrupt-profile behaviour."""
 
 from __future__ import annotations
 
+import glob
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sim.campaign import (
     CampaignRequest,
+    CampaignResult,
+    CellErrorRecord,
     InterruptProfile,
     ScenarioSpec,
     execute_request,
@@ -240,25 +248,88 @@ def test_request_json_round_trip_is_exact():
     assert CampaignRequest.from_obj(named.to_obj()) == named
 
 
-def test_request_cli_argv_round_trip():
-    """launch_shards builds child argvs from the request; the flag parser
-    must rebuild the identical request (no drift between the two)."""
-    from repro.sim.campaign import build_parser, request_from_args
-
-    request = CampaignRequest(matrix="smoke", seed=7, scale=2,
-                              workers=3, cache="/tmp/c", priority=2)
-    for shard in (None, (1, 4)):
-        sharded = request.with_shard(shard)
-        args = build_parser().parse_args(sharded.cli_argv())
-        assert request_from_args(args) == sharded
-
-
 def test_request_validation():
     with pytest.raises(ValueError, match="not both"):
         CampaignRequest(matrix="smoke", specs=(small_matrix()[0],))
     with pytest.raises(ValueError, match="unknown matrix"):
         CampaignRequest(matrix="warp").resolve_specs()
-    with pytest.raises(ValueError, match="explicit specs"):
-        CampaignRequest(specs=(small_matrix()[0],)).cli_argv()
 
 
+# ----------------------------------------------------------------------
+# workers >= 2 runs on the supervised fleet, with its failure model
+# ----------------------------------------------------------------------
+
+def live_children() -> set[str]:
+    """PIDs of this process's children (empty where /proc lacks them)."""
+    pids: set[str] = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path, encoding="ascii") as listing:
+            pids.update(listing.read().split())
+    return pids
+
+
+def test_pooled_run_streams_a_raising_cell_as_an_error_record(tmp_path):
+    """A cell that raises in its worker becomes a typed error record in
+    its slot, never cached; the healthy cells are byte-identical to the
+    serial reference; no worker outlives the call.  The serial loop
+    still raises."""
+    from repro.sim.campaign.cache import RecordCache
+
+    healthy = small_matrix()[:3]
+    bad = ScenarioSpec(label="bad", domain="no-such-domain")
+    specs = (healthy[0], bad, *healthy[1:])
+    cache = RecordCache(tmp_path / "cache")
+    before = live_children()
+    result = execute_request(CampaignRequest(specs=specs, workers=2), cache=cache)
+    assert live_children() <= before
+
+    error = result.records[1]
+    assert isinstance(error, CellErrorRecord)
+    assert error.error == "compute-error" and error.key == bad.key()
+    others = CampaignResult(records=result.records[:1] + result.records[2:])
+    serial = execute_request(CampaignRequest(specs=tuple(healthy), workers=1))
+    assert others.to_json() == serial.to_json()
+    assert not cache.path_for(bad).exists()
+    assert all(cache.path_for(spec).exists() for spec in healthy)
+
+    with pytest.raises(KeyError):
+        execute_request(CampaignRequest(specs=specs, workers=1))
+
+
+def test_pooled_run_quarantines_a_worker_killing_cell(monkeypatch):
+    """A cell that kills every worker it lands on is quarantined, not
+    retried forever, and every other cell streams normally."""
+    import repro.sim.service.supervisor as supervisor_mod
+    from repro.sim.service import ChaosSchedule
+
+    specs = small_matrix()[:4]
+    poisoned = specs[1]
+
+    class PoisoningSupervisor(supervisor_mod.WorkerSupervisor):
+        def __init__(self, workers, **options):
+            super().__init__(workers, chaos=ChaosSchedule(poison=(poisoned.key(),)),
+                             **options)
+
+    monkeypatch.setattr(supervisor_mod, "WorkerSupervisor", PoisoningSupervisor)
+    result = execute_request(CampaignRequest(specs=tuple(specs), workers=2))
+
+    error = result.records[1]
+    assert isinstance(error, CellErrorRecord)
+    assert error.error == "quarantined" and error.key == poisoned.key()
+    others = CampaignResult(records=result.records[:1] + result.records[2:])
+    serial = execute_request(CampaignRequest(specs=(specs[0], *specs[2:])))
+    assert others.to_json() == serial.to_json()
+
+
+def test_importing_the_campaign_core_leaves_the_fleet_unloaded():
+    """The fleet (asyncio plus the service package) is imported only when
+    a run uses it, so a serial run never pays its import time."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys, repro.sim.campaign; "
+             "print(sorted(m for m in ('asyncio', 'multiprocessing', "
+             "'repro.sim.service') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

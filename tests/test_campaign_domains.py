@@ -482,33 +482,3 @@ def test_vehicle_records_are_pure_functions_of_the_spec():
     spec = ScenarioSpec(label="vehicle", domain="vehicle", seed=23,
                         params=(("sensors", 1), ("horizon_us", 120_000)))
     assert vars(run_scenario(spec)) == vars(run_scenario(spec))
-
-
-def test_launch_orchestrator_assembles_byte_identical_stream(tmp_path):
-    """python -m repro.sim.campaign --launch N: spawned shards share a
-    cache and their concatenation equals the pooled stream."""
-    pooled = tmp_path / "pooled.jsonl"
-    code = main(["--matrix", "smoke", "--stream", str(pooled)])
-    assert code == 0
-    launched = tmp_path / "launched.jsonl"
-    code = main(["--matrix", "smoke", "--launch", "3",
-                 "--stream", str(launched), "--cache",
-                 str(tmp_path / "cache")])
-    assert code == 0
-    assert launched.read_bytes() == pooled.read_bytes()
-    assert not list(tmp_path.glob("launched.jsonl.shard*"))
-    # a relaunch with a different shard count replays from the cache
-    relaunched = tmp_path / "relaunched.jsonl"
-    code = main(["--matrix", "smoke", "--launch", "2",
-                 "--stream", str(relaunched), "--cache",
-                 str(tmp_path / "cache")])
-    assert code == 0
-    assert relaunched.read_bytes() == pooled.read_bytes()
-
-
-def test_launch_flag_validation(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["--matrix", "smoke", "--launch", "2"])          # no --stream
-    with pytest.raises(SystemExit):
-        main(["--matrix", "smoke", "--launch", "2", "--shard", "0/2",
-              "--stream", str(tmp_path / "x.jsonl")])

@@ -2,13 +2,13 @@
 
 Two halves.  The unit half pins the :mod:`repro.obs` registry contract:
 counter monotonicity, lazy gauges, fixed histogram layouts, the
-MAX_SERIES cardinality fold, in-place reset under prebound handles,
-cross-process snapshot merging, and span nesting.  The property half is
-the tentpole acceptance claim - **telemetry is out-of-band**: the same
-campaign produces byte-identical record streams with ``REPRO_OBS=1``
-and ``REPRO_OBS=0`` through every front end (the one-shot CLI, the
-``--launch`` shard launcher, and the service), and the engine/campaign
-counters tick without any of them touching a record.
+MAX_SERIES cardinality fold, in-place reset under prebound handles, and
+span nesting.  The property half is the tentpole acceptance claim -
+**telemetry is out-of-band**: the same campaign produces byte-identical
+record streams with ``REPRO_OBS=1`` and ``REPRO_OBS=0`` through every
+front end (the one-shot CLI, serial and on the worker fleet, and the
+service), and the engine/campaign counters tick without any of them
+touching a record.
 """
 
 from __future__ import annotations
@@ -135,27 +135,6 @@ def test_reset_zeroes_in_place_so_prebound_handles_stay_live(registry):
     assert registry.snapshot()["counters"]["t.pre"]["mode=fused"] == 2
 
 
-def test_merge_snapshots_sums_counters_and_buckets_maxes_gauges():
-    shards = []
-    for depth, observations in ((2, (0.05,)), (9, (0.5, 5.0))):
-        registry = MetricsRegistry(enabled=True)
-        counter = registry.counter("m.cells")
-        for _ in observations:
-            counter.inc(domain="osek")
-        registry.gauge("m.depth").set(depth)
-        hist = registry.histogram("m.lat", buckets=(0.1, 1.0, 10.0))
-        for value in observations:
-            hist.observe(value)
-        shards.append(registry.snapshot())
-    merged = obs.merge_snapshots(shards)
-    assert merged["counters"]["m.cells"]["domain=osek"] == 3
-    assert merged["gauges"]["m.depth"][""] == 9
-    cell = merged["histograms"]["m.lat"][""]
-    assert cell["count"] == 3
-    assert cell["buckets"] == [1, 1, 1, 0]
-    assert cell["sum"] == pytest.approx(5.55)
-
-
 def test_dump_writes_one_sorted_json_snapshot(tmp_path):
     registry = MetricsRegistry(enabled=True)
     registry.counter("d.c").inc(4)
@@ -260,7 +239,7 @@ def test_engine_and_campaign_counters_tick_out_of_band(obs_enabled):
 
 
 # ----------------------------------------------------------------------
-# byte-identity: CLI, shard launcher, service (the acceptance property)
+# byte-identity: CLI (serial and fleet), service (the acceptance property)
 # ----------------------------------------------------------------------
 
 def run_cli(tmp_path, name: str, *argv: str, obs_on: bool) -> bytes:
@@ -274,30 +253,19 @@ def run_cli(tmp_path, name: str, *argv: str, obs_on: bool) -> bytes:
     return out.read_bytes()
 
 
-def test_cli_stream_bytes_identical_with_telemetry_on_and_off(tmp_path):
+@pytest.mark.parametrize("executor", [[], ["--workers", "2"]], ids=["serial", "fleet"])
+def test_cli_stream_bytes_identical_with_telemetry_on_and_off(tmp_path, executor):
     metrics_path = tmp_path / "metrics.json"
-    on = run_cli(tmp_path, "on", "--metrics", str(metrics_path), obs_on=True)
-    off = run_cli(tmp_path, "off", obs_on=False)
+    on = run_cli(tmp_path, "on", *executor, "--metrics", str(metrics_path), obs_on=True)
+    off = run_cli(tmp_path, "off", *executor, obs_on=False)
     assert on == off and on.count(b"\n") == 6
     snap = json.loads(metrics_path.read_text())
     assert sum(snap["counters"]["campaign.cells.computed"].values()) == 6
     assert sum(snap["counters"]["campaign.cells.requested"].values()) == 6
-    assert snap["histograms"]["campaign.cell_seconds"]["domain=lin"]["count"] == 6
-
-
-def test_launcher_shards_stream_identical_and_merge_metrics(tmp_path):
-    metrics_path = tmp_path / "metrics.json"
-    sharded = run_cli(tmp_path, "sharded", "--launch", "2",
-                      "--metrics", str(metrics_path), obs_on=True)
-    single = run_cli(tmp_path, "single", obs_on=False)
-    assert sharded == single
-    # the merged dump aggregates both shard processes' registries
-    snap = json.loads(metrics_path.read_text())
-    assert sum(snap["counters"]["campaign.cells.computed"].values()) == 6
-    assert snap["histograms"]["campaign.cell_seconds"]["domain=lin"]["count"] == 6
-    # per-shard dumps are temporary inputs, merged then left on disk only
-    # for the shards that wrote them; the merged file is authoritative
-    assert json.loads(metrics_path.read_text()) == snap
+    if not executor:
+        # observed where the cell runs: fleet workers do not yet send
+        # their telemetry home
+        assert snap["histograms"]["campaign.cell_seconds"]["domain=lin"]["count"] == 6
 
 
 SPECS = (
@@ -317,7 +285,7 @@ def service_stream(tmp_path, name: str) -> bytes:
     path = tmp_path / f"{name}.jsonl"
 
     async def go() -> None:
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
@@ -359,7 +327,7 @@ def test_metrics_op_is_consistent_under_concurrent_streams(tmp_path, obs_enabled
     obs.REGISTRY.reset()
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]

@@ -76,7 +76,7 @@ def test_concurrent_overlapping_clients_compute_the_union_once(tmp_path):
     path_b = tmp_path / "b.jsonl"
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
@@ -120,7 +120,7 @@ def test_second_request_replays_from_the_service_cache(tmp_path):
     """Sequential overlap takes the cache path: replayed, not recomputed."""
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         try:
             specs = cheap_specs()[:2]
@@ -143,7 +143,7 @@ def test_stream_reattaches_gapless_after_late_subscribe():
     spec order (the killed-client resume guarantee)."""
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         try:
             specs = cheap_specs()
@@ -172,7 +172,7 @@ def test_backpressure_rejects_typed_and_cancel_frees_the_slot():
     specs = cheap_specs()
 
     async def go():
-        service = CampaignService(workers=1, max_pending=1)
+        service = CampaignService(max_pending=1)
         await service.start()
         service.pause()                       # nothing computes; pure queueing
         try:
@@ -197,7 +197,7 @@ def test_backpressure_bounds_total_active_cells():
     specs = cheap_specs()
 
     async def go():
-        service = CampaignService(workers=1, max_active_cells=2)
+        service = CampaignService(max_active_cells=2)
         await service.start()
         try:
             with pytest.raises(CampaignServiceError) as rejected:
@@ -217,7 +217,7 @@ def test_priorities_reorder_the_global_dispatch_queue():
     low_specs, high_specs = specs[:2], specs[2:]
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         try:
             service.pause()
@@ -240,7 +240,7 @@ def test_cancelled_cells_nobody_wants_are_never_dispatched():
     specs = cheap_specs()
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         try:
             service.pause()
@@ -266,7 +266,7 @@ def test_cancelled_cells_nobody_wants_are_never_dispatched():
 
 def test_submit_rejects_bad_duplicate_and_unknown():
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         service.pause()
         codes = {}
@@ -306,7 +306,7 @@ def test_wire_protocol_rejects_garbage_and_unknown_ops():
     assert decode_message(encode_message({"op": "status"})) == {"op": "status"}
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
@@ -336,7 +336,7 @@ def test_wire_protocol_rejects_garbage_and_unknown_ops():
 
 def test_status_counters_track_dedup():
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         try:
             specs = cheap_specs()[:2]
@@ -367,7 +367,7 @@ def test_killed_service_resumes_the_sweep_from_its_cache(tmp_path):
     cache_dir = tmp_path / "cache"
 
     async def first_life():
-        service = CampaignService(workers=1, cache=str(cache_dir))
+        service = CampaignService(cache=str(cache_dir))
         await service.start()
         state = service.submit(CampaignRequest(specs=tuple(specs)))
         while len(state.records) < 2:         # let part of the sweep finish
@@ -376,7 +376,7 @@ def test_killed_service_resumes_the_sweep_from_its_cache(tmp_path):
         return state.summary()
 
     async def second_life():
-        service = CampaignService(workers=1, cache=str(cache_dir))
+        service = CampaignService(cache=str(cache_dir))
         await service.start()
         try:
             state = service.submit(CampaignRequest(specs=tuple(specs)))
@@ -416,7 +416,7 @@ def test_graceful_shutdown_answers_open_streams_typed(tmp_path):
     cache_dir = tmp_path / "cache"
 
     async def go():
-        service = CampaignService(workers=1, cache=str(cache_dir))
+        service = CampaignService(cache=str(cache_dir))
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
@@ -473,7 +473,7 @@ def test_graceful_shutdown_answers_open_streams_typed(tmp_path):
 
 def test_submit_after_shutdown_refused_typed_over_the_wire():
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
@@ -553,7 +553,7 @@ def test_poisoned_stream_replies_typed_internal_with_seq():
     for further operations on the same socket."""
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
 
         async def poisoned(state, seq, send):
@@ -600,26 +600,23 @@ def test_poisoned_cell_reports_error_and_frees_queue_slots(monkeypatch):
     """A cell handler that raises must turn into a typed ``error`` summary
     (not a hang, not a silent drop) and release its bounded-queue slots so
     the next submit is accepted and runs clean."""
-    import repro.sim.service.server as server_mod
 
-    real_run_scenario = server_mod.run_scenario
-
-    def poisoned(spec):
+    async def poisoned(spec):
         raise TypeError("poisoned compute handler")
 
     async def go():
-        service = CampaignService(workers=1, max_pending=1)
+        service = CampaignService(max_pending=1)
         await service.start()
         try:
-            monkeypatch.setattr(server_mod, "run_scenario", poisoned)
-            state = service.submit(CampaignRequest(specs=(cheap_specs()[0],)))
-            await wait_done(state)
+            with monkeypatch.context() as patch:
+                patch.setattr(service._supervisor, "run_cell", poisoned)
+                state = service.submit(CampaignRequest(specs=(cheap_specs()[0],)))
+                await wait_done(state)
             poisoned_summary = state.summary()
             poisoned_status = service.status()
 
             # the slot is free again: a second submit on max_pending=1
             # must be accepted, and with the real handler it runs clean
-            monkeypatch.setattr(server_mod, "run_scenario", real_run_scenario)
             healthy = service.submit(CampaignRequest(specs=(cheap_specs()[1],)))
             await wait_done(healthy)
             healthy_summary = healthy.summary()
@@ -645,12 +642,9 @@ def test_status_reports_uptime_protocol_and_pool_mode():
     """Satellite claim: the status payload identifies the server (wire
     protocol version, worker-pool mode, uptime) so operators and the
     dashboard need no out-of-band knowledge."""
-    assert CampaignService(workers=1).pool_mode == "in-proc"
-    assert CampaignService(workers=4).pool_mode == "process-pool"
-    assert CampaignService(workers_proc=2).pool_mode == "workers-proc"
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         try:
             await asyncio.sleep(0.01)
@@ -660,7 +654,8 @@ def test_status_reports_uptime_protocol_and_pool_mode():
 
     status = asyncio.run(go())
     assert status["protocol"] == 1
-    assert status["pool"] == "in-proc"
+    assert status["pool"] == "workers-proc" and status["supervised"] is True
+    assert status["supervisor"]["workers"] == status["workers"] == 1
     assert status["uptime_s"] > 0
     # uptime is wall-clock since start(), not a counter anyone resets
     assert status["uptime_s"] < 60
@@ -680,8 +675,8 @@ def test_quarantined_cell_counts_exactly_once_in_failed():
 
     async def go():
         service = CampaignService(
-            workers_proc=2, chaos=chaos,
-            supervisor_options={"heartbeat": 0.2})
+            workers_proc=2,
+            supervisor_options={"heartbeat": 0.2, "chaos": chaos})
         await service.start()
         try:
             state = service.submit(CampaignRequest(specs=tuple(specs)))
@@ -718,7 +713,7 @@ def test_metrics_op_counts_only_while_telemetry_is_enabled(tmp_path):
             await client.close()
 
     async def go():
-        service = CampaignService(workers=1)
+        service = CampaignService()
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]

@@ -75,8 +75,9 @@ def fault_free_bytes() -> bytes:
 async def run_under(chaos, *, workers=2, options=None, request=REQUEST):
     """One supervised sweep under a fault schedule; returns everything a
     test could want to assert on."""
-    service = CampaignService(workers_proc=workers, chaos=chaos,
-                              supervisor_options={**FAST, **(options or {})})
+    service = CampaignService(workers_proc=workers,
+                              supervisor_options={**FAST, "chaos": chaos,
+                                                  **(options or {})})
     await service.start()
     try:
         state = service.submit(request)
@@ -210,9 +211,9 @@ def test_pool_exhaustion_fails_the_request_typed():
     schedule = ChaosSchedule(faults=((0, CellFault(kill="recv")),))
 
     async def go():
-        service = CampaignService(workers_proc=1, chaos=schedule,
-                                  respawn_budget=0,
-                                  supervisor_options=dict(FAST))
+        service = CampaignService(workers_proc=1,
+                                  supervisor_options={**FAST, "chaos": schedule,
+                                                      "respawn_budget": 0})
         await service.start()
         try:
             state = service.submit(REQUEST)
@@ -244,8 +245,8 @@ def test_severed_client_reattaches_to_the_full_stream(tmp_path,
     path = tmp_path / "reattached.jsonl"
 
     async def go():
-        service = CampaignService(workers_proc=2, chaos=schedule,
-                                  supervisor_options=dict(FAST))
+        service = CampaignService(workers_proc=2,
+                                  supervisor_options={**FAST, "chaos": schedule})
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
@@ -288,10 +289,11 @@ def test_queue_full_during_respawn_storm_backs_off_and_succeeds(
     path = tmp_path / "second.jsonl"
 
     async def go():
-        service = CampaignService(workers_proc=2, chaos=schedule,
+        service = CampaignService(workers_proc=2,
                                   max_pending=1,
                                   supervisor_options={
-                                      **FAST, "quarantine_strikes": 3})
+                                      **FAST, "chaos": schedule,
+                                      "quarantine_strikes": 3})
         await service.start()
         server = await serve_tcp(service)
         port = server.sockets[0].getsockname()[1]
