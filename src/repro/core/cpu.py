@@ -39,6 +39,29 @@ both on randomised programs, and the golden corpus pins both:
   mid-block simply starts its own block) and invalidated with the
   micro-op table when the program's execution index is reassigned.
 
+Engine plans: what cores share and what each core owns
+------------------------------------------------------
+Everything the trace engine derives from a program *and* a core's
+configuration, but not from the core's objects, lives in an **engine
+plan** (:class:`EnginePlan`) hung off the :class:`Program`, as
+:func:`~repro.isa.predecode.predecode` hangs its micro-op table there.  A
+plan is keyed by every core or bus fact that block discovery, the cycle
+caps and the fused-code emitters read (:class:`PlanKey`, taken when the
+core's dispatch table is built), and holds, per entry pc, the block's
+micro-ops, its worst-case cycle cap, and - once any core has fused it -
+the compiled code with its binding recipe (:mod:`repro.core.superblock`).
+Campaign cells build thousands of short-lived cores over a handful of
+programs, so a fresh core walks, caps and emits nothing a previous core
+with the same key already did.
+
+Per core remain only what binds the plan over the core's own objects:
+the bound steps (general steps bind lazily on first dispatch, slim steps
+when a block first needs them), each block's fusion countdown, and the
+fused callables.  *When* a core fuses a block is still its own countdown
+(a plan hit skips the emission, not the wait), so everything a core
+reports - ``Ecu.fused_block_count`` included - is independent of what
+ran earlier in the process.
+
 Interrupt exactness is preserved by an **event horizon**: the earliest
 ``assert_cycle`` of any queued request, conservatively ignoring masking
 and priority.  While ``cycles`` is below the horizon no controller poll
@@ -58,11 +81,13 @@ the cached and fused superblocks, so a machine may alternate them freely.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.isa.assembler import Program
 from repro.isa.conditions import Condition
 from repro.isa.instructions import Instruction
 from repro.isa.predecode import compile_uop, predecode
-from repro.core.superblock import FUSE_THRESHOLD, fuse_block
+from repro.core.superblock import FUSE_THRESHOLD, device_key, fuse_block
 from repro.isa.registers import MASK32, Apsr, RegisterFile
 from repro.isa.semantics import Outcome, execute
 from repro.core.exceptions import ExecutionError
@@ -121,6 +146,75 @@ def return_stack_branch_inline(target: int) -> list[str] | None:
             f"    BR({target})"]
 
 
+class PlanKey(NamedTuple):
+    """Every core or bus fact an engine plan's contents depend on.
+
+    Block discovery reads the core class (branch inlining, exception
+    return) and ``split_block_ops``; the cycle cap reads the class's cycle
+    models, ``WORST_DYNAMIC_CYCLES`` and ``worst_stall``; the fused-code
+    emitters read the class, ``data_plan``, ``mpu``, the bus layout with
+    the device timing they fold in (``devices``, see
+    :func:`~repro.core.superblock.device_key`) and the fetch cache's
+    geometry.  Two cores with equal keys derive identical plans.
+    """
+
+    core: type
+    split_block_ops: bool
+    data_plan: str | None
+    mpu: bool
+    worst_stall: int
+    devices: tuple
+    fetch_cache: tuple | None
+
+
+class PlanBlock:
+    """One superblock of an engine plan, shared by every core that runs it.
+
+    ``uops`` are the block's micro-ops (the discovery walk's result);
+    ``cap`` its worst-case cycle cost (:meth:`BaseCpu._block_cycle_cap`),
+    computed on first use under a cycle ceiling; ``code`` and ``recipe``
+    the fused function's code object and binding recipe, set by the first
+    core to fuse the block (:func:`~repro.core.superblock.fuse_block`).
+    """
+
+    __slots__ = ("uops", "cap", "code", "recipe")
+
+    def __init__(self, uops: list) -> None:
+        self.uops = uops
+        self.cap: int | None = None
+        self.code = None
+        self.recipe: tuple | None = None
+
+
+class EnginePlan:
+    """The trace engine's per-(Program, :class:`PlanKey`) cache: the
+    :class:`PlanBlock` for each superblock entry pc discovered so far."""
+
+    __slots__ = ("key", "blocks")
+
+    def __init__(self, key: PlanKey) -> None:
+        self.key = key
+        self.blocks: dict[int, PlanBlock] = {}
+
+
+def engine_plan(program: Program, key: PlanKey) -> EnginePlan:
+    """The engine plan of ``program`` for cores whose key is ``key``.
+
+    Plans are cached on the program beside ``predecode``'s micro-op table
+    and invalidated the same way: *reassigning* the program's execution
+    index drops every plan.  A program running under an engine must
+    therefore not be patched in place (see ``predecode``).
+    """
+    plans = getattr(program, "_engine_plans", None)
+    if plans is None or program._plan_index is not program._by_address:
+        plans = program._engine_plans = {}
+        program._plan_index = program._by_address
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = EnginePlan(key)
+    return plan
+
+
 class BaseCpu:
     """Shared machinery for the three core models."""
 
@@ -162,9 +256,13 @@ class BaseCpu:
         self._sb_limit = 0
         #: cycle limit read by fused loop guards (set by _run_trace)
         self._sb_cycle_limit = 0
+        #: pc -> general bound step (bound on first dispatch), rebuilt with
+        #: the plan when the program's execution index is reassigned
         self._fast_table: dict | None = None
         self._fast_index: dict | None = None
         self._fast_outcome = Outcome()
+        self._plan: EnginePlan | None = None
+        #: entry pc -> [steps, plan block, fusion countdown, fused]
         self._sb_blocks: dict[int, list] = {}
         self._sb_steps: dict[int, object] = {}
         #: the interrupt queue fused blocks were bound over (loop guards
@@ -408,15 +506,21 @@ class BaseCpu:
             return None
         return [f"rvals[15] = {target}"]
 
-    def _bind_uop(self, uop):
-        """Close a micro-op over this CPU: one call executes one instruction."""
-        ins = uop.ins
-        exec_fn = uop.exec
-        cond_check = uop.cond_check
+    def _cycle_fn(self, ins: Instruction):
+        """The fast path's cycle model for ``ins``: the closure
+        :meth:`compile_cycles` prebinds, or a call to
+        :meth:`instruction_cycles` when it declines."""
         cycle_fn = self.compile_cycles(ins)
         if cycle_fn is None:
             def cycle_fn(outcome, _ins=ins, _dyn=self.instruction_cycles):
                 return _dyn(_ins, outcome)
+        return cycle_fn
+
+    def _bind_uop(self, uop):
+        """Close a micro-op over this CPU: one call executes one instruction."""
+        exec_fn = uop.exec
+        cond_check = uop.cond_check
+        cycle_fn = self._cycle_fn(uop.ins)
         fetch = self._fetch_port()
         regs = self.regs
         outcome = self._fast_outcome
@@ -470,10 +574,7 @@ class BaseCpu:
             return None
         exec_fn = uop.exec
         cond_check = uop.cond_check
-        cycle_fn = self.compile_cycles(uop.ins)
-        if cycle_fn is None:
-            def cycle_fn(outcome, _ins=uop.ins, _dyn=self.instruction_cycles):
-                return _dyn(_ins, outcome)
+        cycle_fn = self._cycle_fn(uop.ins)
         base = getattr(cycle_fn, "static_base", None)
         if cond_check is not None and base is None:
             return None
@@ -548,36 +649,75 @@ class BaseCpu:
         return fast_step
 
     def _fast_dispatch_table(self) -> dict:
+        """The core's pc -> general bound step table, (re)built empty.
+
+        Keyed on the execution index's identity: reassigning
+        ``_by_address`` (the merge-two-images pattern) drops every bound
+        step and block, and takes the core's plan key afresh.  Steps bind
+        on first dispatch (:meth:`_predecode_missing`).
+        """
         index = self.program._by_address
         if self._fast_table is None or self._fast_index is not index:
-            # keyed on the index's identity: reassigning _by_address (the
-            # merge-two-images pattern) invalidates the bound table
-            self._fast_table = {
-                addr: self._bind_uop(uop)
-                for addr, uop in predecode(self.program).items()
-            }
+            self._fast_table = {}
             self._fast_index = index
+            self._plan = engine_plan(self.program, self._plan_key())
             self._sb_blocks = {}
             self._sb_steps = {}
         return self._fast_table
 
+    def _plan_key(self) -> PlanKey:
+        """This core's :class:`PlanKey`, read off its live configuration."""
+        cache = self._fetch_cache()
+        return PlanKey(
+            core=type(self),
+            split_block_ops=self._split_block_ops,
+            data_plan=self._data_inline_plan(),
+            mpu=getattr(self, "mpu", None) is not None,
+            worst_stall=self.worst_access_stall(),
+            devices=tuple(device_key(device) for device in self.bus._devices),
+            fetch_cache=(None if cache is None
+                         else (cache.sets, cache.ways, cache.line_bytes)))
+
     #: runaway guard for a single superblock (keeps lazy build bounded)
     _SB_MAX_LEN = 128
 
-    def _sb_step(self, table: dict, addr: int, uop):
-        """The (cached) slim step for one chainable micro-op."""
-        fast_step = self._sb_steps.get(addr)
+    def _block_step(self, uop):
+        """The bound step a superblock runs for ``uop`` (cached per core):
+        the slim step of a chainable micro-op, else the general step."""
+        fast_step = self._sb_steps.get(uop.address)
         if fast_step is None:
             fast_step = self._bind_uop_slim(uop)
             if fast_step is None:
-                fast_step = table.get(addr)
+                fast_step = self._fast_table.get(uop.address)
                 if fast_step is None:
-                    fast_step = self._predecode_missing(table, addr)
-            self._sb_steps[addr] = fast_step
+                    fast_step = self._predecode_missing(self._fast_table,
+                                                        uop.address)
+            self._sb_steps[uop.address] = fast_step
         return fast_step
 
     def _superblock_at(self, pc: int) -> list:
-        """Build (and cache) the superblock entered at ``pc``.
+        """This core's entry for the superblock entered at ``pc``.
+
+        The block itself comes from the core's engine plan, discovered
+        there by the first core to enter it (:meth:`_discover_block`); the
+        core binds its own steps over the block's micro-ops.  The entry is
+        ``[steps, block, countdown, fused]``: after ``countdown``
+        list-mode dispatches the block is fused into a single generated
+        function (:mod:`repro.core.superblock`), so fusion is only paid
+        for blocks that are actually hot on this core.
+        """
+        blocks = self._plan.blocks
+        block = blocks.get(pc)
+        if block is None:
+            block = blocks[pc] = self._discover_block(pc)
+        steps = [self._block_step(uop) for uop in block.uops]
+        entry = [steps, block, FUSE_THRESHOLD, None]
+        self._sb_blocks[pc] = entry
+        _SB_BUILT.add()
+        return entry
+
+    def _discover_block(self, pc: int) -> PlanBlock:
+        """Walk the superblock entered at ``pc`` (once per plan).
 
         A superblock is the maximal straight-line run of chainable
         micro-ops starting at ``pc``, optionally terminated by one
@@ -586,43 +726,25 @@ class BaseCpu:
         walk continues at the branch target (a goto is just a straight
         line with a relocated next address - the branch's own step sets
         the PC, and the following steps are exactly the target's), so
-        diamond join points and loop preheaders chain into one trace.  Targets already in the trace,
-        halt-address branches, and targets with exception-return semantics
-        end the trace as before.  Branch targets inside an existing block
-        simply get their own block on first dispatch; blocks overlap
-        freely and share bound steps.
-
-        The cached entry is ``[steps, uops, countdown, fused, cap]``:
-        after ``countdown`` list-mode dispatches the block is fused into a
-        single generated function (:mod:`repro.core.superblock`), so
-        compile cost is only paid for blocks that are actually hot; ``cap``
-        is the block's worst-case cycle cost (:meth:`_block_cycle_cap`),
-        computed on first use under a cycle ceiling.
+        diamond join points and loop preheaders chain into one trace.
+        Targets already in the trace, halt-address branches, and targets
+        with exception-return semantics end the trace as before.  Branch
+        targets inside an existing block simply get their own block on
+        first dispatch; blocks overlap freely and share bound steps.
         """
-        table = self._fast_dispatch_table()
-        uop_table = predecode(self.program)
-        split_block_ops = self._split_block_ops
-        steps: list = []
+        split_block_ops = self._plan.key.split_block_ops
         uops: list = []
         addr = pc
         visited = {pc}
-        while len(steps) < self._SB_MAX_LEN:
-            uop = uop_table.get(addr)
+        while len(uops) < self._SB_MAX_LEN:
+            uop = self._uop_at(addr)
             if uop is None:
-                ins = self.program.instruction_at(addr)
-                if ins is None:
-                    break  # end of mapped code: dispatching here will fault
-                uop = compile_uop(ins, self.program.isa)
-                uop_table[addr] = uop
-            if split_block_ops and uop.is_block_op and steps:
+                break  # end of mapped code: dispatching here will fault
+            if split_block_ops and uop.is_block_op and uops:
                 break  # stop *before* the transfer: defer() must see it
+            uops.append(uop)
             if not uop.chainable:
-                # include the ender; its general step does full bookkeeping
-                ender = table.get(addr)
-                if ender is None:
-                    ender = self._predecode_missing(table, addr)
-                steps.append(ender)
-                uops.append(uop)
+                # the ender runs its general step, which does full bookkeeping
                 target = uop.branch_target
                 if (uop.ins.mnemonic == "B"
                         and uop.cond_check is None and target is not None
@@ -633,19 +755,14 @@ class BaseCpu:
                     addr = target  # goto: the trace continues at the target
                     continue
                 break
-            steps.append(self._sb_step(table, addr, uop))
-            uops.append(uop)
             if split_block_ops and uop.is_block_op:
                 break  # singleton: defer() screens it on every dispatch
             addr = uop.next_pc
             visited.add(addr)
-        if not steps:
+        if not uops:
             raise ExecutionError(
                 f"no instruction at pc={pc:#010x} ({self.name})")
-        entry = [steps, uops, FUSE_THRESHOLD, None, None]
-        self._sb_blocks[pc] = entry
-        _SB_BUILT.add()
-        return entry
+        return PlanBlock(uops)
 
     def run(self, max_instructions: int = 1_000_000) -> int:
         """Run until halt; returns instructions executed.  Raises if the
@@ -783,9 +900,10 @@ class BaseCpu:
             steps = entry[0]
             if horizon is None and len(steps) <= limit - executed:
                 if bounded:
-                    cap = entry[4]
+                    block = entry[1]
+                    cap = block.cap
                     if cap is None:
-                        cap = entry[4] = self._block_cycle_cap(entry[1])
+                        cap = block.cap = self._block_cycle_cap(block.uops)
                     self._sb_cycle_limit = until - cap
                 if self.cycles <= self._sb_cycle_limit:
                     # empty queue and the whole block fits under the ceiling
@@ -864,18 +982,31 @@ class BaseCpu:
         return total
 
     def _predecode_missing(self, table: dict, pc: int):
-        """Lazily bind an address the predecode pass did not see.
-
-        Instructions can join the program's execution index after the pass
-        (e.g. a second program image merged in for an ISR); predecode them
-        on first dispatch so such programs stay on the fast path."""
-        ins = self.program.instruction_at(pc)
-        if ins is None:
+        """Bind the general step for ``pc`` on its first dispatch."""
+        uop = self._uop_at(pc)
+        if uop is None:
             raise ExecutionError(
                 f"no instruction at pc={pc:#010x} ({self.name})")
-        fast_step = self._bind_uop(compile_uop(ins, self.program.isa))
+        fast_step = self._bind_uop(uop)
         table[pc] = fast_step
         return fast_step
+
+    def _uop_at(self, pc: int):
+        """The micro-op at ``pc`` from the program's predecode table, or
+        ``None`` when no instruction is mapped there.
+
+        Instructions can join the program's execution index after the pass
+        (e.g. a second program image merged in for an ISR); they are
+        predecoded into the table on first use, so such programs stay on
+        the fast path."""
+        uop_table = predecode(self.program)
+        uop = uop_table.get(pc)
+        if uop is None:
+            ins = self.program.instruction_at(pc)
+            if ins is None:
+                return None
+            uop = uop_table[pc] = compile_uop(ins, self.program.isa)
+        return uop
 
     # ------------------------------------------------------------------
     # conveniences for tests / harnesses

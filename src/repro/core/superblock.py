@@ -42,11 +42,39 @@ Fused blocks run only below the interrupt event horizon (the engine falls
 back to the per-step list when a poll could matter), and are rebuilt
 whenever the program's execution index is reassigned, alongside the
 micro-op table they were generated from.
+
+Compiled once, bound per core
+-----------------------------
+Fused code lives in the core's *engine plan* (``repro.core.cpu``), shared
+by every core that runs the same program under the same plan key.  An
+emitter never stores a core's object: each free name it puts in the
+namespace records a *recipe* entry naming which per-core object the name
+stands for (the core, its register list, the fetch device at a pc, the
+I-cache ways of one set, the bound step at a block position, a fresh
+:class:`Outcome`, ...) or a constant that is the same object on every core
+(a micro-op's ``exec``, :class:`AccessRecord`, :class:`Sram`,
+``int.from_bytes``).  The first core to fuse a block emits and compiles
+it and stores the function's code and recipe in the plan block; every
+later core - and the first one too - *binds* it: the recipe resolves on
+that core into the function's defaults, and ``types.FunctionType`` builds
+the callable (the bound names are locals of the generated function; no
+core runs ``exec``).
+
+The rule that makes this sound: **emitters read no live state outside the
+plan key**.  Everything the generated source depends on - core class,
+block-op splitting, the data-inline plan, MPU presence, the bus layout
+with the device timing folded in (:func:`device_key`), the fetch cache's
+geometry - is part of the key, and MPU presence and the data-inline plan
+are read from the key itself, never from the live core.  An MPU attached
+after the key was taken is still honoured by the emitted code's dynamic
+``cpu.mpu`` check.
 """
 
 from __future__ import annotations
 
+import builtins
 from time import perf_counter as _perf_counter
+from types import CodeType, FunctionType
 
 from repro import obs
 from repro.isa.registers import MASK32, PC
@@ -61,6 +89,81 @@ _SIGN_BIT = 0x8000_0000
 FUSE_THRESHOLD = 16
 
 _STORE_MASKS = {1: 0xFF, 2: 0xFFFF, 4: MASK32}
+
+
+def device_key(device) -> tuple:
+    """A bus device's part of the plan key: its type, base and size, plus
+    the timing the emitters fold into generated code (SRAM wait states;
+    flash line width, array latency and prefetch mode)."""
+    kind = type(device)
+    if kind is Sram:
+        timing = (device.wait_states,)
+    elif kind is Flash:
+        timing = (device.line_bytes, device.access_cycles, device.prefetch)
+    else:
+        timing = ()
+    return (kind, device.base, device.size) + timing
+
+
+#: how each recipe entry resolves on the binding core:
+#: ``resolve(cpu, steps, arg)``, with ``steps`` the core's bound steps for
+#: the block and ``arg`` the entry's fuse-time argument (an address, an
+#: instruction's ``(pc, size)``, a block position, ...)
+_RESOLVE = {
+    "constant": lambda cpu, steps, value: value,
+    "core": lambda cpu, steps, _: cpu,
+    "registers": lambda cpu, steps, _: cpu.regs.values,
+    "read": lambda cpu, steps, _: cpu.read,
+    "write": lambda cpu, steps, _: cpu.write,
+    "branch": lambda cpu, steps, _: cpu.branch,
+    "mpu_check": lambda cpu, steps, _: cpu._mpu_check,
+    "bus": lambda cpu, steps, _: cpu.bus,
+    "irq_queue": lambda cpu, steps, _: cpu._irq_queue,
+    "fetch_device": lambda cpu, steps, at: cpu._fetch_bus_device(*at),
+    "fetch_device_access":
+        lambda cpu, steps, at: cpu._fetch_bus_device(*at)._access,
+    "literal_device": lambda cpu, steps, address: cpu.bus._lookup(address),
+    "literal_access":
+        lambda cpu, steps, address: cpu.bus._lookup(address)._access,
+    "literal_read": lambda cpu, steps, address: cpu.bus._lookup(address).read,
+    "fetch_thunk": lambda cpu, steps, at: cpu._fetch_thunk(*at),
+    "fetch_port": lambda cpu, steps, _: cpu._fetch_port(),
+    "icache": lambda cpu, steps, _: cpu._fetch_cache(),
+    "icache_stats": lambda cpu, steps, _: cpu._fetch_cache().stats,
+    "icache_fill": lambda cpu, steps, _: cpu._fetch_cache()._fill,
+    "icache_parity": lambda cpu, steps, _: cpu._fetch_cache()._check_parity,
+    "icache_ways":
+        lambda cpu, steps, at: cpu._fetch_cache().lookup_plan(*at)[3],
+    "outcome": lambda cpu, steps, _: Outcome(),
+    "cycles": lambda cpu, steps, ins: cpu._cycle_fn(ins),
+    "step": lambda cpu, steps, index: steps[index],
+}
+
+
+class _Names:
+    """The free names of one fused function, recorded as a binding recipe.
+
+    The emitters' namespace: ``put`` (a plain assignment) and ``default``
+    (first writer wins) record, per name, which per-core object or
+    constant it stands for (a :data:`_RESOLVE` kind and its argument).  A
+    core's objects are never stored, so the recipe holds no core alive
+    and binds over any core with the same plan ``key``.  Insertion order
+    is the generated function's parameter order.
+    """
+
+    __slots__ = ("key", "recipe")
+
+    def __init__(self, key) -> None:
+        self.key = key
+        self.recipe: dict[str, tuple] = {}
+
+    def put(self, name: str, kind: str, arg=None) -> None:
+        self.recipe[name] = (_RESOLVE[kind], arg)
+
+    def default(self, name: str, kind: str, arg=None) -> None:
+        if name not in self.recipe:
+            self.recipe[name] = (_RESOLVE[kind], arg)
+
 
 #: per-condition source fragments over ``f = cpu.apsr`` - literal
 #: transcriptions of ``repro.isa.predecode.COND_CHECKS`` (the exhaustive
@@ -394,7 +497,7 @@ def _load_sign_lines(sign_bits):
     return [f"v = (v | {ext}) if v >= {sign} else v"]
 
 
-def _mpu_preamble(cpu, ns, addr_expr: str, size: int, is_write: bool) -> list:
+def _mpu_preamble(ns, addr_expr: str, size: int, is_write: bool) -> list:
     """The per-access MPU consultation of an ``"mpu"`` inline plan.
 
     ``cpu.mpu`` is read dynamically (an MPU attached after fusion is
@@ -403,7 +506,7 @@ def _mpu_preamble(cpu, ns, addr_expr: str, size: int, is_write: bool) -> list:
     ``cpu.read``/``cpu.write`` path would, with identical partial state
     and an identical ``mpu.faults`` count.
     """
-    ns.setdefault("MC", cpu._mpu_check)
+    ns.default("MC", "mpu_check")
     return [
         "m = cpu.mpu",
         "if m is not None:",
@@ -418,7 +521,7 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
         return None, None
     size = _LOAD_SIZES[ins.mnemonic]
     sign_bits = _SIGNED_LOADS.get(ins.mnemonic)
-    plan = cpu._data_inline_plan()
+    plan = ns.key.data_plan
     if mem.rn == PC:
         if mem.rm is not None:
             return None, None
@@ -434,14 +537,14 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
         device = None if plan is None else cpu.bus._lookup(address)
         if (plan is not None and device is not None
                 and address + size <= device.base + device.size):
-            ns.setdefault("AR", AccessRecord)
+            ns.default("AR", "constant", AccessRecord)
             lines = []
             if plan == "mpu":
-                lines += _mpu_preamble(cpu, ns, str(address), size, False)
+                lines += _mpu_preamble(ns, str(address), size, False)
             offset = address - device.base
             if type(device) is Sram:
-                ns[f"DV{index}"] = device
-                ns.setdefault("IFB", int.from_bytes)
+                ns.put(f"DV{index}", "literal_device", address)
+                ns.default("IFB", "constant", int.from_bytes)
                 lines += [
                     f"DV{index}.reads += 1",
                     f"v = IFB(DV{index}.data[{offset}:{offset + size}], 'little')",
@@ -449,9 +552,9 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
                 ]
             elif type(device) is Flash:
                 dev = f"DV{index}"
-                ns[dev] = device
-                ns[f"DA{index}"] = device._access
-                ns.setdefault("IFB", int.from_bytes)
+                ns.put(dev, "literal_device", address)
+                ns.put(f"DA{index}", "literal_access", address)
+                ns.default("IFB", "constant", int.from_bytes)
                 # Flash.read opens with the same _access sequence a fetch
                 # does (a literal load breaks the instruction stream -
                 # that is the timing model), so the fetch forms serve here
@@ -470,7 +573,7 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
                 lines.append(
                     f"v = IFB(DV{index}.data[{offset}:{offset + size}], 'little')")
             else:
-                ns[f"DL{index}"] = device.read
+                ns.put(f"DL{index}", "literal_read", address)
                 lines.append(f"v, ds = DL{index}({address}, {size}, 'D')")
             lines += [
                 "bus.reads += 1",
@@ -502,12 +605,12 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
         # to the full cpu.read dispatch, which re-checks the MPU (a pure
         # re-pass, since a denied access raised in MC above) and raises
         # the same faults the reference path would
-        ns.setdefault("AR", AccessRecord)
-        ns.setdefault("SRT", Sram)
-        ns.setdefault("IFB", int.from_bytes)
+        ns.default("AR", "constant", AccessRecord)
+        ns.default("SRT", "constant", Sram)
+        ns.default("IFB", "constant", int.from_bytes)
         lines = [f"a = {addr_expr}"]
         if plan == "mpu":
-            lines += _mpu_preamble(cpu, ns, "a", size, False)
+            lines += _mpu_preamble(ns, "a", size, False)
         lines += [
             "sp = bus._span_d",
             f"if sp[0] <= a and a + {size} <= sp[1]:",
@@ -537,7 +640,7 @@ def _emit_load(cpu, ins, isa, index, ns, ftrack):
     return lines, "attr"
 
 
-def _emit_store(cpu, ins, index, ns, ftrack):
+def _emit_store(ins, index, ns, ftrack):
     mem = ins.mem
     rd = ins.rd
     if (mem is None or rd is None or rd == PC or mem.rn == PC
@@ -553,13 +656,13 @@ def _emit_store(cpu, ins, index, ns, ftrack):
         addr_expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
                      f" & {MASK32})) & {MASK32}")
     ftrack.clear()  # runtime-addressed access: may land on a flash device
-    plan = cpu._data_inline_plan()
+    plan = ns.key.data_plan
     if plan is not None:
-        ns.setdefault("AR", AccessRecord)
-        ns.setdefault("SRT", Sram)
+        ns.default("AR", "constant", AccessRecord)
+        ns.default("SRT", "constant", Sram)
         lines = [f"a = {addr_expr}"]
         if plan == "mpu":
-            lines += _mpu_preamble(cpu, ns, "a", size, True)
+            lines += _mpu_preamble(ns, "a", size, True)
         lines += [
             "sp = bus._span_d",
             f"if sp[0] <= a and a + {size} <= sp[1]:",
@@ -623,7 +726,7 @@ def _emit_exec(cpu, ins, isa, index, ns, ftrack):
     if op in ("LDR", "LDRB", "LDRH", "LDRSB", "LDRSH"):
         return _emit_load(cpu, ins, isa, index, ns, ftrack)
     if op in ("STR", "STRB", "STRH"):
-        return _emit_store(cpu, ins, index, ns, ftrack)
+        return _emit_store(ins, index, ns, ftrack)
     return None, None
 
 
@@ -758,16 +861,15 @@ def _emit_cache_fetch(cpu, cache, address, size, index, ns):
     plan = cache.lookup_plan(address, size)
     if plan is None:
         return None  # line-straddling fetch: keep the closure-call thunk
-    thunk = cpu._fetch_thunk(address, size)
-    if thunk is None:
+    if cpu._fetch_thunk(address, size) is None:
         return None
-    tag, set_index, offset, ways = plan
-    ns.setdefault("IC", cache)
-    ns.setdefault("ICS", cache.stats)
-    ns.setdefault("ICF", cache._fill)
-    ns.setdefault("ICP", cache._check_parity)
-    ns[f"W{index}"] = ways
-    ns[f"F{index}"] = thunk
+    tag, set_index, offset, _ = plan
+    ns.default("IC", "icache")
+    ns.default("ICS", "icache_stats")
+    ns.default("ICF", "icache_fill")
+    ns.default("ICP", "icache_parity")
+    ns.put(f"W{index}", "icache_ways", (address, size))
+    ns.put(f"F{index}", "fetch_thunk", (address, size))
     ln = f"ln{index}"
     body = [
         f"{ln} = None",
@@ -843,8 +945,8 @@ def _emit_fetch(cpu, uop, index, ns, ftrack):
     device = cpu._fetch_bus_device(address, size)
     if device is not None and type(device) is Sram:
         ws = device.wait_states
-        ns[f"D{index}"] = device
-        ns.setdefault("AR", AccessRecord)
+        ns.put(f"D{index}", "fetch_device", (address, size))
+        ns.default("AR", "constant", AccessRecord)
         lines = [
             f"D{index}.reads += 1",
             "bus.reads += 1",
@@ -855,9 +957,9 @@ def _emit_fetch(cpu, uop, index, ns, ftrack):
         return lines, ws
     if device is not None and type(device) is Flash:
         dev = f"D{index}"
-        ns[dev] = device
-        ns[f"DA{index}"] = device._access
-        ns.setdefault("AR", AccessRecord)
+        ns.put(dev, "fetch_device", (address, size))
+        ns.put(f"DA{index}", "fetch_device_access", (address, size))
+        ns.default("AR", "constant", AccessRecord)
         static = _flash_static_parts(device, dev, address, size, ftrack)
         if static is not None:
             stmts, counters, stalls = static
@@ -889,11 +991,10 @@ def _emit_fetch(cpu, uop, index, ns, ftrack):
         lines = _emit_cache_fetch(cpu, cache, address, size, index, ns)
         if lines is not None:
             return lines, None
-    thunk = cpu._fetch_thunk(address, size)
-    if thunk is not None:
-        ns[f"F{index}"] = thunk
+    if cpu._fetch_thunk(address, size) is not None:
+        ns.put(f"F{index}", "fetch_thunk", (address, size))
         return [f"s = F{index}()"], None
-    ns[f"F{index}"] = cpu._fetch_port()
+    ns.put(f"F{index}", "fetch_port")
     return [f"s = F{index}({address}, {size})"], None
 
 
@@ -927,8 +1028,8 @@ def _emit_step(cpu, uop, index, ns, isa, ftrack):
         if mem:
             ftrack.clear()
     if body is None:
-        ns[f"E{index}"] = uop.exec
-        ns[f"O{index}"] = Outcome()
+        ns.put(f"E{index}", "constant", uop.exec)
+        ns.put(f"O{index}", "outcome")
         body = [f"E{index}(cpu, O{index})"]
         ds_mode = "attr" if mem else None
         if mem:
@@ -940,12 +1041,8 @@ def _emit_step(cpu, uop, index, ns, isa, ftrack):
         else:
             cost = f"{base} + s"
     else:
-        if cycle_fn is None:
-            def cycle_fn(outcome, _ins=ins, _dyn=cpu.instruction_cycles):
-                return _dyn(_ins, outcome)
-        ns[f"K{index}"] = cycle_fn
-        if f"O{index}" not in ns:
-            ns[f"O{index}"] = Outcome()
+        ns.put(f"K{index}", "cycles", ins)
+        ns.default(f"O{index}", "outcome")
         cost = f"K{index}(O{index}) + {stall_expr}"
     if ds_mode == "attr":
         cost += " + cpu._data_stalls"
@@ -1014,7 +1111,7 @@ def _emit_branch_ender(cpu, uop, index, ns, ftrack):
     else:
         return None  # unresolved label: generic path raises
     # always bound: core inline forms route their rare arms through it
-    ns.setdefault("BR", cpu.branch)
+    ns.default("BR", "branch")
     fetch_lines, static_stalls = _emit_fetch(cpu, uop, index, ns, ftrack)
     if static_stalls is not None:
         taken_cost = str(taken + static_stalls)
@@ -1080,7 +1177,7 @@ def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
     taken = getattr(cycle_fn, "static_taken", None) if cycle_fn is not None else None
     if base is None or taken is None:
         return None
-    ns.setdefault("BR", cpu.branch)  # core inline forms use it for rare arms
+    ns.default("BR", "branch")  # core inline forms use it for rare arms
     inline = cpu._branch_inline(entry)
     if inline is not None:
         # the inline contract: pc ends at the constant target, not halted
@@ -1213,8 +1310,8 @@ def _lean_fetch(cpu, uop, index, ns, ftrack, base):
         "next_pc": uop.next_pc,
     }
     if device is not None and type(device) is Sram:
-        ns[f"D{index}"] = device
-        ns.setdefault("AR", AccessRecord)
+        ns.put(f"D{index}", "fetch_device", (address, size))
+        ns.default("AR", "constant", AccessRecord)
         ws = device.wait_states
         entry["stall_consts"] = ws
         entry["counters"] = ((f"D{index}", "reads"),)
@@ -1222,9 +1319,9 @@ def _lean_fetch(cpu, uop, index, ns, ftrack, base):
         return entry
     if device is not None and type(device) is Flash:
         dev = f"D{index}"
-        ns[dev] = device
-        ns[f"DA{index}"] = device._access
-        ns.setdefault("AR", AccessRecord)
+        ns.put(dev, "fetch_device", (address, size))
+        ns.put(f"DA{index}", "fetch_device_access", (address, size))
+        ns.default("AR", "constant", AccessRecord)
         static = _flash_static_parts(device, dev, address, size, ftrack)
         if static is not None:
             stmts, counters, stalls = static
@@ -1278,8 +1375,8 @@ def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
         return None
     if mem.rm == PC or (not load and mem.rn == PC):
         return None
-    plan = cpu._data_inline_plan()
-    if plan is None or (plan == "mpu" and cpu.mpu is not None):
+    plan = ns.key.data_plan
+    if plan is None or (plan == "mpu" and ns.key.mpu):
         return None
     cycle_fn = cpu.compile_cycles(ins)
     base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
@@ -1322,8 +1419,8 @@ def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
         return done
 
     body = entry["body"]
-    ns.setdefault("AR", AccessRecord)
-    ns.setdefault("IFB", int.from_bytes)
+    ns.default("AR", "constant", AccessRecord)
+    ns.default("IFB", "constant", int.from_bytes)
     if load and mem.rn == PC:
         # literal pool: constant address, device and bounds proven above;
         # only SRAM and flash are known raise-free
@@ -1339,14 +1436,14 @@ def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
                      + completion(f"v = RD({address}, {size})")]
         offset = address - device.base
         dev = f"DV{index}"
-        ns[dev] = device
+        ns.put(dev, "literal_device", address)
         if type(device) is Sram:
             entry["counters"] += ((dev, "reads"),)
             entry["stall_consts"] += device.wait_states
             entry["records"].append(
                 f"AR({address}, {size}, 'R', 'D', {device.wait_states})")
         else:
-            ns[f"DAL{index}"] = device._access
+            ns.put(f"DAL{index}", "literal_access", address)
             static = _flash_static_parts(device, dev, address, size, ftrack)
             if static is not None:
                 stmts, counters, stalls = static
@@ -1380,7 +1477,7 @@ def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
     else:
         body.append(f"{addr} = (rvals[{mem.rn}] + ((rvals[{mem.rm}]"
                     f" << {mem.shift}) & {MASK32})) & {MASK32}")
-    ns.setdefault("SRT", Sram)
+    ns.default("SRT", "constant", Sram)
     guard = "cpu.mpu is None and " if plan == "mpu" else ""
     entry["escape"] = True
     body.append("sp = bus._span_d")
@@ -1539,31 +1636,59 @@ def _flush_span(span, lines):
 
 _SB_FUSED = obs.counter(
     "engine.superblocks.fused",
-    "Superblocks compiled into a single fused callable")
+    "Superblocks fused into a single callable, by where the code came "
+    "from: emitted here on an engine-plan miss, or bound from the plan")
+_FUSED_EMITTED = _SB_FUSED.labels(source="emitted")
+_FUSED_PLAN = _SB_FUSED.labels(source="plan")
 _COMPILE_SECONDS = obs.histogram(
     "engine.superblock.compile_seconds",
-    "Wall time to emit + compile one fused superblock (code-cache hits "
-    "included; they land in the lowest buckets)",
+    "Wall time to fuse one superblock: emit + compile + bind on an "
+    "engine-plan miss (code-cache hits included), the bind alone on a "
+    "plan hit; binds and cache hits land in the lowest buckets",
     buckets=obs.FAST_SECONDS_BUCKETS)
 
 
-def fuse_block(cpu, uops, steps):
-    """Compile one superblock into a single callable (see
+def fuse_block(cpu, block, steps):
+    """Fuse one superblock into a single callable (see
     :func:`_fuse_block`; this wrapper only adds out-of-band telemetry)."""
     if not obs.REGISTRY.enabled:
-        return _fuse_block(cpu, uops, steps)
+        return _fuse_block(cpu, block, steps)
     start = _perf_counter()
-    fused = _fuse_block(cpu, uops, steps)
-    _SB_FUSED.add()
+    fused_from = _FUSED_PLAN if block.code is not None else _FUSED_EMITTED
+    fused = _fuse_block(cpu, block, steps)
+    fused_from.add()
     _COMPILE_SECONDS.observe(_perf_counter() - start)
     return fused
 
 
-def _fuse_block(cpu, uops, steps):
-    """Compile one superblock into a single callable.
+#: the globals of every fused function: its body reads nothing but its
+#: parameters and builtins
+_GLOBALS = {"__builtins__": builtins}
 
-    ``uops`` are the block's micro-ops and ``steps`` the matching bound
-    step closures (the list the engine executes pre-fusion); positions
+
+def _fuse_block(cpu, block, steps):
+    """Fuse one engine-plan block into a single callable bound over ``cpu``.
+
+    ``block`` is the plan's block (its micro-ops, and once any core has
+    fused it, the compiled code and binding recipe); ``steps`` are this
+    core's bound step closures for it, the list the engine executes
+    pre-fusion.  The first fusion of a block emits and compiles it
+    (:func:`_emit_block`) and stores code and recipe in the plan; every
+    fusion then binds: the recipe resolves on ``cpu`` into the function's
+    defaults.
+    """
+    if block.code is None:
+        block.code, block.recipe = _emit_block(cpu, block.uops)
+    return FunctionType(block.code, _GLOBALS, "_fused",
+                        tuple([resolve(cpu, steps, arg)
+                               for resolve, arg in block.recipe]))
+
+
+def _emit_block(cpu, uops):
+    """Emit and compile one superblock: ``(code, recipe)``.
+
+    ``code`` is the generated function's code object and ``recipe`` one
+    ``(resolve, arg)`` pair per parameter (:class:`_Names`).  Positions
     that cannot be inlined fall back to calling their bound step, so the
     fused function is behaviourally the list loop with the frames removed.
     Runs of raise-free pure-ALU steps coalesce their accounting
@@ -1578,24 +1703,22 @@ def _fuse_block(cpu, uops, steps):
     limited to the branch condition, the interrupt queue, the cycle
     ceiling, and the instruction budget.
     """
-    ns = {
-        "cpu": cpu,
-        "rvals": cpu.regs.values,
-        "RD": cpu.read,
-        "WR": cpu.write,
-    }
-    if getattr(cpu, "bus", None) is not None:
-        ns["bus"] = cpu.bus
+    ns = _Names(cpu._plan.key)
+    ns.put("cpu", "core")
+    ns.put("rvals", "registers")
+    ns.put("RD", "read")
+    ns.put("WR", "write")
+    ns.put("bus", "bus")
     last = len(uops) - 1
     is_loop = (not uops[last].chainable
                and _backedge_eligible(cpu, uops[last], uops[0].address))
     if is_loop:
-        ns["IRQQ"] = cpu._irq_queue
+        ns.put("IRQQ", "irq_queue")
     lines = []
     span: list = []
     isa = cpu.program.isa
     ftrack: dict = {}
-    for index, (uop, fast_step) in enumerate(zip(uops, steps)):
+    for index, uop in enumerate(uops):
         if is_loop and index == last:
             _flush_span(span, lines)
             lines.extend(_emit_loop_backedge(cpu, uop, index, ns,
@@ -1614,7 +1737,7 @@ def _fuse_block(cpu, uops, steps):
         else:
             emitted = _emit_branch_ender(cpu, uop, index, ns, ftrack)
         if emitted is None:
-            ns[f"S{index}"] = fast_step
+            ns.put(f"S{index}", "step", index)
             lines.append(f"S{index}()")
             ftrack.clear()  # the bound step fetches/accesses opaquely
         else:
@@ -1624,24 +1747,24 @@ def _fuse_block(cpu, uops, steps):
         lines = ["while True:"] + ["    " + stmt for stmt in lines]
     # every bound object becomes a default parameter, so the generated
     # body resolves them as locals (LOAD_FAST) instead of dict lookups
-    params = ", ".join(f"{name}={name}" for name in ns)
+    params = ", ".join(f"{name}={name}" for name in ns.recipe)
     body = "\n    ".join(lines) if lines else "pass"
     source = f"def _fused({params}):\n    {body}\n"
     code = _CODE_CACHE.get(source)
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             _CODE_CACHE.clear()  # crude bound; refilling is cheap
-        code = compile(source, f"<superblock@{uops[0].address:#x}>", "exec")
+        module = compile(source, f"<superblock@{uops[0].address:#x}>", "exec")
+        code = next(const for const in module.co_consts
+                    if isinstance(const, CodeType))
         _CODE_CACHE[source] = code
-    scope = dict(ns)
-    exec(code, scope)
-    return scope["_fused"]
+    return code, tuple(ns.recipe.values())
 
 
-#: compiled code objects memoised by generated source: campaign runs build
-#: thousands of short-lived machines over identical programs and machine
-#: configs, and ``compile()`` dwarfs a cold block's execution time.  The
-#: bound objects differ per machine, so only the *code* is shared; binding
-#: happens in the (cheap) ``exec`` of the cached code object.
-_CODE_CACHE: dict[str, object] = {}
+#: fused functions' code objects memoised by generated source: blocks of
+#: different programs (or plan keys) that emit the same source - programs
+#: differing only in literal values, say - share one ``compile()``, which
+#: dwarfs a cold block's execution time.  Only the code is shared; each
+#: core binds its own objects as the function's defaults.
+_CODE_CACHE: dict[str, CodeType] = {}
 _CODE_CACHE_MAX = 4096

@@ -983,6 +983,12 @@ def predecode(program) -> dict[int, MicroOp]:
     lazily by the execution loop on first dispatch.  Replacing the decoded
     instruction at an already-predecoded address in place is not detected
     - patch bytes (the FPB route) or reassign the index instead.
+
+    This table is the first of two per-Program caches.  The second is the
+    trace engine's plans (``repro.core.cpu.engine_plan``): per core
+    configuration, the superblocks built over these micro-ops, their cycle
+    caps and fused code.  Plans hold these very micro-op objects and are
+    invalidated with the table, on the same identity test.
     """
     cached = getattr(program, "_uop_table", None)
     if cached is not None and getattr(program, "_uop_index", None) is program._by_address:

@@ -7,6 +7,7 @@ core already charges, so core cycle models simply add the returned stalls.
 
 from __future__ import annotations
 
+import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol
@@ -229,14 +230,24 @@ class SystemBus:
 
 
 class RamBackedDevice:
-    """Common base for byte-array-backed devices (flash, SRAM, TCM)."""
+    """Common base for byte-buffer-backed devices (flash, SRAM, TCM).
+
+    ``data`` is a private anonymous memory map, zero-filled like a
+    ``bytearray`` and indexed, sliced (a slice reads as ``bytes``) and
+    assigned the same way, but the host commits only the pages a guest
+    touches: a 1 MiB flash holding a 1 KiB image costs one page.  Every
+    machine of a campaign allocates its memories afresh, and finished
+    machines wait in reference cycles for the garbage collector, so that
+    is the difference between megabytes and a page or two each.  Unlike a
+    ``bytearray``, the map compares by identity and cannot be pickled.
+    """
 
     def __init__(self, base: int, size: int) -> None:
         if size <= 0:
             raise ValueError("device size must be positive")
         self.base = base
         self.size = size
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
 
     def _offset(self, addr: int, size: int) -> int:
         offset = addr - self.base

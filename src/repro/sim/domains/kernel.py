@@ -42,13 +42,14 @@ class KernelOutcome:
     data: bytes
 
 
-def _run_compiled(core: str, program, workload, entry: str, seed: int,
+def _run_compiled(core: str, program, workload, seed: int,
                   scale: int, machine_kwargs: tuple = (),
                   fastpath: bool = True, data: bytes | None = None,
                   before_call=None) -> KernelOutcome:
     """The one compile-free half of the kernel pipeline: build a machine
     for an already-compiled program, seed the input exactly as the Table 1
-    harness does, run, and verify against the pure-Python reference.
+    harness does, run the kernel's entry (its workload name), and verify
+    against the pure-Python reference.
 
     ``data`` overrides the seeded input blob (same length) - the
     soft_error domain uses this to run the CPU on an upset-corrupted
@@ -67,7 +68,7 @@ def _run_compiled(core: str, program, workload, entry: str, seed: int,
     machine.load_data(SRAM_BASE, blob)
     if before_call is not None:
         before_call(machine)
-    result = machine.call(entry, *prepared.args(SRAM_BASE))
+    result = machine.call(workload.name, *prepared.args(SRAM_BASE))
     expected = workload.reference(blob, *prepared.args(0))
     return KernelOutcome(
         result=result, expected=expected,
@@ -83,18 +84,17 @@ def execute_workload(core: str, isa: str, workload_name: str, seed: int,
                      scale: int, machine_kwargs: tuple = (),
                      fastpath: bool = True,
                      data: bytes | None = None) -> KernelOutcome:
-    """Compile and run one AutoIndy kernel on a real core model."""
+    """Compile (once per process) and run one AutoIndy kernel on a real
+    core model."""
     # Imports are local so the module stays import-light for worker spawn.
-    from repro.codegen import compile_program
-    from repro.core import FLASH_BASE
+    from repro.workloads.harness import compiled_kernel
     from repro.workloads.kernels import WORKLOADS_BY_NAME
 
     if workload_name not in WORKLOADS_BY_NAME:
         raise KeyError(f"unknown workload {workload_name!r}")
     workload = WORKLOADS_BY_NAME[workload_name]
-    fn = workload.build()
-    program = compile_program([fn], isa, base=FLASH_BASE)
-    return _run_compiled(core, program, workload, fn.name, seed, scale,
+    program = compiled_kernel(workload, isa)
+    return _run_compiled(core, program, workload, seed, scale,
                          machine_kwargs=machine_kwargs, fastpath=fastpath,
                          data=data)
 
@@ -119,8 +119,7 @@ class KernelDomain(ScenarioDomain):
     record_class = ScenarioRecord
 
     def build(self, spec):
-        from repro.codegen import compile_program
-        from repro.core import FLASH_BASE
+        from repro.workloads.harness import compiled_kernel
         from repro.workloads.kernels import WORKLOADS_BY_NAME
 
         if not (spec.core and spec.isa and spec.workload):
@@ -133,16 +132,13 @@ class KernelDomain(ScenarioDomain):
                 "interrupt profiles require the Cortex-M3's hardware stacking; "
                 f"core {spec.core!r} would corrupt caller-saved registers")
         workload = WORKLOADS_BY_NAME[spec.workload]
-        functions = [workload.build()]
-        if spec.interrupts is not None:
-            functions.append(_build_irq_tick())
-        program = compile_program(functions, spec.isa, base=FLASH_BASE)
-        return workload, functions, program
+        handler = _build_irq_tick if spec.interrupts is not None else None
+        return workload, compiled_kernel(workload, spec.isa, handler)
 
     def execute(self, spec, built):
         from repro.core import SRAM_BASE
 
-        workload, functions, program = built
+        workload, program = built
 
         def schedule_storm(machine) -> None:
             if spec.interrupts is None:
@@ -157,7 +153,7 @@ class KernelDomain(ScenarioDomain):
         # cycle-for-cycle; the scenario-private stream (spec.rng) drives
         # the stochastic extras.
         outcome = _run_compiled(spec.core, program, workload,
-                                functions[0].name, spec.seed, spec.scale,
+                                spec.seed, spec.scale,
                                 machine_kwargs=spec.machine_kwargs,
                                 fastpath=spec.fastpath,
                                 before_call=schedule_storm)

@@ -229,7 +229,13 @@ class Ecu:
     # ------------------------------------------------------------------
     def fused_block_count(self) -> int:
         """How many superblock entries have been fused to generated code
-        (non-zero proves the guest ran fused code on the trace engine)."""
+        (non-zero proves the guest ran fused code on the trace engine).
+
+        Counted on this core's own blocks: a block fuses after this
+        core's own dispatch countdown, even when an earlier core left its
+        code in the shared engine plan (``repro.core.cpu``).  Plan-level
+        hotness would make the count, a record field, depend on what ran
+        earlier in the process instead of on the spec alone."""
         return sum(1 for entry in self.cpu._sb_blocks.values()
                    if entry[3] is not None)
 

@@ -10,12 +10,13 @@ across the suite (clock frequency divides out, exactly as in GM/MHz).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from repro.codegen import compile_program
 from repro.core import FLASH_BASE, SRAM_BASE, build_arm7, build_cortexm3
-from repro.isa import ISA_ARM, ISA_THUMB, ISA_THUMB2
+from repro.isa import ISA_ARM, ISA_THUMB, ISA_THUMB2, Program
 from repro.sim.rng import DeterministicRng
 from repro.workloads.kernels import AUTOINDY_SUITE, Workload
 
@@ -81,6 +82,29 @@ class SuiteResult:
         return all(r.verified for r in self.runs)
 
 
+@functools.lru_cache(maxsize=128)
+def compiled_kernel(workload: Workload, isa: str, handler=None,
+                    backend_options: tuple = ()) -> Program:
+    """One kernel compiled for ``isa`` at ``FLASH_BASE``, once per process.
+
+    Memoised by (kernel, ISA, handler, backend options): ``handler`` is an
+    optional zero-argument builder of a second IR function linked after
+    the kernel (the kernel domain's IRQ tick), ``backend_options`` the
+    ``compile_program`` options as sorted ``(name, value)`` pairs.  Every
+    machine running the same configuration shares one
+    :class:`~repro.isa.Program`, and with it the micro-op table
+    ``predecode`` caches on it and the trace engine's plans.  The Program
+    is therefore immutable: never patch it in place - compile a private
+    copy with :func:`~repro.codegen.compile_program` to patch one.  The
+    kernel's entry symbol is its workload name.
+    """
+    functions = [workload.build()]
+    if handler is not None:
+        functions.append(handler())
+    return compile_program(functions, isa, base=FLASH_BASE,
+                           **dict(backend_options))
+
+
 def _build_machine(core: str, program, **kwargs):
     if core == "arm7":
         return build_arm7(program, **kwargs)
@@ -93,13 +117,12 @@ def run_kernel(workload: Workload, core: str, isa: str, seed: int = 2005,
                scale: int = 1, machine_kwargs: dict | None = None,
                backend_options: dict | None = None) -> KernelRun:
     """Compile, execute, and verify one kernel on one configuration."""
-    fn = workload.build()
-    program = compile_program([fn], isa, base=FLASH_BASE,
-                              **(backend_options or {}))
+    program = compiled_kernel(
+        workload, isa, backend_options=tuple(sorted((backend_options or {}).items())))
     machine = _build_machine(core, program, **(machine_kwargs or {}))
     prepared = workload.make_input(DeterministicRng(seed), scale)
     machine.load_data(SRAM_BASE, prepared.data)
-    result = machine.call(fn.name, *prepared.args(SRAM_BASE))
+    result = machine.call(workload.name, *prepared.args(SRAM_BASE))
     expected = workload.reference(prepared.data, *prepared.args(0))
     return KernelRun(
         workload=workload.name, isa=isa, core=core,

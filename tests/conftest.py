@@ -1,9 +1,11 @@
-"""Shared fixtures: a minimal ExecutionContext for ISA-level tests."""
+"""Shared fixtures: a minimal ExecutionContext for ISA-level tests, and
+the process telemetry registry switched on for one test."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.isa import Apsr, Condition, RegisterFile
 
 
@@ -62,3 +64,14 @@ def cpu() -> FakeCpu:
 @pytest.fixture
 def arm_cpu() -> FakeCpu:
     return FakeCpu(arm_state=True)
+
+
+@pytest.fixture
+def obs_enabled():
+    """Run one test with the process registry enabled, then restore."""
+    was = obs.enabled()
+    obs.enable()
+    try:
+        yield
+    finally:
+        (obs.enable if was else obs.disable)()

@@ -39,17 +39,6 @@ def registry():
     return MetricsRegistry(enabled=True)
 
 
-@pytest.fixture
-def obs_enabled():
-    """Run one test with the process registry enabled, then restore."""
-    was = obs.enabled()
-    obs.enable()
-    try:
-        yield
-    finally:
-        (obs.enable if was else obs.disable)()
-
-
 # ----------------------------------------------------------------------
 # registry semantics
 # ----------------------------------------------------------------------

@@ -204,11 +204,25 @@ def test_quantum_edges_exact_under_starved_cycle_cap(monkeypatch):
     byte.  This pins the contract that the cap only ever trades fused
     dispatch for slack, never correctness."""
     from repro.core.cpu import BaseCpu
+    from repro.vehicle.vehicle import _assemble_firmware
 
     reference = _body_fingerprint(200)
-    monkeypatch.setattr(BaseCpu, "_block_cycle_cap",
-                        lambda self, uops: 10**9)
-    assert _body_fingerprint(200) == reference
+    starved = []
+
+    def starved_cap(self, uops):
+        starved.append(len(uops))
+        return 10**9
+
+    monkeypatch.setattr(BaseCpu, "_block_cycle_cap", starved_cap)
+    # caps live in the engine plans of the memoised firmware Programs:
+    # fresh Programs make every cap come from the starved model, and
+    # dropping them afterwards keeps the starved caps from later tests
+    _assemble_firmware.cache_clear()
+    try:
+        assert _body_fingerprint(200) == reference
+    finally:
+        _assemble_firmware.cache_clear()
+    assert starved, "no block cap was computed under the starved model"
 
 
 # ----------------------------------------------------------------------
