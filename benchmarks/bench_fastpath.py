@@ -1,18 +1,20 @@
 """Trace engine vs reference interpreter: speedup and bit-exactness.
 
 Runs the AutoIndy suite on all three cores' fetch paths - the Table 1
-configurations plus the ARM1156 with its instruction cache - through the
-two execution engines (see the execution-engines section of
-:mod:`repro.core.cpu`): the trace engine (``cpu.fastpath = True``, the
-default) and the reference interpreter.  Compile time is excluded, and
-each kernel is timed interleaved (the engines alternate round by round,
-best of ``ROUNDS`` kept) so the ratio survives machine noise.  Asserts
-that
+configurations plus the ARM1156 with its instruction cache - and on the
+Cortex-M3 under an IRQ storm (one IRQ per about ``STORM_GAP`` cycles of
+the kernel run, all raised before the call, so requests are queued for
+almost the whole run) through the two execution engines (see the
+execution-engines section of :mod:`repro.core.cpu`): the trace engine
+(``cpu.fastpath = True``, the default) and the reference interpreter.
+Compile time is excluded, and each kernel is timed interleaved (the
+engines alternate round by round, best of ``ROUNDS`` kept) so the ratio
+survives machine noise.  Asserts that
 
-* result, cycle count, instruction count, **and the full bus
-  statistics** (reads, writes, total stalls) are identical across both
-  engines (the trace engine is an execution engine, not an
-  approximation), and
+* result, cycle count, instruction count, **the full bus statistics**
+  (reads, writes, total stalls) and, under the storm, the NVIC's
+  serviced and tail-chained counts are identical across both engines
+  (the trace engine is an execution engine, not an approximation), and
 * the trace engine is at least ``SPEEDUP_FLOOR`` times faster
   wall-clock over the whole sweep.
 
@@ -39,7 +41,13 @@ from repro.codegen import compile_program
 from repro.core import FLASH_BASE, SRAM_BASE, build_machine
 from repro.memory.bus import SystemBus
 from repro.memory.sram import Sram
-from repro.sim.campaign import CampaignRequest, execute_request, interrupt_sweep_matrix
+from repro.sim.campaign import (
+    CampaignRequest,
+    InterruptProfile,
+    execute_request,
+    interrupt_sweep_matrix,
+)
+from repro.sim.domains.kernel import _build_irq_tick
 from repro.sim.rng import DeterministicRng
 from repro.workloads import TABLE1_CONFIGS
 from repro.workloads.kernels import AUTOINDY_SUITE
@@ -49,59 +57,83 @@ SCALE = 4 if REDUCED else 16
 ROUNDS = 2 if REDUCED else 3
 SPEEDUP_FLOOR = 1.05 if REDUCED else 2.0
 
-#: the three cores' fetch paths: shared-bus flash (ARM7), Harvard flash
-#: (M3), and the ARM1156's instruction cache
-CONFIGS = tuple(TABLE1_CONFIGS) + (("ARM1156 (Thumb-2)", "arm1156", "thumb2"),)
+#: (label, core, ISA, IRQ storm?): the three cores' fetch paths -
+#: shared-bus flash (ARM7), Harvard flash (M3), the ARM1156's instruction
+#: cache - and the M3 again under an IRQ storm
+CONFIGS = (tuple((label, core, isa, False) for label, core, isa in TABLE1_CONFIGS)
+           + (("ARM1156 (Thumb-2)", "arm1156", "thumb2", False),
+              ("M3 (Thumb-2) + IRQ storm", "m3", "thumb2", True)))
+#: mean cycles between the storm's IRQs
+STORM_GAP = 2000
 
 #: (label, fastpath)
 ENGINES = (("trace", True), ("reference", False))
 
 
-def _run_once(core: str, program, entry: str, prepared, fastpath: bool):
+def _run_once(core: str, program, entry: str, prepared, fastpath: bool,
+              storm=()):
+    """One timed call; ``storm`` is the ``(number, cycle, priority)``
+    IRQs raised on the NVIC before it."""
     machine = build_machine(core, program)
-    machine.cpu.fastpath = fastpath
+    cpu, bus = machine.cpu, machine.bus
+    cpu.fastpath = fastpath
     machine.load_data(SRAM_BASE, prepared.data)
+    for number, cycle, priority in storm:
+        cpu.nvic.raise_irq(number, handler=program.symbols["irq_tick"],
+                           at_cycle=cycle, priority=priority)
     start = time.perf_counter()
     result = machine.call(entry, *prepared.args(SRAM_BASE))
     elapsed = time.perf_counter() - start
-    cpu, bus = machine.cpu, machine.bus
+    irqs = (cpu.nvic.stats.serviced, cpu.nvic.stats.tail_chained) if storm else ()
     record = (result, cpu.cycles, cpu.instructions_executed,
-              bus.reads, bus.writes, bus.total_stalls)
+              bus.reads, bus.writes, bus.total_stalls) + irqs
     return elapsed, record
 
 
-def run_config(core: str, isa: str) -> tuple[dict, int]:
+def run_config(core: str, isa: str, storm: bool) -> tuple[dict, int, int]:
     """Interleaved best-of-ROUNDS per kernel for both engines: summed
-    execution times by engine, and the instructions one sweep executes."""
+    execution times by engine, the instructions one sweep executes, and
+    the IRQs it services."""
     times = {label: 0.0 for label, _ in ENGINES}
-    instructions = 0
+    instructions = serviced = 0
     for workload in AUTOINDY_SUITE:
         fn = workload.build()
-        program = compile_program([fn], isa, base=FLASH_BASE)
+        functions = [fn, _build_irq_tick()] if storm else [fn]
+        program = compile_program(functions, isa, base=FLASH_BASE)
         prepared = workload.make_input(DeterministicRng(2005), SCALE)
         expected = workload.reference(prepared.data, *prepared.args(0))
+        schedule = ()
+        if storm:
+            # spread over the quiet run, as the engine benchmark's storm
+            _, quiet = _run_once(core, program, fn.name, prepared, True)
+            profile = InterruptProfile(count=max(1, quiet[1] // STORM_GAP),
+                                       mean_gap=STORM_GAP)
+            schedule = profile.schedule(DeterministicRng(2005))
         best = {}
         records = {}
         for _ in range(ROUNDS):
             for label, fastpath in ENGINES:
                 elapsed, records[label] = _run_once(core, program, fn.name,
-                                                    prepared, fastpath)
+                                                    prepared, fastpath, schedule)
                 assert records[label][0] == expected
                 best[label] = min(elapsed, best.get(label, elapsed))
         assert records["trace"] == records["reference"], (
             f"engines diverged on {core}/{isa}/{workload.name} "
-            f"(result/cycles/instructions/bus statistics)")
+            f"(result/cycles/instructions/bus statistics/IRQs serviced)")
         for label in times:
             times[label] += best[label]
         instructions += records["trace"][2]
-    return times, instructions
+        if storm:
+            serviced += records["trace"][6]
+    return times, instructions, serviced
 
 
 def compute_fastpath():
     rows = []
     totals = {label: 0.0 for label, _ in ENGINES}
-    for label, core, isa in CONFIGS:
-        times, instructions = run_config(core, isa)
+    for label, core, isa, storm in CONFIGS:
+        times, instructions, serviced = run_config(core, isa, storm)
+        assert serviced or not storm, f"{label}: the storm was never serviced"
         for engine, elapsed in times.items():
             totals[engine] += elapsed
             record_summary(engine, label, elapsed * 1e9 / instructions)
@@ -122,16 +154,17 @@ def compute_fastpath():
 def test_fastpath_speedup(benchmark):
     outcome = benchmark.pedantic(compute_fastpath, rounds=1, iterations=1)
     lines = [
-        f"{label:<22} trace {fast * 1000:7.1f} ms   reference {slow * 1000:7.1f} ms"
+        f"{label:<26} trace {fast * 1000:7.1f} ms   reference {slow * 1000:7.1f} ms"
         f"   ({slow / fast:4.2f}x)"
         for label, fast, slow in outcome["rows"]
     ]
-    lines.append(f"{'sweep total':<22} speedup {outcome['speedup']:.2f}x "
-                 f"(identical results/cycles/bus stats; floor {SPEEDUP_FLOOR}x)")
+    lines.append(f"{'sweep total':<26} speedup {outcome['speedup']:.2f}x "
+                 f"(identical results/cycles/bus stats/IRQs serviced; "
+                 f"floor {SPEEDUP_FLOOR}x)")
     lines.append(f"campaign: {outcome['campaign_records']} interrupt-storm "
                  f"scenarios byte-identical at 1 and 2 workers")
-    report("Trace engine vs reference interpreter (AutoIndy, all three cores)",
-           lines)
+    report("Trace engine vs reference interpreter (AutoIndy, all three "
+           "cores, M3 also under an IRQ storm)", lines)
     benchmark.extra_info["speedup"] = round(outcome["speedup"], 2)
     benchmark.extra_info["reduced"] = REDUCED
     assert outcome["speedup"] >= SPEEDUP_FLOOR, (

@@ -61,8 +61,8 @@ class Arm1156Core(BaseCpu):
         self._return_stack: list[tuple[InterruptRecord, int, int]] = []
 
     @property
-    def _irq_queue(self) -> list:
-        return self.vic.queue
+    def _irq_controller(self):
+        return self.vic
 
     # ------------------------------------------------------------------
     # memory paths (through the caches when present)

@@ -43,8 +43,8 @@ class Arm7Core(BaseCpu):
         self._return_stack: list[tuple[InterruptRecord, int, int]] = []
 
     @property
-    def _irq_queue(self) -> list:
-        return self.vic.queue
+    def _irq_controller(self):
+        return self.vic
 
     # ------------------------------------------------------------------
     # memory paths: one port, I and D interleave on the same devices

@@ -52,8 +52,8 @@ class CortexM3Core(BaseCpu):
         self._frame_stack: list[tuple[int, int]] = []  # (sp at entry, frame addr)
 
     @property
-    def _irq_queue(self) -> list:
-        return self.nvic.queue
+    def _irq_controller(self):
+        return self.nvic
 
     # ------------------------------------------------------------------
     # memory paths

@@ -64,23 +64,31 @@ ran earlier in the process.
 
 Interrupt exactness is preserved by an **event horizon**: the earliest
 ``assert_cycle`` of any queued request, conservatively ignoring masking
-and priority.  While ``cycles`` is below the horizon no controller poll
-can have an effect, so chained execution is unobservable; once the
-horizon is reached the engine polls the controller and dispatches one
-bound micro-op per instruction, exactly like ``step()``.
+and priority, which each controller keeps current as requests are raised
+and taken (its ``horizon``, O(1) to read).  While ``cycles`` is below the
+horizon no controller poll can have an effect, so chained execution is
+unobservable: a superblock runs whole, from its step list or fused,
+whenever its worst-case cycle cap (:meth:`BaseCpu._block_cycle_cap`)
+ends it at or below the horizon - interrupts queued for later do not
+demote it - and a fused loop re-enters only while the horizon it started
+under is unchanged.  Once the horizon is reached the engine polls the
+controller and dispatches one bound micro-op per instruction, exactly
+like ``step()``.
 
 One dispatch loop serves both public entries.  :meth:`BaseCpu.run` runs
 to halt; :meth:`BaseCpu.run_until_cycle`, the **cycle-coupled** entry used
 by the multi-ECU co-simulation (:mod:`repro.vehicle`), stops at the first
 instruction boundary at or past a cycle ceiling.  The ceiling joins the
-event horizon, so fused loops keep looping between bus events, and
-bounded runs compose exactly: any sequence of ceilings executes the same
-instruction stream as one run to the final ceiling.  Both entries share
-the cached and fused superblocks, so a machine may alternate them freely.
+event horizon in one dispatch limit, so fused loops keep looping between
+bus events, and bounded runs compose exactly: any sequence of ceilings
+executes the same instruction stream as one run to the final ceiling.
+Both entries share the cached and fused superblocks, so a machine may
+alternate them freely.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from repro.isa.assembler import Program
@@ -105,7 +113,8 @@ _DISPATCHES = obs.counter(
     "engine.superblock.dispatches",
     "Trace-engine dispatches by mode: fused generated code, "
     "list-of-steps, poll-per-instruction (at the event horizon), or "
-    "guarded per-step prefix (horizon/budget boundary)")
+    "guarded per-step prefix (within one block cycle cap of the horizon "
+    "or ceiling, or at the budget)")
 _DISPATCH_FUSED = _DISPATCHES.labels(mode="fused")
 _DISPATCH_LIST = _DISPATCHES.labels(mode="list")
 _DISPATCH_POLL = _DISPATCHES.labels(mode="poll")
@@ -119,8 +128,9 @@ _SB_INVALIDATED = obs.counter(
 #: Branching here halts the simulation (the reset value of LR).
 HALT_ADDRESS = 0xFFFFFFFE
 
-#: sentinel: no interrupt queue has been bound into fused blocks yet
-_UNBOUND_QUEUE = object()
+#: the interrupt controller of a core that declares none: nothing is
+#: ever queued, so its event horizon is always None
+_NO_CONTROLLER = SimpleNamespace(horizon=None)
 
 #: the cycle ceiling of an unbounded run(): past any reachable cycle count
 _NO_CEILING = 1 << 62
@@ -221,11 +231,12 @@ class BaseCpu:
     #: human-readable core name, overridden by subclasses
     name = "base"
 
-    #: the live interrupt-controller queue, overridden as a property by
-    #: cores: when it is an empty list the fast loop may skip
-    #: check_interrupts(), which returns None for an empty queue on every
-    #: controller.  None means "no declared controller".
-    _irq_queue: list | None = None
+    #: the live interrupt controller, overridden as a property by cores:
+    #: the trace engine and fused loop guards read its ``horizon`` (the
+    #: earliest queued ``assert_cycle``, None when nothing is queued).  A
+    #: core that overrides check_interrupts() without declaring its
+    #: controller is polled before every instruction, as by ``step()``.
+    _irq_controller = _NO_CONTROLLER
 
     def __init__(self, program: Program, trace: TraceRecorder | None = None) -> None:
         self.program = program
@@ -265,10 +276,10 @@ class BaseCpu:
         #: entry pc -> [steps, plan block, fusion countdown, fused]
         self._sb_blocks: dict[int, list] = {}
         self._sb_steps: dict[int, object] = {}
-        #: the interrupt queue fused blocks were bound over (loop guards
-        #: bind the queue list at fuse time); a controller swap between
-        #: runs drops the fused blocks so they rebind
-        self._sb_bound_queue: object = _UNBOUND_QUEUE
+        #: the interrupt controller fused blocks were bound over (loop
+        #: guards bind it at fuse time); a controller swap between runs
+        #: drops the fused blocks so they rebind
+        self._sb_bound_controller = None
 
     # ------------------------------------------------------------------
     # hooks for subclasses
@@ -818,19 +829,19 @@ class BaseCpu:
                    until: int | None) -> None:
         """The trace engine's dispatch loop, with an optional cycle ceiling.
 
-        Below the event horizon whole superblocks execute with no
-        per-instruction checks; at or past it the engine polls and
-        single-steps exactly like ``step()`` until the queue drains or
-        recedes into the future again.  The ceiling ``until`` (the
-        co-simulation quantum; unbounded runs use one past any reachable
-        cycle) folds into the horizon: a block, or one more iteration of
-        a fused loop (whose guard tests ``_sb_cycle_limit``), runs free
-        only while the interrupt queue is empty *and* its worst-case cycle
-        cap fits under the ceiling.  Otherwise the engine dispatches steps
-        with an exact cycle test, which pins the stop point to the first
-        instruction boundary at or past ``until`` (and IRQ service to the
-        horizon) regardless of quantum splits, fusion state, or cap
-        accuracy.  A bounded run also returns when the core goes to sleep;
+        One dispatch limit serves every run: ``top``, the lower of the
+        ceiling ``until`` (the co-simulation quantum; unbounded runs use
+        one past any reachable cycle) and the interrupt controller's event
+        horizon.  A superblock runs whole - from its step list, or as
+        fused code, where a loop keeps iterating while its guard holds -
+        when its worst-case cycle cap fits under ``top``, whether or not
+        interrupts are queued.  In the last cap's worth of cycles before
+        ``top`` the engine dispatches steps with an exact cycle test,
+        which pins the stop point to the first instruction boundary at or
+        past ``until`` regardless of quantum splits or fusion state.  At
+        or past the horizon it polls and single-steps exactly like
+        ``step()`` until the queue drains or recedes into the future
+        again.  A bounded run also returns when the core goes to sleep;
         an unbounded one ticks through WFI with ``step()``.
         """
         table = self._fast_dispatch_table()
@@ -843,27 +854,22 @@ class BaseCpu:
         if type(self)._fastpath_defer is not BaseCpu._fastpath_defer:
             defer = self._fastpath_defer
         # captured per run, so a controller swapped in between runs is
-        # honoured; raise_irq() mutates this same list, so storms raised
-        # mid-run (or from handlers) stay visible
-        irq_queue = self._irq_queue
-        # unknown interrupt scheme (override without a declared queue):
-        # poll unconditionally, as the reference loop does
-        poll_always = (irq_queue is None
+        # honoured; raise_irq() moves this same object's horizon, so
+        # storms raised mid-run (or from handlers) stay visible
+        irq = self._irq_controller
+        # unknown interrupt scheme (override without a declared
+        # controller): poll unconditionally, as the reference loop does
+        poll_always = (irq is _NO_CONTROLLER
                        and type(self).check_interrupts is not BaseCpu.check_interrupts)
-        if self._sb_bound_queue is not irq_queue:
-            # fused loop guards bind the queue list at fuse time: blocks
-            # fused over another controller's queue are stale
+        if self._sb_bound_controller is not irq:
+            # fused loop guards bind the controller at fuse time: blocks
+            # fused over another controller are stale
             if self._sb_blocks:
                 self._sb_blocks = {}
                 _SB_INVALIDATED.add()
-            self._sb_bound_queue = irq_queue
+            self._sb_bound_controller = irq
         bounded = until is not None
         ceiling = until if bounded else _NO_CEILING
-        # whole-block dispatch needs the cycle count at or below this
-        # limit, and fused loops iterate only while below it: the ceiling
-        # itself when unbounded, one block cycle cap under the ceiling
-        # (set per dispatch) when bounded
-        self._sb_cycle_limit = ceiling
         blocks_get = self._sb_blocks.get
         pc_slot = self.regs.values
         while not self.halted and self.cycles < ceiling:
@@ -875,9 +881,7 @@ class BaseCpu:
             if self.sleeping or self._it_queue or (defer is not None and defer()):
                 step()
                 continue
-            horizon = None
-            if irq_queue:
-                horizon = min(request.assert_cycle for request in irq_queue)
+            horizon = irq.horizon
             if poll_always or (horizon is not None and self.cycles >= horizon):
                 # an interrupt may be eligible right now (or an undeclared
                 # controller needs polling): poll, then one bound micro-op
@@ -893,22 +897,23 @@ class BaseCpu:
                 fast_step()
                 _DISPATCH_POLL.add()
                 continue
+            top = ceiling if horizon is None or horizon > ceiling else horizon
             pc = pc_slot[15]
             entry = blocks_get(pc)
             if entry is None:
                 entry = self._superblock_at(pc)
             steps = entry[0]
-            if horizon is None and len(steps) <= limit - executed:
-                if bounded:
-                    block = entry[1]
-                    cap = block.cap
-                    if cap is None:
-                        cap = block.cap = self._block_cycle_cap(block.uops)
-                    self._sb_cycle_limit = until - cap
+            if len(steps) <= limit - executed:
+                block = entry[1]
+                cap = block.cap
+                if cap is None:
+                    cap = block.cap = self._block_cycle_cap(block.uops)
+                # fused loop guards iterate only below this limit too
+                self._sb_cycle_limit = top - cap
                 if self.cycles <= self._sb_cycle_limit:
-                    # empty queue and the whole block fits under the ceiling
-                    # (a cap shortfall could only overrun the *quantum*, a
-                    # boundary the IRQ delivery latency already absorbs)
+                    # the whole block ends at or below top: every
+                    # instruction in it starts below the horizon, where a
+                    # poll cannot take anything (see _block_cycle_cap)
                     fused = entry[3]
                     if fused is not None:
                         fused()
@@ -921,13 +926,12 @@ class BaseCpu:
                     if entry[2] <= 0:
                         entry[3] = fuse_block(self, entry[1], steps)
                     continue
-            if len(steps) > limit - executed:
+            else:
                 # budget guard: run the allowed prefix, then raise above
                 steps = steps[:limit - executed]
             _DISPATCH_STEP.add()
-            bound = ceiling if horizon is None or horizon > ceiling else horizon
             for fast_step in steps:
-                if self.cycles >= bound:
+                if self.cycles >= top:
                     break
                 fast_step()
 
@@ -949,19 +953,22 @@ class BaseCpu:
     def _block_cycle_cap(self, uops) -> int:
         """A sound worst-case cycle bound for one superblock execution.
 
-        Used by the dispatch loop to decide whether a whole block (or one
-        more fused-loop iteration) fits under the cycle ceiling - and only
-        while the interrupt queue is empty, so an IRQ can never be
-        serviced late because of it.  The bound is built from *declared*
+        The dispatch loop runs a whole block (or one more fused-loop
+        iteration) only from at or below ``top - cap``, with ``top`` the
+        lower of the cycle ceiling and the interrupt event horizon, also
+        while requests are queued.  The cap is therefore a correctness
+        bound for interrupt timing, not only for the quantum: a shortfall
+        would let an instruction start at or past an assert cycle without
+        the poll ``step()`` makes before it, and the interrupt would be
+        taken late (the IRQ tests in ``tests/test_fastpath_properties.py``
+        catch an underestimate).  The bound is built from *declared*
         interfaces rather than heuristics: each uop contributes its static
         taken-path cost (the maximum over outcome shapes;
         :attr:`WORST_DYNAMIC_CYCLES` covers the few dynamic cycle models)
         plus the memory system's declared :meth:`worst_access_stall` per
         access (the fetch, plus one data access for mem uops or one per
         transferred register).  An overestimate only means per-step
-        dispatch near the ceiling; the declared protocol keeps the
-        estimate tight enough that fused blocks run close to the quantum
-        edge.
+        dispatch in the last cap's worth of cycles before ``top``.
         """
         stall = self.worst_access_stall()
         worst_dynamic = self.WORST_DYNAMIC_CYCLES

@@ -45,6 +45,9 @@ class NvicController:
     def __init__(self, tail_chaining: bool = True) -> None:
         self.tail_chaining = tail_chaining
         self.queue: list[InterruptRequest] = []
+        #: the earliest ``assert_cycle`` in the queue (None when empty):
+        #: the trace engine's event horizon, kept in O(1) per read
+        self.horizon: int | None = None
         self.active_stack: list[InterruptRequest] = []
         self.stats = InterruptStats()
 
@@ -55,6 +58,8 @@ class NvicController:
                                    assert_cycle=at_cycle, handler=handler)
         self.queue.append(request)
         self.queue.sort(key=lambda r: (not r.nmi, r.priority, r.assert_cycle, r.number))
+        if self.horizon is None or at_cycle < self.horizon:
+            self.horizon = at_cycle
         return request
 
     def current_priority(self) -> int | None:
@@ -85,6 +90,8 @@ class NvicController:
 
     def take(self, request: InterruptRequest) -> None:
         self.queue.remove(request)
+        if request.assert_cycle == self.horizon:
+            self.horizon = min((r.assert_cycle for r in self.queue), default=None)
         self.active_stack.append(request)
         self.stats.serviced += 1
 

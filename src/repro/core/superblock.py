@@ -6,8 +6,8 @@ dispatch and interrupt poll.  This module removes the remaining
 per-instruction Python *frames*: once a superblock has been dispatched
 enough times to prove hot, :func:`fuse_block` generates a single function
 whose body is the block's per-step statement sequences laid out inline -
-fetch (through a prebound device thunk, inline SRAM/flash timing, or an
-inline transcription of a cached fetch), execute, cycle accounting, PC
+fetch (through a prebound device thunk, inline SRAM/flash timing, or the
+inline clean path of a cached fetch), execute, cycle accounting, PC
 update - and compiles it once.  The hottest operand shapes (register
 moves and ALU, compares, immediate shifts, immediate/register-offset
 loads and stores, MOVW/MOVT, zero/sign extension) are inlined as raw
@@ -22,8 +22,10 @@ branch.  The generated function wraps the body in a loop whose taken path
 revalidates the branch condition inline and re-enters the body directly,
 so a whole loop iteration is one code object executed N times under the
 interrupt event horizon; the guard falls back to the engine (bit-exactly,
-at an instruction boundary) on loop exit, on any queued interrupt, at the
-cycle ceiling, and at the instruction budget (:func:`_emit_loop_backedge`).
+at an instruction boundary) on loop exit, when an interrupt is raised
+with an earlier assert cycle, one block cycle cap before the cycle
+ceiling or the horizon, and at the instruction budget
+(:func:`_emit_loop_backedge`).
 Conditional execution inside fused code costs no closure call either -
 condition checks are emitted as flag expressions (``_COND_EXPRS``).
 
@@ -39,9 +41,14 @@ would, and the property tests in ``tests/test_fastpath_properties.py``
 diff complete machine state across all engines to keep it that way.
 
 Fused blocks run only below the interrupt event horizon (the engine falls
-back to the per-step list when a poll could matter), and are rebuilt
+back to per-step dispatch when a poll could matter), and are rebuilt
 whenever the program's execution index is reassigned, alongside the
 micro-op table they were generated from.
+
+A cached fetch is emitted inline only on the cache's *clean* path (no
+bit flip has landed in it, so parity checks could not fire; see
+:mod:`repro.memory.cache`); after a flip it calls the prebound thunk,
+whose ``Cache.read`` verifies parity (:func:`_emit_cache_fetch`).
 
 Compiled once, bound per core
 -----------------------------
@@ -118,7 +125,7 @@ _RESOLVE = {
     "branch": lambda cpu, steps, _: cpu.branch,
     "mpu_check": lambda cpu, steps, _: cpu._mpu_check,
     "bus": lambda cpu, steps, _: cpu.bus,
-    "irq_queue": lambda cpu, steps, _: cpu._irq_queue,
+    "irq": lambda cpu, steps, _: cpu._irq_controller,
     "fetch_device": lambda cpu, steps, at: cpu._fetch_bus_device(*at),
     "fetch_device_access":
         lambda cpu, steps, at: cpu._fetch_bus_device(*at)._access,
@@ -131,7 +138,6 @@ _RESOLVE = {
     "icache": lambda cpu, steps, _: cpu._fetch_cache(),
     "icache_stats": lambda cpu, steps, _: cpu._fetch_cache().stats,
     "icache_fill": lambda cpu, steps, _: cpu._fetch_cache()._fill,
-    "icache_parity": lambda cpu, steps, _: cpu._fetch_cache()._check_parity,
     "icache_ways":
         lambda cpu, steps, at: cpu._fetch_cache().lookup_plan(*at)[3],
     "outcome": lambda cpu, steps, _: Outcome(),
@@ -835,92 +841,49 @@ def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
     return lines
 
 
-def _parity_fold(var: str) -> list[str]:
-    """Statements folding ``var`` to its even-parity bit in bit 0 - a
-    literal transcription of :func:`repro.memory.cache.parity32`."""
-    return [f"{var} ^= {var} >> 16",
-            f"{var} ^= {var} >> 8",
-            f"{var} ^= {var} >> 4",
-            f"{var} ^= {var} >> 2",
-            f"{var} ^= {var} >> 1"]
-
-
 def _emit_cache_fetch(cpu, cache, address, size, index, ns):
     """Inline one cached instruction fetch, leaving the stalls in ``s``.
 
-    A statement-for-statement transcription of ``Cache.read`` for a
-    constant address (geometry folded at fuse time via
-    :meth:`~repro.memory.cache.Cache.lookup_plan`): way lookup with
-    tag-parity screening, hit/miss counters, fill on miss, data-parity
-    verification (the rare mismatch falls back to the bound
-    ``_check_parity``, which recounts and recovers exactly as the
-    reference would), and the LRU touch.  The value read is dropped -
-    instruction fetches are timing-only.  Fetches that straddle a cache
-    line, and a disabled cache, fall back to the prebound thunk.
+    The clean path of ``Cache.read`` for a constant address (geometry
+    folded at fuse time via :meth:`~repro.memory.cache.Cache.lookup_plan`):
+    a plain tag scan of the set's ways, the hit/miss counters, a fill on a
+    miss, and the LRU touch.  The value read is dropped - instruction
+    fetches are timing-only.  It runs only while the cache is enabled and
+    no bit flip has landed in it (``Cache.flipped``), when every valid
+    line's parity provably matches; otherwise the fetch calls the prebound
+    thunk, whose ``Cache.read`` screens tags and verifies word parity.
+    Fetches that straddle a cache line keep the thunk outright.
     """
     plan = cache.lookup_plan(address, size)
     if plan is None:
         return None  # line-straddling fetch: keep the closure-call thunk
     if cpu._fetch_thunk(address, size) is None:
         return None
-    tag, set_index, offset, _ = plan
+    tag, set_index, _, _ = plan
     ns.default("IC", "icache")
     ns.default("ICS", "icache_stats")
     ns.default("ICF", "icache_fill")
-    ns.default("ICP", "icache_parity")
     ns.put(f"W{index}", "icache_ways", (address, size))
     ns.put(f"F{index}", "fetch_thunk", (address, size))
     ln = f"ln{index}"
-    body = [
-        f"{ln} = None",
-        f"for _c in W{index}:",
-        "    if not _c.valid:",
-        "        continue",
-        "    _t = _c.tag",
-    ]
-    body += ["    " + stmt for stmt in _parity_fold("_t")]
-    body += [
-        "    if (_t & 1) != _c.tag_parity:",
-        "        ICS.tag_errors += 1",
-        "        _c.valid = False",
-        "        continue",
-        f"    if _c.tag == {tag}:",
-        f"        {ln} = _c",
-        "        break",
-        f"if {ln} is None:",
-        "    ICS.misses += 1",
-        f"    {ln}, s = ICF({tag}, {set_index}, 'I')",
+    return [
+        "if IC.enabled and not IC.flipped:",
+        f"    {ln} = None",
+        f"    for _c in W{index}:",
+        f"        if _c.valid and _c.tag == {tag}:",
+        f"            {ln} = _c",
+        "            break",
+        f"    if {ln} is None:",
+        "        ICS.misses += 1",
+        f"        {ln}, s = ICF({tag}, {set_index}, 'I')",
+        "    else:",
+        "        ICS.hits += 1",
+        "        s = 0",
+        "    IC._lru_clock += 1",
+        f"    {ln}.lru = IC._lru_clock",
         "else:",
-        "    ICS.hits += 1",
-        "    s = 0",
-        f"_d = {ln}.data",
+        f"    s = F{index}()",
     ]
-    first_word = offset // 4
-    last_word = (offset + size - 1) // 4
-    recover = f"s += ICP({ln}, {offset}, {size}, {tag}, {set_index}, 'I')"
-    indent = ""
-    for word in range(first_word, last_word + 1):
-        o = word * 4
-        body += [indent + stmt for stmt in (
-            [f"_w = _d[{o}] | (_d[{o + 1}] << 8) | (_d[{o + 2}] << 16)"
-             f" | (_d[{o + 3}] << 24)"]
-            + _parity_fold("_w")
-            + [f"if (_w & 1) != {ln}.word_parity[{word}]:",
-               "    " + recover]
-        )]
-        if word != last_word:
-            # _check_parity stops at the first mismatch: later words are
-            # only verified when the earlier ones were clean
-            body.append(indent + "else:")
-            indent += "    "
-    body += [
-        "IC._lru_clock += 1",
-        f"{ln}.lru = IC._lru_clock",
-    ]
-    lines = ["if IC.enabled:"]
-    lines += ["    " + stmt for stmt in body]
-    lines += ["else:", f"    s = F{index}()"]
-    return lines
 
 
 def _emit_fetch(cpu, uop, index, ns, ftrack):
@@ -1158,16 +1121,20 @@ def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
     identical branch bookkeeping, then revalidates the conditions the
     engine's dispatch loop would have checked before re-entering the block
     - PC really back at the head and not halted (only when the real
-    ``cpu.branch`` had to be called), interrupt queue still empty (the
-    event horizon: with an empty queue no poll can have an effect), one
-    more full iteration under the cycle ceiling (``_sb_cycle_limit``, one
-    block cycle cap below it), and one more full iteration inside the
-    instruction budget.  When every guard holds the generated loop
-    continues with zero engine dispatch; otherwise the function returns
-    with the machine exactly where per-step execution would have left it,
-    and the engine takes over.  Returns
-    ``None`` when the back-edge has no static-cost inline form (the block
-    then fuses as a plain straight-line superblock).
+    ``cpu.branch`` had to be called), the interrupt controller's event
+    horizon unchanged since the function was entered (``h0``), one more
+    full iteration under the dispatch limit (``_sb_cycle_limit``, one
+    block cycle cap below the lower of the cycle ceiling and ``h0``), and
+    one more full iteration inside the instruction budget.  Only a
+    request raised from inside the loop (an MMIO doorbell) can move the
+    horizon there: a request is removed only by ``check_interrupts`` and
+    exception return, and neither runs inside fused code, so an earlier
+    pending interrupt shows up as a changed horizon.  When every guard
+    holds the generated loop continues with zero engine dispatch;
+    otherwise the function returns with the machine exactly where
+    per-step execution would have left it, and the engine takes over.
+    Returns ``None`` when the back-edge has no static-cost inline form
+    (the block then fuses as a plain straight-line superblock).
     """
     ins = uop.ins
     if ins.mnemonic != "B" or uop.branch_target != entry:
@@ -1202,14 +1169,15 @@ def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
         "cpu.instructions_executed += 1",
     ]
     taken_lines += recheck
-    # IRQQ is the controller queue bound at fuse time (the engine drops
+    # IRQ is the interrupt controller bound at fuse time (the engine drops
     # all fused blocks if the controller is swapped between runs), so the
-    # event-horizon revalidation is one truthiness test per iteration.
+    # event-horizon revalidation is one attribute compare per iteration.
     # The cycle test keeps a fused loop looping between co-simulation bus
-    # events and returns, bit-exactly at an iteration boundary, when the
-    # quantum (minus the block's cycle cap) is reached; unbounded runs set
-    # the limit past any reachable cycle.
-    guard = ("IRQQ or cpu.cycles >= cpu._sb_cycle_limit"
+    # events and queued interrupts, and returns, bit-exactly at an
+    # iteration boundary, when the quantum or the horizon (minus the
+    # block's cycle cap) is reached; unbounded runs with nothing queued
+    # set the limit past any reachable cycle.
+    guard = ("IRQ.horizon != h0 or cpu.cycles >= cpu._sb_cycle_limit"
              f" or cpu.instructions_executed + {count} > cpu._sb_limit")
     taken_lines += [
         f"if {guard}:",
@@ -1700,7 +1668,7 @@ def _emit_block(cpu, uops):
     ``while True:`` whose taken-branch path continues in place (see
     :func:`_emit_loop_backedge`): a full loop iteration runs as one
     generated code object executed N times, with the per-iteration guard
-    limited to the branch condition, the interrupt queue, the cycle
+    limited to the branch condition, the event horizon, the cycle
     ceiling, and the instruction budget.
     """
     ns = _Names(cpu._plan.key)
@@ -1713,7 +1681,7 @@ def _emit_block(cpu, uops):
     is_loop = (not uops[last].chainable
                and _backedge_eligible(cpu, uops[last], uops[0].address))
     if is_loop:
-        ns.put("IRQQ", "irq_queue")
+        ns.put("IRQ", "irq")
     lines = []
     span: list = []
     isa = cpu.program.isa
@@ -1744,7 +1712,8 @@ def _emit_block(cpu, uops):
             lines.extend(emitted)
     _flush_span(span, lines)
     if is_loop:
-        lines = ["while True:"] + ["    " + stmt for stmt in lines]
+        lines = (["h0 = IRQ.horizon", "while True:"]
+                 + ["    " + stmt for stmt in lines])
     # every bound object becomes a default parameter, so the generated
     # body resolves them as locals (LOAD_FAST) instead of dict lookups
     params = ", ".join(f"{name}={name}" for name in ns.recipe)

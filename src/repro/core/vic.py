@@ -17,6 +17,9 @@ class VicController:
 
     def __init__(self) -> None:
         self.queue: list[InterruptRequest] = []
+        #: the earliest ``assert_cycle`` in the queue (None when empty):
+        #: the trace engine's event horizon, kept in O(1) per read
+        self.horizon: int | None = None
         self.stats = InterruptStats()
 
     def raise_irq(self, number: int, handler: int, at_cycle: int = 0,
@@ -26,6 +29,8 @@ class VicController:
                                    assert_cycle=at_cycle, handler=handler)
         self.queue.append(request)
         self.queue.sort(key=lambda r: (not r.nmi, r.priority, r.assert_cycle))
+        if self.horizon is None or at_cycle < self.horizon:
+            self.horizon = at_cycle
         return request
 
     def pending_at(self, cycle: int, masked: bool) -> InterruptRequest | None:
@@ -53,6 +58,8 @@ class VicController:
 
     def acknowledge(self, request: InterruptRequest) -> None:
         self.queue.remove(request)
+        if request.assert_cycle == self.horizon:
+            self.horizon = min((r.assert_cycle for r in self.queue), default=None)
         self.stats.serviced += 1
 
     def has_pending(self) -> bool:

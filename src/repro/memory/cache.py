@@ -8,6 +8,15 @@ refetching from the backing store (write-through keeps the backing store
 current).  A tag-array error is detected the same way and simply forces a
 miss.  With ``fault_tolerant=False`` the corrupted data is returned
 silently - the unprotected baseline of experiment E7.
+
+The clean invariant: fills compute parity from the data they bring in
+and writes recompute it for the words they store, so parity can disagree
+with a valid line only after a flip lands there (:meth:`Cache.flip_data_bit`
+and :meth:`Cache.flip_tag_bit`, the only setters of ``flipped``).  While
+the cache is clean, accesses find their line with a plain tag scan and
+skip the screening and verification that could not fire; once flipped,
+every access verifies.  :meth:`Cache.invalidate_all` leaves no valid
+line, so it makes the cache clean again.
 """
 
 from __future__ import annotations
@@ -75,6 +84,9 @@ class Cache:
         self.fill_penalty = fill_penalty
         self.fault_tolerant = fault_tolerant
         self.enabled = True
+        #: a soft error has landed in a valid line since the last
+        #: invalidate_all(): accesses screen tags and verify parity
+        self.flipped = False
         self.stats = CacheStats()
         self._lines = [[CacheLine() for _ in range(ways)] for _ in range(sets)]
         self._lru_clock = 0
@@ -119,12 +131,12 @@ class Cache:
         """Fuse-time geometry for one constant-address access.
 
         Returns ``(tag, set_index, offset, ways)`` - everything the
-        superblock fuser needs to emit this cache's :meth:`read` as raw
-        statements (``ways`` is the live per-set line list, stable for the
-        cache's lifetime; ``self.stats`` is likewise a stable binding for
-        the emitted hit/miss/parity counters).  Returns ``None`` when the
-        access straddles a line boundary - the split/recurse path stays a
-        real :meth:`read` call.
+        superblock fuser needs to emit the clean path of this cache's
+        :meth:`read` as raw statements (``ways`` is the live per-set line
+        list, stable for the cache's lifetime; ``self.stats`` is likewise a
+        stable binding for the emitted hit/miss counters).  Returns
+        ``None`` when the access straddles a line boundary - the
+        split/recurse path stays a real :meth:`read` call.
         """
         tag, set_index, offset = self._split(addr)
         if offset + size > self.line_bytes:
@@ -134,6 +146,16 @@ class Cache:
     # ------------------------------------------------------------------
     # lookup / fill
     # ------------------------------------------------------------------
+    def _find(self, tag: int, set_index: int) -> CacheLine | None:
+        """The valid line holding ``tag``: a plain tag scan while the cache
+        is clean, the screening :meth:`_lookup` once a flip has landed."""
+        if self.flipped:
+            return self._lookup(tag, set_index)
+        for line in self._lines[set_index]:
+            if line.valid and line.tag == tag:
+                return line
+        return None
+
     def _lookup(self, tag: int, set_index: int) -> CacheLine | None:
         for line in self._lines[set_index]:
             if not line.valid:
@@ -217,14 +239,15 @@ class Cache:
             low, stalls_a = self.read(addr, first, side)
             high, stalls_b = self.read(addr + first, size - first, side)
             return low | (high << (8 * first)), stalls_a + stalls_b
-        line = self._lookup(tag, set_index)
+        line = self._find(tag, set_index)
         stalls = 0
         if line is None:
             self.stats.misses += 1
             line, stalls = self._fill(tag, set_index, side)
         else:
             self.stats.hits += 1
-        stalls += self._check_parity(line, offset, size, tag, set_index, side)
+        if self.flipped:
+            stalls += self._check_parity(line, offset, size, tag, set_index, side)
         self._touch(line)
         value = int.from_bytes(line.data[offset:offset + size], "little")
         return value, stalls
@@ -232,20 +255,30 @@ class Cache:
     def write(self, addr: int, size: int, value: int, side: str = "D") -> int:
         # write-through, no write-allocate
         stalls = self.backing.write(addr, size, value, side)
-        if not self.enabled:
-            return stalls
-        tag, set_index, offset = self._split(addr)
-        line = self._lookup(tag, set_index)
-        if line is not None and offset + size <= self.line_bytes:
-            value &= (1 << (8 * size)) - 1
-            line.data[offset:offset + size] = value.to_bytes(size, "little")
-            first_word = offset // 4
-            last_word = (offset + size - 1) // 4
-            for word_index in range(first_word, last_word + 1):
-                word = int.from_bytes(line.data[word_index * 4:word_index * 4 + 4], "little")
-                line.word_parity[word_index] = parity32(word)
-            self._touch(line)
+        if self.enabled:
+            self._update(addr, size, value & ((1 << (8 * size)) - 1))
         return stalls
+
+    def _update(self, addr: int, size: int, value: int) -> None:
+        """Refresh a stored value in the cached copy, where cached: data,
+        word parity and LRU of each line, split at the line boundary as
+        :meth:`read` splits, in address order."""
+        tag, set_index, offset = self._split(addr)
+        if offset + size > self.line_bytes:
+            first = self.line_bytes - offset
+            self._update(addr, first, value & ((1 << (8 * first)) - 1))
+            self._update(addr + first, size - first, value >> (8 * first))
+            return
+        line = self._find(tag, set_index)
+        if line is None:
+            return
+        line.data[offset:offset + size] = value.to_bytes(size, "little")
+        first_word = offset // 4
+        last_word = (offset + size - 1) // 4
+        for word_index in range(first_word, last_word + 1):
+            word = int.from_bytes(line.data[word_index * 4:word_index * 4 + 4], "little")
+            line.word_parity[word_index] = parity32(word)
+        self._touch(line)
 
     # ------------------------------------------------------------------
     # maintenance and fault injection
@@ -254,6 +287,7 @@ class Cache:
         for ways in self._lines:
             for line in ways:
                 line.valid = False
+        self.flipped = False  # no valid line survives: clean again
 
     def warm(self, addr: int, nbytes: int, side: str = "D") -> None:
         """Prefetch a range so subsequent reads hit (test/bench setup)."""
@@ -280,6 +314,7 @@ class Cache:
             return
         byte_index, bit_index = divmod(bit, 8)
         line.data[byte_index % self.line_bytes] ^= 1 << bit_index
+        self.flipped = True
 
     def flip_tag_bit(self, set_index: int, way: int, bit: int) -> None:
         """Soft error in the TAG array."""
@@ -287,6 +322,7 @@ class Cache:
         if not line.valid:
             return
         line.tag ^= 1 << (bit % 20)
+        self.flipped = True
 
     def flip_random_bit(self, rng, target: str = "data") -> bool:
         """Flip a random bit in a random valid line; False if cache empty."""

@@ -1,8 +1,13 @@
 """Interrupt-architecture tests: VIC software entry, NVIC hardware entry,
 tail-chaining, NMI, and the ARM1156 restartable LDM."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FLASH_BASE, SRAM_BASE, build_arm7, build_arm1156, build_cortexm3
+from repro.core.nvic import NvicController
+from repro.core.vic import VicController
 from repro.isa import ISA_THUMB, ISA_THUMB2, assemble
 
 # Main program: count r0 up to 200 then return.  The handler increments a
@@ -413,3 +418,42 @@ def test_arm1156_pop_pc_is_not_restartable():
                      if r.label == "enter" and r.data["number"] == 2]
         assert len(nmi_entry) == 1, nmi_cycle
         assert nmi_entry[0].time == end + Arm1156Core.ENTRY_OVERHEAD, nmi_cycle
+
+
+#: controller operations: raise a request, remove the queued one at an
+#: index, service whatever is pending at a cycle, and (NVIC) complete the
+#: active handler, which tail-chains the next pending request
+CONTROLLER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("raise"), st.integers(min_value=0, max_value=60),
+              st.integers(min_value=0, max_value=3), st.booleans()),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("service"), st.integers(min_value=0, max_value=60)),
+    st.tuples(st.just("complete"), st.integers(min_value=0, max_value=60)),
+), max_size=40)
+
+
+@pytest.mark.parametrize("controller_class", [NvicController, VicController])
+@given(ops=CONTROLLER_OPS)
+@settings(max_examples=150, deadline=None)
+def test_controller_horizon_is_the_earliest_queued_assert(controller_class, ops):
+    """After any sequence of raises and removals, a controller's event
+    horizon is the minimum ``assert_cycle`` in its queue, or None when the
+    queue is empty (the trace engine reads it instead of scanning)."""
+    controller = controller_class()
+    nvic = controller_class is NvicController
+    remove = controller.take if nvic else controller.acknowledge
+    for number, op in enumerate(ops, start=1):
+        kind, value = op[0], op[1]
+        if kind == "raise":
+            controller.raise_irq(number, handler=0, at_cycle=value,
+                                 priority=op[2], nmi=op[3])
+        elif kind == "remove" and controller.queue:
+            remove(controller.queue[value % len(controller.queue)])
+        elif kind == "service":
+            request = controller.pending_at(value, masked=False)
+            if request is not None:
+                remove(request)
+        elif kind == "complete" and nvic:
+            controller.complete(value, masked=False)
+        assert controller.horizon == min(
+            (request.assert_cycle for request in controller.queue), default=None)

@@ -304,7 +304,7 @@ def test_fused_loop_bound_from_a_plan_sees_its_own_irq_queue(obs_enabled):
     doorbell queues an IRQ mid-loop, and the handler must enter exactly
     when the reference takes it.  With the MPU attached before the first
     run, the doorbell store is inline and the loop keeps looping, so only
-    the loop guard's queue test can stop it before the assert cycle."""
+    the loop guard's horizon test can stop it before the assert cycle."""
     program = assemble(DOORBELL_LOOP, ISA_THUMB2, base=FLASH_BASE)
 
     def build() -> Machine:

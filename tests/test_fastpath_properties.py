@@ -20,6 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import (
     FLASH_BASE,
     HALT_ADDRESS,
@@ -952,6 +953,150 @@ def test_call_and_cycle_ladder_share_one_engine():
         for pc, block in before.items():
             assert after[pc] is block, (
                 f"fused block at {pc:#x} was rebuilt across an entry switch")
+
+
+PENDING_IRQ_LOOP_SOURCE = """
+main:
+    movs r0, #0
+    ldr r5, =2000
+loop:
+    adds r0, r0, #1
+    cmp r0, r5
+    bne loop
+    bx lr
+handler:
+    ldr r1, =0x20000100
+    ldr r2, [r1]
+    adds r2, r2, #1
+    str r2, [r1]
+    bx lr
+"""
+
+
+def _dispatches() -> dict:
+    """The trace engine's dispatch counts so far, by mode."""
+    series = obs.snapshot()["counters"].get("engine.superblock.dispatches", {})
+    return {mode: series.get(f"mode={mode}", 0)
+            for mode in ("fused", "list", "step", "poll")}
+
+
+def test_trace_engine_fuses_below_a_pending_interrupt(obs_enabled):
+    """One IRQ pending far in the future does not demote the M3 loop below
+    it to per-step dispatch: until the assert cycle the loop runs fused,
+    and per-step dispatch is confined to the last block cycle cap before
+    it, however many iterations come first.  The handler enters at the
+    reference's cycle, and the machine ends identical."""
+    assert_cycle = 5000
+
+    def drive(fastpath: bool):
+        machine = _build_machine(ISA_THUMB2, PENDING_IRQ_LOOP_SOURCE)
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        cpu.nvic.raise_irq(1, handler=cpu.program.symbols["handler"],
+                           at_cycle=assert_cycle)
+        cpu.regs.pc = cpu.program.symbols["main"]
+        before = _dispatches()
+        cpu.run_until_cycle(assert_cycle)
+        below = {mode: count - before[mode]
+                 for mode, count in _dispatches().items()}
+        assert not cpu.nvic.stats.records, "entered before the assert cycle"
+        cpu.run()
+        state = _state(machine)
+        state["irqs"] = [(r.number, r.assert_cycle, r.entry_cycle, r.exit_cycle)
+                         for r in cpu.nvic.stats.records]
+        state["handled"] = machine.sram.data[0x100]
+        return state, below
+
+    trace, below = drive(fastpath=True)
+    reference, _ = drive(fastpath=False)
+    assert trace == reference
+    assert trace["regs"][0] == 2000 and trace["handled"] == 1
+    assert len(trace["irqs"]) == 1 and trace["irqs"][0][2] >= assert_cycle
+    assert below["fused"] > 0, "the loop never ran fused below the horizon"
+    assert below["step"] <= 4, f"per-step dispatch below the horizon: {below}"
+    assert below["poll"] == 0
+
+
+UPSET_LOOP_SOURCE = """
+main:
+    movs r0, #0
+    ldr r4, =0x20000100
+    ldr r5, =3000
+    nop
+loop:
+    ldr r1, [r4, #0]
+    adds r1, r1, r0
+    str r1, [r4, #0]
+    adds r0, r0, #1
+    cmp r0, r5
+edge:
+    bne loop
+    ldr r0, [r4, #0]
+    bx lr
+"""
+
+
+def _icache_line(icache, address: int) -> tuple[int, int, int]:
+    """``(set, way, bit)``: the valid I-cache line holding ``address`` and
+    the number of the first data bit of its byte there."""
+    tag, set_index, offset, ways = icache.lookup_plan(address, 2)
+    way = next(index for index, line in enumerate(ways)
+               if line.valid and line.tag == tag)
+    return set_index, way, 8 * offset
+
+
+def test_fused_cached_fetch_after_upsets_matches_reference():
+    """A fused ARM1156 loop keeps fetching through its I-cache while bits
+    flip there between bounded runs: a data bit in the word of the
+    back-edge, then a tag bit of the loop's line, then a data bit in the
+    word of the loop head.  Once the cache has taken a flip, fused
+    fetches verify tags and parity as the reference's do: the trace
+    engine ends bit-identical, both caches' statistics included.  The
+    head's word holds loop instructions only, the last bounded run stops
+    past it, and the final run is unbounded, so after the third flip only
+    fused code fetches that word: a fused fetch that skipped verification
+    would never see the third upset."""
+
+    def drive(fastpath: bool):
+        machine = _build_machine(ISA_THUMB2, UPSET_LOOP_SOURCE, core="arm1156")
+        cpu, icache = machine.cpu, machine.icache
+        cpu.fastpath = fastpath
+        symbols = cpu.program.symbols
+        loop, edge = symbols["loop"], symbols["edge"]
+        assert loop % 4 == 0 and loop // 4 != edge // 4
+
+        def flip_data(address: int) -> None:
+            set_index, way, bit = _icache_line(icache, address)
+            icache.flip_data_bit(set_index, way, bit + 3)
+
+        def flip_tag(address: int) -> None:
+            set_index, way, _ = _icache_line(icache, address)
+            icache.flip_tag_bit(set_index, way, 3)
+
+        cpu.regs.pc = symbols["main"]
+        fused = []
+        for rung, upset in enumerate((lambda: flip_data(edge),
+                                      lambda: flip_tag(loop),
+                                      lambda: flip_data(loop)), start=1):
+            cpu.run_until_cycle(3000 * rung)
+            fused.append(loop in cpu._sb_blocks
+                         and cpu._sb_blocks[loop][3] is not None)
+            upset()
+        assert cpu.regs.pc // 4 != loop // 4
+        cpu.run()
+        state = _state(machine)
+        state["icache"] = vars(icache.stats)
+        state["dcache"] = vars(machine.dcache.stats)
+        return state, fused
+
+    trace, fused = drive(fastpath=True)
+    reference, _ = drive(fastpath=False)
+    assert fused == [True, True, True], "the loop was not fused at every upset"
+    assert trace == reference
+    assert trace["regs"][0] == sum(range(3000))
+    icache = trace["icache"]
+    assert (icache["parity_errors"], icache["tag_errors"],
+            icache["recoveries"]) == (2, 1, 2)
 
 
 def test_cond_checks_agree_with_condition_passed_exhaustively():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import FLASH_BASE, build_arm1156
+from repro.isa import ISA_THUMB2, assemble
 from repro.memory import Cache, Sram, parity32
 from repro.sim import DeterministicRng
 
@@ -161,3 +163,48 @@ def test_bad_geometry_rejected():
         Cache(ram, sets=3)
     with pytest.raises(ValueError):
         Cache(ram, line_bytes=24)
+
+
+def test_store_across_a_line_refreshes_both_cached_lines():
+    """A store straddling a line boundary is written through once and
+    refreshes the cached copy of both lines, data and parity alike."""
+    cache, ram = make_cache()
+    cache.read(0x10E, 4)                 # allocates lines 0x100 and 0x110
+    fills = cache.stats.fills
+    stalls = cache.write(0x10E, 4, 0xAABBCCDD)
+    assert stalls == 1                   # one backing write (SRAM wait state)
+    assert ram.read_raw(0x10E, 4) == (0xAABBCCDD).to_bytes(4, "little")
+    assert cache.read(0x10E, 4)[0] == 0xAABBCCDD
+    assert cache.read(0x10C, 4)[0] == 0xCCDD0000
+    assert cache.read(0x110, 4)[0] == 0x0000AABB
+    assert cache.stats.fills == fills    # both halves were hits
+    # parity was kept current: a flip in either stored half is caught
+    # and recovered
+    (low_set, low_way), (high_set, high_way) = cache.valid_lines()
+    cache.flip_data_bit(low_set, low_way, 8 * 0xE)
+    cache.flip_data_bit(high_set, high_way, 0)
+    assert cache.read(0x10E, 4)[0] == 0xAABBCCDD
+    assert cache.stats.parity_errors == cache.stats.recoveries == 2
+
+
+STRADDLING_STORE = """
+main:
+    ldr r1, =0x2000011e
+    ldr r2, [r1, #0]
+    ldr r0, =0xaabbccdd
+    str r0, [r1, #0]
+    ldr r0, [r1, #0]
+    bx lr
+"""
+
+
+@pytest.mark.parametrize("caches", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("fastpath", [True, False], ids=["trace", "reference"])
+def test_guest_store_across_a_dcache_line_reads_back(caches, fastpath):
+    """On the ARM1156 a word store across two 32-byte D-cache lines, both
+    cached by the load before it, reads back as stored: with caches and
+    without, on both engines."""
+    program = assemble(STRADDLING_STORE, ISA_THUMB2, base=FLASH_BASE)
+    machine = build_arm1156(program, caches_enabled=caches)
+    machine.cpu.fastpath = fastpath
+    assert machine.call("main") == 0xAABBCCDD

@@ -1,6 +1,6 @@
 """Property-based tests on the memory system's core invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import BitBandAlias, Cache, Flash, Sram
@@ -20,13 +20,13 @@ ACCESS = st.tuples(
 
 
 @given(st.lists(ACCESS, min_size=1, max_size=60))
+@example([("r", 0x0E, 4, 0), ("w", 0x0E, 4, 0xAABBCCDD), ("r", 0x0E, 4, 0)])
 @settings(max_examples=150, deadline=None)
 def test_cache_is_transparent(accesses):
     plain = Sram(base=0, size=0x1000)
     backing = Sram(base=0, size=0x1000)
     cache = Cache(backing, sets=4, ways=2, line_bytes=16)
     for kind, addr, size, value in accesses:
-        addr -= addr % size  # natural alignment
         if kind == "w":
             plain.write(addr, size, value)
             cache.write(addr, size, value)
