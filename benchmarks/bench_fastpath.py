@@ -18,7 +18,6 @@ survives machine noise.  Asserts that
 * the trace engine is at least ``SPEEDUP_FLOOR`` times faster
   wall-clock over the whole sweep.
 
-Per-engine ns/instruction figures feed the flat ``BENCH_summary.json``.
 Also fans a Figure 4-flavoured interrupt-storm matrix through the
 campaign runner at one and two workers and asserts byte-identical output,
 and microbenchmarks the ``SystemBus.device_at`` decode.
@@ -35,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import record_summary, report
+from conftest import report
 
 from repro.codegen import compile_program
 from repro.core import FLASH_BASE, SRAM_BASE, build_machine
@@ -136,7 +135,6 @@ def compute_fastpath():
         assert serviced or not storm, f"{label}: the storm was never serviced"
         for engine, elapsed in times.items():
             totals[engine] += elapsed
-            record_summary(engine, label, elapsed * 1e9 / instructions)
         rows.append((label, times["trace"], times["reference"]))
     speedup = totals["reference"] / totals["trace"]
 

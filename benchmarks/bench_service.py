@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import os
 
-from conftest import record_summary, report
+from conftest import report
 
 from repro.sim.campaign import CampaignRequest, ScenarioSpec, _record_json, execute_request
 from repro.sim.service import (
@@ -119,9 +119,6 @@ def test_service_concurrent_overlapping_load(benchmark):
             f"streamed",
             f"{deduped}/{requested} cells deduped ({dedup_pct:.0f}%): "
             f"computed {service.computed}, joined/replayed the rest"])
-    record_summary("service", "requests_per_sec", requests_per_sec)
-    record_summary("service", "cells_per_sec", cells_per_sec)
-    record_summary("service", "dedup_pct", dedup_pct)
     benchmark.extra_info["clients"] = CLIENTS
     benchmark.extra_info["cells"] = requested
     benchmark.extra_info["unique_cells"] = len(unique)
@@ -180,8 +177,6 @@ def test_supervised_pool_throughput_and_kill_recovery(benchmark):
             f"same sweep with one report-phase worker kill: {faulted_s:.2f}s "
             f"(+{recovery_overhead_s:.2f}s to detect, requeue, respawn)",
             "both streams byte-identical to the local run"])
-    record_summary("service", "supervised_cells_per_sec", cells_per_sec)
-    record_summary("service", "kill_recovery_overhead_s", recovery_overhead_s)
     benchmark.extra_info["workers_proc"] = WORKERS
     benchmark.extra_info["cells"] = len(specs)
 
@@ -240,9 +235,6 @@ def test_telemetry_overhead_stays_out_of_band(benchmark):
             f"{instrumented_s:.3f}s (min of {rounds} interleaved rounds)",
             f"overhead {overhead_pct:.2f}% - streams byte-identical",
             f"{cells / instrumented_s:.1f} cells/s with full telemetry on"])
-    record_summary("service", "telemetry_overhead_pct", overhead_pct)
-    record_summary("service", "instrumented_cells_per_sec",
-                   cells / instrumented_s)
     benchmark.extra_info["overhead_pct"] = overhead_pct
     if not REDUCED:
         assert overhead_pct < 3.0, (

@@ -9,8 +9,7 @@ CAN + LIN) in the units the co-sim pump is judged by:
 * **scheduler events per 1,000 guest instructions** - the pump and bus
   bookkeeping per unit of real guest work.
 
-Both rows go into the flat ``BENCH_summary.json`` trajectory under keys
-that name their unit.  ``REPRO_BENCH_REDUCED=1`` shrinks the horizon and
+``REPRO_BENCH_REDUCED=1`` shrinks the horizon and
 the warm rounds for CI smoke.
 """
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-from conftest import record_summary, report
+from conftest import report
 
 from repro.vehicle import BodyNetworkSpec, SensorNode, build_body_network
 
@@ -74,12 +73,6 @@ def test_body_network_cosim_throughput(benchmark):
     warm_us_per_ms = warm_s * 1e6 / sim_ms
     events_per_kinstr = events * 1e3 / instructions
 
-    record_summary("cosim", "body-network-3ecu.cold_us_per_sim_ms",
-                   cold_us_per_ms)
-    record_summary("cosim", "body-network-3ecu.warm_us_per_sim_ms",
-                   warm_us_per_ms)
-    record_summary("cosim", "body-network-3ecu.events_per_kinstr",
-                   events_per_kinstr)
     report(
         "virtual vehicle co-simulation"
         + (" [reduced]" if REDUCED else ""),

@@ -8,7 +8,7 @@ Two rates for the ``vehicle_fault`` domain:
 * **fault overhead** - what arming a scenario (injected traffic, forced
   error windows, confinement bookkeeping) costs on top of the identical
   fault-free co-simulation, with the faulted guest ns/instruction
-  recorded into the flat ``BENCH_summary.json`` trajectory.
+  reported.
 
 ``REPRO_BENCH_REDUCED=1`` shrinks the horizon and cell count for CI.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import record_summary, report
+from conftest import report
 
 from repro.sim.campaign import run_scenario
 from repro.sim.domains.vehicle import synthesize_network
@@ -96,7 +96,6 @@ def test_fault_injection_overhead_vs_fault_free(benchmark):
     ns_per_instruction = seconds * 1e9 / instructions
     overhead = (seconds - twin_seconds) / twin_seconds * 100
 
-    record_summary("cosim", "body-network-faulted", ns_per_instruction)
     report(
         "fault-injection overhead (babbling idiot)"
         + (" [reduced]" if REDUCED else ""),

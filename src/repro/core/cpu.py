@@ -25,12 +25,14 @@ both on randomised programs, and the golden corpus pins both:
   truth the trace engine is checked against.  The trace engine also
   falls back to it for IT-block predication, sleep (WFI) ticks, and
   anything a core defers (the ARM1156's restartable LDM/STM windows).
-* the **trace engine** (the default) - binds predecoded micro-ops
-  (:mod:`repro.isa.predecode`) with per-core cycle costs prebound by
-  :meth:`BaseCpu.compile_cycles`, chains them into *superblocks* (the
-  straight-line run from an entry address, continued through
-  unconditional direct branches), and executes each superblock as one
-  dispatch with no per-step interrupt poll.  Hot superblocks are *fused*
+* the **trace engine** (the default) - binds each predecoded micro-op
+  (:mod:`repro.isa.predecode`) once per core into one *bound step*, with
+  its cycle cost prebound by :meth:`BaseCpu.compile_cycles`, chains them
+  into *superblocks* (the straight-line run from an entry address,
+  continued through unconditional direct branches), and executes each
+  superblock as one dispatch with no per-step interrupt poll.  List, step
+  and poll dispatch run the same bound step for an instruction, and fused
+  code calls it where it has no inline form.  Hot superblocks are *fused*
   into single generated code objects (:mod:`repro.core.superblock`); a
   fused block ending in a loop *back-edge* loops inside the generated code
   under an inline guard, so a whole loop iteration is one generated
@@ -55,12 +57,11 @@ programs, so a fresh core walks, caps and emits nothing a previous core
 with the same key already did.
 
 Per core remain only what binds the plan over the core's own objects:
-the bound steps (general steps bind lazily on first dispatch, slim steps
-when a block first needs them), each block's fusion countdown, and the
-fused callables.  *When* a core fuses a block is still its own countdown
-(a plan hit skips the emission, not the wait), so everything a core
-reports - ``Ecu.fused_block_count`` included - is independent of what
-ran earlier in the process.
+the bound steps (one per instruction, bound on first use), each block's
+fusion countdown, and the fused callables.  *When* a core fuses a block
+is still its own countdown (a plan hit skips the emission, not the
+wait), so everything a core reports - ``Ecu.fused_block_count``
+included - is independent of what ran earlier in the process.
 
 Interrupt exactness is preserved by an **event horizon**: the earliest
 ``assert_cycle`` of any queued request, conservatively ignoring masking
@@ -267,15 +268,15 @@ class BaseCpu:
         self._sb_limit = 0
         #: cycle limit read by fused loop guards (set by _run_trace)
         self._sb_cycle_limit = 0
-        #: pc -> general bound step (bound on first dispatch), rebuilt with
-        #: the plan when the program's execution index is reassigned
+        #: pc -> bound step (bound once, on first use), rebuilt with the
+        #: plan when the program's execution index is reassigned; list,
+        #: step and poll dispatch and fused code's fallback share them
         self._fast_table: dict | None = None
         self._fast_index: dict | None = None
         self._fast_outcome = Outcome()
         self._plan: EnginePlan | None = None
         #: entry pc -> [steps, plan block, fusion countdown, fused]
         self._sb_blocks: dict[int, list] = {}
-        self._sb_steps: dict[int, object] = {}
         #: the interrupt controller fused blocks were bound over (loop
         #: guards bind it at fuse time); a controller swap between runs
         #: drops the fused blocks so they rebind
@@ -413,8 +414,9 @@ class BaseCpu:
         modulated only by the skipped/taken outcome flags.
 
         The static costs are attached to the closure (``static_base`` /
-        ``static_taken``) so the superblock binder can inline them into
-        slim steps instead of calling the closure per instruction.
+        ``static_taken``): the fused-code emitters fold them into
+        generated code as constants, and :meth:`_block_cycle_cap` bounds a
+        block with them.
         """
         def cycles(outcome):
             if outcome.skipped:
@@ -565,107 +567,13 @@ class BaseCpu:
 
         return fast_step
 
-    def _bind_uop_slim(self, uop):
-        """Bind a *chainable* micro-op into a slim step for superblocks.
-
-        Chainable micro-ops (kind ``alu``/``mem``) can never branch, halt,
-        sleep, or start an IT block, so the slim variants drop the
-        taken/halted bookkeeping, the shared-outcome resets, and the
-        ``current_address`` updates of the general step; pure ALU steps
-        also skip the ``_data_stalls`` round-trip.  Each slim step owns a
-        private :class:`Outcome` whose ``taken``/``skipped`` flags stay
-        False forever, so outcome-dependent cycle closures (divides, LDM)
-        read exactly what the reference path would.
-
-        Returns ``None`` when no slim variant applies (conditional
-        execution with a dynamic cycle model); callers then fall back to
-        the general bound step, which is architecturally identical.
-        """
-        if not uop.chainable:
-            return None
-        exec_fn = uop.exec
-        cond_check = uop.cond_check
-        cycle_fn = self._cycle_fn(uop.ins)
-        base = getattr(cycle_fn, "static_base", None)
-        if cond_check is not None and base is None:
-            return None
-        fetch = self._fetch_port()
-        regs = self.regs
-        outcome = Outcome()  # private: taken/skipped remain False
-        address = uop.address
-        size = uop.size
-        next_pc = uop.next_pc
-        mem = uop.kind == "mem"
-        if cond_check is None:
-            if not mem:
-                if base is not None:
-                    def fast_step() -> None:
-                        stalls = fetch(address, size)
-                        exec_fn(self, outcome)
-                        self.cycles += base + stalls
-                        self.instructions_executed += 1
-                        regs.values[15] = next_pc
-                    return fast_step
-
-                def fast_step() -> None:
-                    stalls = fetch(address, size)
-                    exec_fn(self, outcome)
-                    self.cycles += cycle_fn(outcome) + stalls
-                    self.instructions_executed += 1
-                    regs.values[15] = next_pc
-                return fast_step
-            if base is not None:
-                def fast_step() -> None:
-                    stalls = fetch(address, size)
-                    self._data_stalls = 0
-                    exec_fn(self, outcome)
-                    self.cycles += base + stalls + self._data_stalls
-                    self.instructions_executed += 1
-                    regs.values[15] = next_pc
-                return fast_step
-
-            def fast_step() -> None:
-                stalls = fetch(address, size)
-                self._data_stalls = 0
-                exec_fn(self, outcome)
-                self.cycles += cycle_fn(outcome) + stalls + self._data_stalls
-                self.instructions_executed += 1
-                regs.values[15] = next_pc
-            return fast_step
-        # conditional with a static cycle cost (skipped always costs 1)
-        if not mem:
-            def fast_step() -> None:
-                stalls = fetch(address, size)
-                if cond_check(self.apsr):
-                    exec_fn(self, outcome)
-                    self.cycles += base + stalls
-                else:
-                    self.cycles += 1 + stalls
-                    self.instructions_skipped += 1
-                self.instructions_executed += 1
-                regs.values[15] = next_pc
-            return fast_step
-
-        def fast_step() -> None:
-            stalls = fetch(address, size)
-            if cond_check(self.apsr):
-                self._data_stalls = 0
-                exec_fn(self, outcome)
-                self.cycles += base + stalls + self._data_stalls
-            else:
-                self.cycles += 1 + stalls
-                self.instructions_skipped += 1
-            self.instructions_executed += 1
-            regs.values[15] = next_pc
-        return fast_step
-
     def _fast_dispatch_table(self) -> dict:
         """The core's pc -> general bound step table, (re)built empty.
 
         Keyed on the execution index's identity: reassigning
         ``_by_address`` (the merge-two-images pattern) drops every bound
         step and block, and takes the core's plan key afresh.  Steps bind
-        on first dispatch (:meth:`_predecode_missing`).
+        on first use (:meth:`_bound_step`).
         """
         index = self.program._by_address
         if self._fast_table is None or self._fast_index is not index:
@@ -673,7 +581,6 @@ class BaseCpu:
             self._fast_index = index
             self._plan = engine_plan(self.program, self._plan_key())
             self._sb_blocks = {}
-            self._sb_steps = {}
         return self._fast_table
 
     def _plan_key(self) -> PlanKey:
@@ -692,20 +599,6 @@ class BaseCpu:
     #: runaway guard for a single superblock (keeps lazy build bounded)
     _SB_MAX_LEN = 128
 
-    def _block_step(self, uop):
-        """The bound step a superblock runs for ``uop`` (cached per core):
-        the slim step of a chainable micro-op, else the general step."""
-        fast_step = self._sb_steps.get(uop.address)
-        if fast_step is None:
-            fast_step = self._bind_uop_slim(uop)
-            if fast_step is None:
-                fast_step = self._fast_table.get(uop.address)
-                if fast_step is None:
-                    fast_step = self._predecode_missing(self._fast_table,
-                                                        uop.address)
-            self._sb_steps[uop.address] = fast_step
-        return fast_step
-
     def _superblock_at(self, pc: int) -> list:
         """This core's entry for the superblock entered at ``pc``.
 
@@ -721,7 +614,7 @@ class BaseCpu:
         block = blocks.get(pc)
         if block is None:
             block = blocks[pc] = self._discover_block(pc)
-        steps = [self._block_step(uop) for uop in block.uops]
+        steps = [self._bound_step(uop) for uop in block.uops]
         entry = [steps, block, FUSE_THRESHOLD, None]
         self._sb_blocks[pc] = entry
         _SB_BUILT.add()
@@ -893,7 +786,7 @@ class BaseCpu:
                     break
                 fast_step = table.get(pc_slot[15])
                 if fast_step is None:
-                    fast_step = self._predecode_missing(table, pc_slot[15])
+                    fast_step = self._predecode_missing(pc_slot[15])
                 fast_step()
                 _DISPATCH_POLL.add()
                 continue
@@ -988,14 +881,20 @@ class BaseCpu:
             total += static + stall * accesses
         return total
 
-    def _predecode_missing(self, table: dict, pc: int):
-        """Bind the general step for ``pc`` on its first dispatch."""
+    def _predecode_missing(self, pc: int):
+        """The bound step for ``pc`` on its first per-step dispatch."""
         uop = self._uop_at(pc)
         if uop is None:
             raise ExecutionError(
                 f"no instruction at pc={pc:#010x} ({self.name})")
-        fast_step = self._bind_uop(uop)
-        table[pc] = fast_step
+        return self._bound_step(uop)
+
+    def _bound_step(self, uop):
+        """The core's one bound step for ``uop``, bound on first use."""
+        table = self._fast_table
+        fast_step = table.get(uop.address)
+        if fast_step is None:
+            fast_step = table[uop.address] = self._bind_uop(uop)
         return fast_step
 
     def _uop_at(self, pc: int):

@@ -1,20 +1,52 @@
 """Superblock fusion: compile a trace-engine superblock into one code object.
 
-The trace engine (``BaseCpu._run_trace``) executes a superblock's chained
-micro-op closures in a list loop, which already removes the per-step dict
-dispatch and interrupt poll.  This module removes the remaining
-per-instruction Python *frames*: once a superblock has been dispatched
-enough times to prove hot, :func:`fuse_block` generates a single function
-whose body is the block's per-step statement sequences laid out inline -
-fetch (through a prebound device thunk, inline SRAM/flash timing, or the
-inline clean path of a cached fetch), execute, cycle accounting, PC
-update - and compiles it once.  The hottest operand shapes (register
-moves and ALU, compares, immediate shifts, immediate/register-offset
-loads and stores, MOVW/MOVT, zero/sign extension) are inlined as raw
-statements; everything else calls its already-bound step or exec closure,
-so partial inlining still wins.  Data accesses inline the bus fast path
-(behind a per-access MPU check on protected cores), and runs of
-raise-free steps coalesce their accounting (:func:`_flush_span`).
+The trace engine (``BaseCpu._run_trace``) executes a superblock's bound
+steps in a list loop, which already removes the per-step dict dispatch
+and interrupt poll.  This module removes the remaining per-instruction
+Python *frames*: once a superblock has been dispatched enough times to
+prove hot, :func:`fuse_block` generates a single function whose body is
+the block's per-step statement sequences laid out inline - fetch
+(inline SRAM/flash timing, the inline clean path of a cached fetch, or a
+prebound thunk), execute, cycle accounting, PC update - and compiles it
+once.  The hottest operand shapes (register moves and ALU, compares,
+immediate shifts, immediate/register-offset loads and stores, MOVW/MOVT,
+zero/sign extension) are inlined as raw statements; everything else
+calls its exec closure or its bound step, so partial inlining still
+wins.  Data accesses inline the bus fast path (behind a per-access MPU
+check on protected cores).  Conditional execution costs no closure call
+either - condition checks are emitted as flag expressions
+(``_COND_EXPRS``).
+
+Built once, placed by one rule
+------------------------------
+Each position of a block is built once into a *step entry*
+(:func:`_build_step`): its fetch and the fetch's accounting, for every
+fetch kind (:func:`_fetch`), its body and flag writes, its data accesses
+(one emitter for loads and stores, :func:`_mem_step`, with the
+literal-pool fold and the span-cache access written once each; a fetch
+and a folded literal share one SRAM/flash read, :func:`_device_access`),
+its cycle cost and its next PC, and whether anything in it can raise or
+call out.
+The entry is then placed by one rule:
+
+* **deferred** into the current *span* when it is unpredicated, has a
+  static cost and nothing in it can raise or call out.  For a run of such
+  steps nothing outside the core's registers can observe the boundaries
+  between them, so their counters (cycles, instruction count, bus
+  reads/writes/stalls, access records, taken gotos) and the intermediate
+  PC writes are summed into one flush at the span's end
+  (:func:`_flush_span`), and flag writes overwritten later in the span
+  are dropped.  A load or store in a span keeps an *escape arm* for its
+  rare paths (a span miss, another device, an MPU attached after
+  fusion), which materialises the span and runs the step in place
+  (:func:`_join_span`);
+* otherwise a **barrier**: it flushes the span, with its own fetch as the
+  partial contribution, then runs its body, then adds its data
+  accounting, cycles, instruction count and PC (:func:`_in_place`).
+
+A position with no inline form (a predicated op with a dynamic cost, an
+ender the emitters do not cover) flushes the span and calls its bound
+step.
 
 A block terminated by a predictable taken branch - a loop *back-edge*
 whose target is the block's own head - does not end fusion at the
@@ -25,20 +57,20 @@ interrupt event horizon; the guard falls back to the engine (bit-exactly,
 at an instruction boundary) on loop exit, when an interrupt is raised
 with an earlier assert cycle, one block cycle cap before the cycle
 ceiling or the horizon, and at the instruction budget
-(:func:`_emit_loop_backedge`).
-Conditional execution inside fused code costs no closure call either -
-condition checks are emitted as flag expressions (``_COND_EXPRS``).
+(:func:`_loop_backedge`).
 
 Bit-exactness contract
 ----------------------
 Every emitted statement sequence is a literal transcription of the
-corresponding bound-step behaviour (``BaseCpu._bind_uop_slim``) and
-predecode closure body (:mod:`repro.isa.predecode`), in the same order:
-fetch, predicate, execute, cycle/instruction accounting, PC write.  A
-fault raised mid-block (bus fault, MPU abort) therefore leaves registers,
-counters, and bus statistics in exactly the state per-step execution
-would, and the property tests in ``tests/test_fastpath_properties.py``
-diff complete machine state across all engines to keep it that way.
+core's bound step (``BaseCpu._bind_uop``) and the predecode closure body
+(:mod:`repro.isa.predecode`), in the same order: fetch, predicate,
+execute, cycle/instruction accounting, PC write.  A span reorders only
+what nothing can observe, and every barrier and escape arm materialises
+it first, so a fault raised mid-block (bus fault, MPU abort) leaves
+registers, counters, and bus statistics in exactly the state per-step
+execution would; the property tests in
+``tests/test_fastpath_properties.py`` diff complete machine state across
+both engines to keep it that way.
 
 Fused blocks run only below the interrupt event horizon (the engine falls
 back to per-step dispatch when a poll could matter), and are rebuilt
@@ -82,6 +114,7 @@ from __future__ import annotations
 import builtins
 from time import perf_counter as _perf_counter
 from types import CodeType, FunctionType
+from typing import NamedTuple
 
 from repro import obs
 from repro.isa.registers import MASK32, PC
@@ -229,8 +262,8 @@ def _shift_operand_lines(ins, value_var: str, carry_var: str | None):
             lines.append(f"{carry_var} = (({x} >> {amount - 1}) & 1) != 0")
         return lines
     if kind == "ASR":
-        lines = [f"s32 = {x} - {1 << 32} if {x} >= {_SIGN_BIT} else {x}",
-                 f"{value_var} = (s32 >> {amount}) & {MASK32}"]
+        lines = [f"sx = {x} - {1 << 32} if {x} >= {_SIGN_BIT} else {x}",
+                 f"{value_var} = (sx >> {amount}) & {MASK32}"]
         if carry_var is not None:
             lines.append(f"{carry_var} = (({x} >> {amount - 1}) & 1) != 0")
         return lines
@@ -392,8 +425,8 @@ def _emit_shift(ins):
         lines += [f"r = x >> {amount}",
                   f"c = ((x >> {amount - 1}) & 1) != 0"]
     elif op == "ASR":
-        lines += [f"s32 = x - {1 << 32} if x >= {_SIGN_BIT} else x",
-                  f"r = (s32 >> {amount}) & {MASK32}",
+        lines += [f"sx = x - {1 << 32} if x >= {_SIGN_BIT} else x",
+                  f"r = (sx >> {amount}) & {MASK32}",
                   f"c = ((x >> {amount - 1}) & 1) != 0"]
     else:  # ROR, amount 1..31
         lines += [f"r = ((x >> {amount}) | (x << {32 - amount})) & {MASK32}",
@@ -520,220 +553,42 @@ def _mpu_preamble(ns, addr_expr: str, size: int, is_write: bool) -> list:
     ]
 
 
-def _emit_load(cpu, ins, isa, index, ns, ftrack):
-    mem = ins.mem
-    rd = ins.rd
-    if mem is None or rd is None or rd == PC or mem.writeback or mem.postindex:
-        return None, None
-    size = _LOAD_SIZES[ins.mnemonic]
-    sign_bits = _SIGNED_LOADS.get(ins.mnemonic)
-    plan = ns.key.data_plan
-    if mem.rn == PC:
-        if mem.rm is not None:
-            return None, None
-        pc_off = 8 if isa == "arm" else 4
-        address = (((ins.address + pc_off) & ~3) + mem.offset) & MASK32
-        # literal-pool load: constant address, so the device decode (and
-        # the whole bus dispatch) folds at fuse time; an "mpu" plan keeps
-        # the per-access protection check in front of the folded access.
-        # Plain SRAM and flash devices fold further - the device *read*
-        # itself is transcribed (bounds proven at fuse time), so the hot
-        # literal fetch pays no Python call at all (flash pays its
-        # ``_access`` stream-state call, which is the timing model).
-        device = None if plan is None else cpu.bus._lookup(address)
-        if (plan is not None and device is not None
-                and address + size <= device.base + device.size):
-            ns.default("AR", "constant", AccessRecord)
-            lines = []
-            if plan == "mpu":
-                lines += _mpu_preamble(ns, str(address), size, False)
-            offset = address - device.base
-            if type(device) is Sram:
-                ns.put(f"DV{index}", "literal_device", address)
-                ns.default("IFB", "constant", int.from_bytes)
-                lines += [
-                    f"DV{index}.reads += 1",
-                    f"v = IFB(DV{index}.data[{offset}:{offset + size}], 'little')",
-                    f"ds = {device.wait_states}",
-                ]
-            elif type(device) is Flash:
-                dev = f"DV{index}"
-                ns.put(dev, "literal_device", address)
-                ns.put(f"DA{index}", "literal_access", address)
-                ns.default("IFB", "constant", int.from_bytes)
-                # Flash.read opens with the same _access sequence a fetch
-                # does (a literal load breaks the instruction stream -
-                # that is the timing model), so the fetch forms serve here
-                static = _flash_static_parts(device, dev, address, size,
-                                             ftrack)
-                if static is not None:
-                    stmts, counters, stalls = static
-                    lines += stmts
-                    lines += [f"{name}.{attr} += 1"
-                              for name, attr in counters]
-                    lines.append(f"ds = {stalls}")
-                else:
-                    _flash_track_dynamic(device, address, size, ftrack)
-                    lines += _flash_fetch_lines(device, dev, f"DA{index}",
-                                                address, size, "ds")
-                lines.append(
-                    f"v = IFB(DV{index}.data[{offset}:{offset + size}], 'little')")
-            else:
-                ns.put(f"DL{index}", "literal_read", address)
-                lines.append(f"v, ds = DL{index}({address}, {size}, 'D')")
-            lines += [
-                "bus.reads += 1",
-                "bus.total_stalls += ds",
-                "if bus.record:",
-                f"    bus.accesses.append(AR({address}, {size}, 'R', 'D', ds))",
-            ]
-            lines += _load_sign_lines(sign_bits)
-            lines.append(f"rvals[{rd}] = v & {MASK32}")
-            return lines, "local"
-        ftrack.clear()  # mediated literal read may reach a flash device
-        lines = ["cpu._data_stalls = 0", f"v = RD({address}, {size})"]
-        lines += _load_sign_lines(sign_bits)
-        lines.append(f"rvals[{rd}] = v & {MASK32}")
-        return lines, "attr"
-    if mem.rm is None:
-        addr_expr = f"(rvals[{mem.rn}] + {mem.offset}) & {MASK32}"
-    elif mem.rm == PC:
-        return None, None
-    else:
-        addr_expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
-                     f" & {MASK32})) & {MASK32}")
-    ftrack.clear()  # runtime-addressed access: may land on a flash device
-    if plan is not None:
-        # transcription of SystemBus.read's span-cache hit path, with the
-        # SRAM device read itself inlined behind a type test (the span
-        # guarantees the bounds, so the inline arm cannot fault); a span
-        # miss - or an access overrunning the span's device - falls back
-        # to the full cpu.read dispatch, which re-checks the MPU (a pure
-        # re-pass, since a denied access raised in MC above) and raises
-        # the same faults the reference path would
-        ns.default("AR", "constant", AccessRecord)
-        ns.default("SRT", "constant", Sram)
-        ns.default("IFB", "constant", int.from_bytes)
-        lines = [f"a = {addr_expr}"]
-        if plan == "mpu":
-            lines += _mpu_preamble(ns, "a", size, False)
-        lines += [
-            "sp = bus._span_d",
-            f"if sp[0] <= a and a + {size} <= sp[1]:",
-            "    d = sp[2]",
-            "    if type(d) is SRT:",
-            "        d.reads += 1",
-            "        o = a - d.base",
-            f"        v = IFB(d.data[o:o + {size}], 'little')",
-            "        ds = d.wait_states",
-            "    else:",
-            f"        v, ds = d.read(a, {size}, 'D')",
-            "    bus.reads += 1",
-            "    bus.total_stalls += ds",
-            "    if bus.record:",
-            f"        bus.accesses.append(AR(a, {size}, 'R', 'D', ds))",
-            "else:",
-            "    cpu._data_stalls = 0",
-            f"    v = RD(a, {size})",
-            "    ds = cpu._data_stalls",
-        ]
-        lines += _load_sign_lines(sign_bits)
-        lines.append(f"rvals[{rd}] = v & {MASK32}")
-        return lines, "local"
-    lines = ["cpu._data_stalls = 0", f"v = RD({addr_expr}, {size})"]
-    lines += _load_sign_lines(sign_bits)
-    lines.append(f"rvals[{rd}] = v & {MASK32}")
-    return lines, "attr"
-
-
-def _emit_store(ins, index, ns, ftrack):
-    mem = ins.mem
-    rd = ins.rd
-    if (mem is None or rd is None or rd == PC or mem.rn == PC
-            or mem.writeback or mem.postindex):
-        return None, None
-    size = _STORE_SIZES[ins.mnemonic]
-    vmask = _STORE_MASKS[size]
-    if mem.rm is None:
-        addr_expr = f"(rvals[{mem.rn}] + {mem.offset}) & {MASK32}"
-    elif mem.rm == PC:
-        return None, None
-    else:
-        addr_expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
-                     f" & {MASK32})) & {MASK32}")
-    ftrack.clear()  # runtime-addressed access: may land on a flash device
-    plan = ns.key.data_plan
-    if plan is not None:
-        ns.default("AR", "constant", AccessRecord)
-        ns.default("SRT", "constant", Sram)
-        lines = [f"a = {addr_expr}"]
-        if plan == "mpu":
-            lines += _mpu_preamble(ns, "a", size, True)
-        lines += [
-            "sp = bus._span_d",
-            f"if sp[0] <= a and a + {size} <= sp[1]:",
-            "    d = sp[2]",
-            "    if type(d) is SRT:",
-            "        d.writes += 1",
-            "        o = a - d.base",
-            f"        d.data[o:o + {size}] = (rvals[{rd}] & {vmask})"
-            f".to_bytes({size}, 'little')",
-            "        ds = d.wait_states",
-            "    else:",
-            f"        ds = d.write(a, {size}, rvals[{rd}] & {vmask}, 'D')",
-            "    bus.writes += 1",
-            "    bus.total_stalls += ds",
-            "    if bus.record:",
-            f"        bus.accesses.append(AR(a, {size}, 'W', 'D', ds))",
-            "else:",
-            "    cpu._data_stalls = 0",
-            f"    WR(a, {size}, rvals[{rd}] & {vmask})",
-            "    ds = cpu._data_stalls",
-        ]
-        return lines, "local"
-    return ["cpu._data_stalls = 0",
-            f"WR({addr_expr}, {size}, rvals[{rd}] & {vmask})"], "attr"
-
-
 _NOOP_OPS = frozenset({"NOP", "DSB", "ISB", "BKPT"})
 
 
-def _emit_exec(cpu, ins, isa, index, ns, ftrack):
-    """Inline statements for one exec body: ``(lines, ds_mode)``.
+def _emit_exec(ins):
+    """Inline statements for one data-processing exec body, or ``None``.
 
-    ``ds_mode`` tells the step emitter where the data-side stalls landed:
-    ``None`` (no data access), ``"attr"`` (accumulated in
-    ``cpu._data_stalls``, which the emitted lines reset first), or
-    ``"local"`` (left in the local ``ds``).  ``lines`` of ``None`` means
-    no inline form - the caller keeps the prebound closure, which is
-    always correct.
+    ``None`` means no inline form: the caller keeps the prebound exec
+    closure, which is always correct.  Every form here touches registers
+    and flags only, so none can raise or call out.  Their temporaries
+    (``x``, ``r``, ``sx``, ...) carry no digits: a position's own locals
+    (``s{i}``, ``ds{i}``, ``a{i}``, ``ln{i}``) end in its index and can live
+    until the span's flush, so a temporary equal to one of them would
+    overwrite a stall still owed.
     """
     op = ins.mnemonic
     if op in _NOOP_OPS:
-        return [], None
+        return []
     if op in ("MOV", "MVN"):
-        return _emit_mov(ins), None
+        return _emit_mov(ins)
     if op in ("ADD", "SUB"):
-        return _emit_add_sub(ins), None
+        return _emit_add_sub(ins)
     if op in _LOGIC_EXPR:
-        return _emit_logic(ins), None
+        return _emit_logic(ins)
     if op in ("LSL", "LSR", "ASR", "ROR"):
-        return _emit_shift(ins), None
+        return _emit_shift(ins)
     if op in ("CMP", "CMN", "TST", "TEQ"):
-        return _emit_compare(ins), None
+        return _emit_compare(ins)
     if op == "MUL":
-        return _emit_mul(ins), None
+        return _emit_mul(ins)
     if op in ("CLZ", "UXTB", "UXTH", "SXTB", "SXTH"):
-        return _emit_extend(ins), None
+        return _emit_extend(ins)
     if op in ("MOVW", "MOVT"):
-        return _emit_movw_movt(ins), None
+        return _emit_movw_movt(ins)
     if op == "UBFX":
-        return _emit_ubfx(ins), None
-    if op in ("LDR", "LDRB", "LDRH", "LDRSB", "LDRSH"):
-        return _emit_load(cpu, ins, isa, index, ns, ftrack)
-    if op in ("STR", "STRB", "STRH"):
-        return _emit_store(ins, index, ns, ftrack)
-    return None, None
+        return _emit_ubfx(ins)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -841,8 +696,8 @@ def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
     return lines
 
 
-def _emit_cache_fetch(cpu, cache, address, size, index, ns):
-    """Inline one cached instruction fetch, leaving the stalls in ``s``.
+def _emit_cache_fetch(cpu, cache, address, size, index, ns, stall):
+    """Inline one cached instruction fetch, leaving the stalls in ``stall``.
 
     The clean path of ``Cache.read`` for a constant address (geometry
     folded at fuse time via :meth:`~repro.memory.cache.Cache.lookup_plan`):
@@ -875,231 +730,596 @@ def _emit_cache_fetch(cpu, cache, address, size, index, ns):
         "            break",
         f"    if {ln} is None:",
         "        ICS.misses += 1",
-        f"        {ln}, s = ICF({tag}, {set_index}, 'I')",
+        f"        {ln}, {stall} = ICF({tag}, {set_index}, 'I')",
         "    else:",
         "        ICS.hits += 1",
-        "        s = 0",
+        f"        {stall} = 0",
         "    IC._lru_clock += 1",
         f"    {ln}.lru = IC._lru_clock",
         "else:",
-        f"    s = F{index}()",
+        f"    {stall} = F{index}()",
     ]
 
 
-def _emit_fetch(cpu, uop, index, ns, ftrack):
-    """Emit the instruction-fetch sequence assigning stall cycles to ``s``.
+_FLAGS = ("n", "z", "c", "v")
 
-    Returns ``(lines, static_stalls)``.  When the core fetches straight
-    from the bus and the (statically known) instruction address lands in a
-    plain SRAM or flash device, the whole fetch - device decode, stream
-    bookkeeping, bus statistics, access record - is emitted inline, so the
-    hot path pays no Python call at all (flash pays one ``_access`` call
-    per line crossing only).  ``static_stalls`` is the constant stall
-    count when it is statically known (SRAM), letting the caller fold it
-    into the cycle cost; otherwise ``None`` and the stalls are in ``s``.
 
-    Every inline form is a literal transcription of the corresponding
-    ``SystemBus.fetch_stalls`` + device ``fetch_stalls`` pair, in order:
-    device timing first, then read counter, stall total, access record.
-    Cores that fetch through an instruction cache (``cpu._fetch_cache``)
-    get the cached fetch emitted inline instead (:func:`_emit_cache_fetch`).
+# ----------------------------------------------------------------------
+# fused steps: built once, placed by one rule
+# ----------------------------------------------------------------------
+
+class _Access(NamedTuple):
+    """One memory access's share of a step's accounting.
+
+    ``stall`` is a constant or the name of the local holding it.  An
+    access with ``reads`` and ``writes`` both 0 is *cycle-only*: a call
+    (a fetch thunk, the cached fetch, ``cpu.read``) did its bus
+    accounting itself, so its stall reaches ``cpu.cycles`` alone.
+    """
+
+    stall: int | str = 0
+    reads: int = 0
+    writes: int = 0
+    counters: tuple = ()
+    record: str | None = None
+
+
+#: cycle-only data stall of an access mediated by ``cpu.read``/``cpu.write``
+_MEDIATED = _Access("cpu._data_stalls")
+
+#: where a span member's escape arm goes in its body (see :func:`_join_span`)
+_ESCAPE = "<escape>"
+
+
+def _sum(terms) -> str:
+    """``terms`` (constants and expressions) as one sum, constants folded."""
+    const = sum(term for term in terms if isinstance(term, int))
+    names = [term for term in terms if not isinstance(term, int)]
+    if const or not names:
+        names.insert(0, str(const))
+    return " + ".join(names)
+
+
+def _indent(lines) -> list[str]:
+    return ["    " + stmt for stmt in lines]
+
+
+def _device_access(device, dev, da, address, size, side, stall, ftrack):
+    """A read of the plain SRAM or flash ``device`` (bound as ``dev``, its
+    ``_access`` as ``da``) at the constant ``address``: ``(stmts, access)``,
+    for an instruction fetch (``side`` ``'I'``) or a folded literal
+    (``'D'``).
+
+    SRAM has constant wait states and counts a read; flash takes the
+    statically resolved stream arm when the fuse-time tracker knows the
+    state (:func:`_flash_static_parts`), the dynamic transcription
+    otherwise (:func:`_flash_fetch_lines`), which leaves its stalls in the
+    local ``stall``.  Both are raise-free.
+    """
+    if type(device) is Sram:
+        stmts, counters, stall = [], [(dev, "reads")], device.wait_states
+    elif (static := _flash_static_parts(device, dev, address, size,
+                                        ftrack)) is not None:
+        stmts, counters, stall = static
+    else:
+        _flash_track_dynamic(device, address, size, ftrack)
+        stmts = _flash_fetch_lines(device, dev, da, address, size, stall)
+        counters = []
+    return list(stmts), _Access(
+        stall, reads=1, counters=tuple(counters),
+        record=f"AR({address}, {size}, 'R', '{side}', {stall})")
+
+
+def _fetch(cpu, uop, index, ns, ftrack) -> dict:
+    """A fused position's step entry, with its instruction fetch filled in.
+
+    The entry's fields:
+
+    * ``fetch``: the statements that perform the fetch, and ``facc``, its
+      :class:`_Access`;
+    * ``calls``: the fetch calls out (an instruction cache, a prebound
+      thunk, the fetch port) and does its own bus accounting, so it must
+      run after every earlier access is on the bus;
+    * ``body`` and ``flags``: the execute statements, with flag writes
+      kept apart for dead-flag elimination, and ``dacc``, the data
+      accesses whose accounting the step owes;
+    * ``cond``: the predicate expression, or None; ``base``: the cycles
+      when the step executes (a branch: when taken), a constant or an
+      expression; ``branches``: 1 for a taken branch;
+    * ``next_pc``: the PC after the step (None when the body writes it)
+      and ``fall``: the PC after a skip;
+    * ``escape``: for a span member with a rare mediated arm, the entry
+      that arm runs in place; ``barrier``: something in the step can
+      raise or call out, or it is predicated, so it runs in place.
+
+    Every fetch kind is transcribed here, each literally from its
+    ``SystemBus.fetch_stalls`` and device ``fetch_stalls`` pair, in order:
+    device timing, read counter, stall total, access record.  A plain
+    SRAM or flash fetch is a raise-free device access
+    (:func:`_device_access`).  A core that fetches through an instruction
+    cache gets the cache's clean path (:func:`_emit_cache_fetch`);
+    otherwise the prebound thunk or the fetch port is called.
     """
     address, size = uop.address, uop.size
+    entry = {
+        "pc": address, "fetch": [], "calls": False, "facc": None,
+        "body": [], "flags": {}, "dacc": [], "cond": None, "base": 0,
+        "branches": 0, "next_pc": uop.next_pc, "fall": uop.next_pc,
+        "escape": None, "barrier": False,
+    }
     device = cpu._fetch_bus_device(address, size)
-    if device is not None and type(device) is Sram:
-        ws = device.wait_states
-        ns.put(f"D{index}", "fetch_device", (address, size))
-        ns.default("AR", "constant", AccessRecord)
-        lines = [
-            f"D{index}.reads += 1",
-            "bus.reads += 1",
-            f"bus.total_stalls += {ws}",
-            "if bus.record:",
-            f"    bus.accesses.append(AR({address}, {size}, 'R', 'I', {ws}))",
-        ]
-        return lines, ws
-    if device is not None and type(device) is Flash:
+    if device is not None and type(device) in (Sram, Flash):
         dev = f"D{index}"
         ns.put(dev, "fetch_device", (address, size))
-        ns.put(f"DA{index}", "fetch_device_access", (address, size))
+        if type(device) is Flash:
+            ns.put(f"DA{index}", "fetch_device_access", (address, size))
         ns.default("AR", "constant", AccessRecord)
-        static = _flash_static_parts(device, dev, address, size, ftrack)
-        if static is not None:
-            stmts, counters, stalls = static
-            lines = list(stmts)
-            lines += [f"{name}.{attr} += 1" for name, attr in counters]
-            lines += [
-                "bus.reads += 1",
-                f"bus.total_stalls += {stalls}",
-                "if bus.record:",
-                f"    bus.accesses.append("
-                f"AR({address}, {size}, 'R', 'I', {stalls}))",
-            ]
-            return lines, stalls
-        _flash_track_dynamic(device, address, size, ftrack)
-        lines = _flash_fetch_lines(device, dev, f"DA{index}",
-                                   address, size, "s")
-        lines += [
-            "bus.reads += 1",
-            "bus.total_stalls += s",
-            "if bus.record:",
-            f"    bus.accesses.append(AR({address}, {size}, 'R', 'I', s))",
-        ]
-        return lines, None
+        entry["fetch"], entry["facc"] = _device_access(
+            device, dev, f"DA{index}", address, size, "I", f"s{index}", ftrack)
+        return entry
     # fetches through caches or opaque ports may reach flash devices
     # behind the scenes: forget any statically tracked stream state
     ftrack.clear()
+    stall = f"s{index}"
+    entry["calls"] = True
+    entry["facc"] = _Access(stall)
     cache = cpu._fetch_cache()
     if cache is not None:
-        lines = _emit_cache_fetch(cpu, cache, address, size, index, ns)
+        lines = _emit_cache_fetch(cpu, cache, address, size, index, ns, stall)
         if lines is not None:
-            return lines, None
+            entry["fetch"] = lines
+            return entry
     if cpu._fetch_thunk(address, size) is not None:
         ns.put(f"F{index}", "fetch_thunk", (address, size))
-        return [f"s = F{index}()"], None
-    ns.put(f"F{index}", "fetch_port")
-    return [f"s = F{index}({address}, {size})"], None
+        entry["fetch"] = [f"{stall} = F{index}()"]
+    else:
+        ns.put(f"F{index}", "fetch_port")
+        entry["fetch"] = [f"{stall} = F{index}({address}, {size})"]
+    return entry
 
 
-# ----------------------------------------------------------------------
-# block fusion
-# ----------------------------------------------------------------------
+def _literal_fold(cpu, address, size, index, ns, ftrack):
+    """A literal-pool load at the constant ``address``: ``(stmts, access,
+    calls)`` leaving the value in ``v``, or ``None`` when the address is
+    unmapped or overruns its device (the mediated read then raises).
 
-def _emit_step(cpu, uop, index, ns, isa, ftrack):
-    """Emit the full per-step sequence for one chainable micro-op.
+    The device decode - the whole bus dispatch - folds at fuse time.  A
+    plain SRAM or flash device's read is transcribed too (its bounds are
+    proven here, :func:`_device_access`), so the hot literal load pays no
+    Python call; flash opens with the same stream sequence a fetch does (a
+    literal load breaks the instruction stream - that is the timing
+    model).  Any other device is called (``calls``).
+    """
+    device = cpu.bus._lookup(address)
+    if device is None or address + size > device.base + device.size:
+        return None
+    ns.default("AR", "constant", AccessRecord)
+    stall = f"ds{index}"
+    if type(device) not in (Sram, Flash):
+        ns.put(f"DL{index}", "literal_read", address)
+        record = f"AR({address}, {size}, 'R', 'D', {stall})"
+        return ([f"v, {stall} = DL{index}({address}, {size}, 'D')"],
+                _Access(stall, reads=1, record=record), True)
+    dev = f"DV{index}"
+    ns.put(dev, "literal_device", address)
+    ns.default("IFB", "constant", int.from_bytes)
+    if type(device) is Flash:
+        ns.put(f"DAL{index}", "literal_access", address)
+    stmts, access = _device_access(device, dev, f"DAL{index}", address, size,
+                                   "D", stall, ftrack)
+    offset = address - device.base
+    read = f"v = IFB({dev}.data[{offset}:{offset + size}], 'little')"
+    return stmts + [read], access, False
 
-    Transcribes ``_bind_uop_slim`` statement for statement: fetch,
-    (predicate,) execute, cycle accounting, instruction count, PC write.
-    Returns None when the micro-op has no slim form (the caller then calls
-    its bound step closure).
+
+def _mediated(load, addr, size, rd) -> list[str]:
+    """A data access through ``cpu.read``/``cpu.write`` (the MPU, data
+    caches and every fault), its stalls left in ``cpu._data_stalls``."""
+    if load:
+        access = f"v = RD({addr}, {size})"
+    else:
+        access = f"WR({addr}, {size}, rvals[{rd}] & {_STORE_MASKS[size]})"
+    return ["cpu._data_stalls = 0", access]
+
+
+def _span_cache_access(ns, load, addr, size, rd, stall, deferred, guard=""):
+    """``SystemBus.read``/``write``'s span-cache hit at ``addr``:
+    ``(lines, access)``.
+
+    The SRAM device access itself is inlined behind a type test (the span
+    proves the bounds, so the inline arm cannot fault).  ``deferred``: the
+    hit on an SRAM device is the only inline arm, its accounting is owed
+    to the span (``access``), and anything else takes the escape arm,
+    which completes the access mediated and leaves the function.
+    Otherwise another span device is called, the bus accounting is done
+    in place, and a span miss falls back to the mediated ``cpu.read`` /
+    ``cpu.write``, which raises the same faults the reference path would.
+    """
+    ns.default("AR", "constant", AccessRecord)
+    ns.default("SRT", "constant", Sram)
+    kind = "R" if load else "W"
+    access = _Access(stall, reads=int(load), writes=int(not load),
+                     record=f"AR({addr}, {size}, '{kind}', 'D', {stall})")
+    if load:
+        ns.default("IFB", "constant", int.from_bytes)
+        hit = ["d.reads += 1", f"o = {addr} - d.base",
+               f"v = IFB(d.data[o:o + {size}], 'little')"]
+        call = f"v, {stall} = d.read({addr}, {size}, 'D')"
+    else:
+        value = f"rvals[{rd}] & {_STORE_MASKS[size]}"
+        hit = ["d.writes += 1", f"o = {addr} - d.base",
+               f"d.data[o:o + {size}] = ({value}).to_bytes({size}, 'little')"]
+        call = f"{stall} = d.write({addr}, {size}, {value}, 'D')"
+    hit.append(f"{stall} = d.wait_states")
+    span_test = f"sp[0] <= {addr} and {addr} + {size} <= sp[1]"
+    if deferred:
+        lines = ["sp = bus._span_d",
+                 f"if {guard}{span_test} and type(sp[2]) is SRT:",
+                 "    d = sp[2]", *_indent(hit),
+                 "else:", "    " + _ESCAPE]
+        return lines, access
+    lines = ["sp = bus._span_d",
+             f"if {span_test}:",
+             "    d = sp[2]",
+             "    if type(d) is SRT:", *_indent(_indent(hit)),
+             "    else:", f"        {call}",
+             *_indent(_bus_accounting([access])),
+             "else:",
+             *_indent(_mediated(load, addr, size, rd)),
+             f"    {stall} = cpu._data_stalls"]
+    return lines, _Access(stall)
+
+
+def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
+    """Fill in ``entry``'s body and data access for a plain load or store;
+    False when it has no inline form (write-back, post-index, the PC as a
+    register operand).
+
+    One emitter, three shapes:
+
+    * **a span member** (``deferrable``, and the plan key inlines data
+      accesses with no fuse-time MPU): a span-cache hit on SRAM, or a
+      literal folded from SRAM or flash, with its accounting deferred; its
+      escape arm - a span miss, another device, or an MPU attached after
+      fusion - runs the step mediated, in place (:func:`_join_span`);
+    * **a barrier**: the MPU check first when the plan is ``"mpu"``, then
+      the span-cache access with its mediated fallback, or the folded
+      literal (:func:`_span_cache_access`, :func:`_literal_fold`);
+    * **mediated only**, when the plan is None (a data cache): the access
+      goes through ``cpu.read``/``cpu.write``.
     """
     ins = uop.ins
-    cycle_fn = cpu.compile_cycles(ins)
-    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
-    if uop.cond_check is not None and base is None:
-        return None
-    fetch_lines, static_stalls = _emit_fetch(cpu, uop, index, ns, ftrack)
-    stall_expr = "s" if static_stalls is None else str(static_stalls)
-    mem = uop.kind == "mem"
-    if uop.cond_check is None:
-        body, ds_mode = _emit_exec(cpu, ins, isa, index, ns, ftrack)
-    else:
-        # a predicated body may or may not run: emit it without static
-        # flash-state folding (a throwaway tracker), and treat the device
-        # state as unknown afterwards when the body touches memory
-        body, ds_mode = _emit_exec(cpu, ins, isa, index, ns, {})
-        if mem:
-            ftrack.clear()
-    if body is None:
-        ns.put(f"E{index}", "constant", uop.exec)
-        ns.put(f"O{index}", "outcome")
-        body = [f"E{index}(cpu, O{index})"]
-        ds_mode = "attr" if mem else None
-        if mem:
-            body.insert(0, "cpu._data_stalls = 0")
-            ftrack.clear()  # closure-run accesses may reach flash
-    if base is not None:
-        if static_stalls is not None:
-            cost = str(base + static_stalls)
+    op, mem, rd = ins.mnemonic, ins.mem, ins.rd
+    load = op in _LOAD_SIZES
+    if not load and op not in _STORE_SIZES:
+        return False
+    if (mem is None or rd is None or rd == PC or mem.writeback or mem.postindex
+            or mem.rm == PC or (not load and mem.rn == PC)):
+        return False
+    size = _LOAD_SIZES[op] if load else _STORE_SIZES[op]
+    plan = ns.key.data_plan
+    deferrable = (deferrable and plan is not None
+                  and not (plan == "mpu" and ns.key.mpu))
+    done = []
+    if load:
+        done = _load_sign_lines(_SIGNED_LOADS.get(op))
+        done.append(f"rvals[{rd}] = v & {MASK32}")
+
+    def mediated(addr) -> list[str]:
+        return _mediated(load, addr, size, rd) + done
+
+    def escape(addr) -> dict:
+        return dict(entry, body=mediated(addr), flags={}, dacc=[_MEDIATED],
+                    escape=None)
+
+    if mem.rn == PC:
+        pc_off = 8 if cpu.program.isa == "arm" else 4
+        address = (((ins.address + pc_off) & ~3) + mem.offset) & MASK32
+        fold = (None if plan is None
+                else _literal_fold(cpu, address, size, index, ns, ftrack))
+        if fold is None:
+            ftrack.clear()  # the mediated read may reach a flash device
+            entry.update(body=mediated(address), dacc=[_MEDIATED], barrier=True)
+            return True
+        stmts, access, calls = fold
+        body = []
+        if deferrable and not calls:
+            if plan == "mpu":
+                # an MPU attached after fusion reroutes through the
+                # mediated path (which consults it and faults bit-exactly)
+                body += ["if cpu.mpu is not None:", "    " + _ESCAPE]
+                entry["escape"] = escape(address)
         else:
-            cost = f"{base} + s"
+            entry["barrier"] = True
+            if plan == "mpu":
+                body += _mpu_preamble(ns, str(address), size, False)
+        entry.update(body=body + stmts + done, dacc=[access])
+        return True
+    if mem.rm is None:
+        expr = f"(rvals[{mem.rn}] + {mem.offset}) & {MASK32}"
     else:
-        ns.put(f"K{index}", "cycles", ins)
-        ns.default(f"O{index}", "outcome")
-        cost = f"K{index}(O{index}) + {stall_expr}"
-    if ds_mode == "attr":
-        cost += " + cpu._data_stalls"
-    elif ds_mode == "local":
-        cost += " + ds"
-    lines = list(fetch_lines)
-    if uop.cond_check is None:
-        lines += body
-        lines.append(f"cpu.cycles += {cost}")
+        expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
+                f" & {MASK32})) & {MASK32}")
+    if plan is None:
+        ftrack.clear()  # runtime-addressed: may land on a flash device
+        entry.update(body=mediated(expr), dacc=[_MEDIATED], barrier=True)
+        return True
+    addr = f"a{index}"
+    body = [f"{addr} = {expr}"]
+    if deferrable:
+        # a span-cache hit on SRAM cannot disturb tracked flash stream
+        # state, and every other access leaves through the escape arm
+        guard = "cpu.mpu is None and " if plan == "mpu" else ""
+        lines, access = _span_cache_access(ns, load, addr, size, rd,
+                                           f"ds{index}", True, guard)
+        entry["escape"] = escape(addr)
     else:
-        lines.append("f = cpu.apsr")
-        lines.append(f"if {_cond_test(ins)}:")
-        lines += ["    " + b for b in body]
-        lines.append(f"    cpu.cycles += {cost}")
-        lines.append("else:")
-        skipped_cost = "1 + s" if static_stalls is None else str(1 + static_stalls)
-        lines.append(f"    cpu.cycles += {skipped_cost}")
-        lines.append("    cpu.instructions_skipped += 1")
-    lines.append("cpu.instructions_executed += 1")
-    lines.append(f"rvals[15] = {uop.next_pc}")
-    return lines
+        ftrack.clear()  # the span's device may be flash
+        if plan == "mpu":
+            body += _mpu_preamble(ns, addr, size, not load)
+        lines, access = _span_cache_access(ns, load, addr, size, rd,
+                                           f"ds{index}", False)
+        entry["barrier"] = True
+    entry.update(body=body + lines + done, dacc=[access])
+    return True
 
 
-def _emit_branch_ender(cpu, uop, index, ns, ftrack):
-    """Inline a superblock's terminating branch, or None for closure call.
+def _branch_lines(cpu, ins) -> list[str] | None:
+    """The taken path of a block-ending branch, or None for a closure call.
 
     Covers exactly the shapes ``_compile_branch`` specialises (resolved
-    targets, register BX/BLX not via the PC), transcribing the general
-    bound step's bookkeeping around them: a taken branch counts in
-    ``branches_taken`` and skips the PC advance; a condition-failed branch
-    costs 1 cycle, counts as skipped, and falls through.  The
-    ``cpu.branch`` call is kept - halt detection and the cores' exception-
-    return hooks live there.
+    targets, register BX/BLX not via the PC).  The ``cpu.branch`` call is
+    kept unless the core inlines a constant target: halt detection and
+    the cores' exception-return hooks live there.
     """
-    ins = uop.ins
     op = ins.mnemonic
     if op not in ("B", "BL", "BX", "BLX"):
         return None
-    cycle_fn = cpu.compile_cycles(ins)
-    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
-    taken = getattr(cycle_fn, "static_taken", None) if cycle_fn is not None else None
-    if base is None or taken is None:
-        return None
-    taken_lines = []
     if op in ("BX", "BLX") and ins.rm is not None:
         if ins.rm == PC:
             return None
         if op == "BLX":
             # read the target before writing LR: `blx lr` must branch to
             # the OLD link register (same order as _compile_branch)
-            taken_lines.append(f"t = rvals[{ins.rm}]")
-            taken_lines.append(f"rvals[14] = {(ins.address + ins.size) & MASK32}")
-            taken_lines.append("BR(t & ~1)")
-        else:
-            taken_lines.append(f"BR(rvals[{ins.rm}] & ~1)")
-    elif ins.target is not None:
-        if op == "BL":
-            taken_lines.append(f"rvals[14] = {(ins.address + ins.size) & MASK32}")
-        elif op != "B":
-            return None  # BX/BLX without rm: fallback handler raises
-        inline = cpu._branch_inline(ins.target)
-        if inline is not None:
-            taken_lines += inline
-        else:
-            taken_lines.append(f"BR({ins.target})")
-    else:
+            return [f"t = rvals[{ins.rm}]",
+                    f"rvals[14] = {(ins.address + ins.size) & MASK32}",
+                    "BR(t & ~1)"]
+        return [f"BR(rvals[{ins.rm}] & ~1)"]
+    if ins.target is None:
         return None  # unresolved label: generic path raises
-    # always bound: core inline forms route their rare arms through it
-    ns.default("BR", "branch")
-    fetch_lines, static_stalls = _emit_fetch(cpu, uop, index, ns, ftrack)
-    if static_stalls is not None:
-        taken_cost = str(taken + static_stalls)
-        skip_cost = str(1 + static_stalls)
+    lines = []
+    if op == "BL":
+        lines.append(f"rvals[14] = {(ins.address + ins.size) & MASK32}")
+    elif op != "B":
+        return None  # BX/BLX without rm: fallback handler raises
+    inline = cpu._branch_inline(ins.target)
+    return lines + (inline if inline is not None else [f"BR({ins.target})"])
+
+
+def _build_step(cpu, uop, index, ns, ftrack):
+    """Build one fused position's step entry (see :func:`_fetch`), or
+    ``None`` when it has no inline form and calls its bound step.
+
+    A chainable micro-op gets its fetch, then its body: a load or store
+    (:func:`_mem_step`), an inline data-processing form (:func:`_emit_exec`)
+    or a call of its exec closure.  A block-ending branch gets its fetch
+    and its taken path (:func:`_branch_lines`).  The step *defers* into the
+    current span when it is unpredicated, has a static cost, fetches
+    without calling out, and nothing in its body can raise or call out
+    (a taken branch only as a pure goto, whose PC write the span absorbs);
+    otherwise it is a barrier.  A predicated step with a dynamic cost,
+    and any other block ender, has no inline form.
+    """
+    ins = uop.ins
+    cycle_fn = cpu.compile_cycles(ins)
+    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
+    cond = None if uop.cond_check is None else _cond_test(ins)
+    if uop.chainable:
+        taken_lines = None
+        if cond is not None and base is None:
+            return None
     else:
-        taken_cost = f"{taken} + s"
-        skip_cost = "1 + s"
-    lines = list(fetch_lines)
-    if uop.cond_check is None:
-        lines += taken_lines
-        lines.append("cpu.branches_taken += 1")
-        lines.append(f"cpu.cycles += {taken_cost}")
-        lines.append("cpu.instructions_executed += 1")
-        return lines
-    lines.append("f = cpu.apsr")
-    lines.append(f"if {_cond_test(ins)}:")
-    lines += ["    " + t for t in taken_lines]
-    lines.append("    cpu.branches_taken += 1")
-    lines.append(f"    cpu.cycles += {taken_cost}")
-    lines.append("else:")
-    lines.append(f"    cpu.cycles += {skip_cost}")
-    lines.append("    cpu.instructions_skipped += 1")
-    lines.append(f"    rvals[15] = {uop.next_pc}")
-    lines.append("cpu.instructions_executed += 1")
+        # a branch executes taken: its cost is the taken cost, and a
+        # skip's cost must be static too
+        taken_lines = _branch_lines(cpu, ins)
+        base = getattr(cycle_fn, "static_taken", None) if base is not None else None
+        if taken_lines is None or base is None:
+            return None
+    entry = _fetch(cpu, uop, index, ns, ftrack)
+    deferrable = cond is None and base is not None and not entry["calls"]
+    entry.update(cond=cond, base=base, barrier=not deferrable)
+    if taken_lines is not None:
+        # always bound: core inline forms route their rare arms through it
+        ns.default("BR", "branch")
+        entry["branches"] = 1
+        if deferrable and taken_lines == [f"rvals[15] = {uop.branch_target}"]:
+            # a pure goto: the span's PC chain continues at the target
+            entry["next_pc"] = uop.branch_target
+        else:
+            entry.update(body=taken_lines, next_pc=None, barrier=True)
+        return entry
+    # a predicated body may or may not run: it gets no static flash-state
+    # folding (a throwaway tracker), and the device state is unknown after
+    body_track = ftrack if cond is None else {}
+    mem = uop.kind == "mem"
+    if not (mem and _mem_step(cpu, uop, index, ns, body_track, entry,
+                              deferrable)):
+        lines = None if mem else _emit_exec(ins)
+        if lines is None:
+            ns.put(f"E{index}", "constant", uop.exec)
+            ns.put(f"O{index}", "outcome")
+            entry.update(body=[f"E{index}(cpu, O{index})"], barrier=True)
+            if mem:
+                entry["body"].insert(0, "cpu._data_stalls = 0")
+                entry["dacc"] = [_MEDIATED]
+                body_track.clear()  # closure-run accesses may reach flash
+        else:
+            for stmt in lines:
+                if stmt.startswith("f."):
+                    entry["flags"][stmt[2]] = stmt
+                elif stmt != "f = cpu.apsr":
+                    entry["body"].append(stmt)
+    if mem and cond is not None:
+        ftrack.clear()
+    if base is None:
+        ns.put(f"K{index}", "cycles", ins)
+        ns.default(f"O{index}", "outcome")
+        entry["base"] = f"K{index}(O{index})"
+    return entry
+
+
+def _bus_accounting(accesses) -> list[str]:
+    """The bus's share of ``accesses``, in order: device counters
+    (aggregated), bus reads and writes, stall total, access records."""
+    lines = []
+    totals: dict[tuple, int] = {}
+    for access in accesses:
+        for counter in access.counters:
+            totals[counter] = totals.get(counter, 0) + 1
+    lines += [f"{dev}.{attr} += {count}" for (dev, attr), count in totals.items()]
+    on_bus = [access for access in accesses if access.reads or access.writes]
+    reads = sum(access.reads for access in on_bus)
+    writes = sum(access.writes for access in on_bus)
+    if reads:
+        lines.append(f"bus.reads += {reads}")
+    if writes:
+        lines.append(f"bus.writes += {writes}")
+    stalls = _sum([access.stall for access in on_bus])
+    if stalls != "0":
+        lines.append(f"bus.total_stalls += {stalls}")
+    if on_bus:
+        lines.append("if bus.record:")
+        lines += [f"    bus.accesses.append({access.record})" for access in on_bus]
     return lines
+
+
+def _retire(cycles: str, count: int, pc, branches: int = 0,
+            skipped: int = 0) -> list[str]:
+    """The retire of ``count`` steps: taken branches, cycles, skips,
+    instruction count, then the PC (when ``pc`` is not None)."""
+    lines = []
+    if branches:
+        lines.append(f"cpu.branches_taken += {branches}")
+    lines.append(f"cpu.cycles += {cycles}")
+    if skipped:
+        lines.append(f"cpu.instructions_skipped += {skipped}")
+    lines.append(f"cpu.instructions_executed += {count}")
+    if pc is not None:
+        lines.append(f"rvals[15] = {pc}")
+    return lines
+
+
+def _in_place(entry, taken_tail=(), skip_tail=()) -> list[str]:
+    """A barrier run in place: its body, its data accounting, its retire.
+
+    The caller has flushed the span, with this step's fetch on the bus
+    (:func:`_flush_span`), so the order is the reference's: a body that
+    faults sees its fetch accounted and nothing of its own.  A predicated
+    step runs all of it only when its condition holds; skipped, it costs
+    one cycle plus its fetch.  ``taken_tail`` and ``skip_tail`` end the two
+    arms (a loop back-edge's guard and its exit).
+    """
+    run = list(entry["body"])
+    if entry["flags"]:
+        run += ["f = cpu.apsr", *entry["flags"].values()]
+    stall = entry["facc"].stall
+    dacc = entry["dacc"]
+    run += _bus_accounting(dacc)
+    run += _retire(_sum([entry["base"], stall, *(a.stall for a in dacc)]), 1,
+                   entry["next_pc"], branches=entry["branches"])
+    run += taken_tail
+    if entry["cond"] is None:
+        return run
+    skip = _retire(_sum([1, stall]), 1, entry["fall"], skipped=1)
+    return (["f = cpu.apsr", f"if {entry['cond']}:", *_indent(run),
+             "else:", *_indent([*skip, *skip_tail])])
+
+
+def _span_accounting(span, pc, partial=None) -> list[str]:
+    """The deferred accounting of ``span``: its bus accounting, then its
+    retire, ending at ``pc``.  With ``partial`` - the barrier about to run
+    in place - that step's fetch joins the bus accounting (the reference
+    charges an instruction's cycles after its body, so a body that faults
+    has its fetch on the bus but not on the cycle counter)."""
+    accesses = [access for entry in span
+                for access in (entry["facc"], *entry["dacc"])]
+    lines = _bus_accounting(accesses if partial is None
+                            else accesses + [partial["facc"]])
+    if span:
+        cycles = _sum([entry["base"] for entry in span]
+                      + [access.stall for access in accesses])
+        lines += _retire(cycles, len(span), pc,
+                         branches=sum(entry["branches"] for entry in span))
+    return lines
+
+
+def _join_span(span, entry) -> None:
+    """Defer ``entry`` into ``span``.
+
+    Its escape arm, if it has one, is the barrier placement written in:
+    the span so far is materialised with this step's fetch as the partial
+    contribution, the mediated form runs in place, and the function
+    returns to the engine - a fault raised there observes exactly the
+    per-step state.
+    """
+    if entry["escape"] is not None:
+        arm = (_span_accounting(span, entry["pc"], partial=entry)
+               + _in_place(entry["escape"]) + ["return"])
+        body = []
+        for stmt in entry["body"]:
+            if stmt.endswith(_ESCAPE):
+                pad = stmt[:-len(_ESCAPE)]
+                body += [pad + line for line in arm]
+            else:
+                body.append(stmt)
+        entry["body"] = body
+    span.append(entry)
+
+
+def _flush_span(span, lines, barrier=None) -> None:
+    """Emit a coalesced span: bodies in order, then the deferred accounting.
+
+    Flag liveness runs backwards over the span - a flag write is dead only
+    when a later step in the *same* span overwrites it before any point
+    where the flags are observable: the span end (a full barrier) and
+    every escape arm (a memory step's rare fallback exits the function
+    mid-span), so entries carrying an escape reset the liveness to "all
+    live" for everything before them.  The deferred counters are emitted
+    as single aggregated statements, the access records in access order
+    under one ``bus.record`` test, and the PC once.
+
+    With ``barrier``, the span ends where that step starts and its fetch
+    joins the accounting: a raise-free fetch runs before it, a fetch that
+    calls out after it (the callee then sees every earlier access).
+    """
+    if span:
+        live = set(_FLAGS)
+        for entry in reversed(span):
+            entry["dead"] = set(entry["flags"]) - live
+            live -= set(entry["flags"])
+            if entry["escape"] is not None:
+                live = set(_FLAGS)
+        flags_bound = False
+        for entry in span:
+            lines.extend(entry["fetch"])
+            lines.extend(entry["body"])
+            kept = [stmt for flag, stmt in entry["flags"].items()
+                    if flag not in entry["dead"]]
+            if kept:
+                if not flags_bound:
+                    lines.append("f = cpu.apsr")
+                    flags_bound = True
+                lines.extend(kept)
+    if barrier is None:
+        if span:
+            lines += _span_accounting(span, span[-1]["next_pc"])
+    else:
+        if not barrier["calls"]:
+            lines += barrier["fetch"]
+        lines += _span_accounting(span, barrier["pc"], partial=barrier)
+        if barrier["calls"]:
+            lines += barrier["fetch"]
+    span.clear()
 
 
 def _backedge_eligible(cpu, uop, entry) -> bool:
@@ -1113,62 +1333,32 @@ def _backedge_eligible(cpu, uop, entry) -> bool:
             and getattr(cycle_fn, "static_taken", None) is not None)
 
 
-def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
-    """Inline a loop back-edge that *continues* the enclosing while-loop.
+def _loop_backedge(cpu, step, entry, count) -> list[str]:
+    """A loop back-edge's step run in place, *continuing* the enclosing
+    while-loop.
 
-    The looping variant of :func:`_emit_branch_ender` for a direct branch
-    whose target is the block's own head: the taken path performs the
-    identical branch bookkeeping, then revalidates the conditions the
-    engine's dispatch loop would have checked before re-entering the block
-    - PC really back at the head and not halted (only when the real
-    ``cpu.branch`` had to be called), the interrupt controller's event
-    horizon unchanged since the function was entered (``h0``), one more
-    full iteration under the dispatch limit (``_sb_cycle_limit``, one
-    block cycle cap below the lower of the cycle ceiling and ``h0``), and
-    one more full iteration inside the instruction budget.  Only a
-    request raised from inside the loop (an MMIO doorbell) can move the
-    horizon there: a request is removed only by ``check_interrupts`` and
-    exception return, and neither runs inside fused code, so an earlier
-    pending interrupt shows up as a changed horizon.  When every guard
-    holds the generated loop continues with zero engine dispatch;
-    otherwise the function returns with the machine exactly where
+    The taken path does the branch's own bookkeeping, then revalidates
+    the conditions the engine's dispatch loop would have checked before
+    re-entering the block - PC really back at the head and not halted
+    (only when the real ``cpu.branch`` had to be called), the interrupt
+    controller's event horizon unchanged since the function was entered
+    (``h0``), one more full iteration under the dispatch limit
+    (``_sb_cycle_limit``, one block cycle cap below the lower of the cycle
+    ceiling and ``h0``), and one more full iteration inside the
+    instruction budget.  Only a request raised from inside the loop (an
+    MMIO doorbell) can move the horizon there: a request is removed only
+    by ``check_interrupts`` and exception return, and neither runs inside
+    fused code, so an earlier pending interrupt shows up as a changed
+    horizon.  When every guard holds the generated loop continues with
+    zero engine dispatch; otherwise - and when a predicated back-edge
+    falls through - the function returns with the machine exactly where
     per-step execution would have left it, and the engine takes over.
-    Returns ``None`` when the back-edge has no static-cost inline form
-    (the block then fuses as a plain straight-line superblock).
     """
-    ins = uop.ins
-    if ins.mnemonic != "B" or uop.branch_target != entry:
-        return None
-    cycle_fn = cpu.compile_cycles(ins)
-    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
-    taken = getattr(cycle_fn, "static_taken", None) if cycle_fn is not None else None
-    if base is None or taken is None:
-        return None
-    ns.default("BR", "branch")  # core inline forms use it for rare arms
-    inline = cpu._branch_inline(entry)
-    if inline is not None:
-        # the inline contract: pc ends at the constant target, not halted
-        taken_lines = list(inline)
-        recheck = []
-    else:
-        taken_lines = [f"BR({entry})"]
+    recheck = []
+    if cpu._branch_inline(entry) is None:
         # a full branch() call may halt or redirect: revalidate before
         # looping
-        recheck = [f"if cpu.halted or rvals[15] != {entry}:",
-                   "    return"]
-    fetch_lines, static_stalls = _emit_fetch(cpu, uop, index, ns, ftrack)
-    if static_stalls is not None:
-        taken_cost = str(taken + static_stalls)
-        skip_cost = str(1 + static_stalls)
-    else:
-        taken_cost = f"{taken} + s"
-        skip_cost = "1 + s"
-    taken_lines += [
-        "cpu.branches_taken += 1",
-        f"cpu.cycles += {taken_cost}",
-        "cpu.instructions_executed += 1",
-    ]
-    taken_lines += recheck
+        recheck = [f"if cpu.halted or rvals[15] != {entry}:", "    return"]
     # IRQ is the interrupt controller bound at fuse time (the engine drops
     # all fused blocks if the controller is swapped between runs), so the
     # event-horizon revalidation is one attribute compare per iteration.
@@ -1179,427 +1369,8 @@ def _emit_loop_backedge(cpu, uop, index, ns, entry, count, ftrack):
     # set the limit past any reachable cycle.
     guard = ("IRQ.horizon != h0 or cpu.cycles >= cpu._sb_cycle_limit"
              f" or cpu.instructions_executed + {count} > cpu._sb_limit")
-    taken_lines += [
-        f"if {guard}:",
-        "    return",
-        "continue",
-    ]
-    lines = list(fetch_lines)
-    if uop.cond_check is None:
-        return lines + taken_lines
-    lines.append("f = cpu.apsr")
-    lines.append(f"if {_cond_test(ins)}:")
-    lines += ["    " + t for t in taken_lines]
-    # every taken path continued or returned: falling through means the
-    # branch direction changed (loop exit) - the bit-exact fallback
-    lines.append(f"cpu.cycles += {skip_cost}")
-    lines.append("cpu.instructions_skipped += 1")
-    lines.append("cpu.instructions_executed += 1")
-    lines.append(f"rvals[15] = {uop.next_pc}")
-    lines.append("return")
-    return lines
-
-
-# ----------------------------------------------------------------------
-# span coalescing: deferred accounting across provably raise-free runs
-# ----------------------------------------------------------------------
-
-_FLAGS = ("n", "z", "c", "v")
-
-#: mnemonics whose inline exec bodies are pure ALU (registers and flags
-#: only - no memory, no calls, nothing that can raise): the only ops a
-#: coalesced span may contain
-_LEAN_OPS = frozenset({
-    "NOP", "DSB", "ISB", "BKPT", "MOV", "MVN", "ADD", "SUB", "LSL", "LSR",
-    "ASR", "ROR", "CMP", "CMN", "TST", "TEQ", "MUL", "CLZ", "UXTB", "UXTH",
-    "SXTB", "SXTH", "MOVW", "MOVT", "UBFX",
-}) | frozenset(_LOGIC_EXPR)
-
-
-def _lean_step(cpu, uop, index, ns, isa, ftrack):
-    """One step prepared for *span coalescing*, or ``None``.
-
-    A lean step is an unconditional chainable micro-op whose inline form
-    provably cannot raise: a pure-ALU body (no data access, no closure
-    call) fetched straight from a plain SRAM or flash device with a static
-    cycle cost.  For a run of such steps nothing outside the CPU's own
-    registers can observe the boundaries between them, so the counter
-    updates (cycles, instruction count, bus reads/stalls, access records)
-    and intermediate PC writes are deferred to the end of the span
-    (:func:`_flush_span`) - the sums are identical, and any *barrier* (a
-    step that can fault or call out) flushes first, so a mid-block
-    exception still observes exactly the per-step state.
-
-    Returns a dict of the step's parts: fetch statements (flash stream
-    bookkeeping stays in place - its order against other flash traffic is
-    device state), value statements, and per-flag assignments kept
-    separate so :func:`_flush_span` can drop writes that are dead within
-    the span (overwritten before the span ends; the span end itself is a
-    full barrier, so flags that survive to it are always materialised).
-    """
-    if not uop.chainable or uop.cond_check is not None:
-        return None
-    ins = uop.ins
-    if ins.mnemonic not in _LEAN_OPS:
-        return None
-    cycle_fn = cpu.compile_cycles(ins)
-    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
-    if base is None:
-        return None
-    body, ds_mode = _emit_exec(cpu, ins, isa, index, ns, ftrack)
-    if body is None or ds_mode is not None:
-        return None
-    entry = _lean_fetch(cpu, uop, index, ns, ftrack, base)
-    if entry is None:
-        return None
-    for stmt in body:
-        if stmt == "f = cpu.apsr":
-            continue
-        if stmt.startswith("f."):
-            entry["flags"][stmt[2]] = stmt
-        else:
-            entry["body"].append(stmt)
-    return entry
-
-
-def _lean_fetch(cpu, uop, index, ns, ftrack, base):
-    """A span entry with the fetch parts filled in, or ``None``.
-
-    Only plain SRAM and flash fetches qualify (provably raise-free); the
-    flash form uses the statically resolved stream arm when the fuse-time
-    tracker knows the state, the dynamic transcription otherwise.
-    """
-    address, size = uop.address, uop.size
-    device = cpu._fetch_bus_device(address, size)
-    entry = {
-        "fetch": [], "stall_consts": 0, "stall_vars": [], "records": [],
-        "counters": (), "reads": 1, "writes": 0, "branches": 0,
-        "escape": False, "body": [], "flags": {}, "base": base,
-        "next_pc": uop.next_pc,
-    }
-    if device is not None and type(device) is Sram:
-        ns.put(f"D{index}", "fetch_device", (address, size))
-        ns.default("AR", "constant", AccessRecord)
-        ws = device.wait_states
-        entry["stall_consts"] = ws
-        entry["counters"] = ((f"D{index}", "reads"),)
-        entry["records"].append(f"AR({address}, {size}, 'R', 'I', {ws})")
-        return entry
-    if device is not None and type(device) is Flash:
-        dev = f"D{index}"
-        ns.put(dev, "fetch_device", (address, size))
-        ns.put(f"DA{index}", "fetch_device_access", (address, size))
-        ns.default("AR", "constant", AccessRecord)
-        static = _flash_static_parts(device, dev, address, size, ftrack)
-        if static is not None:
-            stmts, counters, stalls = static
-            entry["fetch"] = list(stmts)
-            entry["counters"] = tuple(counters)
-            entry["stall_consts"] = stalls
-            entry["records"].append(f"AR({address}, {size}, 'R', 'I', {stalls})")
-        else:
-            _flash_track_dynamic(device, address, size, ftrack)
-            stall_var = f"s{index}"
-            entry["fetch"] = _flash_fetch_lines(device, dev, f"DA{index}",
-                                                address, size, stall_var)
-            entry["stall_vars"].append(stall_var)
-            entry["records"].append(
-                f"AR({address}, {size}, 'R', 'I', {stall_var})")
-        return entry
-    return None
-
-
-def _lean_mem_step(cpu, uop, index, ns, ftrack, span):
-    """A plain load/store prepared for span membership, or ``None``.
-
-    The common path - span-cache hit on an SRAM device (and, for a
-    literal pool, a constant SRAM/flash address proven in bounds at fuse
-    time) - is raise-free, so the step's accounting defers with the rest
-    of the span.  Every rare path (span miss, device overrun, an MPU
-    attached after fusion) first materialises the deferred state
-    (:func:`_span_accounting` with the step's own fetch as the partial
-    contribution - exactly what the per-step engine would have committed
-    before the faulting body), then completes the instruction through the
-    mediated ``cpu.read``/``cpu.write`` path and returns to the engine;
-    a fault raised there observes bit-exact per-step state.  Only fused
-    without a fuse-time MPU: a protected core keeps the barrier form,
-    whose inline MPU check stays on the fast path.
-    """
-    if not uop.chainable or uop.cond_check is not None:
-        return None
-    ins = uop.ins
-    op = ins.mnemonic
-    if op in _LOAD_SIZES:
-        load = True
-        size = _LOAD_SIZES[op]
-    elif op in _STORE_SIZES:
-        load = False
-        size = _STORE_SIZES[op]
-    else:
-        return None
-    mem = ins.mem
-    rd = ins.rd
-    if mem is None or rd is None or rd == PC or mem.writeback or mem.postindex:
-        return None
-    if mem.rm == PC or (not load and mem.rn == PC):
-        return None
-    plan = ns.key.data_plan
-    if plan is None or (plan == "mpu" and ns.key.mpu):
-        return None
-    cycle_fn = cpu.compile_cycles(ins)
-    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
-    if base is None:
-        return None
-    sign_bits = _SIGNED_LOADS.get(op) if load else None
-    literal_device = None
-    literal_address = None
-    if load and mem.rn == PC:
-        # resolve the literal before any tracker-mutating emission so a
-        # rejection leaves the fuse-time stream state untouched
-        pc_off = 8 if cpu.program.isa == "arm" else 4
-        literal_address = (((ins.address + pc_off) & ~3) + mem.offset) & MASK32
-        literal_device = cpu.bus._lookup(literal_address)
-        if (literal_device is None
-                or literal_address + size > literal_device.base + literal_device.size
-                or type(literal_device) not in (Sram, Flash)):
-            return None
-    entry = _lean_fetch(cpu, uop, index, ns, ftrack, base)
-    if entry is None:
-        return None
-    if entry["stall_vars"]:
-        fetch_stalls = entry["stall_vars"][0]
-    else:
-        fetch_stalls = str(entry["stall_consts"])
-    vmask = None if load else _STORE_MASKS[size]
-
-    def completion(access_expr: str) -> list[str]:
-        """The mediated rest-of-instruction an escape arm runs."""
-        done = ["cpu._data_stalls = 0", access_expr]
-        if load:
-            done += _load_sign_lines(sign_bits)
-            done.append(f"rvals[{rd}] = v & {MASK32}")
-        done += [
-            f"cpu.cycles += {base} + {fetch_stalls} + cpu._data_stalls",
-            "cpu.instructions_executed += 1",
-            f"rvals[15] = {uop.next_pc}",
-            "return",
-        ]
-        return done
-
-    body = entry["body"]
-    ns.default("AR", "constant", AccessRecord)
-    ns.default("IFB", "constant", int.from_bytes)
-    if load and mem.rn == PC:
-        # literal pool: constant address, device and bounds proven above;
-        # only SRAM and flash are known raise-free
-        address = literal_address
-        device = literal_device
-        if plan == "mpu":
-            # an MPU attached after fusion reroutes through the mediated
-            # path (which consults it and faults bit-exactly)
-            entry["escape"] = True
-            body.append("if cpu.mpu is not None:")
-            body += ["    " + stmt for stmt in
-                     _span_accounting(list(span), uop.address, partial=entry)
-                     + completion(f"v = RD({address}, {size})")]
-        offset = address - device.base
-        dev = f"DV{index}"
-        ns.put(dev, "literal_device", address)
-        if type(device) is Sram:
-            entry["counters"] += ((dev, "reads"),)
-            entry["stall_consts"] += device.wait_states
-            entry["records"].append(
-                f"AR({address}, {size}, 'R', 'D', {device.wait_states})")
-        else:
-            ns.put(f"DAL{index}", "literal_access", address)
-            static = _flash_static_parts(device, dev, address, size, ftrack)
-            if static is not None:
-                stmts, counters, stalls = static
-                body += stmts
-                entry["counters"] += tuple(counters)
-                entry["stall_consts"] += stalls
-                entry["records"].append(
-                    f"AR({address}, {size}, 'R', 'D', {stalls})")
-            else:
-                _flash_track_dynamic(device, address, size, ftrack)
-                stall_var = f"ds{index}"
-                body += _flash_fetch_lines(device, dev, f"DAL{index}",
-                                           address, size, stall_var)
-                entry["stall_vars"].append(stall_var)
-                entry["records"].append(
-                    f"AR({address}, {size}, 'R', 'D', {stall_var})")
-        body.append(f"v = IFB({dev}.data[{offset}:{offset + size}], 'little')")
-        body += _load_sign_lines(sign_bits)
-        body.append(f"rvals[{rd}] = v & {MASK32}")
-        entry["reads"] += 1
-        return entry
-    # register-addressed: span-cache hit on an SRAM device is the lean
-    # path (the span bounds prove the access in range, SRAM cannot fault,
-    # and an SRAM access cannot disturb tracked flash stream state)
-    addr = f"a{index}"
-    stall_var = f"ds{index}"
-    if mem.rn == PC:
-        return None
-    if mem.rm is None:
-        body.append(f"{addr} = (rvals[{mem.rn}] + {mem.offset}) & {MASK32}")
-    else:
-        body.append(f"{addr} = (rvals[{mem.rn}] + ((rvals[{mem.rm}]"
-                    f" << {mem.shift}) & {MASK32})) & {MASK32}")
-    ns.default("SRT", "constant", Sram)
-    guard = "cpu.mpu is None and " if plan == "mpu" else ""
-    entry["escape"] = True
-    body.append("sp = bus._span_d")
-    body.append(f"if {guard}sp[0] <= {addr} and {addr} + {size} <= sp[1]"
-                " and type(sp[2]) is SRT:")
-    lean_arm = [
-        "d = sp[2]",
-        f"d.{'reads' if load else 'writes'} += 1",
-        f"o = {addr} - d.base",
-    ]
-    if load:
-        lean_arm.append(f"v = IFB(d.data[o:o + {size}], 'little')")
-    else:
-        lean_arm.append(f"d.data[o:o + {size}] = "
-                        f"(rvals[{rd}] & {vmask}).to_bytes({size}, 'little')")
-    lean_arm.append(f"{stall_var} = d.wait_states")
-    body += ["    " + stmt for stmt in lean_arm]
-    body.append("else:")
-    if load:
-        access = f"v = RD({addr}, {size})"
-    else:
-        access = f"WR({addr}, {size}, rvals[{rd}] & {vmask})"
-    body += ["    " + stmt for stmt in
-             _span_accounting(list(span), uop.address, partial=entry)
-             + completion(access)]
-    if load:
-        body += _load_sign_lines(sign_bits)
-        body.append(f"rvals[{rd}] = v & {MASK32}")
-        entry["reads"] += 1
-        entry["records"].append(f"AR({addr}, {size}, 'R', 'D', {stall_var})")
-    else:
-        entry["writes"] += 1
-        entry["records"].append(f"AR({addr}, {size}, 'W', 'D', {stall_var})")
-    entry["stall_vars"].append(stall_var)
-    return entry
-
-
-def _lean_branch_step(cpu, uop, index, ns, ftrack):
-    """An unconditional direct goto prepared for span membership, or None.
-
-    A mid-trace ``B`` whose core inlines to a pure constant PC write is
-    fully raise-free and observes nothing: the PC write defers with the
-    span (subsequent entries' ``next_pc`` values already follow the
-    jump) and the taken-branch count joins the deferred accounting.
-    Always taken, so the step costs the static taken cycles.
-    """
-    ins = uop.ins
-    if (uop.chainable or uop.cond_check is not None or ins.mnemonic != "B"
-            or uop.branch_target is None):
-        return None
-    cycle_fn = cpu.compile_cycles(ins)
-    taken = getattr(cycle_fn, "static_taken", None) if cycle_fn is not None else None
-    if taken is None:
-        return None
-    inline = cpu._branch_inline(uop.branch_target)
-    if inline != [f"rvals[15] = {uop.branch_target}"]:
-        # only a pure PC write may defer with the span: a core inline form
-        # with extra arms (the VIC return-stack unwind reads cpu.cycles)
-        # must observe exact per-step state, so those gotos keep the
-        # barrier ender - still chained into the trace, just flushed around
-        return None
-    entry = _lean_fetch(cpu, uop, index, ns, ftrack, taken)
-    if entry is None:
-        return None
-    # the PC write itself is deferred: the span's PC chain continues at
-    # the branch target
-    entry["next_pc"] = uop.branch_target
-    entry["branches"] = 1
-    return entry
-
-
-def _span_accounting(span, pc, partial=None) -> list[str]:
-    """The deferred-accounting statements for ``span`` (in emission order:
-    device counters, bus counters, access records, cycles, instruction
-    count, PC).  With ``partial`` - the escaping step's entry - only that
-    step's *fetch-side* contribution joins the bus statistics (the
-    reference charges an instruction's cycles after its body, so a body
-    that faults has its fetch on the bus but not on the cycle counter),
-    and its instruction count/cycles are left to the escape arm."""
-    lines = []
-    counter_totals: dict[tuple, int] = {}
-    entries = span if partial is None else span + [partial]
-    for entry in entries:
-        for counter in entry["counters"]:
-            counter_totals[counter] = counter_totals.get(counter, 0) + 1
-    for (dev, attr), count in counter_totals.items():
-        lines.append(f"{dev}.{attr} += {count}")
-    reads = sum(e["reads"] for e in span)
-    writes = sum(e["writes"] for e in span)
-    stall_const = sum(e["stall_consts"] for e in span)
-    stall_vars = [v for e in span for v in e["stall_vars"]]
-    records = [r for e in span for r in e["records"]]
-    bus_const, bus_vars = stall_const, list(stall_vars)
-    if partial is not None:
-        reads += 1  # the escaping step's fetch went out on the bus
-        bus_const += partial["stall_consts"]
-        bus_vars += partial["stall_vars"]
-        records += partial["records"]
-    if reads:
-        lines.append(f"bus.reads += {reads}")
-    if writes:
-        lines.append(f"bus.writes += {writes}")
-    branches = sum(e["branches"] for e in span)
-    if branches:
-        lines.append(f"cpu.branches_taken += {branches}")
-    bus_tail = "".join(f" + {v}" for v in bus_vars)
-    if bus_const or bus_tail:
-        lines.append(f"bus.total_stalls += {bus_const}{bus_tail}")
-    if records:
-        lines.append("if bus.record:")
-        lines += [f"    bus.accesses.append({record})" for record in records]
-    if span:
-        base_total = sum(e["base"] for e in span)
-        cycle_tail = "".join(f" + {v}" for v in stall_vars)
-        lines.append(f"cpu.cycles += {base_total + stall_const}{cycle_tail}")
-        lines.append(f"cpu.instructions_executed += {len(span)}")
-    lines.append(f"rvals[15] = {pc}")
-    return lines
-
-
-def _flush_span(span, lines):
-    """Emit a coalesced span: bodies in order, then the deferred accounting.
-
-    Flag liveness runs backwards over the span - a flag write is dead only
-    when a later step in the *same* span overwrites it before any point
-    where the flags are observable: the span end (a full barrier) and
-    every escape arm (a memory step's rare fallback exits the function
-    mid-span), so entries carrying an escape reset the liveness to "all
-    live" for everything before them.  The deferred counters are emitted
-    as single aggregated statements, the access records in access order
-    under one ``bus.record`` test, and the PC once, at the span's final
-    next-PC.
-    """
-    if not span:
-        return
-    live = set(_FLAGS)
-    for entry in reversed(span):
-        entry["dead"] = set(entry["flags"]) - live
-        live -= set(entry["flags"])
-        if entry["escape"]:
-            live = set(_FLAGS)
-    flags_bound = False
-    for entry in span:
-        lines.extend(entry["fetch"])
-        lines.extend(entry["body"])
-        kept = [stmt for flag, stmt in entry["flags"].items()
-                if flag not in entry["dead"]]
-        if kept:
-            if not flags_bound:
-                lines.append("f = cpu.apsr")
-                flags_bound = True
-            lines.extend(kept)
-    lines += _span_accounting(span, span[-1]["next_pc"])
-    span.clear()
+    return _in_place(step, [*recheck, f"if {guard}:", "    return", "continue"],
+                     ["return"])
 
 
 _SB_FUSED = obs.counter(
@@ -1656,17 +1427,16 @@ def _emit_block(cpu, uops):
     """Emit and compile one superblock: ``(code, recipe)``.
 
     ``code`` is the generated function's code object and ``recipe`` one
-    ``(resolve, arg)`` pair per parameter (:class:`_Names`).  Positions
-    that cannot be inlined fall back to calling their bound step, so the
+    ``(resolve, arg)`` pair per parameter (:class:`_Names`).  Each
+    position is built once (:func:`_build_step`) and placed by the rule in
+    the module docstring: deferred into the span, or a barrier run in
+    place; positions that cannot be inlined call their bound step, so the
     fused function is behaviourally the list loop with the frames removed.
-    Runs of raise-free pure-ALU steps coalesce their accounting
-    (:func:`_lean_step` / :func:`_flush_span`); every other position is a
-    barrier that flushes first, keeping mid-block faults bit-exact.
 
     When the block is terminated by a loop back-edge (a direct branch
     back to the block's own head), the whole body is wrapped in a
     ``while True:`` whose taken-branch path continues in place (see
-    :func:`_emit_loop_backedge`): a full loop iteration runs as one
+    :func:`_loop_backedge`): a full loop iteration runs as one
     generated code object executed N times, with the per-iteration guard
     limited to the branch condition, the event horizon, the cycle
     ceiling, and the instruction budget.
@@ -1684,32 +1454,22 @@ def _emit_block(cpu, uops):
         ns.put("IRQ", "irq")
     lines = []
     span: list = []
-    isa = cpu.program.isa
     ftrack: dict = {}
     for index, uop in enumerate(uops):
-        if is_loop and index == last:
+        step = _build_step(cpu, uop, index, ns, ftrack)
+        if step is None:
             _flush_span(span, lines)
-            lines.extend(_emit_loop_backedge(cpu, uop, index, ns,
-                                             uops[0].address, len(uops),
-                                             ftrack))
-            continue
-        lean = (_lean_step(cpu, uop, index, ns, isa, ftrack)
-                or _lean_mem_step(cpu, uop, index, ns, ftrack, span)
-                or _lean_branch_step(cpu, uop, index, ns, ftrack))
-        if lean is not None:
-            span.append(lean)
-            continue
-        _flush_span(span, lines)
-        if uop.chainable:
-            emitted = _emit_step(cpu, uop, index, ns, isa, ftrack)
-        else:
-            emitted = _emit_branch_ender(cpu, uop, index, ns, ftrack)
-        if emitted is None:
             ns.put(f"S{index}", "step", index)
             lines.append(f"S{index}()")
             ftrack.clear()  # the bound step fetches/accesses opaquely
+        elif is_loop and index == last:
+            _flush_span(span, lines, step)
+            lines += _loop_backedge(cpu, step, uops[0].address, len(uops))
+        elif step["barrier"]:
+            _flush_span(span, lines, step)
+            lines += _in_place(step)
         else:
-            lines.extend(emitted)
+            _join_span(span, step)
     _flush_span(span, lines)
     if is_loop:
         lines = (["h0 = IRQ.horizon", "while True:"]

@@ -80,7 +80,7 @@ on the same supervised worker fleet; ``python -m repro.sim.campaign
 --connect HOST:PORT`` (or :class:`repro.sim.service.CampaignClient`)
 submits requests to it instead of running locally.  The wire protocol is
 line-oriented JSON (one message per ``\\n``-terminated line, canonical
-``sort_keys`` encoding) over TCP or stdio:
+``sort_keys`` encoding) over TCP:
 
 * ``{"op": "submit", "seq": S, "id": RID?, "request": <CampaignRequest
   .to_obj()>, "priority": P?}`` registers a sweep (named matrix or

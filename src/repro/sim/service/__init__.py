@@ -14,8 +14,7 @@ clients submit :class:`~repro.sim.campaign.CampaignRequest`\\ s to, with:
   **resume** from the cache.
 
 Run it:  ``python -m repro.sim.service --port 0 --port-file port.txt
---workers-proc 4 --cache sweep-cache`` (or ``--stdio`` for a single
-piped client).  Talk to it: ``python -m repro.sim.campaign --matrix smoke
+--workers-proc 4 --cache sweep-cache``.  Talk to it: ``python -m repro.sim.campaign --matrix smoke
 --connect 127.0.0.1:PORT --stream out.jsonl``, or programmatically via
 :class:`CampaignClient` / :func:`submit_and_stream`.
 
@@ -95,7 +94,7 @@ from repro.sim.service.protocol import (
 )
 from repro.sim.service.chaos import CellFault, ChaosSchedule
 from repro.sim.service.client import CampaignClient, submit_and_stream
-from repro.sim.service.server import CampaignService, serve_stdio, serve_tcp
+from repro.sim.service.server import CampaignService, serve_tcp
 from repro.sim.service.supervisor import (
     CellFailed,
     WorkerPoolError,
@@ -114,7 +113,6 @@ __all__ = [
     "WorkerSupervisor",
     "decode_message",
     "encode_message",
-    "serve_stdio",
     "serve_tcp",
     "submit_and_stream",
 ]

@@ -31,11 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scripts that started the service with --port 0)",
     )
     parser.add_argument(
-        "--stdio",
-        action="store_true",
-        help="serve exactly one client over stdin/stdout instead of TCP",
-    )
-    parser.add_argument(
         "--workers-proc",
         type=int,
         default=1,
@@ -117,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _amain(args) -> int:
-    from repro.sim.service.server import CampaignService, serve_stdio, serve_tcp
+    from repro.sim.service.server import CampaignService, serve_tcp
 
     if args.obs:
         from repro import obs
@@ -144,9 +139,6 @@ async def _amain(args) -> int:
     )
     await service.start()
     try:
-        if args.stdio:
-            await serve_stdio(service)
-            return 0
         server = await serve_tcp(service, args.host, args.port)
         host, port = server.sockets[0].getsockname()[:2]
         print(f"campaign service listening on {host}:{port}", flush=True)

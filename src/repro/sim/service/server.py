@@ -2,9 +2,8 @@
 
 :class:`CampaignService` holds the shared state - one supervised worker
 fleet, one content-addressed record cache, one priority queue of cells -
-and any number of transports feed it connections (:func:`serve_tcp`,
-:func:`serve_stdio`, or tests calling :meth:`CampaignService.submit`
-directly).  The design invariants:
+and connections reach it over TCP (:func:`serve_tcp`), or tests call
+:meth:`CampaignService.submit` directly.  The design invariants:
 
 * **Spec-order streaming.**  Each request's records are delivered in spec
   order no matter how workers interleave; a streaming client's file is
@@ -541,7 +540,7 @@ class CampaignService:
     # -- transport ------------------------------------------------------
 
     async def handle_connection(self, reader, writer) -> None:
-        """Serve one JSONL client connection (TCP or stdio).
+        """Serve one JSONL client connection.
 
         Each incoming message is handled independently; ``stream``
         subscriptions run as their own tasks so status/cancel/submit stay
@@ -675,18 +674,3 @@ async def serve_tcp(service: CampaignService, host: str = "127.0.0.1", port: int
     ``server.sockets[0].getsockname()``)."""
     return await asyncio.start_server(service.handle_connection, host, port)
 
-
-async def serve_stdio(service: CampaignService) -> None:
-    """Serve exactly one client over this process's stdin/stdout."""
-    import sys
-
-    loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
-    protocol = asyncio.StreamReaderProtocol(reader)
-    await loop.connect_read_pipe(lambda: protocol, sys.stdin)
-    transport, writer_protocol = await loop.connect_write_pipe(
-        asyncio.streams.FlowControlMixin,
-        sys.stdout,
-    )
-    writer = asyncio.StreamWriter(transport, writer_protocol, reader, loop)
-    await service.handle_connection(reader, writer)

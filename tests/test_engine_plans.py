@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core import FLASH_BASE, SRAM_BASE, Machine, build_arm7
+from repro.core import FLASH_BASE, SRAM_BASE, Machine, build_arm7, build_cortexm3
 from repro.core.arm1156 import Arm1156Core
 from repro.core.cortexm3 import CortexM3Core
 from repro.core.exceptions import DataAbort
@@ -247,6 +247,30 @@ def test_mpu_attached_after_a_plan_bind_faults_exactly(obs_enabled):
         with pytest.raises(DataAbort):
             # 30 iterations stay inside the region, the 31st store leaves it
             machine.call("main", SRAM_BASE + 0x1000 - 4 * 30, 60)
+        states.append(_state(machine))
+    assert states[0] == states[1]
+    assert states[0]["mpu_faults"] == 1
+    assert states[0]["regs"][2] == 30
+
+
+def test_barrier_store_faults_exactly_inside_a_fused_loop():
+    """An M3 whose MPU is attached at build has an MPU in its plan key, so
+    the fused loop's store takes the barrier form (the MPU check in front
+    of the span-cache access).  The region edge lands 30 iterations in,
+    past the fusion threshold: the store faults inside fused code and the
+    full state equals the reference's."""
+    program = assemble(WALK_LOOP, ISA_THUMB2, base=FLASH_BASE)
+    states = []
+    for fastpath in (True, False):
+        mpu = Mpu(background_perms="none")
+        mpu.configure(0, SRAM_BASE, 0x1000, perms="rw")
+        machine = build_cortexm3(program, mpu=mpu)
+        machine.cpu.fastpath = fastpath
+        with pytest.raises(DataAbort):
+            machine.call("main", SRAM_BASE + 0x1000 - 4 * 30, 60)
+        if fastpath:
+            assert machine.cpu._plan.key.mpu
+            assert _fused(machine.cpu), "the loop never fused"
         states.append(_state(machine))
     assert states[0] == states[1]
     assert states[0]["mpu_faults"] == 1

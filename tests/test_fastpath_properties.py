@@ -29,6 +29,7 @@ from repro.core import (
     build_arm1156,
     build_cortexm3,
 )
+from repro.core.superblock import FUSE_THRESHOLD
 from repro.isa import (
     ISA_ARM,
     ISA_THUMB,
@@ -37,6 +38,7 @@ from repro.isa import (
     EncodingError,
     assemble,
 )
+from repro.memory.mpu import Mpu
 from repro.sim.trace import TraceRecorder
 from repro.workloads import TABLE1_CONFIGS, run_kernel
 from repro.workloads.kernels import AUTOINDY_SUITE
@@ -45,8 +47,19 @@ SCRATCH_BYTES = 64
 
 
 def _build_machine(isa: str, source: str, core: str = "", trace: bool = False):
+    """A machine for ``source``: ``core`` "" picks the ISA's default core
+    (ARM7 for ARM and Thumb, M3 for Thumb-2); "arm1156" the ARM1156;
+    "m3-mpu" an M3 with an all-permitting MPU attached at build, so the
+    plan key holds an MPU; "arm1156-thrash" an ARM1156 with 1-set, 1-way
+    caches, so fused fetches miss."""
     program = assemble(source, isa, base=FLASH_BASE)
     recorder = TraceRecorder(enabled=trace)
+    if core == "m3-mpu":
+        return build_cortexm3(program, mpu=Mpu(background_perms="rw"),
+                              trace=recorder)
+    if core == "arm1156-thrash":
+        return build_arm1156(program, cache_sets=1, cache_ways=1,
+                             trace=recorder)
     if isa == ISA_THUMB2 and core != "arm1156":
         return build_cortexm3(program, trace=recorder)
     if core == "arm1156":
@@ -69,6 +82,10 @@ def _state(machine) -> dict:
         "bus_reads": machine.bus.reads,
         "bus_writes": machine.bus.writes,
         "bus_stalls": machine.bus.total_stalls,
+        "caches": tuple(tuple(sorted(vars(cache.stats).items()))
+                        for cache in (machine.icache, machine.dcache)
+                        if cache is not None),
+        "mpu_faults": None if getattr(cpu, "mpu", None) is None else cpu.mpu.faults,
         "trace": tuple(cpu.trace.records),
     }
 
@@ -81,20 +98,23 @@ ENGINES = (
 
 
 def run_engines(isa: str, source: str, args=(), core: str = "",
-                trace: bool = False) -> list[dict]:
-    """Run ``source`` through both engines; return the final states."""
+                trace: bool = False, calls: int = 1) -> list[dict]:
+    """Run ``source`` through both engines, ``calls`` calls of ``main`` on
+    one machine per engine; return the final states."""
     states = []
     for _, fastpath in ENGINES:
         machine = _build_machine(isa, source, core=core, trace=trace)
         machine.cpu.fastpath = fastpath
-        machine.call("main", *args, max_instructions=200_000)
+        for _ in range(calls):
+            machine.call("main", *args, max_instructions=200_000)
         states.append(_state(machine))
     return states
 
 
 def assert_equivalent(isa: str, source: str, args=(), core: str = "",
-                      trace: bool = False) -> None:
-    states = run_engines(isa, source, args=args, core=core, trace=trace)
+                      trace: bool = False, calls: int = 1) -> None:
+    states = run_engines(isa, source, args=args, core=core, trace=trace,
+                         calls=calls)
     reference = states[-1]
     for (label, _), state in zip(ENGINES, states):
         assert state == reference, (
@@ -112,6 +132,44 @@ SHIFT = st.integers(min_value=1, max_value=31)
 WOFF = st.integers(min_value=0, max_value=(SCRATCH_BYTES // 4) - 1)
 REGLIST = st.lists(st.sampled_from([4, 5, 6, 7]), min_size=1, max_size=4,
                    unique=True)
+COND = st.sampled_from(["eq", "ne", "cs", "cc", "mi", "pl", "ge", "lt",
+                        "gt", "le", "hi", "ls"])
+
+#: (isa, core) pairs the random-program tests run on: the four default
+#: cores, an M3 whose MPU is attached at build (fused loads and stores
+#: take the barrier form behind the MPU check) and an ARM1156 whose
+#: 1-set, 1-way caches make fused fetches miss
+RANDOM_CONFIGS = ((ISA_ARM, ""), (ISA_THUMB, ""), (ISA_THUMB2, ""),
+                  (ISA_THUMB2, "arm1156"), (ISA_THUMB2, "m3-mpu"),
+                  (ISA_THUMB2, "arm1156-thrash"))
+
+
+def _predicated_ops(woff):
+    """Conditionally executed data-processing, load and store ops; only
+    the ARM ISA predicates them (:func:`_render_predicated` drops the
+    condition elsewhere)."""
+    return (
+        st.tuples(st.just("pred_alu"),
+                  st.sampled_from(["add", "sub", "eor", "orr", "adds", "subs"]),
+                  COND, REG, REG, REG),
+        st.tuples(st.just("pred_mem"),
+                  st.sampled_from(["ldr", "ldrb", "ldrh", "str", "strb", "strh"]),
+                  COND, REG, woff),
+    )
+
+
+def _render_predicated(op, isa: str) -> str:
+    """One predicated op: its condition suffix in the ARM ISA only."""
+    kind = op[0]
+    cond = op[2] if isa == ISA_ARM else ""
+    if kind == "pred_alu":
+        _, mnem, _, rd, rn, rm = op
+        if isa != ISA_ARM and not mnem.endswith("s"):
+            mnem += "s"  # 16-bit Thumb has only the flag-setting forms
+        return f"    {mnem}{cond} r{rd}, r{rn}, r{rm}"
+    _, mnem, _, rd, word = op
+    return f"    {mnem}{cond} r{rd}, [r0, #{word * 4}]"
+
 
 _OPS = st.one_of(
     st.tuples(st.just("alu3"),
@@ -147,10 +205,11 @@ _OPS = st.one_of(
               REG, WOFF, st.booleans()),
     st.tuples(st.just("str_wb"), st.sampled_from(["str", "strb", "strh"]),
               REG, WOFF, st.booleans()),
+    *_predicated_ops(WOFF),
 )
 
 
-def render(ops: list[tuple]) -> str:
+def render(ops: list[tuple], isa: str = ISA_ARM) -> str:
     lines = ["main:", "    push {r4, r5, r6, r7}"]
     for index, op in enumerate(ops):
         kind = op[0]
@@ -202,6 +261,8 @@ def render(ops: list[tuple]) -> str:
                 lines.append(f"    {mnem} r{rd}, [r3], #{word * 4}")
             else:
                 lines.append(f"    {mnem} r{rd}, [r3, #{word * 4}]!")
+        elif kind in ("pred_alu", "pred_mem"):
+            lines.append(_render_predicated(op, isa))
     lines.append("    pop {r4, r5, r6, r7}")
     lines.append("    bx lr")
     return "\n".join(lines)
@@ -211,17 +272,19 @@ def render(ops: list[tuple]) -> str:
        st.tuples(IMM8, IMM8, IMM8))
 @settings(max_examples=40, deadline=None)
 def test_random_programs_bit_identical(ops, args):
-    """Random straight-line programs with predicated skips: every ISA/core
-    pair must produce identical state on both execution paths."""
-    source = render(ops)
+    """Random straight-line programs with predicated skips and predicated
+    ops: every ISA/core pair must produce identical state on both
+    execution paths.  Each program is called ``FUSE_THRESHOLD + 1`` times
+    on one machine, so its blocks fuse and the last call runs fused."""
     r1, r2, r3 = args
-    for isa, core in ((ISA_ARM, ""), (ISA_THUMB, ""),
-                      (ISA_THUMB2, ""), (ISA_THUMB2, "arm1156")):
+    for isa, core in RANDOM_CONFIGS:
+        source = render(ops, isa)
         try:
             assemble(source, isa, base=FLASH_BASE)
         except (AssemblyError, EncodingError):
             continue  # e.g. a wide-only op in 16-bit Thumb: not this test's concern
-        assert_equivalent(isa, source, args=(SRAM_BASE, r1, r2, r3), core=core)
+        assert_equivalent(isa, source, args=(SRAM_BASE, r1, r2, r3), core=core,
+                          calls=FUSE_THRESHOLD + 1)
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +320,11 @@ _LOOP_OPS = st.one_of(
     # assembly try/except) - predication forces the engines' step() path
     st.tuples(st.just("it"), st.sampled_from(["eq", "ne", "ge", "lt"]),
               REG, REG, REG),
+    *_predicated_ops(WOFF_LOOP),
 )
 
 
-def render_loop(ops: list[tuple], trips: int) -> str:
+def render_loop(ops: list[tuple], trips: int, isa: str = ISA_ARM) -> str:
     """A counted loop whose body is the generated ops: the trip counter
     lives in scratch memory (word 14) so arbitrary body ops cannot
     clobber it, and the back-edge flags are loop-carried state the trace
@@ -306,6 +370,8 @@ def render_loop(ops: list[tuple], trips: int) -> str:
             lines.append(f"    ite {cond}")
             lines.append(f"    add{cond} r{rd}, r{rd}, #1")
             lines.append(f"    add{inverse} r{rd}, r{rd}, #3")
+        elif kind in ("pred_alu", "pred_mem"):
+            lines.append(_render_predicated(op, isa))
     lines += [
         "    ldr r1, [r0, #56]",
         "    subs r1, r1, #1",
@@ -317,18 +383,22 @@ def render_loop(ops: list[tuple], trips: int) -> str:
     return "\n".join(lines)
 
 
-@given(st.lists(_LOOP_OPS, min_size=1, max_size=12),
-       st.integers(min_value=1, max_value=24),
+#: loop trip counts: mostly past ``FUSE_THRESHOLD`` (a loop's blocks fuse
+#: on trip 16 and fused code runs from trip 17), some below it
+TRIPS = st.one_of(st.integers(min_value=FUSE_THRESHOLD + 1, max_value=64),
+                  st.integers(min_value=1, max_value=FUSE_THRESHOLD))
+
+
+@given(st.lists(_LOOP_OPS, min_size=1, max_size=12), TRIPS,
        st.tuples(IMM8, IMM8, IMM8))
 @settings(max_examples=40, deadline=None)
 def test_random_loop_programs_bit_identical(ops, trips, args):
     """Random counted loops - the trace engine fuses the back-edge into a
     generated while-loop - must leave identical machine state on every
     core and engine, for every loop body shape and trip count."""
-    source = render_loop(ops, trips)
     r1, r2, r3 = args
-    for isa, core in ((ISA_ARM, ""), (ISA_THUMB, ""),
-                      (ISA_THUMB2, ""), (ISA_THUMB2, "arm1156")):
+    for isa, core in RANDOM_CONFIGS:
+        source = render_loop(ops, trips, isa)
         try:
             assemble(source, isa, base=FLASH_BASE)
         except (AssemblyError, EncodingError):
@@ -1097,6 +1167,76 @@ def test_fused_cached_fetch_after_upsets_matches_reference():
     icache = trace["icache"]
     assert (icache["parity_errors"], icache["tag_errors"],
             icache["recoveries"]) == (2, 1, 2)
+
+
+#: a loop whose body (20 16-bit instructions, 40 bytes) spans two 32-byte
+#: I-cache lines wherever it is placed
+THRASH_LOOP_SOURCE = """
+main:
+    movs r2, #0
+loop:
+""" + "    adds r3, r3, #1\n" * 17 + """    adds r2, r2, #1
+    cmp r2, r1
+    bne loop
+    bx lr
+"""
+
+
+def test_fused_fetches_that_miss_match_reference():
+    """A fused ARM1156 loop over a 1-set, 1-way I-cache: its two lines
+    evict each other every iteration, so fused fetches take the miss arm
+    (a fill per miss).  Cycles, bus statistics and both caches' counters
+    equal the reference's, and the I-cache misses more often than the
+    loop iterates."""
+    trips = 60
+    states = []
+    for fastpath in (True, False):
+        machine = _build_machine(ISA_THUMB2, THRASH_LOOP_SOURCE,
+                                 core="arm1156-thrash")
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        machine.call("main", 0, trips)
+        if fastpath:
+            loop = cpu.program.symbols["loop"]
+            assert cpu._sb_blocks[loop][3] is not None, "the loop never fused"
+        states.append(_state(machine))
+    trace, reference = states
+    assert trace == reference
+    assert trace["regs"][2] == trips
+    icache = dict(trace["caches"][0])
+    assert icache["misses"] > trips
+
+
+def _asr_at(isa: str, position: int) -> str:
+    """A straight-line ``main`` whose step at ``position`` (0-based) shifts
+    a register arithmetically right: ``asrs`` in Thumb-2, an ``asr #3``
+    operand in ARM.  Every other step is a one-register add."""
+    asr = ("    add r1, r3, r2, asr #3" if isa == ISA_ARM
+           else "    asrs r1, r2, #3")
+    body = ["    adds r3, r3, #1"] * 40
+    body[position] = asr
+    return "\n".join(["main:", *body, "    bx lr"])
+
+
+def test_fused_asr_at_step_32_keeps_its_fetch_stall():
+    """Fused code keeps each position's fetch stall in a local named after
+    the position; an ASR's sign temporary must never share that name.  Step
+    32 is an ASR on an ARM1156 (every fetch is cached, so every step runs
+    in place), and step 33 follows a dynamic flash fetch at step 32 in the
+    same span on an M3 and an ARM7.  The last of ``FUSE_THRESHOLD + 1``
+    calls runs fused, and its state, cycles included, equals the
+    reference's for a negative and a positive operand."""
+    for isa, core, position in ((ISA_THUMB2, "arm1156", 32),
+                                (ISA_THUMB2, "", 33), (ISA_ARM, "", 33)):
+        source = _asr_at(isa, position)
+        for operand in (0x8000_0100, 0x7654_3210):
+            assert_equivalent(isa, source, args=(0, 0, operand), core=core,
+                              calls=FUSE_THRESHOLD + 1)
+        machine = _build_machine(isa, source, core=core)
+        for _ in range(FUSE_THRESHOLD + 1):
+            machine.call("main", 0, 0, 1)
+        main = machine.cpu.program.symbols["main"]
+        assert machine.cpu._sb_blocks[main][3] is not None, "main never fused"
 
 
 def test_cond_checks_agree_with_condition_passed_exhaustively():
