@@ -9,9 +9,10 @@ keeps worst-case latency bounded while caches stay enabled.
 Run:  python examples/engine_ecu.py
 """
 
-from repro.codegen import compile_program
+from repro.codegen import compile_functions
 from repro.core import FLASH_BASE, SRAM_BASE, build_arm1156
-from repro.isa import ISA_THUMB2, assemble
+from repro.isa import ISA_THUMB2
+from repro.isa.assembler import assemble_items, parse_line
 from repro.sim import DeterministicRng
 from repro.workloads import WORKLOADS_BY_NAME
 
@@ -30,21 +31,17 @@ crank_isr:
 def run(interruptible_ldm: bool) -> tuple[int, int]:
     workload = WORKLOADS_BY_NAME["ttsprk"]
     fn = workload.build()
-    kernel_program = compile_program([fn], ISA_THUMB2, base=FLASH_BASE)
-    isr_program = assemble(CRANK_HANDLER, ISA_THUMB2,
-                           base=FLASH_BASE + 0x4000)
-    # merge both images into one machine
-    machine = build_arm1156(kernel_program, interruptible_ldm=interruptible_ldm,
+    # link the compiled kernel and the hand-written handler into one image
+    items = compile_functions([fn], ISA_THUMB2)
+    for line in CRANK_HANDLER.splitlines():
+        items.extend(parse_line(line))
+    program = assemble_items(items, ISA_THUMB2, base=FLASH_BASE)
+    machine = build_arm1156(program, interruptible_ldm=interruptible_ldm,
                             flash_access_cycles=4, sram_wait_states=2)
-    machine.load_program(isr_program)
-    # the core executes instructions from either program object
-    merged = dict(kernel_program._by_address)
-    merged.update(isr_program._by_address)
-    kernel_program._by_address = merged
 
     prepared = workload.make_input(DeterministicRng(7), scale=4)
     machine.load_data(SRAM_BASE, prepared.data)
-    machine.cpu.vic.raise_irq(0, handler=isr_program.symbols["crank_isr"],
+    machine.cpu.vic.raise_irq(0, handler=program.symbols["crank_isr"],
                               at_cycle=400)
     result = machine.call(fn.name, *prepared.args(SRAM_BASE))
     expected = workload.reference(prepared.data, *prepared.args(0))

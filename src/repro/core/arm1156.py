@@ -21,21 +21,16 @@ reproduced for the experiments:
 
 from __future__ import annotations
 
-from repro.core.cpu import BaseCpu, return_stack_branch_inline
-from repro.core.exceptions import DataAbort, InterruptRecord
-from repro.core.vic import VicController
+from repro.core.vic import VicController, VicCore
 from repro.isa.assembler import Program
-from repro.isa.instructions import Instruction
-from repro.isa.semantics import Outcome, execute
+from repro.isa.instructions import BLOCK_OPS
 from repro.memory.cache import Cache
-from repro.memory.mpu import Mpu, MpuFault
+from repro.memory.mpu import Mpu
 from repro.memory.bus import SystemBus
 from repro.sim.trace import TraceRecorder
 
-_BLOCK_OPS = frozenset({"LDM", "STM", "PUSH", "POP"})
 
-
-class Arm1156Core(BaseCpu):
+class Arm1156Core(VicCore):
     """ARM1156-style timing with caches, MPU, and restartable LDM/STM."""
 
     name = "arm1156"
@@ -50,19 +45,12 @@ class Arm1156Core(BaseCpu):
                  vic: VicController | None = None, mpu: Mpu | None = None,
                  interruptible_ldm: bool = True,
                  trace: TraceRecorder | None = None) -> None:
-        super().__init__(program, trace)
-        self.bus = bus
+        super().__init__(program, bus, vic, trace)
         self.icache = icache
         self.dcache = dcache
-        self.vic = vic or VicController()
         self.mpu = mpu
         self.interruptible_ldm = interruptible_ldm
         self.abandoned_transfers = 0
-        self._return_stack: list[tuple[InterruptRecord, int, int]] = []
-
-    @property
-    def _irq_controller(self):
-        return self.vic
 
     # ------------------------------------------------------------------
     # memory paths (through the caches when present)
@@ -107,17 +95,6 @@ class Arm1156Core(BaseCpu):
         # instruction closure-call thunk
         return self.icache
 
-    def data_read(self, addr: int, size: int) -> tuple[int, int]:
-        self._mpu_check(addr, size, is_write=False)
-        port = self.dcache if self.dcache is not None else self.bus
-        return port.read(addr, size, "D")
-
-    def data_write(self, addr: int, size: int, value: int) -> int:
-        self._mpu_check(addr, size, is_write=True)
-        port = self.dcache if self.dcache is not None else self.bus
-        return port.write(addr, size, value, "D")
-
-    # Collapsed load/store path (identical statistics and timing).
     def read(self, addr: int, size: int) -> int:
         if self.mpu is not None:
             self._mpu_check(addr, size, is_write=False)
@@ -136,20 +113,16 @@ class Arm1156Core(BaseCpu):
             port = self.bus
         self._data_stalls += port.write(addr, size, value, "D")
 
-    def _mpu_check(self, addr: int, size: int, is_write: bool) -> None:
-        if self.mpu is None:
-            return
-        try:
-            self.mpu.check(addr, size, is_write)
-        except MpuFault as fault:
-            raise DataAbort(fault.address, "MPU violation") from fault
-
     # ------------------------------------------------------------------
     # cycle model: 9-stage, 64-bit datapath, static prediction
     # ------------------------------------------------------------------
-    #: the only dynamic cycle model is the early-exit divider:
-    #: 1 + min(11, ...) = 12 core cycles worst case, +2 on a taken branch
-    WORST_DYNAMIC_CYCLES = 14
+    TAKEN_PENALTY = 2  # mispredict/refill on the deeper pipeline
+    EXTRA_CYCLES = {
+        "LDR": 1, "LDRB": 1, "LDRH": 1, "LDRSB": 1, "LDRSH": 1,
+        "MUL": 1, "MLA": 2, "MLS": 2, "UMULL": 2, "SMULL": 2,
+    }
+    REGS_PER_CYCLE = 2  # the 64-bit datapath moves two registers per cycle
+    EARLY_EXIT_DIVIDER = True
 
     def worst_access_stall(self) -> int:
         """Fold the optional cache ports into the bus's declared bound.
@@ -165,47 +138,6 @@ class Arm1156Core(BaseCpu):
         if self.dcache is not None:
             worst = max(worst, self.dcache.worst_stall)
         return worst
-
-    def instruction_cycles(self, ins: Instruction, outcome: Outcome) -> int:
-        if outcome.skipped:
-            return 1
-        m = ins.mnemonic
-        cycles = 1
-        if outcome.taken:
-            cycles += 2  # mispredict/refill on the deeper pipeline
-        if m in ("LDR", "LDRB", "LDRH", "LDRSB", "LDRSH"):
-            cycles += 1
-        elif m in ("LDM", "POP", "STM", "PUSH"):
-            # 64-bit datapath moves two registers per cycle
-            cycles += (outcome.regs_transferred + 1) // 2
-        elif m == "MUL":
-            cycles += 1
-        elif m in ("MLA", "MLS", "UMULL", "SMULL"):
-            cycles += 2
-        elif m in ("SDIV", "UDIV"):
-            cycles += min(11, 1 + (outcome.div_early_exit + 3) // 4)
-        return cycles
-
-    def compile_cycles(self, ins: Instruction):
-        """Prebind the ARM1156 cycle cost; divides stay outcome-dependent."""
-        m = ins.mnemonic
-        if m in ("SDIV", "UDIV"):
-            def div_cycles(outcome):
-                if outcome.skipped:
-                    return 1
-                cycles = 1 + min(11, 1 + (outcome.div_early_exit + 3) // 4)
-                return cycles + 2 if outcome.taken else cycles
-            return div_cycles
-        extra = 0
-        if m in ("LDR", "LDRB", "LDRH", "LDRSB", "LDRSH"):
-            extra = 1
-        elif m in ("LDM", "POP", "STM", "PUSH"):
-            extra = (len(ins.reglist) + 1) // 2
-        elif m == "MUL":
-            extra = 1
-        elif m in ("MLA", "MLS", "UMULL", "SMULL"):
-            extra = 2
-        return self._static_cycle_fn(1 + extra, 3 + extra)
 
     @property
     def _split_block_ops(self) -> bool:
@@ -225,43 +157,7 @@ class Arm1156Core(BaseCpu):
         if not self.interruptible_ldm or not self.vic.queue:
             return False
         ins = self.program.instruction_at(self.regs.values[15])
-        return ins is None or ins.mnemonic in _BLOCK_OPS
-
-    # ------------------------------------------------------------------
-    # interrupts: classic vectored scheme + NMI + restartable LDM/STM
-    # ------------------------------------------------------------------
-    def check_interrupts(self) -> bool:
-        request = self.vic.pending_at(self.cycles, masked=not self.interrupts_enabled)
-        if request is None:
-            return False
-        self.vic.acknowledge(request)
-        self.sleeping = False
-        return_addr = self.regs.pc
-        banked_lr = self.regs.lr           # LR banks per mode
-        self.regs.lr = return_addr
-        self.cycles += self.ENTRY_OVERHEAD
-        record = InterruptRecord(number=request.number,
-                                 assert_cycle=request.assert_cycle,
-                                 entry_cycle=self.cycles)
-        self.vic.stats.records.append(record)
-        self._return_stack.append((record, return_addr, banked_lr))
-        self.interrupts_enabled = False
-        self.regs.pc = request.handler
-        self.trace.emit(self.cycles, "irq", "enter", number=request.number,
-                        latency=record.latency)
-        return True
-
-    def branch(self, target: int) -> None:
-        super().branch(target)
-        if self._return_stack and target == self._return_stack[-1][1]:
-            record, _, banked_lr = self._return_stack.pop()
-            record.exit_cycle = self.cycles
-            self.regs.lr = banked_lr
-            self.interrupts_enabled = True
-            self.trace.emit(self.cycles, "irq", "exit", number=record.number)
-
-    def _branch_inline(self, target: int):
-        return return_stack_branch_inline(target)
+        return ins is None or ins.mnemonic in BLOCK_OPS
 
     # ------------------------------------------------------------------
     # restartable block transfers (experiment E6)
@@ -270,7 +166,7 @@ class Arm1156Core(BaseCpu):
         if (self.interruptible_ldm and not self.halted and not self.sleeping
                 and self.vic.has_pending()):
             ins = self.program.instruction_at(self.regs.pc)
-            if ins is not None and ins.mnemonic in _BLOCK_OPS:
+            if ins is not None and ins.mnemonic in BLOCK_OPS:
                 return self._step_restartable()
         return super().step()
 
@@ -281,7 +177,7 @@ class Arm1156Core(BaseCpu):
             return False
         pc = self.regs.pc
         ins = self.program.instruction_at(pc)
-        if ins is None or ins.mnemonic not in _BLOCK_OPS:
+        if ins is None or ins.mnemonic not in BLOCK_OPS:
             return super().step()
         if 15 in ins.reglist:
             # PC-popping transfers are NON-restartable: popping the PC
@@ -291,31 +187,19 @@ class Arm1156Core(BaseCpu):
             # atomically and a mid-flight assert is taken at the next
             # instruction boundary instead - the semantics pinned by
             # test_arm1156_pop_pc_is_not_restartable.
-            return self._commit_step(pc, ins)
+            return self._retire(pc, ins, *self._execute_one(pc, ins))
         # snapshot architectural state so the transfer can be abandoned
         regs_snapshot = self.regs.snapshot()
         apsr_snapshot = self.apsr.copy()
         it_snapshot = list(self._it_queue)
         halted_snapshot = self.halted
-        self.current_address = pc
-        self.current_size = ins.size
-        fetch = self.fetch_stalls(pc, ins.size)
-        self._data_stalls = 0
-        condition = self._next_condition(ins)
-        outcome = execute(self, ins, condition)
-        cost = self.instruction_cycles(ins, outcome) + fetch + self._data_stalls
+        outcome, cost = self._execute_one(pc, ins)
         start = self.cycles
         arrival = self.vic.earliest_assert_in(start, start + cost,
                                               masked=not self.interrupts_enabled)
         if arrival is None:
             # no interrupt landed mid-transfer: commit normally
-            self.cycles += cost
-            self.instructions_executed += 1
-            if outcome.taken:
-                self.branches_taken += 1
-            if not outcome.taken and not self.halted:
-                self.regs.pc = pc + ins.size
-            return not self.halted
+            return self._retire(pc, ins, outcome, cost)
         # abandon: roll back and leave PC pointing at the transfer so it
         # restarts from scratch after the interrupt returns
         self.regs.values[:] = list(regs_snapshot)
@@ -326,25 +210,3 @@ class Arm1156Core(BaseCpu):
         self.cycles = arrival + self.ABANDON_PENALTY
         self.trace.emit(self.cycles, "ldm", "abandoned", pc=pc, cost=cost)
         return True
-
-    def _commit_step(self, pc: int, ins) -> bool:
-        """Execute one instruction unconditionally (no abandonment window).
-
-        The poll already happened in :meth:`_step_restartable`; this is
-        :meth:`BaseCpu.step`'s commit path for a block transfer that must
-        run atomically (PC in the register list)."""
-        self.current_address = pc
-        self.current_size = ins.size
-        fetch = self.fetch_stalls(pc, ins.size)
-        self._data_stalls = 0
-        condition = self._next_condition(ins)
-        outcome = execute(self, ins, condition)
-        self.cycles += self.instruction_cycles(ins, outcome) + fetch + self._data_stalls
-        self.instructions_executed += 1
-        if outcome.skipped:
-            self.instructions_skipped += 1
-        if outcome.taken:
-            self.branches_taken += 1
-        if not outcome.taken and not self.halted:
-            self.regs.pc = pc + ins.size
-        return not self.halted

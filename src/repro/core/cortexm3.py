@@ -16,7 +16,7 @@ Timing properties reproduced:
 from __future__ import annotations
 
 from repro.core.cpu import BaseCpu
-from repro.core.exceptions import DataAbort, InterruptRecord
+from repro.core.exceptions import InterruptRecord
 from repro.core.nvic import (
     ENTRY_STACKING_WORDS,
     PIPELINE_REFILL_CYCLES,
@@ -25,11 +25,9 @@ from repro.core.nvic import (
     NvicController,
 )
 from repro.isa.assembler import Program
-from repro.isa.instructions import Instruction
-from repro.isa.registers import R12, MASK32
-from repro.isa.semantics import Outcome
+from repro.isa.registers import R12, MASK32, Apsr
 from repro.memory.bus import SystemBus
-from repro.memory.mpu import Mpu, MpuFault
+from repro.memory.mpu import Mpu
 from repro.sim.trace import TraceRecorder
 
 EXC_RETURN = 0xFFFFFFF9
@@ -74,16 +72,7 @@ class CortexM3Core(BaseCpu):
         # constant target can be written to the PC directly
         return target != (EXC_RETURN & ~1)
 
-    def data_read(self, addr: int, size: int) -> tuple[int, int]:
-        self._mpu_check(addr, size, is_write=False)
-        return self.bus.read(addr, size, side="D")
-
-    def data_write(self, addr: int, size: int, value: int) -> int:
-        self._mpu_check(addr, size, is_write=True)
-        return self.bus.write(addr, size, value, side="D")
-
-    # Collapsed load/store path (identical statistics and timing); the MPU
-    # consultation stays per-access, it just skips a frame when absent.
+    # the MPU consultation stays per-access, skipping a frame when absent
     def read(self, addr: int, size: int) -> int:
         if self.mpu is not None:
             self._mpu_check(addr, size, is_write=False)
@@ -96,62 +85,16 @@ class CortexM3Core(BaseCpu):
             self._mpu_check(addr, size, is_write=True)
         self._data_stalls += self.bus.write(addr, size, value, "D")
 
-    def _mpu_check(self, addr: int, size: int, is_write: bool) -> None:
-        if self.mpu is None:
-            return
-        try:
-            self.mpu.check(addr, size, is_write)
-        except MpuFault as fault:
-            raise DataAbort(fault.address, "MPU violation") from fault
-
     # ------------------------------------------------------------------
     # Cortex-M3 cycle counts
     # ------------------------------------------------------------------
-    #: the only dynamic cycle model is the early-exit divider:
-    #: 1 + min(11, ...) = 12 core cycles worst case, +1 if it branches
-    WORST_DYNAMIC_CYCLES = 13
-
-    def instruction_cycles(self, ins: Instruction, outcome: Outcome) -> int:
-        if outcome.skipped:
-            return 1
-        m = ins.mnemonic
-        cycles = 1
-        if outcome.taken:
-            cycles += 1  # 3-stage pipeline reload (fetch stalls come on top)
-        if m in ("LDR", "LDRB", "LDRH", "LDRSB", "LDRSH"):
-            cycles += 1
-        elif m in ("LDM", "POP", "STM", "PUSH"):
-            cycles += outcome.regs_transferred
-        elif m in ("SDIV", "UDIV"):
-            # early termination: 2..12 cycles depending on result width
-            cycles += min(11, 1 + (outcome.div_early_exit + 3) // 4)
-        elif m in ("TBB", "TBH"):
-            cycles += 2
-        elif m in ("UMULL", "SMULL", "MLA", "MLS"):
-            cycles += 1
-        # MUL, MOVW/MOVT, bitfield ops, CLZ, RBIT: single cycle
-        return cycles
-
-    def compile_cycles(self, ins: Instruction):
-        """Prebind the M3 cycle cost; only divides stay outcome-dependent."""
-        m = ins.mnemonic
-        if m in ("SDIV", "UDIV"):
-            def div_cycles(outcome):
-                if outcome.skipped:
-                    return 1
-                cycles = 1 + min(11, 1 + (outcome.div_early_exit + 3) // 4)
-                return cycles + 1 if outcome.taken else cycles
-            return div_cycles
-        extra = 0
-        if m in ("LDR", "LDRB", "LDRH", "LDRSB", "LDRSH"):
-            extra = 1
-        elif m in ("LDM", "POP", "STM", "PUSH"):
-            extra = len(ins.reglist)
-        elif m in ("TBB", "TBH"):
-            extra = 2
-        elif m in ("UMULL", "SMULL", "MLA", "MLS"):
-            extra = 1
-        return self._static_cycle_fn(1 + extra, 2 + extra)
+    TAKEN_PENALTY = 1  # 3-stage pipeline reload (fetch stalls come on top)
+    EXTRA_CYCLES = {
+        "LDR": 1, "LDRB": 1, "LDRH": 1, "LDRSB": 1, "LDRSH": 1,
+        "TBB": 2, "TBH": 2,
+        "UMULL": 1, "SMULL": 1, "MLA": 1, "MLS": 1,
+    }  # MUL, MOVW/MOVT, bitfield ops, CLZ, RBIT: single cycle
+    EARLY_EXIT_DIVIDER = True  # 2..12 cycles depending on result width
 
     # ------------------------------------------------------------------
     # NVIC exception scheme: hardware preamble/postamble + tail-chaining
@@ -181,7 +124,8 @@ class CortexM3Core(BaseCpu):
             sp = (self.regs.sp - 32) & MASK32
             stalls = 0
             for index, value in enumerate(frame):
-                stalls += self.data_write(sp + 4 * index, 4, value)
+                self._mpu_check(sp + 4 * index, 4, is_write=True)
+                stalls += self.bus.write(sp + 4 * index, 4, value, "D")
             self._frame_stack.append((self.regs.sp, sp))
             self.regs.sp = sp
             self.cycles += (ENTRY_STACKING_WORDS + VECTOR_FETCH_CYCLES
@@ -216,7 +160,8 @@ class CortexM3Core(BaseCpu):
         stalls = 0
         values = []
         for index in range(8):
-            value, s = self.data_read(frame_addr + 4 * index, 4)
+            self._mpu_check(frame_addr + 4 * index, 4, is_write=False)
+            value, s = self.bus.read(frame_addr + 4 * index, 4, "D")
             values.append(value)
             stalls += s
         r0, r1, r2, r3, r12, lr, pc, apsr_word = values
@@ -224,7 +169,6 @@ class CortexM3Core(BaseCpu):
             self.regs.write(reg, value)
         self.regs.lr = lr
         self.regs.sp = old_sp
-        from repro.isa.registers import Apsr
         self.apsr = Apsr.from_word(apsr_word)
         self.cycles += ENTRY_STACKING_WORDS + PIPELINE_REFILL_CYCLES + 1 + stalls
         self.regs.pc = pc

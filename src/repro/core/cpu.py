@@ -5,9 +5,15 @@ Concrete cores (:class:`~repro.core.arm7.Arm7Core`,
 :class:`~repro.core.cortexm3.CortexM3Core`) subclass this and provide
 
 * ``fetch_stalls(addr, size)`` - instruction-side memory timing,
-* ``data_read`` / ``data_write`` - data-side memory path,
-* ``instruction_cycles(ins, outcome)`` - microarchitectural base cost,
-* ``check_interrupts()`` - their interrupt scheme.
+* ``read`` / ``write`` - the data-side memory path, each adding its
+  access's stalls to ``_data_stalls``,
+* their cycle model as data (``TAKEN_PENALTY``, ``EXTRA_CYCLES``,
+  ``REGS_PER_CYCLE``, ``EARLY_EXIT_DIVIDER``, ``REGISTER_SHIFT_CYCLE``),
+  from which this class derives both the reference cost
+  (:meth:`BaseCpu.instruction_cycles`) and the trace engine's prebound
+  cost (:meth:`BaseCpu.compile_cycles`),
+* ``check_interrupts()`` - their interrupt scheme, polling the controller
+  they declare as ``_irq_controller``.
 
 Execution semantics are shared (:mod:`repro.isa.semantics`); only *timing*
 and *interrupt architecture* differ between cores, which is precisely the
@@ -38,8 +44,8 @@ both on randomised programs, and the golden corpus pins both:
   under an inline guard, so a whole loop iteration is one generated
   function executed N times with zero engine dispatch between iterations.
   Superblocks are built lazily per entry address (a branch target
-  mid-block simply starts its own block) and invalidated with the
-  micro-op table when the program's execution index is reassigned.
+  mid-block simply starts its own block).  A program is immutable once
+  assembled, so its micro-op table and engine plans are never rebuilt.
 
 Engine plans: what cores share and what each core owns
 ------------------------------------------------------
@@ -94,12 +100,13 @@ from typing import NamedTuple
 
 from repro.isa.assembler import Program
 from repro.isa.conditions import Condition
-from repro.isa.instructions import Instruction
-from repro.isa.predecode import compile_uop, predecode
+from repro.isa.instructions import BLOCK_OPS, Instruction
+from repro.isa.predecode import predecode
 from repro.core.superblock import FUSE_THRESHOLD, device_key, fuse_block
 from repro.isa.registers import MASK32, Apsr, RegisterFile
 from repro.isa.semantics import Outcome, execute
-from repro.core.exceptions import ExecutionError
+from repro.core.exceptions import DataAbort, ExecutionError
+from repro.memory.mpu import MpuFault
 from repro.sim.trace import TraceRecorder
 from repro import obs
 
@@ -143,18 +150,17 @@ def _runaway(max_instructions: int, until: int | None) -> ExecutionError:
     return ExecutionError(f"exceeded {max_instructions} instructions without {goal}")
 
 
-def return_stack_branch_inline(target: int) -> list[str] | None:
-    """Constant-target ``branch()`` inline for the VIC cores (ARM7 and
-    ARM1156 share the same override shape): a plain PC write, with the
-    rare interrupt return-stack unwind routed through the real method -
-    re-running its PC write is idempotent."""
-    target &= MASK32
-    if target == HALT_ADDRESS:
-        return None
-    return [f"rvals[15] = {target}",
-            "rs = cpu._return_stack",
-            f"if rs and rs[-1][1] == {target}:",
-            f"    BR({target})"]
+_SHIFT_OPS = frozenset({"LSL", "LSR", "ASR", "ROR"})
+_DIVIDE_OPS = frozenset({"SDIV", "UDIV"})
+
+#: the early-exit divider's longest run past the base cycle
+_DIVIDE_MAX = 11
+
+
+def _divide_cycles(bits: int) -> int:
+    """The early-exit divider's cycles past the base cycle for a result
+    of ``bits`` significant bits: 2 to 11."""
+    return min(_DIVIDE_MAX, 1 + (bits + 3) // 4)
 
 
 class PlanKey(NamedTuple):
@@ -212,14 +218,11 @@ def engine_plan(program: Program, key: PlanKey) -> EnginePlan:
     """The engine plan of ``program`` for cores whose key is ``key``.
 
     Plans are cached on the program beside ``predecode``'s micro-op table
-    and invalidated the same way: *reassigning* the program's execution
-    index drops every plan.  A program running under an engine must
-    therefore not be patched in place (see ``predecode``).
+    and, like it, never rebuilt: a program is immutable once assembled.
     """
     plans = getattr(program, "_engine_plans", None)
-    if plans is None or program._plan_index is not program._by_address:
+    if plans is None:
         plans = program._engine_plans = {}
-        program._plan_index = program._by_address
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = EnginePlan(key)
@@ -238,6 +241,23 @@ class BaseCpu:
     #: core that overrides check_interrupts() without declaring its
     #: controller is polled before every instruction, as by ``step()``.
     _irq_controller = _NO_CONTROLLER
+
+    #: the memory protection unit consulted on data accesses, or None
+    mpu = None
+
+    # the core's cycle model, as data: instruction_cycles() and
+    # compile_cycles() derive the two engines' costs from it
+    #: cycles added when an instruction writes the PC (pipeline refill)
+    TAKEN_PENALTY = 0
+    #: mnemonic -> cycles past the base cycle every instruction takes
+    EXTRA_CYCLES: dict[str, int] = {}
+    #: registers a block transfer (LDM/STM/PUSH/POP) moves per extra
+    #: cycle, the last cycle possibly part-used
+    REGS_PER_CYCLE = 1
+    #: SDIV/UDIV stop early on narrow results (outcome ``div_early_exit``)
+    EARLY_EXIT_DIVIDER = False
+    #: a register-controlled LSL/LSR/ASR/ROR takes one more cycle
+    REGISTER_SHIFT_CYCLE = False
 
     def __init__(self, program: Program, trace: TraceRecorder | None = None) -> None:
         self.program = program
@@ -268,11 +288,9 @@ class BaseCpu:
         self._sb_limit = 0
         #: cycle limit read by fused loop guards (set by _run_trace)
         self._sb_cycle_limit = 0
-        #: pc -> bound step (bound once, on first use), rebuilt with the
-        #: plan when the program's execution index is reassigned; list,
-        #: step and poll dispatch and fused code's fallback share them
+        #: pc -> bound step (bound once, on first use); list, step and
+        #: poll dispatch and fused code's fallback share them
         self._fast_table: dict | None = None
-        self._fast_index: dict | None = None
         self._fast_outcome = Outcome()
         self._plan: EnginePlan | None = None
         #: entry pc -> [steps, plan block, fusion countdown, fused]
@@ -288,15 +306,6 @@ class BaseCpu:
     def fetch_stalls(self, addr: int, size: int) -> int:
         raise NotImplementedError
 
-    def data_read(self, addr: int, size: int) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def data_write(self, addr: int, size: int, value: int) -> int:
-        raise NotImplementedError
-
-    def instruction_cycles(self, ins: Instruction, outcome: Outcome) -> int:
-        raise NotImplementedError
-
     def check_interrupts(self) -> bool:
         """Service a pending interrupt if any; True when one was taken."""
         return False
@@ -305,12 +314,22 @@ class BaseCpu:
     # ExecutionContext protocol
     # ------------------------------------------------------------------
     def read(self, addr: int, size: int) -> int:
-        value, stalls = self.data_read(addr, size)
-        self._data_stalls += stalls
-        return value
+        """A data-side load; adds the access's stalls to ``_data_stalls``."""
+        raise NotImplementedError
 
     def write(self, addr: int, size: int, value: int) -> None:
-        self._data_stalls += self.data_write(addr, size, value)
+        """A data-side store; adds the access's stalls to ``_data_stalls``."""
+        raise NotImplementedError
+
+    def _mpu_check(self, addr: int, size: int, is_write: bool) -> None:
+        """Consult the MPU, if one is attached: a violation is a precise
+        :class:`DataAbort`."""
+        if self.mpu is None:
+            return
+        try:
+            self.mpu.check(addr, size, is_write)
+        except MpuFault as fault:
+            raise DataAbort(fault.address, "MPU violation") from fault
 
     def branch(self, target: int) -> None:
         target &= MASK32
@@ -374,14 +393,22 @@ class BaseCpu:
         ins = self.program.instruction_at(pc)
         if ins is None:
             raise ExecutionError(f"no instruction at pc={pc:#010x} ({self.name})")
+        return self._retire(pc, ins, *self._execute_one(pc, ins))
+
+    def _execute_one(self, pc: int, ins: Instruction) -> tuple[Outcome, int]:
+        """Fetch, predicate and execute ``ins`` at ``pc``: its outcome and
+        its whole cost (core cycles plus fetch and data stalls)."""
         self.current_address = pc
         self.current_size = ins.size
         fetch = self.fetch_stalls(pc, ins.size)
         self._data_stalls = 0
-        condition = self._next_condition(ins)
-        outcome = self._execute(ins, condition)
-        base = self.instruction_cycles(ins, outcome)
-        self.cycles += base + fetch + self._data_stalls
+        outcome = execute(self, ins, self._next_condition(ins))
+        return outcome, self.instruction_cycles(ins, outcome) + fetch + self._data_stalls
+
+    def _retire(self, pc: int, ins: Instruction, outcome: Outcome, cost: int) -> bool:
+        """Charge an executed instruction, count it and advance the PC past
+        it unless it branched; False when halted."""
+        self.cycles += cost
         self.instructions_executed += 1
         if outcome.skipped:
             self.instructions_skipped += 1
@@ -391,23 +418,62 @@ class BaseCpu:
             self.regs.pc = pc + ins.size
         return not self.halted
 
-    def _execute(self, ins: Instruction, condition: Condition | None) -> Outcome:
-        return execute(self, ins, condition)
+    # ------------------------------------------------------------------
+    # the cycle model's two derivations
+    # ------------------------------------------------------------------
+    def _extra_cycles(self, ins: Instruction, registers: int) -> int:
+        """Cycles past the base cycle that no outcome flag changes, for a
+        block transfer of ``registers`` registers (the divider's aside)."""
+        m = ins.mnemonic
+        extra = self.EXTRA_CYCLES.get(m, 0)
+        if m in BLOCK_OPS:
+            extra += -(-registers // self.REGS_PER_CYCLE)
+        elif (self.REGISTER_SHIFT_CYCLE and m in _SHIFT_OPS
+              and ins.rm is not None and ins.shift is None):
+            extra += 1
+        return extra
+
+    def instruction_cycles(self, ins: Instruction, outcome: Outcome) -> int:
+        """The reference ``step()``'s core-side cost of one instruction
+        (fetch and data stalls come on top)."""
+        if outcome.skipped:
+            return 1
+        cycles = 1 + self._extra_cycles(ins, outcome.regs_transferred)
+        if self.EARLY_EXIT_DIVIDER and ins.mnemonic in _DIVIDE_OPS:
+            cycles += _divide_cycles(outcome.div_early_exit)
+        if outcome.taken:
+            cycles += self.TAKEN_PENALTY
+        return cycles
+
+    def compile_cycles(self, ins: Instruction):
+        """The fast path's prebound cost of ``ins``: a closure
+        ``fn(outcome) -> int`` equal to :meth:`instruction_cycles` for
+        every outcome ``ins`` can produce (a block transfer always moves
+        its whole register list).  Static (:meth:`_static_cycle_fn`) for
+        all but the early-exit divider.
+        """
+        base = 1 + self._extra_cycles(ins, len(ins.reglist))
+        penalty = self.TAKEN_PENALTY
+        if not (self.EARLY_EXIT_DIVIDER and ins.mnemonic in _DIVIDE_OPS):
+            return self._static_cycle_fn(base, base + penalty)
+
+        def divide_cycles(outcome):
+            if outcome.skipped:
+                return 1
+            cycles = base + _divide_cycles(outcome.div_early_exit)
+            return cycles + penalty if outcome.taken else cycles
+        return divide_cycles
+
+    @property
+    def WORST_DYNAMIC_CYCLES(self) -> int:
+        """The most core-side cycles of an instruction whose cost is not
+        static (no ``static_taken``): the early-exit divider at its
+        longest, taken."""
+        return 1 + _DIVIDE_MAX + self.TAKEN_PENALTY
 
     # ------------------------------------------------------------------
     # predecoded fast path
     # ------------------------------------------------------------------
-    def compile_cycles(self, ins: Instruction):
-        """Optionally prebind the cycle cost of ``ins`` for the fast path.
-
-        Subclasses return a closure ``fn(outcome) -> int`` that must agree
-        with :meth:`instruction_cycles` for every outcome, or ``None`` to
-        fall back to calling :meth:`instruction_cycles` dynamically.
-        (``tests/test_fastpath_properties.py`` sweeps the agreement across
-        every mnemonic and outcome shape.)
-        """
-        return None
-
     @staticmethod
     def _static_cycle_fn(base: int, taken: int):
         """The common compile_cycles shape: cost static per instruction,
@@ -519,21 +585,11 @@ class BaseCpu:
             return None
         return [f"rvals[15] = {target}"]
 
-    def _cycle_fn(self, ins: Instruction):
-        """The fast path's cycle model for ``ins``: the closure
-        :meth:`compile_cycles` prebinds, or a call to
-        :meth:`instruction_cycles` when it declines."""
-        cycle_fn = self.compile_cycles(ins)
-        if cycle_fn is None:
-            def cycle_fn(outcome, _ins=ins, _dyn=self.instruction_cycles):
-                return _dyn(_ins, outcome)
-        return cycle_fn
-
     def _bind_uop(self, uop):
         """Close a micro-op over this CPU: one call executes one instruction."""
         exec_fn = uop.exec
         cond_check = uop.cond_check
-        cycle_fn = self._cycle_fn(uop.ins)
+        cycle_fn = self.compile_cycles(uop.ins)
         fetch = self._fetch_port()
         regs = self.regs
         outcome = self._fast_outcome
@@ -568,19 +624,13 @@ class BaseCpu:
         return fast_step
 
     def _fast_dispatch_table(self) -> dict:
-        """The core's pc -> general bound step table, (re)built empty.
-
-        Keyed on the execution index's identity: reassigning
-        ``_by_address`` (the merge-two-images pattern) drops every bound
-        step and block, and takes the core's plan key afresh.  Steps bind
-        on first use (:meth:`_bound_step`).
+        """The core's pc -> general bound step table, built empty on the
+        first trace run, when the core takes its plan key.  Steps bind on
+        first use (:meth:`_bound_step`).
         """
-        index = self.program._by_address
-        if self._fast_table is None or self._fast_index is not index:
+        if self._fast_table is None:
             self._fast_table = {}
-            self._fast_index = index
             self._plan = engine_plan(self.program, self._plan_key())
-            self._sb_blocks = {}
         return self._fast_table
 
     def _plan_key(self) -> PlanKey:
@@ -590,7 +640,7 @@ class BaseCpu:
             core=type(self),
             split_block_ops=self._split_block_ops,
             data_plan=self._data_inline_plan(),
-            mpu=getattr(self, "mpu", None) is not None,
+            mpu=self.mpu is not None,
             worst_stall=self.worst_access_stall(),
             devices=tuple(device_key(device) for device in self.bus._devices),
             fetch_cache=(None if cache is None
@@ -828,13 +878,6 @@ class BaseCpu:
                     break
                 fast_step()
 
-    #: upper bound on the *core-side* cycles of any instruction whose
-    #: compiled cycle model is dynamic (no ``static_taken`` attached).
-    #: Cores with outcome-dependent costs (early-exit dividers) override
-    #: this with their declared worst case; the base value is a
-    #: conservative ceiling for cores that do not declare.
-    WORST_DYNAMIC_CYCLES = 16
-
     def worst_access_stall(self) -> int:
         """Worst stall any single bus access can impose on this core.
 
@@ -867,13 +910,11 @@ class BaseCpu:
         worst_dynamic = self.WORST_DYNAMIC_CYCLES
         total = 0
         for uop in uops:
-            cycle_fn = self.compile_cycles(uop.ins)
-            static = (getattr(cycle_fn, "static_taken", None)
-                      if cycle_fn is not None else None)
+            static = getattr(self.compile_cycles(uop.ins), "static_taken", None)
             if static is None:
                 static = worst_dynamic
             accesses = 1  # the instruction fetch
-            reglist = getattr(uop.ins, "reglist", ())
+            reglist = uop.ins.reglist
             if reglist:
                 accesses += len(reglist)
             elif uop.kind == "mem":
@@ -899,20 +940,8 @@ class BaseCpu:
 
     def _uop_at(self, pc: int):
         """The micro-op at ``pc`` from the program's predecode table, or
-        ``None`` when no instruction is mapped there.
-
-        Instructions can join the program's execution index after the pass
-        (e.g. a second program image merged in for an ISR); they are
-        predecoded into the table on first use, so such programs stay on
-        the fast path."""
-        uop_table = predecode(self.program)
-        uop = uop_table.get(pc)
-        if uop is None:
-            ins = self.program.instruction_at(pc)
-            if ins is None:
-                return None
-            uop = uop_table[pc] = compile_uop(ins, self.program.isa)
-        return uop
+        ``None`` when no instruction is mapped there."""
+        return predecode(self.program).get(pc)
 
     # ------------------------------------------------------------------
     # conveniences for tests / harnesses

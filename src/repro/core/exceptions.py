@@ -67,3 +67,56 @@ class InterruptStats:
 
     def worst_latency(self) -> int:
         return max(self.latencies(), default=0)
+
+
+class RequestQueue:
+    """Queued interrupt requests in service order, shared by both
+    interrupt controllers.
+
+    Raising a request (optionally for a future ``assert_cycle``) and
+    servicing one keep :attr:`horizon`, the earliest queued assert cycle
+    (None when nothing is queued), current in O(1) per read: it is the
+    trace engine's event horizon.  A controller orders its queue with
+    :meth:`_service_order` and decides eligibility in its ``pending_at``.
+    """
+
+    def __init__(self) -> None:
+        self.queue: list[InterruptRequest] = []
+        self.horizon: int | None = None
+        self.stats = InterruptStats()
+
+    @staticmethod
+    def _service_order(request: InterruptRequest) -> tuple:
+        """Sort key of the queue: NMI first, then priority, then assert
+        cycle; the sort is stable, so remaining ties keep raise order."""
+        return (not request.nmi, request.priority, request.assert_cycle)
+
+    def raise_irq(self, number: int, handler: int, at_cycle: int = 0,
+                  priority: int = 0, nmi: bool = False) -> InterruptRequest:
+        """Assert an interrupt line (optionally in the future)."""
+        request = InterruptRequest(number=number, priority=priority, nmi=nmi,
+                                   assert_cycle=at_cycle, handler=handler)
+        self.queue.append(request)
+        self.queue.sort(key=self._service_order)
+        if self.horizon is None or at_cycle < self.horizon:
+            self.horizon = at_cycle
+        return request
+
+    def acknowledge(self, request: InterruptRequest) -> None:
+        """Dequeue ``request`` for service."""
+        self.queue.remove(request)
+        if request.assert_cycle == self.horizon:
+            self.horizon = min((r.assert_cycle for r in self.queue), default=None)
+        self.stats.serviced += 1
+
+    def earliest_assert_in(self, start_cycle: int, end_cycle: int,
+                           masked: bool) -> int | None:
+        """First assert time inside (start, end], for restartable LDM/STM."""
+        candidates = [
+            r.assert_cycle for r in self.queue
+            if start_cycle < r.assert_cycle <= end_cycle and (r.nmi or not masked)
+        ]
+        return min(candidates, default=None)
+
+    def has_pending(self) -> bool:
+        return bool(self.queue)

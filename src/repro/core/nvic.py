@@ -14,14 +14,15 @@ The NVIC performs the interrupt preamble and postamble *in hardware*:
   the minimum amount of time" (figure 4).
 
 Priorities are numeric-ascending (lower value = more urgent), as on the
-real part.
+real part; equal requests are taken in IRQ-number order.  The request
+queue and its event horizon are the VIC's
+(:class:`~repro.core.exceptions.RequestQueue`); what differs is
+preemption by priority, the active-handler stack and tail-chaining.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.exceptions import InterruptRequest, InterruptStats
+from repro.core.exceptions import InterruptRequest, RequestQueue
 
 #: Cycle constants with zero-wait-state memory (ARM's published numbers).
 ENTRY_STACKING_WORDS = 8
@@ -30,37 +31,19 @@ PIPELINE_REFILL_CYCLES = 3
 TAIL_CHAIN_CYCLES = 6
 
 
-@dataclass
-class StackedFrame:
-    """What hardware pushed at exception entry."""
-
-    return_pc: int
-    apsr_word: int
-    regs: tuple[int, ...]  # r0, r1, r2, r3, r12, lr
-
-
-class NvicController:
-    """Pending/active interrupt state machine with tail-chaining."""
+class NvicController(RequestQueue):
+    """Pending/active interrupt state machine with tail-chaining: equal
+    requests are serviced in IRQ-number order."""
 
     def __init__(self, tail_chaining: bool = True) -> None:
+        super().__init__()
         self.tail_chaining = tail_chaining
-        self.queue: list[InterruptRequest] = []
-        #: the earliest ``assert_cycle`` in the queue (None when empty):
-        #: the trace engine's event horizon, kept in O(1) per read
-        self.horizon: int | None = None
         self.active_stack: list[InterruptRequest] = []
-        self.stats = InterruptStats()
 
-    # ------------------------------------------------------------------
-    def raise_irq(self, number: int, handler: int, at_cycle: int = 0,
-                  priority: int = 0, nmi: bool = False) -> InterruptRequest:
-        request = InterruptRequest(number=number, priority=priority, nmi=nmi,
-                                   assert_cycle=at_cycle, handler=handler)
-        self.queue.append(request)
-        self.queue.sort(key=lambda r: (not r.nmi, r.priority, r.assert_cycle, r.number))
-        if self.horizon is None or at_cycle < self.horizon:
-            self.horizon = at_cycle
-        return request
+    @staticmethod
+    def _service_order(request: InterruptRequest) -> tuple:
+        return (not request.nmi, request.priority, request.assert_cycle,
+                request.number)
 
     def current_priority(self) -> int | None:
         if not self.active_stack:
@@ -80,20 +63,10 @@ class NvicController:
             return request
         return None
 
-    def earliest_assert_in(self, start_cycle: int, end_cycle: int,
-                           masked: bool) -> int | None:
-        candidates = [
-            r.assert_cycle for r in self.queue
-            if start_cycle < r.assert_cycle <= end_cycle and (r.nmi or not masked)
-        ]
-        return min(candidates, default=None)
-
     def take(self, request: InterruptRequest) -> None:
-        self.queue.remove(request)
-        if request.assert_cycle == self.horizon:
-            self.horizon = min((r.assert_cycle for r in self.queue), default=None)
+        """Dequeue ``request`` and make it the active handler."""
+        self.acknowledge(request)
         self.active_stack.append(request)
-        self.stats.serviced += 1
 
     def complete(self, cycle: int, masked: bool) -> InterruptRequest | None:
         """Finish the active handler; returns the tail-chained successor."""
@@ -107,9 +80,6 @@ class NvicController:
             self.take(successor)
             self.stats.tail_chained += 1
         return successor
-
-    def has_pending(self) -> bool:
-        return bool(self.queue)
 
     @property
     def nesting_depth(self) -> int:

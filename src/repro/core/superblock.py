@@ -73,9 +73,9 @@ execution would; the property tests in
 both engines to keep it that way.
 
 Fused blocks run only below the interrupt event horizon (the engine falls
-back to per-step dispatch when a poll could matter), and are rebuilt
-whenever the program's execution index is reassigned, alongside the
-micro-op table they were generated from.
+back to per-step dispatch when a poll could matter).  A program is
+immutable once assembled, so the micro-op table they were generated from
+never changes under them.
 
 A cached fetch is emitted inline only on the cache's *clean* path (no
 bit flip has landed in it, so parity checks could not fire; see
@@ -174,7 +174,7 @@ _RESOLVE = {
     "icache_ways":
         lambda cpu, steps, at: cpu._fetch_cache().lookup_plan(*at)[3],
     "outcome": lambda cpu, steps, _: Outcome(),
-    "cycles": lambda cpu, steps, ins: cpu._cycle_fn(ins),
+    "cycles": lambda cpu, steps, ins: cpu.compile_cycles(ins),
     "step": lambda cpu, steps, index: steps[index],
 }
 
@@ -1112,7 +1112,7 @@ def _build_step(cpu, uop, index, ns, ftrack):
     """
     ins = uop.ins
     cycle_fn = cpu.compile_cycles(ins)
-    base = getattr(cycle_fn, "static_base", None) if cycle_fn is not None else None
+    base = getattr(cycle_fn, "static_base", None)
     cond = None if uop.cond_check is None else _cond_test(ins)
     if uop.chainable:
         taken_lines = None
@@ -1328,8 +1328,7 @@ def _backedge_eligible(cpu, uop, entry) -> bool:
     if not uop.is_back_edge or uop.branch_target != entry:
         return False
     cycle_fn = cpu.compile_cycles(uop.ins)
-    return (cycle_fn is not None
-            and getattr(cycle_fn, "static_base", None) is not None
+    return (getattr(cycle_fn, "static_base", None) is not None
             and getattr(cycle_fn, "static_taken", None) is not None)
 
 

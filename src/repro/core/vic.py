@@ -1,37 +1,28 @@
-"""Classic ARM7/ARM9-style vectored interrupt controller.
+"""Classic ARM7/ARM9-style vectored interrupt controller and the
+exception scheme of the cores that use it (ARM7 and ARM1156).
 
 Interrupt entry is largely a *software* affair on these cores: the hardware
-only swaps the PC (and banks a couple of registers, which we fold into the
-fixed entry overhead); saving and restoring the working registers is the
+only swaps the PC and banks LR (the banking folded into the core's fixed
+``ENTRY_OVERHEAD``); saving and restoring the working registers is the
 handler's job - the "preamble/postamble" the paper's section 3.2.1 contrasts
-with the Cortex-M3's hardware scheme.
+with the Cortex-M3's hardware scheme (:mod:`repro.core.nvic`).  The return
+is a branch to the interrupted PC, which un-banks LR and clears the I-bit.
 """
 
 from __future__ import annotations
 
-from repro.core.exceptions import InterruptRequest, InterruptStats
+from repro.core.cpu import HALT_ADDRESS, BaseCpu
+from repro.core.exceptions import InterruptRecord, InterruptRequest, RequestQueue
+from repro.isa.assembler import Program
+from repro.isa.registers import MASK32
+from repro.memory.bus import SystemBus
+from repro.sim.trace import TraceRecorder
 
 
-class VicController:
-    """Pending-request bookkeeping for the classic interrupt scheme."""
-
-    def __init__(self) -> None:
-        self.queue: list[InterruptRequest] = []
-        #: the earliest ``assert_cycle`` in the queue (None when empty):
-        #: the trace engine's event horizon, kept in O(1) per read
-        self.horizon: int | None = None
-        self.stats = InterruptStats()
-
-    def raise_irq(self, number: int, handler: int, at_cycle: int = 0,
-                  priority: int = 0, nmi: bool = False) -> InterruptRequest:
-        """Assert an interrupt line (optionally in the future)."""
-        request = InterruptRequest(number=number, priority=priority, nmi=nmi,
-                                   assert_cycle=at_cycle, handler=handler)
-        self.queue.append(request)
-        self.queue.sort(key=lambda r: (not r.nmi, r.priority, r.assert_cycle))
-        if self.horizon is None or at_cycle < self.horizon:
-            self.horizon = at_cycle
-        return request
+class VicController(RequestQueue):
+    """Pending-request bookkeeping for the classic interrupt scheme:
+    requests are serviced in :meth:`~RequestQueue._service_order`, equal
+    ones in the order they were raised."""
 
     def pending_at(self, cycle: int, masked: bool) -> InterruptRequest | None:
         """Highest-priority request asserted by ``cycle``.
@@ -47,20 +38,64 @@ class VicController:
             return request
         return None
 
-    def earliest_assert_in(self, start_cycle: int, end_cycle: int,
-                           masked: bool) -> int | None:
-        """First assert time inside (start, end], for restartable LDM/STM."""
-        candidates = [
-            r.assert_cycle for r in self.queue
-            if start_cycle < r.assert_cycle <= end_cycle and (r.nmi or not masked)
-        ]
-        return min(candidates, default=None)
 
-    def acknowledge(self, request: InterruptRequest) -> None:
-        self.queue.remove(request)
-        if request.assert_cycle == self.horizon:
-            self.horizon = min((r.assert_cycle for r in self.queue), default=None)
-        self.stats.serviced += 1
+class VicCore(BaseCpu):
+    """A core on the system bus that takes interrupts through a
+    :class:`VicController`: entry swaps the PC, banks LR and sets the
+    I-bit after the core's fixed ``ENTRY_OVERHEAD`` cycles (each core
+    declares its own); a branch back to the interrupted PC returns."""
 
-    def has_pending(self) -> bool:
-        return bool(self.queue)
+    def __init__(self, program: Program, bus: SystemBus,
+                 vic: VicController | None = None,
+                 trace: TraceRecorder | None = None) -> None:
+        super().__init__(program, trace)
+        self.bus = bus
+        self.vic = vic or VicController()
+        #: (record, interrupted pc, banked LR) per active handler
+        self._return_stack: list[tuple[InterruptRecord, int, int]] = []
+
+    @property
+    def _irq_controller(self):
+        return self.vic
+
+    def check_interrupts(self) -> bool:
+        request = self.vic.pending_at(self.cycles, masked=not self.interrupts_enabled)
+        if request is None:
+            return False
+        self.vic.acknowledge(request)
+        self.sleeping = False
+        return_addr = self.regs.pc
+        banked_lr = self.regs.lr          # LR is banked per mode
+        self.regs.lr = return_addr        # hardware leaves the return in LR_irq
+        self.cycles += self.ENTRY_OVERHEAD
+        record = InterruptRecord(number=request.number,
+                                 assert_cycle=request.assert_cycle,
+                                 entry_cycle=self.cycles)
+        self.vic.stats.records.append(record)
+        self._return_stack.append((record, return_addr, banked_lr))
+        self.interrupts_enabled = False   # I-bit set on entry
+        self.regs.pc = request.handler
+        self.trace.emit(self.cycles, "irq", "enter", number=request.number,
+                        latency=record.latency)
+        return True
+
+    def branch(self, target: int) -> None:
+        super().branch(target)
+        if self._return_stack and target == self._return_stack[-1][1]:
+            record, _, banked_lr = self._return_stack.pop()
+            record.exit_cycle = self.cycles
+            self.regs.lr = banked_lr        # un-bank the user-mode LR
+            self.interrupts_enabled = True  # CPSR restored on return
+            self.trace.emit(self.cycles, "irq", "exit", number=record.number)
+
+    def _branch_inline(self, target: int) -> list[str] | None:
+        """A constant-target ``branch()``: a plain PC write, with the rare
+        return-stack unwind routed through the real method (re-running its
+        PC write is idempotent)."""
+        target &= MASK32
+        if target == HALT_ADDRESS:
+            return None
+        return [f"rvals[15] = {target}",
+                "rs = cpu._return_stack",
+                f"if rs and rs[-1][1] == {target}:",
+                f"    BR({target})"]

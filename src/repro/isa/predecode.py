@@ -977,26 +977,19 @@ def predecode(program) -> dict[int, MicroOp]:
     The table is built from the program's execution index (the same map
     ``instruction_at`` consults) and cached on the program object: all
     cores executing the same program (e.g. a whole campaign's worth of CPU
-    instances) share one pass.  The cache is keyed on the index's identity,
-    so *reassigning* ``_by_address`` (the merge-two-images pattern) forces
-    a rebuild; instructions *added* to the existing index are predecoded
-    lazily by the execution loop on first dispatch.  Replacing the decoded
-    instruction at an already-predecoded address in place is not detected
-    - patch bytes (the FPB route) or reassign the index instead.
+    instances) share one pass.  A program is immutable once assembled, so
+    the table is never rebuilt: to run two images on one core, assemble
+    them as one program; to patch code, patch bytes (the FPB route).
 
     This table is the first of two per-Program caches.  The second is the
     trace engine's plans (``repro.core.cpu.engine_plan``): per core
     configuration, the superblocks built over these micro-ops, their cycle
-    caps and fused code.  Plans hold these very micro-op objects and are
-    invalidated with the table, on the same identity test.
+    caps and fused code.
     """
-    cached = getattr(program, "_uop_table", None)
-    if cached is not None and getattr(program, "_uop_index", None) is program._by_address:
-        return cached
-    table = {
-        address: compile_uop(ins, program.isa)
-        for address, ins in program._by_address.items()
-    }
-    program._uop_table = table
-    program._uop_index = program._by_address
+    table = getattr(program, "_uop_table", None)
+    if table is None:
+        table = program._uop_table = {
+            address: compile_uop(ins, program.isa)
+            for address, ins in program._by_address.items()
+        }
     return table

@@ -9,6 +9,7 @@ schedulability analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 CRC15_POLY = 0x4599  # x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1
 
@@ -105,8 +106,11 @@ class CanFrame:
         tail = [1, 0, 1] + [1] * 7 + [1] * 3
         return stuffed + tail
 
-    @property
+    @cached_property
     def wire_bits(self) -> int:
+        """Bits on the wire, computed once per frame (the CRC and the
+        stuffing depend on the payload).  Cached outside the dataclass
+        fields, so equality, hashing and pickling are unchanged."""
         return len(self.bits_on_wire())
 
     def transmission_time(self, bitrate_bps: int) -> float:

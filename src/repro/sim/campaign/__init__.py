@@ -612,8 +612,7 @@ def request_from_args(args) -> CampaignRequest:
     return CampaignRequest(matrix=args.matrix, seed=args.seed,
                            scale=args.scale, shard=args.shard,
                            workers=args.workers,
-                           cache=args.cache, priority=args.priority,
-                           metrics=args.metrics)
+                           cache=args.cache, priority=args.priority)
 
 
 def main(argv: list[str] | None = None) -> int:

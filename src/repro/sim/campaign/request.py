@@ -99,10 +99,7 @@ class CampaignRequest:
     such a cell raises.  A service executing the request uses its own
     fleet and cache and ignores both.  ``priority`` orders the request
     against other clients' sweeps on a service (higher runs first); local
-    execution ignores it.  ``metrics`` asks the CLI front ends to dump a
-    :mod:`repro.obs` telemetry snapshot to that path after the run; like
-    every telemetry knob it is out-of-band - record streams are
-    byte-identical with or without it.
+    execution ignores it.
     """
 
     matrix: str | None = None
@@ -113,7 +110,6 @@ class CampaignRequest:
     workers: int | None = None
     cache: str | None = None
     priority: int = 0
-    metrics: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
@@ -156,7 +152,6 @@ class CampaignRequest:
             "workers": self.workers,
             "cache": self.cache,
             "priority": self.priority,
-            "metrics": self.metrics,
         }
 
     @classmethod
@@ -174,7 +169,6 @@ class CampaignRequest:
             workers=obj.get("workers"),
             cache=obj.get("cache"),
             priority=obj.get("priority", 0),
-            metrics=obj.get("metrics"),
         )
 
 

@@ -149,7 +149,6 @@ class WorkerSupervisor:
         cell_timeout: float | None = None,
         timeout_floor: float | None = None,
         heartbeat: float | None = None,
-        liveness: float | None = None,
         backoff: float = BACKOFF,
         respawn_budget: int | None = None,
         quarantine_strikes: int = QUARANTINE_STRIKES,
@@ -161,7 +160,7 @@ class WorkerSupervisor:
         self.heartbeat = HEARTBEAT if heartbeat is None else heartbeat
         #: a worker with no output for this long is hung (heartbeats
         #: arrive every ``heartbeat`` seconds while a cell computes)
-        self.liveness = max(4 * self.heartbeat, 0.2) if liveness is None else liveness
+        self.liveness = max(4 * self.heartbeat, 0.2)
         self.backoff = backoff
         self.respawn_budget = RESPAWN_BUDGET if respawn_budget is None else respawn_budget
         self.quarantine_strikes = max(1, quarantine_strikes)

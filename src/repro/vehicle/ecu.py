@@ -50,6 +50,13 @@ IRQ_DELIVERY_CYCLES = 256
 #: quantum ahead of the replayed guest time)
 TX_DELAY_US = 500
 
+#: runaway guard of one bounded advance, in guest instructions
+MAX_INSTRUCTIONS_PER_ADVANCE = 50_000_000
+
+#: instructions the guest may run after a state-mutation event before it
+#: must park on WFI (:meth:`Ecu.advance_for_event`)
+SETTLE_INSTRUCTIONS = 1_000_000
+
 
 class CosimDeterminismError(RuntimeError):
     """A bus event would land in a guest core's architectural past."""
@@ -61,8 +68,7 @@ class Ecu:
     def __init__(self, name: str, machine, entry: str = "main",
                  clock_mhz: int = 80,
                  irq_latency_cycles: int = IRQ_DELIVERY_CYCLES,
-                 tx_delay_us: int = TX_DELAY_US,
-                 max_instructions_per_advance: int = 50_000_000) -> None:
+                 tx_delay_us: int = TX_DELAY_US) -> None:
         if clock_mhz <= 0:
             raise ValueError("clock_mhz must be a positive integer")
         self.name = name
@@ -71,10 +77,7 @@ class Ecu:
         self.mhz = int(clock_mhz)
         self.irq_latency = int(irq_latency_cycles)
         self.tx_delay_us = int(tx_delay_us)
-        self.max_instructions = max_instructions_per_advance
-        self.controller = getattr(self.cpu, "nvic", None)
-        if self.controller is None:
-            self.controller = self.cpu.vic
+        self.controller = self.cpu._irq_controller
         program = self.cpu.program
         if entry not in program.symbols:
             raise KeyError(f"no entry symbol {entry!r} in {name}'s firmware")
@@ -143,10 +146,9 @@ class Ecu:
                 self._sleep_until(target)
                 continue
             cpu.run_until_cycle(target,
-                                max_instructions=self.max_instructions)
+                                max_instructions=MAX_INSTRUCTIONS_PER_ADVANCE)
 
-    def advance_for_event(self, at_us: int,
-                          settle_instructions: int = 1_000_000) -> int:
+    def advance_for_event(self, at_us: int) -> int:
         """Advance the guest to the exact architectural point for a
         direct state mutation (e.g. a soft-error flip) at bus time
         ``at_us``, and return the cycle the mutation lands at.
@@ -163,7 +165,7 @@ class Ecu:
         point - the mutation is then a pure function of the instruction
         stream.  Raises :class:`CosimDeterminismError` if the core has
         already executed past the event cycle, and ``RuntimeError`` if
-        the firmware never sleeps within ``settle_instructions``.
+        the firmware never sleeps within :data:`SETTLE_INSTRUCTIONS`.
         """
         target = self.cycle_of_us(at_us) + self.irq_latency
         cpu = self.cpu
@@ -175,13 +177,13 @@ class Ecu:
         self.advance_to_cycle(target)
         executed = cpu.instructions_executed
         while not cpu.halted and not cpu.sleeping:
-            if cpu.instructions_executed - executed > settle_instructions:
+            if cpu.instructions_executed - executed > SETTLE_INSTRUCTIONS:
                 raise RuntimeError(
                     f"{self.name}: firmware never reached WFI within "
-                    f"{settle_instructions} instructions of the event at "
+                    f"{SETTLE_INSTRUCTIONS} instructions of the event at "
                     f"{at_us}us; cannot place a deterministic mutation")
             cpu.run_until_cycle(cpu.cycles + self.mhz * 1_000,
-                                max_instructions=self.max_instructions)
+                                max_instructions=MAX_INSTRUCTIONS_PER_ADVANCE)
         return cpu.cycles
 
     def next_work_cycle(self) -> int | None:

@@ -378,9 +378,10 @@ def test_block_cap_covers_golden_corpus(core, isa):
     """The ``_block_cycle_cap`` protocol covers the whole golden corpus:
     every instruction's compiled cycle model either declares its static
     taken-path cost (``static_taken``), or - for the few dynamic models -
-    its worst outcome stays within the core's declared
-    ``WORST_DYNAMIC_CYCLES``.  A new dynamic cycle model without a raised
-    declaration fails here before it can under-cap a fused block."""
+    its worst outcome stays within the core's ``WORST_DYNAMIC_CYCLES``
+    (derived from its divider and taken penalty).  A new dynamic cycle
+    model that bound does not cover fails here before it can under-cap a
+    fused block."""
     from repro.isa.semantics import Outcome
 
     static_seen = 0
@@ -388,7 +389,7 @@ def test_block_cap_covers_golden_corpus(core, isa):
     for machine, ins in _corpus_instructions(core, isa):
         cpu = machine.cpu
         cycle_fn = cpu.compile_cycles(ins)
-        if cycle_fn is not None and getattr(cycle_fn, "static_taken", None) is not None:
+        if getattr(cycle_fn, "static_taken", None) is not None:
             static_seen += 1
             continue
         dynamic_mnemonics.add(ins.mnemonic)
@@ -402,16 +403,15 @@ def test_block_cap_covers_golden_corpus(core, isa):
             f"{core}/{isa}: dynamic cycle model for {ins.mnemonic} can cost "
             f"{worst} cycles but WORST_DYNAMIC_CYCLES declares only "
             f"{cpu.WORST_DYNAMIC_CYCLES}")
-        if cycle_fn is not None:
-            closure_worst = max(
-                cycle_fn(Outcome(taken=taken, regs_transferred=regs,
-                                 div_early_exit=width))
-                for taken in (False, True)
-                for width in range(33))
-            assert closure_worst <= cpu.WORST_DYNAMIC_CYCLES
+        closure_worst = max(
+            cycle_fn(Outcome(taken=taken, regs_transferred=regs,
+                             div_early_exit=width))
+            for taken in (False, True)
+            for width in range(33))
+        assert closure_worst <= cpu.WORST_DYNAMIC_CYCLES
     assert static_seen > 0, f"{core}/{isa}: corpus exercised no static models"
-    # only the early-exit dividers lack a static declaration today; any
-    # new dynamic model must raise the core's declared worst case too
+    # only the early-exit dividers lack a static cost today; any new
+    # dynamic model must raise the core's worst case too
     assert dynamic_mnemonics <= {"SDIV", "UDIV"}, (
         f"{core}/{isa}: unexpected dynamic cycle models {dynamic_mnemonics}")
 

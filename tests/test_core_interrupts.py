@@ -420,6 +420,34 @@ def test_arm1156_pop_pc_is_not_restartable():
         assert nmi_entry[0].time == end + Arm1156Core.ENTRY_OVERHEAD, nmi_cycle
 
 
+ARM1156_SKIPPED_PUSH = """
+main:
+    movs r0, #1
+    cmp r0, #0
+    it eq
+    pusheq {r4}
+    movs r0, #2
+    bx lr
+"""
+
+
+@pytest.mark.parametrize("fastpath", [False, True], ids=["reference", "trace"])
+@pytest.mark.parametrize("queued", [None, 10**9], ids=["idle", "irq-queued"])
+def test_arm1156_skipped_block_transfer_counts_as_skipped(fastpath, queued):
+    """A block transfer its IT condition skips counts in
+    ``instructions_skipped`` also while an IRQ is queued, when it takes
+    the restartable-transfer step (an IRQ far in the future never fires)."""
+    program = assemble(ARM1156_SKIPPED_PUSH, ISA_THUMB2, base=FLASH_BASE)
+    machine = build_arm1156(program, interruptible_ldm=True)
+    machine.cpu.fastpath = fastpath
+    if queued is not None:
+        machine.cpu.vic.raise_irq(1, handler=program.symbols["main"], at_cycle=queued)
+    assert machine.call("main") == 2
+    assert machine.cpu.instructions_executed == 6
+    assert machine.cpu.instructions_skipped == 1
+    assert machine.cpu.vic.stats.serviced == 0
+
+
 #: controller operations: raise a request, remove the queued one at an
 #: index, service whatever is pending at a cycle, and (NVIC) complete the
 #: active handler, which tail-chains the next pending request

@@ -763,11 +763,11 @@ def test_arm1156_restartable_ldm_bit_identical():
     assert all(state == states[0] for state in states)
 
 
-def test_merged_program_images_use_lazy_predecode():
-    """engine_ecu.py merges a second program's instructions into the
-    execution index after machine construction; the fast loop must
-    predecode those addresses on first dispatch, not fault on them."""
-    kernel = assemble(
+def test_kernel_and_isr_in_one_program_match_across_engines():
+    """A kernel and its ISR assembled as one program (the way
+    engine_ecu.py links its crank handler): an IRQ entering the handler
+    mid-loop leaves identical machine state under both engines."""
+    program = assemble(
         """
         main:
             movs r0, #0
@@ -776,11 +776,6 @@ def test_merged_program_images_use_lazy_predecode():
             cmp r0, #100
             bne loop
             bx lr
-        """,
-        ISA_THUMB2, base=FLASH_BASE,
-    )
-    isr = assemble(
-        """
         crank_isr:
             ldr r1, =0x20000180
             ldr r2, [r1]
@@ -788,19 +783,16 @@ def test_merged_program_images_use_lazy_predecode():
             str r2, [r1]
             bx lr
         """,
-        ISA_THUMB2, base=FLASH_BASE + 0x4000,
+        ISA_THUMB2, base=FLASH_BASE,
     )
     states = []
     for _, fastpath in ENGINES:
-        machine = build_cortexm3(kernel)
+        machine = build_cortexm3(program)
         machine.cpu.fastpath = fastpath
-        machine.load_program(isr)
-        merged = dict(kernel._by_address)
-        merged.update(isr._by_address)
-        machine.cpu.program._by_address = merged
-        machine.cpu.nvic.raise_irq(1, handler=isr.symbols["crank_isr"],
+        machine.cpu.nvic.raise_irq(1, handler=program.symbols["crank_isr"],
                                    at_cycle=30)
         assert machine.call("main") == 100
+        assert machine.cpu.nvic.stats.serviced == 1
         states.append(_state(machine))
     assert all(state == states[0] for state in states)
 
@@ -808,8 +800,9 @@ def test_merged_program_images_use_lazy_predecode():
 def test_compile_cycles_agrees_with_instruction_cycles_everywhere():
     """Anti-drift guard: the prebound cycle closures must equal the
     reference instruction_cycles for every mnemonic and outcome shape, on
-    every core.  A cycle-model tweak applied to one side only fails here
-    before any program-level test has to stumble on it."""
+    every core.  Both are derived from one per-core cycle model; a change
+    to one derivation only fails here before any program-level test has to
+    stumble on it."""
     from itertools import product
 
     from repro.isa import Outcome, Shift, instr
@@ -834,8 +827,7 @@ def test_compile_cycles_agrees_with_instruction_cycles_everywhere():
                     and outcome.regs_transferred != len(ins.reglist)):
                 continue  # unreachable: the handler always sets rt=len(reglist)
             fast = cpu.compile_cycles(ins)
-            if fast is None:
-                continue
+            assert fast is not None, (cpu.name, ins.mnemonic)
             assert fast(outcome) == cpu.instruction_cycles(ins, outcome), (
                 cpu.name, ins.mnemonic, outcome)
 
