@@ -1,10 +1,10 @@
 """Trace engine vs reference interpreter: speedup and bit-exactness.
 
 Runs the AutoIndy suite on all three cores' fetch paths - the Table 1
-configurations plus the ARM1156 with its instruction cache - and on the
-Cortex-M3 under an IRQ storm (one IRQ per about ``STORM_GAP`` cycles of
-the kernel run, all raised before the call, so requests are queued for
-almost the whole run) through the two execution engines (see the
+configurations plus the ARM1156 with its instruction and data caches -
+and on the Cortex-M3 under an IRQ storm (one IRQ per about ``STORM_GAP``
+cycles of the kernel run, all raised before the call, so requests are
+queued for almost the whole run) through the two execution engines (see the
 execution-engines section of :mod:`repro.core.cpu`): the trace engine
 (``cpu.fastpath = True``, the default) and the reference interpreter.
 Compile time is excluded, and each kernel is timed interleaved (the
@@ -12,9 +12,11 @@ engines alternate round by round, best of ``ROUNDS`` kept) so the ratio
 survives machine noise.  Asserts that
 
 * result, cycle count, instruction count, **the full bus statistics**
-  (reads, writes, total stalls) and, under the storm, the NVIC's
-  serviced and tail-chained counts are identical across both engines
-  (the trace engine is an execution engine, not an approximation), and
+  (reads, writes, total stalls), on the ARM1156 both caches' statistics
+  and line state (valid, tag, data, parity, LRU stamps and clock) and,
+  under the storm, the NVIC's serviced and tail-chained counts are
+  identical across both engines (the trace engine is an execution
+  engine, not an approximation), and
 * the trace engine is at least ``SPEEDUP_FLOOR`` times faster
   wall-clock over the whole sweep.
 
@@ -58,7 +60,7 @@ SPEEDUP_FLOOR = 1.05 if REDUCED else 2.0
 
 #: (label, core, ISA, IRQ storm?): the three cores' fetch paths -
 #: shared-bus flash (ARM7), Harvard flash (M3), the ARM1156's instruction
-#: cache - and the M3 again under an IRQ storm
+#: and data caches - and the M3 again under an IRQ storm
 CONFIGS = (tuple((label, core, isa, False) for label, core, isa in TABLE1_CONFIGS)
            + (("ARM1156 (Thumb-2)", "arm1156", "thumb2", False),
               ("M3 (Thumb-2) + IRQ storm", "m3", "thumb2", True)))
@@ -72,7 +74,8 @@ ENGINES = (("trace", True), ("reference", False))
 def _run_once(core: str, program, entry: str, prepared, fastpath: bool,
               storm=()):
     """One timed call; ``storm`` is the ``(number, cycle, priority)``
-    IRQs raised on the NVIC before it."""
+    IRQs raised on the NVIC before it.  The record ends with the state of
+    each cache the machine has (none but the ARM1156's)."""
     machine = build_machine(core, program)
     cpu, bus = machine.cpu, machine.bus
     cpu.fastpath = fastpath
@@ -84,8 +87,10 @@ def _run_once(core: str, program, entry: str, prepared, fastpath: bool,
     result = machine.call(entry, *prepared.args(SRAM_BASE))
     elapsed = time.perf_counter() - start
     irqs = (cpu.nvic.stats.serviced, cpu.nvic.stats.tail_chained) if storm else ()
+    caches = tuple(cache.snapshot() for cache in (machine.icache, machine.dcache)
+                   if cache is not None)
     record = (result, cpu.cycles, cpu.instructions_executed,
-              bus.reads, bus.writes, bus.total_stalls) + irqs
+              bus.reads, bus.writes, bus.total_stalls) + irqs + caches
     return elapsed, record
 
 
@@ -118,7 +123,8 @@ def run_config(core: str, isa: str, storm: bool) -> tuple[dict, int, int]:
                 best[label] = min(elapsed, best.get(label, elapsed))
         assert records["trace"] == records["reference"], (
             f"engines diverged on {core}/{isa}/{workload.name} "
-            f"(result/cycles/instructions/bus statistics/IRQs serviced)")
+            f"(result/cycles/instructions/bus statistics/IRQs serviced/"
+            f"cache state)")
         for label in times:
             times[label] += best[label]
         instructions += records["trace"][2]
@@ -157,7 +163,7 @@ def test_fastpath_speedup(benchmark):
         for label, fast, slow in outcome["rows"]
     ]
     lines.append(f"{'sweep total':<26} speedup {outcome['speedup']:.2f}x "
-                 f"(identical results/cycles/bus stats/IRQs serviced; "
+                 f"(identical results/cycles/bus stats/cache state/IRQs serviced; "
                  f"floor {SPEEDUP_FLOOR}x)")
     lines.append(f"campaign: {outcome['campaign_records']} interrupt-storm "
                  f"scenarios byte-identical at 1 and 2 workers")

@@ -21,6 +21,7 @@ reproduced for the experiments:
 
 from __future__ import annotations
 
+from repro.core.exceptions import ExecutionError
 from repro.core.vic import VicController, VicCore
 from repro.isa.assembler import Program
 from repro.isa.instructions import BLOCK_OPS
@@ -45,6 +46,14 @@ class Arm1156Core(VicCore):
                  vic: VicController | None = None, mpu: Mpu | None = None,
                  interruptible_ldm: bool = True,
                  trace: TraceRecorder | None = None) -> None:
+        if icache is not None and icache is dcache:
+            # Harvard caches: fused code relies on data accesses never
+            # touching the I-cache (superblock line runs)
+            raise ValueError("the I- and D-caches must be separate Cache objects")
+        if dcache is not None and dcache.backing is not bus:
+            # fused stores write through the core's bus, then update the
+            # D-cache, as Cache.write does through its backing
+            raise ValueError("the D-cache must write through the core's bus")
         super().__init__(program, bus, vic, trace)
         self.icache = icache
         self.dcache = dcache
@@ -84,9 +93,10 @@ class Arm1156Core(VicCore):
             return icache_read(addr, size, "I")[1]
         return thunk
 
-    def _data_inline_plan(self) -> str | None:
-        if self.dcache is not None:
-            return None  # every access goes through the cache model
+    def _data_inline_plan(self) -> str:
+        # cpu.mpu is consulted per access, so an MPU attached after fusion
+        # is honoured; with a D-cache, accesses take its clean path inline
+        # and everything else through read()/write()
         return "mpu"
 
     def _fetch_cache(self):
@@ -94,6 +104,9 @@ class Arm1156Core(VicCore):
         # accounting transcribed from Cache.read) instead of a per
         # instruction closure-call thunk
         return self.icache
+
+    def _data_cache(self):
+        return self.dcache
 
     def read(self, addr: int, size: int) -> int:
         if self.mpu is not None:
@@ -171,14 +184,18 @@ class Arm1156Core(VicCore):
         return super().step()
 
     def _step_restartable(self) -> bool:
-        # service anything already pending first (as the base loop would)
+        # service anything already pending first (as the base loop would):
+        # this is the step's one poll, so whatever instruction the PC now
+        # holds executes without a second one
         self.check_interrupts()
         if self.halted:
             return False
         pc = self.regs.pc
         ins = self.program.instruction_at(pc)
-        if ins is None or ins.mnemonic not in BLOCK_OPS:
-            return super().step()
+        if ins is None:
+            raise ExecutionError(f"no instruction at pc={pc:#010x} ({self.name})")
+        if ins.mnemonic not in BLOCK_OPS:
+            return self._retire(pc, ins, *self._execute_one(pc, ins))
         if 15 in ins.reglist:
             # PC-popping transfers are NON-restartable: popping the PC
             # runs the interrupt-return unwind in branch() (return-stack

@@ -171,17 +171,26 @@ class PlanKey(NamedTuple):
     models, ``WORST_DYNAMIC_CYCLES`` and ``worst_stall``; the fused-code
     emitters read the class, ``data_plan``, ``mpu``, the bus layout with
     the device timing they fold in (``devices``, see
-    :func:`~repro.core.superblock.device_key`) and the fetch cache's
-    geometry.  Two cores with equal keys derive identical plans.
+    :func:`~repro.core.superblock.device_key`) and the geometry (sets,
+    ways, line bytes) of the fetch cache and of the data cache, which fold
+    into the inline cached fetch and the inline loads and stores of a
+    core with a data cache.  Two cores with equal keys derive identical
+    plans.
     """
 
     core: type
     split_block_ops: bool
-    data_plan: str | None
+    data_plan: str
     mpu: bool
     worst_stall: int
     devices: tuple
     fetch_cache: tuple | None
+    data_cache: tuple | None
+
+
+def _geometry(cache) -> tuple | None:
+    """A cache's part of the plan key: ``(sets, ways, line_bytes)``."""
+    return None if cache is None else (cache.sets, cache.ways, cache.line_bytes)
 
 
 class PlanBlock:
@@ -544,17 +553,26 @@ class BaseCpu:
                 return device
         return None
 
-    def _data_inline_plan(self) -> str | None:
-        """Whether (and how) fused code may inline the data-bus fast path.
+    def _data_inline_plan(self) -> str:
+        """How fused code consults the MPU around an inline data access.
 
-        ``None``: never inline - ``cpu.read``/``cpu.write`` must mediate
-        every access (data caches, unknown cores).  ``"direct"``: the data
-        path is the bare system bus with no per-access checks, so the
-        span-cache hit path is emitted as raw statements.  ``"mpu"``: same
-        inline bus path, but preceded by a per-access MPU consultation
-        (``cpu._mpu_check`` when ``cpu.mpu`` is attached) that faults
-        bit-exactly mid-block; an MPU attached *after* fusion is honoured
-        because the emitted check reads ``cpu.mpu`` dynamically.
+        ``"direct"``: never - the data path is the bare system bus with no
+        per-access checks, so the span-cache hit path is emitted as raw
+        statements.  ``"mpu"``: the same inline access is preceded by a
+        per-access MPU consultation (``cpu._mpu_check`` when ``cpu.mpu``
+        is attached) that faults bit-exactly mid-block; an MPU attached
+        *after* fusion is honoured because the emitted check reads
+        ``cpu.mpu`` dynamically.  Where the access goes is the data
+        cache's business (:meth:`_data_cache`).
+        """
+        raise NotImplementedError
+
+    def _data_cache(self):
+        """The data cache loads and stores go through, or ``None``.
+
+        With one, fused loads and stores run its clean path inline after
+        the MPU consultation and mediate everything else; without one,
+        they inline the system bus's span-cache hit.
         """
         return None
 
@@ -635,7 +653,6 @@ class BaseCpu:
 
     def _plan_key(self) -> PlanKey:
         """This core's :class:`PlanKey`, read off its live configuration."""
-        cache = self._fetch_cache()
         return PlanKey(
             core=type(self),
             split_block_ops=self._split_block_ops,
@@ -643,8 +660,8 @@ class BaseCpu:
             mpu=self.mpu is not None,
             worst_stall=self.worst_access_stall(),
             devices=tuple(device_key(device) for device in self.bus._devices),
-            fetch_cache=(None if cache is None
-                         else (cache.sets, cache.ways, cache.line_bytes)))
+            fetch_cache=_geometry(self._fetch_cache()),
+            data_cache=_geometry(self._data_cache()))
 
     #: runaway guard for a single superblock (keeps lazy build bounded)
     _SB_MAX_LEN = 128

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 
@@ -88,16 +89,17 @@ class RequestQueue:
     @staticmethod
     def _service_order(request: InterruptRequest) -> tuple:
         """Sort key of the queue: NMI first, then priority, then assert
-        cycle; the sort is stable, so remaining ties keep raise order."""
+        cycle; a raise inserts after its equals, so remaining ties keep
+        raise order."""
         return (not request.nmi, request.priority, request.assert_cycle)
 
     def raise_irq(self, number: int, handler: int, at_cycle: int = 0,
                   priority: int = 0, nmi: bool = False) -> InterruptRequest:
-        """Assert an interrupt line (optionally in the future)."""
+        """Assert an interrupt line (optionally in the future): one
+        binary-search insertion into the ordered queue."""
         request = InterruptRequest(number=number, priority=priority, nmi=nmi,
                                    assert_cycle=at_cycle, handler=handler)
-        self.queue.append(request)
-        self.queue.sort(key=self._service_order)
+        insort(self.queue, request, key=self._service_order)
         if self.horizon is None or at_cycle < self.horizon:
             self.horizon = at_cycle
         return request

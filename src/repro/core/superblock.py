@@ -13,9 +13,9 @@ immediate shifts, immediate/register-offset loads and stores, MOVW/MOVT,
 zero/sign extension) are inlined as raw statements; everything else
 calls its exec closure or its bound step, so partial inlining still
 wins.  Data accesses inline the bus fast path (behind a per-access MPU
-check on protected cores).  Conditional execution costs no closure call
-either - condition checks are emitted as flag expressions
-(``_COND_EXPRS``).
+check on protected cores), or a data cache's clean path.  Conditional
+execution costs no closure call either - condition checks are emitted
+as flag expressions (``_COND_EXPRS``).
 
 Built once, placed by one rule
 ------------------------------
@@ -77,10 +77,32 @@ back to per-step dispatch when a poll could matter).  A program is
 immutable once assembled, so the micro-op table they were generated from
 never changes under them.
 
-A cached fetch is emitted inline only on the cache's *clean* path (no
-bit flip has landed in it, so parity checks could not fire; see
-:mod:`repro.memory.cache`); after a flip it calls the prebound thunk,
-whose ``Cache.read`` verifies parity (:func:`_emit_cache_fetch`).
+Caches: one clean path, line runs
+---------------------------------
+A cache is *clean* while it is enabled and no bit flip has landed in it
+(``Cache.flipped``; see :mod:`repro.memory.cache`): no parity check can
+fire, so an access inside one line is a plain tag scan, then on a hit the
+hit count and the LRU touch.  That transcription of ``Cache.read`` is
+written once (:func:`_line_scan`, :func:`_clean_hit`, :func:`_touch`) and
+shared by the cached instruction fetch (:func:`_emit_cache_fetch`, which
+fills inline on a miss) and, on a core with a data cache, the loads and
+stores (:func:`_dcache_load`, :func:`_dcache_store`), which run it after
+the MPU preamble.  Off the clean path - a flip, a disabled cache, an
+access that straddles a line - a fetch calls its prebound thunk, a load
+(and a data miss) the mediated ``cpu.read``, and a store
+``Cache._update`` (none when the cache is disabled): the reference's own
+code, which verifies.
+
+A cached fetch in the line the previous I-cache access of the function
+fetched - a *line run* - skips the scan and hits on the line that access
+found or filled (``_Names.line_run``).  Nothing between the two can have
+touched the I-cache: the other accesses go to the D-cache, a separate
+cache (the ARM1156 refuses a unified one), or to the bus, and no device
+reaches a cache.  These end a run: a bound-step call ``S{i}()`` (its fetch
+is opaque), a fetch that straddles a line (it calls the thunk), and the
+loop head, so each iteration of a fused loop opens with a scan.  Every
+fetch still tests that the cache is clean.  Every position of a core
+with an I-cache stays a barrier: its fetch calls out on a miss.
 
 Compiled once, bound per core
 -----------------------------
@@ -102,11 +124,11 @@ core runs ``exec``).
 The rule that makes this sound: **emitters read no live state outside the
 plan key**.  Everything the generated source depends on - core class,
 block-op splitting, the data-inline plan, MPU presence, the bus layout
-with the device timing folded in (:func:`device_key`), the fetch cache's
-geometry - is part of the key, and MPU presence and the data-inline plan
-are read from the key itself, never from the live core.  An MPU attached
-after the key was taken is still honoured by the emitted code's dynamic
-``cpu.mpu`` check.
+with the device timing folded in (:func:`device_key`), the fetch and data
+caches' geometry - is part of the key, and MPU presence, the data-inline
+plan and the data cache's geometry are read from the key itself, never
+from the live core.  An MPU attached after the key was taken is still
+honoured by the emitted code's dynamic ``cpu.mpu`` check.
 """
 
 from __future__ import annotations
@@ -120,6 +142,7 @@ from repro import obs
 from repro.isa.registers import MASK32, PC
 from repro.isa.semantics import _LOAD_SIZES, _SIGNED_LOADS, _STORE_SIZES, Outcome
 from repro.memory.bus import AccessRecord
+from repro.memory.cache import parity32
 from repro.memory.flash import Flash
 from repro.memory.sram import Sram
 
@@ -173,6 +196,9 @@ _RESOLVE = {
     "icache_fill": lambda cpu, steps, _: cpu._fetch_cache()._fill,
     "icache_ways":
         lambda cpu, steps, at: cpu._fetch_cache().lookup_plan(*at)[3],
+    "dcache": lambda cpu, steps, _: cpu._data_cache(),
+    "dcache_stats": lambda cpu, steps, _: cpu._data_cache().stats,
+    "dcache_sets": lambda cpu, steps, _: cpu._data_cache()._lines,
     "outcome": lambda cpu, steps, _: Outcome(),
     "cycles": lambda cpu, steps, ins: cpu.compile_cycles(ins),
     "step": lambda cpu, steps, index: steps[index],
@@ -188,13 +214,19 @@ class _Names:
     core's objects are never stored, so the recipe holds no core alive
     and binds over any core with the same plan ``key``.  Insertion order
     is the generated function's parameter order.
+
+    ``line_run`` is the one piece of emission state that spans positions:
+    ``((tag, set_index), local)`` when the previous I-cache access in the
+    function was an inline cached fetch that left that line in ``local``,
+    else None (see :func:`_emit_cache_fetch`).
     """
 
-    __slots__ = ("key", "recipe")
+    __slots__ = ("key", "recipe", "line_run")
 
     def __init__(self, key) -> None:
         self.key = key
         self.recipe: dict[str, tuple] = {}
+        self.line_run: tuple | None = None
 
     def put(self, name: str, kind: str, arg=None) -> None:
         self.recipe[name] = (_RESOLVE[kind], arg)
@@ -696,18 +728,45 @@ def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
     return lines
 
 
+def _line_scan(ways: str, tag, line: str) -> list[str]:
+    """A clean cache's tag scan (``Cache._find`` before any flip): leaves
+    in ``line`` the valid way of ``ways`` whose tag is ``tag``, or None."""
+    return [f"for {line} in {ways}:",
+            f"    if {line}.valid and {line}.tag == {tag}:",
+            "        break",
+            "else:",
+            f"    {line} = None"]
+
+
+def _touch(cache: str, line: str) -> list[str]:
+    """``Cache._touch``: the LRU clock ticks and stamps ``line``."""
+    return [f"{cache}._lru_clock += 1", f"{line}.lru = {cache}._lru_clock"]
+
+
+def _clean_hit(cache: str, stats: str, line: str) -> list[str]:
+    """``Cache.read``'s hit on ``line`` while the cache is clean: the hit
+    count, then the LRU touch (no parity check can fire)."""
+    return [f"{stats}.hits += 1", *_touch(cache, line)]
+
+
 def _emit_cache_fetch(cpu, cache, address, size, index, ns, stall):
     """Inline one cached instruction fetch, leaving the stalls in ``stall``.
 
     The clean path of ``Cache.read`` for a constant address (geometry
     folded at fuse time via :meth:`~repro.memory.cache.Cache.lookup_plan`):
-    a plain tag scan of the set's ways, the hit/miss counters, a fill on a
-    miss, and the LRU touch.  The value read is dropped - instruction
-    fetches are timing-only.  It runs only while the cache is enabled and
-    no bit flip has landed in it (``Cache.flipped``), when every valid
-    line's parity provably matches; otherwise the fetch calls the prebound
-    thunk, whose ``Cache.read`` screens tags and verifies word parity.
-    Fetches that straddle a cache line keep the thunk outright.
+    a plain tag scan of the set's ways (:func:`_line_scan`), a fill on a
+    miss, the hit count on a hit, and the LRU touch.  The value read is
+    dropped - instruction fetches are timing-only.  It runs only while the
+    cache is enabled and no bit flip has landed in it (``Cache.flipped``),
+    when every valid line's parity provably matches; otherwise the fetch
+    calls the prebound thunk, whose ``Cache.read`` screens tags and
+    verifies word parity.  Fetches that straddle a cache line keep the
+    thunk outright.
+
+    A fetch in the line the previous inline fetch left in its local (a
+    *line run*, ``ns.line_run``) skips the scan: no I-cache access came
+    between them, so that line is still the valid one holding its tag, and
+    the fetch is a hit on it.
     """
     plan = cache.lookup_plan(address, size)
     if plan is None:
@@ -717,28 +776,25 @@ def _emit_cache_fetch(cpu, cache, address, size, index, ns, stall):
     tag, set_index, _, _ = plan
     ns.default("IC", "icache")
     ns.default("ICS", "icache_stats")
-    ns.default("ICF", "icache_fill")
-    ns.put(f"W{index}", "icache_ways", (address, size))
     ns.put(f"F{index}", "fetch_thunk", (address, size))
-    ln = f"ln{index}"
-    return [
-        "if IC.enabled and not IC.flipped:",
-        f"    {ln} = None",
-        f"    for _c in W{index}:",
-        f"        if _c.valid and _c.tag == {tag}:",
-        f"            {ln} = _c",
-        "            break",
-        f"    if {ln} is None:",
-        "        ICS.misses += 1",
-        f"        {ln}, {stall} = ICF({tag}, {set_index}, 'I')",
-        "    else:",
-        "        ICS.hits += 1",
-        f"        {stall} = 0",
-        "    IC._lru_clock += 1",
-        f"    {ln}.lru = IC._lru_clock",
-        "else:",
-        f"    {stall} = F{index}()",
-    ]
+    run = ns.line_run
+    if run is not None and run[0] == (tag, set_index):
+        clean = [*_clean_hit("IC", "ICS", run[1]), f"{stall} = 0"]
+    else:
+        ln = f"ln{index}"
+        ns.default("ICF", "icache_fill")
+        ns.put(f"W{index}", "icache_ways", (address, size))
+        clean = [*_line_scan(f"W{index}", tag, ln),
+                 f"if {ln} is None:",
+                 "    ICS.misses += 1",
+                 f"    {ln}, {stall} = ICF({tag}, {set_index}, 'I')",
+                 *_indent(_touch("IC", ln)),
+                 "else:",
+                 *_indent(_clean_hit("IC", "ICS", ln)),
+                 f"    {stall} = 0"]
+        ns.line_run = ((tag, set_index), ln)
+    return ["if IC.enabled and not IC.flipped:", *_indent(clean),
+            "else:", f"    {stall} = F{index}()"]
 
 
 _FLAGS = ("n", "z", "c", "v")
@@ -869,6 +925,7 @@ def _fetch(cpu, uop, index, ns, ftrack) -> dict:
         if lines is not None:
             entry["fetch"] = lines
             return entry
+    ns.line_run = None  # an opaque fetch may reach the I-cache anywhere
     if cpu._fetch_thunk(address, size) is not None:
         ns.put(f"F{index}", "fetch_thunk", (address, size))
         entry["fetch"] = [f"{stall} = F{index}()"]
@@ -922,7 +979,8 @@ def _mediated(load, addr, size, rd) -> list[str]:
     return ["cpu._data_stalls = 0", access]
 
 
-def _span_cache_access(ns, load, addr, size, rd, stall, deferred, guard=""):
+def _span_cache_access(ns, load, addr, size, rd, stall, deferred, guard="",
+                       fallback=None):
     """``SystemBus.read``/``write``'s span-cache hit at ``addr``:
     ``(lines, access)``.
 
@@ -932,8 +990,9 @@ def _span_cache_access(ns, load, addr, size, rd, stall, deferred, guard=""):
     to the span (``access``), and anything else takes the escape arm,
     which completes the access mediated and leaves the function.
     Otherwise another span device is called, the bus accounting is done
-    in place, and a span miss falls back to the mediated ``cpu.read`` /
-    ``cpu.write``, which raises the same faults the reference path would.
+    in place, and a span miss runs ``fallback``: by default the mediated
+    ``cpu.read`` / ``cpu.write``, which raises the same faults the
+    reference path would.
     """
     ns.default("AR", "constant", AccessRecord)
     ns.default("SRT", "constant", Sram)
@@ -958,6 +1017,9 @@ def _span_cache_access(ns, load, addr, size, rd, stall, deferred, guard=""):
                  "    d = sp[2]", *_indent(hit),
                  "else:", "    " + _ESCAPE]
         return lines, access
+    if fallback is None:
+        fallback = [*_mediated(load, addr, size, rd),
+                    f"{stall} = cpu._data_stalls"]
     lines = ["sp = bus._span_d",
              f"if {span_test}:",
              "    d = sp[2]",
@@ -965,9 +1027,99 @@ def _span_cache_access(ns, load, addr, size, rd, stall, deferred, guard=""):
              "    else:", f"        {call}",
              *_indent(_bus_accounting([access])),
              "else:",
-             *_indent(_mediated(load, addr, size, rd)),
-             f"    {stall} = cpu._data_stalls"]
+             *_indent(fallback)]
     return lines, _Access(stall)
+
+
+def _dcache_line(ns, addr, size):
+    """Where an access at ``addr`` (a constant, or the local holding it)
+    falls in the D-cache, with the geometry read from the plan key:
+    ``(prep, data, fits, scan)``.  ``prep`` computes the in-line offset
+    ``co`` of a runtime address; ``data`` slices the access's bytes out of
+    a line; ``fits`` is True, False or the test that the access stays
+    inside one line; ``scan`` leaves the valid way holding the access's
+    line in ``dl`` (:func:`_line_scan`), or None."""
+    sets, _, line_bytes = ns.key.data_cache
+    ns.default("DS", "dcache_sets")
+    line_shift = line_bytes.bit_length() - 1
+    tag_shift = line_shift + sets.bit_length() - 1
+    if isinstance(addr, int):
+        offset = addr & (line_bytes - 1)
+        ways = f"DS[{(addr >> line_shift) & (sets - 1)}]"
+        return ([], f"dl.data[{offset}:{offset + size}]",
+                offset + size <= line_bytes,
+                _line_scan(ways, addr >> tag_shift, "dl"))
+    ways = f"DS[({addr} >> {line_shift}) & {sets - 1}]"
+    fits = True if size == 1 else f"co <= {line_bytes - size}"
+    return ([f"co = {addr} & {line_bytes - 1}"], f"dl.data[co:co + {size}]",
+            fits, [f"ct = {addr} >> {tag_shift}", *_line_scan(ways, "ct", "dl")])
+
+
+def _dcache_load(ns, addr, size, rd, stall) -> list[str]:
+    """A load through the plan key's data cache, its cycle-only
+    stall left in ``stall``: the set's scan on the clean path (the cache
+    enabled, no flip landed, the access inside one line), then on a hit
+    the MPU preamble and ``Cache.read``'s hit (:func:`_clean_hit`, the
+    value from the line).  A miss, and any access off the clean path, is
+    the mediated ``cpu.read``, which consults the MPU itself - so the MPU
+    is consulted once either way, as ``Arm1156Core.read`` does (the scan
+    before it has no effect)."""
+    prep, data, fits, scan = _dcache_line(ns, addr, size)
+    miss = [*_mediated(True, addr, size, rd), f"{stall} = cpu._data_stalls"]
+    if fits is False:
+        return miss
+    ns.default("DC", "dcache")
+    ns.default("DCS", "dcache_stats")
+    ns.default("IFB", "constant", int.from_bytes)
+    clean = "DC.enabled and not DC.flipped"
+    if fits is not True:
+        clean = f"{fits} and {clean}"
+    hit = [*_mpu_preamble(ns, str(addr), size, False),
+           *_clean_hit("DC", "DCS", "dl"),
+           f"v = IFB({data}, 'little')",
+           f"{stall} = 0"]
+    return [*prep, "dl = None", f"if {clean}:", *_indent(scan),
+            "if dl is None:", *_indent(miss), "else:", *_indent(hit)]
+
+
+def _word_parity(word: str) -> str:
+    """``Cache._update``'s parity refresh of word ``word`` of line ``dl``."""
+    return (f"dl.word_parity[{word}] = "
+            f"P32(IFB(dl.data[{word} * 4:{word} * 4 + 4], 'little'))")
+
+
+def _dcache_store(ns, addr, size, rd, stall) -> list[str]:
+    """A store through the plan key's data cache at the runtime
+    address in local ``addr``, its cycle-only stall left in ``stall``.
+
+    ``Arm1156Core.write`` then ``Cache.write``, in order: the MPU
+    preamble; the write-through on the bus - the inline SRAM span hit,
+    else ``bus.write`` (:func:`_span_cache_access`); then, when the cache
+    is enabled, ``Cache._update`` - transcribed on the clean path (no flip
+    landed, the store inside one line: the data, the parity of the words
+    it covers, the LRU touch of the line holding it, if any) and called
+    otherwise.
+    """
+    prep, data, fits, scan = _dcache_line(ns, addr, size)
+    ns.default("DC", "dcache")
+    ns.default("IFB", "constant", int.from_bytes)
+    ns.default("P32", "constant", parity32)
+    value = f"rvals[{rd}] & {_STORE_MASKS[size]}"
+    write, _ = _span_cache_access(
+        ns, False, addr, size, rd, stall, False,
+        fallback=[f"{stall} = bus.write({addr}, {size}, {value}, 'D')"])
+    update = [f"{data} = ({value}).to_bytes({size}, 'little')",
+              "wo = co >> 2", _word_parity("wo")]
+    if size > 1:
+        update += [f"wl = (co + {size - 1}) >> 2", "if wl != wo:",
+                   "    " + _word_parity("wl")]
+    update += _touch("DC", "dl")
+    clean = "not DC.flipped" if fits is True else f"{fits} and not DC.flipped"
+    return [*_mpu_preamble(ns, addr, size, True), *write,
+            "if DC.enabled:",
+            *_indent([*prep, f"if {clean}:",
+                      *_indent([*scan, "if dl is not None:", *_indent(update)]),
+                      "else:", f"    DC._update({addr}, {size}, {value})"])]
 
 
 def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
@@ -977,16 +1129,17 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
 
     One emitter, three shapes:
 
-    * **a span member** (``deferrable``, and the plan key inlines data
-      accesses with no fuse-time MPU): a span-cache hit on SRAM, or a
+    * **a span member** (``deferrable``, and the plan key has no data
+      cache and no fuse-time MPU): a span-cache hit on SRAM, or a
       literal folded from SRAM or flash, with its accounting deferred; its
       escape arm - a span miss, another device, or an MPU attached after
       fusion - runs the step mediated, in place (:func:`_join_span`);
     * **a barrier**: the MPU check first when the plan is ``"mpu"``, then
       the span-cache access with its mediated fallback, or the folded
       literal (:func:`_span_cache_access`, :func:`_literal_fold`);
-    * **mediated only**, when the plan is None (a data cache): the access
-      goes through ``cpu.read``/``cpu.write``.
+    * **through the D-cache**, when the plan key has a data cache: a
+      barrier whose clean path is inline (:func:`_dcache_load`,
+      :func:`_dcache_store`); literal loads read through the cache too.
     """
     ins = uop.ins
     op, mem, rd = ins.mnemonic, ins.mem, ins.rd
@@ -998,7 +1151,7 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
         return False
     size = _LOAD_SIZES[op] if load else _STORE_SIZES[op]
     plan = ns.key.data_plan
-    deferrable = (deferrable and plan is not None
+    deferrable = (deferrable and ns.key.data_cache is None
                   and not (plan == "mpu" and ns.key.mpu))
     done = []
     if load:
@@ -1015,8 +1168,24 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
     if mem.rn == PC:
         pc_off = 8 if cpu.program.isa == "arm" else 4
         address = (((ins.address + pc_off) & ~3) + mem.offset) & MASK32
-        fold = (None if plan is None
-                else _literal_fold(cpu, address, size, index, ns, ftrack))
+    elif mem.rm is None:
+        expr = f"(rvals[{mem.rn}] + {mem.offset}) & {MASK32}"
+    else:
+        expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
+                f" & {MASK32})) & {MASK32}")
+    if ns.key.data_cache is not None:
+        # a fill or the write-through may reach flash; a literal load
+        # reads through the cache too
+        ftrack.clear()
+        body = [] if mem.rn == PC else [f"a{index} = {expr}"]
+        addr = address if mem.rn == PC else f"a{index}"
+        access = _dcache_load if load else _dcache_store
+        stall = f"ds{index}"
+        entry.update(body=body + access(ns, addr, size, rd, stall) + done,
+                     dacc=[_Access(stall)], barrier=True)
+        return True
+    if mem.rn == PC:
+        fold = _literal_fold(cpu, address, size, index, ns, ftrack)
         if fold is None:
             ftrack.clear()  # the mediated read may reach a flash device
             entry.update(body=mediated(address), dacc=[_MEDIATED], barrier=True)
@@ -1034,15 +1203,6 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
             if plan == "mpu":
                 body += _mpu_preamble(ns, str(address), size, False)
         entry.update(body=body + stmts + done, dacc=[access])
-        return True
-    if mem.rm is None:
-        expr = f"(rvals[{mem.rn}] + {mem.offset}) & {MASK32}"
-    else:
-        expr = (f"(rvals[{mem.rn}] + ((rvals[{mem.rm}] << {mem.shift})"
-                f" & {MASK32})) & {MASK32}")
-    if plan is None:
-        ftrack.clear()  # runtime-addressed: may land on a flash device
-        entry.update(body=mediated(expr), dacc=[_MEDIATED], barrier=True)
         return True
     addr = f"a{index}"
     body = [f"{addr} = {expr}"]
@@ -1461,6 +1621,7 @@ def _emit_block(cpu, uops):
             ns.put(f"S{index}", "step", index)
             lines.append(f"S{index}()")
             ftrack.clear()  # the bound step fetches/accesses opaquely
+            ns.line_run = None
         elif is_loop and index == last:
             _flush_span(span, lines, step)
             lines += _loop_backedge(cpu, step, uops[0].address, len(uops))

@@ -294,6 +294,16 @@ class Cache:
         for a in range(addr & ~(self.line_bytes - 1), addr + nbytes, self.line_bytes):
             self.read(a, 4, side)
 
+    def snapshot(self) -> tuple:
+        """Immutable copy of everything the cache holds (for test
+        assertions): statistics, LRU clock, ``flipped`` and every line
+        (valid, tag, data, word and tag parity, LRU stamp)."""
+        return (tuple(sorted(vars(self.stats).items())), self._lru_clock,
+                self.flipped,
+                tuple((line.valid, line.tag, bytes(line.data),
+                       tuple(line.word_parity), line.tag_parity, line.lru)
+                      for ways in self._lines for line in ways))
+
     def valid_lines(self) -> list[tuple[int, int]]:
         """(set_index, way) of every valid line."""
         return [

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.sim.campaign import IRQ_COUNTER_OFFSET, ScenarioRecord
 from repro.sim.domains import ScenarioDomain
-from repro.sim.rng import DeterministicRng
 
 
 @dataclass
@@ -47,21 +46,25 @@ def _run_compiled(core: str, program, workload, seed: int,
                   fastpath: bool = True, data: bytes | None = None,
                   before_call=None) -> KernelOutcome:
     """The one compile-free half of the kernel pipeline: build a machine
-    for an already-compiled program, seed the input exactly as the Table 1
-    harness does, run the kernel's entry (its workload name), and verify
-    against the pure-Python reference.
+    for an already-compiled program, load the seeded input exactly as the
+    Table 1 harness does (one memoised input and reference answer per
+    kernel, seed and scale: :func:`~repro.workloads.harness.seeded_input`),
+    run the kernel's entry (its workload name), and verify against the
+    pure-Python reference.
 
     ``data`` overrides the seeded input blob (same length) - the
     soft_error domain uses this to run the CPU on an upset-corrupted
-    image while ``expected`` still reflects the loaded bytes.
+    image while ``expected`` still reflects the loaded bytes (the
+    reference is computed for that image).
     ``before_call(machine)`` runs after loading, before execution (the
     kernel domain schedules its IRQ storm there).
     """
     from repro.core import SRAM_BASE, build_machine
+    from repro.workloads.harness import seeded_input
 
     machine = build_machine(core, program, **dict(machine_kwargs))
     machine.cpu.fastpath = fastpath
-    prepared = workload.make_input(DeterministicRng(seed), scale)
+    prepared, expected = seeded_input(workload, seed, scale)
     blob = prepared.data if data is None else data
     if len(blob) != len(prepared.data):
         raise ValueError("data override must match the seeded input length")
@@ -69,7 +72,8 @@ def _run_compiled(core: str, program, workload, seed: int,
     if before_call is not None:
         before_call(machine)
     result = machine.call(workload.name, *prepared.args(SRAM_BASE))
-    expected = workload.reference(blob, *prepared.args(0))
+    if data is not None:
+        expected = workload.reference(blob, *prepared.args(0))
     return KernelOutcome(
         result=result, expected=expected,
         cycles=machine.cpu.cycles,

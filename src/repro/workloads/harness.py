@@ -6,6 +6,11 @@ deterministic input, verify the result against the pure-Python reference,
 and report cycles and code size.  The headline metric mirrors the paper's
 "Scaled GM/MHz": kernel iterations per million cycles, geometric-mean'd
 across the suite (clock frequency divides out, exactly as in GM/MHz).
+
+Two memos make a campaign's many cells share what does not depend on the
+core: :func:`compiled_kernel` (one Program per kernel, ISA and build
+options) and :func:`seeded_input` (one input and reference answer per
+kernel, seed and scale).  Both are bounded and per process.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from repro.codegen import compile_program
 from repro.core import FLASH_BASE, SRAM_BASE, build_arm7, build_cortexm3
 from repro.isa import ISA_ARM, ISA_THUMB, ISA_THUMB2, Program
 from repro.sim.rng import DeterministicRng
-from repro.workloads.kernels import AUTOINDY_SUITE, Workload
+from repro.workloads.kernels import AUTOINDY_SUITE, Workload, WorkloadInput
 
 #: The paper's Table 1 rows: (label, core builder, ISA).
 TABLE1_CONFIGS = (
@@ -105,6 +110,23 @@ def compiled_kernel(workload: Workload, isa: str, handler=None,
                            **dict(backend_options))
 
 
+@functools.lru_cache(maxsize=128)
+def seeded_input(workload: Workload, seed: int,
+                 scale: int) -> tuple[WorkloadInput, int]:
+    """One kernel's seeded input and its reference answer, once per process.
+
+    Memoised by (kernel, seed, scale), beside :func:`compiled_kernel`:
+    every core configuration that runs the kernel on that input loads the
+    same (frozen) :class:`~repro.workloads.kernels.WorkloadInput` and is
+    checked against the same pure-Python answer, so neither the seeded
+    generation nor the reference is repeated per machine.  A run on any
+    other image (the soft-error domain's corrupted copy) computes the
+    reference for that image itself.
+    """
+    prepared = workload.make_input(DeterministicRng(seed), scale)
+    return prepared, workload.reference(prepared.data, *prepared.args(0))
+
+
 def _build_machine(core: str, program, **kwargs):
     if core == "arm7":
         return build_arm7(program, **kwargs)
@@ -120,10 +142,9 @@ def run_kernel(workload: Workload, core: str, isa: str, seed: int = 2005,
     program = compiled_kernel(
         workload, isa, backend_options=tuple(sorted((backend_options or {}).items())))
     machine = _build_machine(core, program, **(machine_kwargs or {}))
-    prepared = workload.make_input(DeterministicRng(seed), scale)
+    prepared, expected = seeded_input(workload, seed, scale)
     machine.load_data(SRAM_BASE, prepared.data)
     result = machine.call(workload.name, *prepared.args(SRAM_BASE))
-    expected = workload.reference(prepared.data, *prepared.args(0))
     return KernelRun(
         workload=workload.name, isa=isa, core=core,
         result=result, expected=expected,

@@ -29,12 +29,14 @@ from repro.codegen.ir import Function, IrBuilder
 MASK32 = 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadInput:
     """One prepared input: a data blob and kernel arguments.
 
     Argument values containing the sentinel base ``BASE`` are relative to
     wherever the blob is loaded; the harness substitutes the real address.
+    Frozen, because the harness shares one per (kernel, seed, scale)
+    between runs (``repro.workloads.harness.seeded_input``).
     """
 
     data: bytes

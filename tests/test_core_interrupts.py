@@ -466,22 +466,67 @@ CONTROLLER_OPS = st.lists(st.one_of(
 def test_controller_horizon_is_the_earliest_queued_assert(controller_class, ops):
     """After any sequence of raises and removals, a controller's event
     horizon is the minimum ``assert_cycle`` in its queue, or None when the
-    queue is empty (the trace engine reads it instead of scanning)."""
+    queue is empty (the trace engine reads it instead of scanning), and
+    the queue holds the same requests in the same order as appending each
+    raise and stable-sorting by the service order: equal requests stay in
+    raise order."""
     controller = controller_class()
     nvic = controller_class is NvicController
     remove = controller.take if nvic else controller.acknowledge
+    model: list = []
     for number, op in enumerate(ops, start=1):
         kind, value = op[0], op[1]
         if kind == "raise":
-            controller.raise_irq(number, handler=0, at_cycle=value,
-                                 priority=op[2], nmi=op[3])
+            model.append(controller.raise_irq(number, handler=0, at_cycle=value,
+                                              priority=op[2], nmi=op[3]))
+            model.sort(key=controller._service_order)
         elif kind == "remove" and controller.queue:
-            remove(controller.queue[value % len(controller.queue)])
+            request = controller.queue[value % len(controller.queue)]
+            remove(request)
+            model.remove(request)
         elif kind == "service":
             request = controller.pending_at(value, masked=False)
             if request is not None:
                 remove(request)
+                model.remove(request)
         elif kind == "complete" and nvic:
-            controller.complete(value, masked=False)
+            successor = controller.complete(value, masked=False)
+            if successor is not None:
+                model.remove(successor)
         assert controller.horizon == min(
             (request.assert_cycle for request in controller.queue), default=None)
+        assert len(controller.queue) == len(model)
+        assert all(a is b for a, b in zip(controller.queue, model))
+
+
+#: ``{x}`` is the instruction the first NMI interrupts
+TWO_NMI_SOURCE = """
+main:
+    movs r0, #1
+    {x}
+    movs r1, #2
+    bx lr
+handler:
+    movs r3, #7
+    adds r3, r3, #1
+    bx lr
+"""
+
+
+@pytest.mark.parametrize("fastpath", [False, True], ids=["reference", "trace"])
+@pytest.mark.parametrize("x", ["push {r4}", "movs r2, #0"], ids=["push", "movs"])
+def test_arm1156_restartable_step_polls_once(x, fastpath):
+    """Two NMIs due at cycle 1 on an ARM1156: the first enters before the
+    second instruction of ``main``, and its handler's first instruction
+    runs before the second NMI enters - also when the interrupted
+    instruction is a block transfer, whose restartable step polls for
+    itself.  All four cases enter at the same cycles."""
+    program = assemble(TWO_NMI_SOURCE.format(x=x), ISA_THUMB2, base=FLASH_BASE)
+    machine = build_arm1156(program, interruptible_ldm=True)
+    machine.cpu.fastpath = fastpath
+    handler = program.symbols["handler"]
+    for number in (1, 2):
+        machine.cpu.vic.raise_irq(number, handler=handler, at_cycle=1, nmi=True)
+    assert machine.call("main") == 1
+    records = machine.cpu.vic.stats.records
+    assert [(r.number, r.entry_cycle) for r in records] == [(1, 19), (2, 25)]

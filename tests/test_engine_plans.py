@@ -127,7 +127,7 @@ def _guest(core: str):
 
 
 #: pairs of configurations that differ in exactly one plan-key input;
-#: core-class, icache-geometry, dcache, interruptible-ldm, mpu,
+#: core-class, icache-geometry, dcache-geometry, interruptible-ldm, mpu,
 #: sram-wait-states and cache-fill-penalty each differ in one key part
 #: only, so dropping any part from the key makes one pair share a plan
 PAIRS = {
@@ -137,9 +137,14 @@ PAIRS = {
     "icache": (_config("arm1156"), _config("arm1156", icache=GEOMETRY)),
     "icache-geometry": (_config("arm1156", icache=GEOMETRY),
                         _config("arm1156", icache=dict(GEOMETRY, sets=16))),
-    # equal I- and D-cache worst stalls: only the data-inline plan differs
+    # equal I- and D-cache worst stalls: only the data cache differs
     "dcache": (_config("arm1156", icache=GEOMETRY),
                _config("arm1156", icache=GEOMETRY, dcache=GEOMETRY)),
+    # one declared worst stall (sets do not change a fill): only the
+    # data-cache geometry differs
+    "dcache-geometry": (_config("arm1156", icache=GEOMETRY, dcache=GEOMETRY),
+                        _config("arm1156", icache=GEOMETRY,
+                                dcache=dict(GEOMETRY, sets=16))),
     "interruptible-ldm": (_config("arm1156"),
                           _config("arm1156", interruptible_ldm=False)),
     "mpu": (_config("m3"), _config("m3", mpu=True)),
@@ -251,6 +256,71 @@ def test_mpu_attached_after_a_plan_bind_faults_exactly(obs_enabled):
     assert states[0] == states[1]
     assert states[0]["mpu_faults"] == 1
     assert states[0]["regs"][2] == 30
+
+
+#: walks a pointer over SRAM loading each word before storing it, so the
+#: first access past an MPU region edge is a load
+LOAD_WALK_LOOP = """
+main:
+    movs r2, #0
+loop:
+    ldr r3, [r0, #0]
+    str r2, [r0, #0]
+    adds r0, r0, #4
+    adds r2, r2, #1
+    cmp r2, r1
+    bne loop
+    bx lr
+"""
+
+
+@pytest.mark.parametrize("source", [WALK_LOOP, LOAD_WALK_LOOP],
+                         ids=["store-first", "load-first"])
+def test_mpu_attached_after_fusion_on_a_dcache_core_faults_exactly(source):
+    """An ARM1156 with a D-cache fuses a walk loop with no MPU in its plan
+    key, and that first call caches every line of the walk.  An MPU
+    attached afterwards is consulted by the fused loop's inline accesses:
+    the same walk faults at the region edge, 30 iterations in, on a store
+    or on a load that hits in the D-cache, leaving the full state - both
+    caches included - equal to the reference's."""
+    program = assemble(source, ISA_THUMB2, base=FLASH_BASE)
+    start = SRAM_BASE + 0x1000 - 4 * 30
+    states = []
+    for fastpath in (True, False):
+        machine = _machine(program, "arm1156", icache=GEOMETRY, dcache=GEOMETRY)
+        machine.cpu.fastpath = fastpath
+        machine.call("main", start, 60)
+        if fastpath:
+            assert machine.cpu._plan.key.data_cache is not None
+            assert not machine.cpu._plan.key.mpu
+            assert _fused(machine.cpu), "the loop never fused"
+        mpu = Mpu(background_perms="none")
+        mpu.configure(0, SRAM_BASE, 0x1000, perms="rw")
+        machine.cpu.mpu = mpu
+        with pytest.raises(DataAbort):
+            machine.call("main", start, 60)
+        states.append(_state(machine))
+    assert states[0] == states[1]
+    assert states[0]["mpu_faults"] == 1
+    assert states[0]["regs"][2] == 30
+
+
+def test_arm1156_refuses_caches_fused_code_cannot_follow():
+    """Fused code relies on Harvard caches (no data access can evict the
+    line a run of cached fetches hits) and on a D-cache that writes
+    through the core's bus (fused stores write there, then update the
+    cache, as ``Cache.write`` does through its backing): an ARM1156 built
+    with a unified cache, or with a D-cache over another store, is
+    refused."""
+    program = assemble(HOT_LOOP, ISA_THUMB2, base=FLASH_BASE)
+    bus = SystemBus()
+    sram = Sram(SRAM_BASE, DEFAULT_SRAM_SIZE)
+    bus.attach(sram)
+    unified = Cache(bus, **GEOMETRY)
+    with pytest.raises(ValueError, match="separate"):
+        Arm1156Core(program, bus, icache=unified, dcache=unified)
+    with pytest.raises(ValueError, match="bus"):
+        Arm1156Core(program, bus, dcache=Cache(sram, **GEOMETRY))
 
 
 def test_barrier_store_faults_exactly_inside_a_fused_loop():

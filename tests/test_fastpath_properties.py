@@ -17,6 +17,7 @@ machine state.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +52,10 @@ def _build_machine(isa: str, source: str, core: str = "", trace: bool = False):
     (ARM7 for ARM and Thumb, M3 for Thumb-2); "arm1156" the ARM1156;
     "m3-mpu" an M3 with an all-permitting MPU attached at build, so the
     plan key holds an MPU; "arm1156-thrash" an ARM1156 with 1-set, 1-way
-    caches, so fused fetches miss."""
+    caches, so fused fetches miss; "arm1156-flipped" an ARM1156 whose
+    caches hold the code and the scratch words and have each taken a bit
+    flip before the first call (:func:`_flip_caches`), so fused fetches,
+    loads and stores take the verifying arm."""
     program = assemble(source, isa, base=FLASH_BASE)
     recorder = TraceRecorder(enabled=trace)
     if core == "m3-mpu":
@@ -60,11 +64,31 @@ def _build_machine(isa: str, source: str, core: str = "", trace: bool = False):
     if core == "arm1156-thrash":
         return build_arm1156(program, cache_sets=1, cache_ways=1,
                              trace=recorder)
+    if core == "arm1156-flipped":
+        machine = build_arm1156(program, trace=recorder)
+        _flip_caches(machine)
+        return machine
     if isa == ISA_THUMB2 and core != "arm1156":
         return build_cortexm3(program, trace=recorder)
     if core == "arm1156":
         return build_arm1156(program, trace=recorder)
     return build_arm7(program, trace=recorder)
+
+
+def _flip_caches(machine) -> None:
+    """Warm the program into the I-cache and the scratch words into the
+    D-cache, then flip one data bit in each: in the line of the program's
+    first word and in the line of scratch word 1."""
+    program = machine.cpu.program
+    icache, dcache = machine.icache, machine.dcache
+    icache.warm(program.base, len(program.image()), "I")
+    dcache.warm(SRAM_BASE, SCRATCH_BYTES, "D")
+    for cache, address in ((icache, program.base), (dcache, SRAM_BASE + 4)):
+        tag, set_index, offset, ways = cache.lookup_plan(address, 4)
+        way = next(index for index, line in enumerate(ways)
+                   if line.valid and line.tag == tag)
+        cache.flip_data_bit(set_index, way, 8 * offset + 5)
+        assert cache.flipped
 
 
 def _state(machine) -> dict:
@@ -82,7 +106,7 @@ def _state(machine) -> dict:
         "bus_reads": machine.bus.reads,
         "bus_writes": machine.bus.writes,
         "bus_stalls": machine.bus.total_stalls,
-        "caches": tuple(tuple(sorted(vars(cache.stats).items()))
+        "caches": tuple(cache.snapshot()
                         for cache in (machine.icache, machine.dcache)
                         if cache is not None),
         "mpu_faults": None if getattr(cpu, "mpu", None) is None else cpu.mpu.faults,
@@ -137,11 +161,14 @@ COND = st.sampled_from(["eq", "ne", "cs", "cc", "mi", "pl", "ge", "lt",
 
 #: (isa, core) pairs the random-program tests run on: the four default
 #: cores, an M3 whose MPU is attached at build (fused loads and stores
-#: take the barrier form behind the MPU check) and an ARM1156 whose
-#: 1-set, 1-way caches make fused fetches miss
+#: take the barrier form behind the MPU check), an ARM1156 whose 1-set,
+#: 1-way caches make fused fetches and loads miss, and an ARM1156 whose
+#: caches took a bit flip before the first call (fused fetches, loads and
+#: stores take the verifying arm)
 RANDOM_CONFIGS = ((ISA_ARM, ""), (ISA_THUMB, ""), (ISA_THUMB2, ""),
                   (ISA_THUMB2, "arm1156"), (ISA_THUMB2, "m3-mpu"),
-                  (ISA_THUMB2, "arm1156-thrash"))
+                  (ISA_THUMB2, "arm1156-thrash"),
+                  (ISA_THUMB2, "arm1156-flipped"))
 
 
 def _predicated_ops(woff):
@@ -853,19 +880,24 @@ loop:
 """
 
 
-def test_access_records_bit_identical():
+@pytest.mark.parametrize("core", ["", "arm1156", "arm1156-thrash"],
+                         ids=["m3", "arm1156", "arm1156-thrash"])
+def test_access_records_bit_identical(core):
     """With bus recording on, the exact access stream (address, size,
-    kind, side, stalls - fetches and data interleaved) must be identical
-    on every engine, fused superblocks included."""
-    streams = []
+    kind, side, stalls - fetches and data interleaved, cache fills and
+    write-throughs included) must be identical on every engine, fused
+    superblocks included, and so must the rest of the machine state."""
+    streams, states = [], []
     for _, fastpath in ENGINES:
-        machine = _build_machine(ISA_THUMB2, RECORDED_SOURCE)
+        machine = _build_machine(ISA_THUMB2, RECORDED_SOURCE, core=core)
         machine.cpu.fastpath = fastpath
         machine.bus.record = True
         machine.call("main", SRAM_BASE)
         streams.append([(a.addr, a.size, a.kind, a.side, a.stalls)
                         for a in machine.bus.accesses])
+        states.append(_state(machine))
     assert all(stream == streams[0] for stream in streams)
+    assert all(state == states[0] for state in states)
     assert any(side == "D" for _, _, _, side, _ in streams[0])
 
 
@@ -907,8 +939,6 @@ def test_mpu_faults_identical_across_engines():
     - including inside already-fused superblocks (the inline bus fast path
     is guarded on ``cpu.mpu is None``) - and a denied access must leave
     identical partial state on every engine."""
-    import pytest
-
     from repro.core.exceptions import DataAbort
     from repro.isa.assembler import assemble as _asm
     from repro.memory.mpu import Mpu
@@ -1195,8 +1225,127 @@ def test_fused_fetches_that_miss_match_reference():
     trace, reference = states
     assert trace == reference
     assert trace["regs"][2] == trips
-    icache = dict(trace["caches"][0])
+    icache = dict(trace["caches"][0][0])  # the I-cache's statistics
     assert icache["misses"] > trips
+
+
+#: a loop whose word load straddles the D-cache line boundary at scratch
+#: byte 32 (bytes 30..33), whose word store straddles the one at 64 and
+#: whose halfword store and load straddle the one at 96
+STRADDLE_LOOP_SOURCE = """
+main:
+    movs r2, #0
+    movs r5, #0
+loop:
+    ldr r3, [r0, #30]
+    adds r3, r3, r2
+    str r3, [r0, #62]
+    strh r3, [r0, #95]
+    ldrh r4, [r0, #95]
+    adds r5, r5, r4
+    adds r2, r2, #1
+    cmp r2, r1
+    bne loop
+    mov r0, r5
+    bx lr
+"""
+
+#: a loop that stores to a cached line and reads the word (and a byte of
+#: another word) back in the same iteration; its unaligned halfword and
+#: word stores of ``r7`` each cover two words of the line
+READBACK_LOOP_SOURCE = """
+main:
+    movs r2, #0
+    movs r5, #0
+loop:
+    ldr r3, [r0, #8]
+    adds r3, r3, r2
+    str r3, [r0, #8]
+    ldr r4, [r0, #8]
+    strb r4, [r0, #13]
+    ldrb r6, [r0, #13]
+    lsls r7, r4, #7
+    strh r7, [r0, #19]
+    str r7, [r0, #27]
+    adds r5, r5, r4
+    adds r5, r5, r6
+    adds r2, r2, #1
+    cmp r2, r1
+    bne loop
+    mov r0, r5
+    bx lr
+"""
+
+
+def _readback_result(trips: int) -> int:
+    """What ``READBACK_LOOP_SOURCE`` returns from zeroed scratch memory."""
+    word = total = 0
+    for trip in range(trips):
+        word += trip
+        total += word + (word & 0xFF)
+    return total & 0xFFFF_FFFF
+
+
+def _dcache_runs(source: str, trips: int, between=None) -> list[dict]:
+    """The final state of an ARM1156 running ``source``'s ``main`` over
+    the scratch words on each engine: one call of ``trips`` iterations,
+    then - when ``between(machine)`` is given - that hook and a second
+    call.  The trace engine's loop must have fused in the first call."""
+    states = []
+    for _, fastpath in ENGINES:
+        machine = _build_machine(ISA_THUMB2, source, core="arm1156")
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        machine.call("main", SRAM_BASE, trips)
+        if fastpath:
+            loop = cpu.program.symbols["loop"]
+            assert cpu._sb_blocks[loop][3] is not None, "the loop never fused"
+        if between is not None:
+            between(machine)
+            machine.call("main", SRAM_BASE, trips)
+        state = _state(machine)
+        state["sram"] = bytes(machine.sram.data[:128])
+        states.append(state)
+    return states
+
+
+def test_fused_dcache_accesses_that_straddle_lines_match_reference():
+    """A fused ARM1156 loop whose load and stores straddle D-cache lines:
+    each takes the mediated arm (``Cache.read`` and ``Cache._update``
+    split at the boundary), and every state - both caches' lines and the
+    memory past the scratch words included - equals the reference's."""
+    trace, reference = _dcache_runs(STRADDLE_LOOP_SOURCE, 40)
+    assert trace == reference
+    assert dict(trace["caches"][1][0])["hits"] > 0
+
+
+def test_fused_store_read_back_from_its_cached_line_matches_reference():
+    """A fused ARM1156 loop stores to a D-cache line it has just read and
+    reads the stored word and byte back: the inline store updates the
+    cached line (data, the parity of every word it covers, LRU) so the
+    inline loads that follow hit on the new value."""
+    trips = 41
+    trace, reference = _dcache_runs(READBACK_LOOP_SOURCE, trips)
+    assert trace == reference
+    assert trace["regs"][0] == _readback_result(trips)
+    dcache = dict(trace["caches"][1][0])
+    assert (dcache["misses"], dcache["hits"]) == (1, 3 * trips - 1)
+
+
+def test_dcache_disabled_after_fusion_matches_reference():
+    """Disabling the D-cache after the loop fused sends its loads and
+    stores around the cache (the clean path tests ``enabled``): the second
+    call leaves the cache untouched and the machine equal to the
+    reference's."""
+    counts = []
+
+    def disable(machine) -> None:
+        counts.append(vars(machine.dcache.stats).copy())
+        machine.dcache.enabled = False
+
+    trace, reference = _dcache_runs(READBACK_LOOP_SOURCE, 41, disable)
+    assert trace == reference
+    assert dict(trace["caches"][1][0]) == counts[0] == counts[1]
 
 
 def _asr_at(isa: str, position: int) -> str:

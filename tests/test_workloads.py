@@ -1,5 +1,7 @@
 """Integration tests: every kernel, every ISA, cross-checked four ways."""
 
+import dataclasses
+
 import pytest
 
 from repro.codegen import IrInterpreter, IrMemory, compile_program
@@ -7,6 +9,7 @@ from repro.core import FLASH_BASE, SRAM_BASE
 from repro.isa import ISA_ARM, ISA_THUMB, ISA_THUMB2
 from repro.sim import DeterministicRng
 from repro.workloads import AUTOINDY_SUITE, WORKLOADS_BY_NAME, run_kernel, run_suite, table1
+from repro.workloads.harness import seeded_input
 
 ALL_ISAS = (ISA_ARM, ISA_THUMB, ISA_THUMB2)
 CORE_FOR = {ISA_ARM: "arm7", ISA_THUMB: "arm7", ISA_THUMB2: "m3"}
@@ -86,3 +89,36 @@ def test_scaled_inputs_scale_cycles():
     large = run_kernel(workload, "m3", ISA_THUMB2, seed=3, scale=4)
     assert large.verified and small.verified
     assert large.cycles > 2 * small.cycles
+
+
+def test_seeded_input_is_one_object_per_key():
+    """Every run of a kernel on one (seed, scale) shares one memoised,
+    frozen input and its reference answer; another seed or scale is
+    another entry."""
+    workload = WORKLOADS_BY_NAME["tblook"]
+    first = seeded_input(workload, 5, 2)
+    assert seeded_input(workload, 5, 2) is first
+    assert seeded_input(workload, 6, 2) is not first
+    assert seeded_input(workload, 5, 3) is not first
+    prepared, answer = first
+    fresh = workload.make_input(DeterministicRng(5), 2)
+    assert prepared == fresh
+    assert answer == workload.reference(fresh.data, *fresh.args(0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prepared.data = b""
+
+
+def test_data_override_is_checked_against_its_own_image():
+    """A run on an overridden image (the soft-error domain's corrupted
+    copy) is verified against the reference for that image, not the
+    memoised answer of the seeded one."""
+    from repro.sim.domains.kernel import execute_workload
+
+    workload = WORKLOADS_BY_NAME["canrdr"]
+    prepared, answer = seeded_input(workload, 9, 1)
+    image = bytes([prepared.data[0] ^ 0x10]) + prepared.data[1:]
+    outcome = execute_workload("m3", ISA_THUMB2, "canrdr", 9, 1, data=image)
+    assert outcome.expected == workload.reference(image, *prepared.args(0))
+    assert outcome.expected != answer
+    assert outcome.result == outcome.expected
+    assert seeded_input(workload, 9, 1)[1] == answer
