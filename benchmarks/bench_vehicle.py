@@ -1,13 +1,15 @@
-"""Virtual-vehicle co-simulation throughput.
+"""Virtual-vehicle co-simulation: cold and warm runs agree exactly.
 
 The cycle-coupled multi-ECU layer (3 sensor ECUs + gateway + actuator,
-CAN + LIN) in the units the co-sim pump is judged by:
-
-* **host microseconds per simulated millisecond** of ``VirtualVehicle.run``,
-  timed *cold* (the first run in the process: fuse compiles included) and
-  *warm* (best of N runs after it, each on a freshly built network);
-* **scheduler events per 1,000 guest instructions** - the pump and bus
-  bookkeeping per unit of real guest work.
+CAN + LIN) run once *cold* (the first run in the process: engine plans
+empty, fusion counted from zero) and then *warm* (rounds on freshly built
+networks, whose cores enter blocks the cold run made hot fused from
+their first dispatch, binding plan code).  Every warm round must repeat
+the cold run exactly: scheduler events and, per ECU, instructions,
+cycles and IRQs serviced.  The report adds **scheduler events per 1,000
+guest instructions** - the pump and bus bookkeeping per unit of real
+guest work.  Host time per simulated millisecond is perfbench's
+``vehicle.us_per_sim_ms`` (``perfbench/run.py --workload cosim``).
 
 ``REPRO_BENCH_REDUCED=1`` shrinks the horizon and
 the warm rounds for CI smoke.
@@ -16,7 +18,6 @@ the warm rounds for CI smoke.
 from __future__ import annotations
 
 import os
-from time import perf_counter
 
 from conftest import report
 
@@ -35,19 +36,17 @@ SPEC = BodyNetworkSpec(sensors=(
 
 
 def _outcome(network) -> tuple:
-    """What a run did: scheduler events and per-ECU instructions."""
+    """What a run did: scheduler events, and per ECU its instructions,
+    cycles and IRQs serviced."""
     return (network.vehicle.scheduler.events_fired,
-            tuple(ecu.cpu.instructions_executed
+            tuple((ecu.cpu.instructions_executed, ecu.cpu.cycles,
+                   ecu.controller.stats.serviced)
                   for ecu in network.vehicle.ecus))
 
 
 def test_body_network_cosim_throughput(benchmark):
-    start = perf_counter()
     network = build_body_network(SPEC)
-    build_s = perf_counter() - start
-    start = perf_counter()
     network.run(horizon_us=HORIZON_US)
-    cold_s = perf_counter() - start
     outcome = _outcome(network)
 
     warm = []
@@ -65,12 +64,9 @@ def test_body_network_cosim_throughput(benchmark):
     report_data = network.report()
     assert report_data.healthy, "benchmark network must verify end to end"
 
-    warm_s = benchmark.stats["min"]
     sim_ms = HORIZON_US / 1e3
     events, per_ecu = outcome
-    instructions = sum(per_ecu)
-    cold_us_per_ms = cold_s * 1e6 / sim_ms
-    warm_us_per_ms = warm_s * 1e6 / sim_ms
+    instructions = sum(ecu[0] for ecu in per_ecu)
     events_per_kinstr = events * 1e3 / instructions
 
     report(
@@ -80,10 +76,8 @@ def test_body_network_cosim_throughput(benchmark):
             f"horizon {sim_ms / 1e3:.2f} simulated bus-seconds, "
             f"{len(network.vehicle.ecus)} ECUs "
             f"(m3 + arm7 + arm1156), CAN + LIN",
-            f"{cold_us_per_ms:8.1f} host us / simulated ms cold "
-            f"(first run in process; build {build_s * 1e3:.0f} ms)",
-            f"{warm_us_per_ms:8.1f} host us / simulated ms warm "
-            f"(best of {WARM_ROUNDS}, fresh network each)",
+            f"{WARM_ROUNDS} warm rounds on fresh networks repeat the cold "
+            f"run exactly (events; per-ECU instructions, cycles, IRQs)",
             f"{events_per_kinstr:8.1f} scheduler events / 1,000 guest "
             f"instructions ({events} events, {instructions} instructions)",
             f"{len(network.vehicle.can.deliveries):8d} CAN frames, "
@@ -93,7 +87,5 @@ def test_body_network_cosim_throughput(benchmark):
             f"{report_data.worst_latency_us}us <= bound "
             f"{report_data.worst_bound_us}us",
         ])
-    benchmark.extra_info["cold_us_per_sim_ms"] = round(cold_us_per_ms, 1)
-    benchmark.extra_info["warm_us_per_sim_ms"] = round(warm_us_per_ms, 1)
     benchmark.extra_info["events_per_kinstr"] = round(events_per_kinstr, 2)
     benchmark.extra_info["guest_instructions"] = instructions

@@ -60,14 +60,26 @@ micro-ops, its worst-case cycle cap, and - once any core has fused it -
 the compiled code with its binding recipe (:mod:`repro.core.superblock`).
 Campaign cells build thousands of short-lived cores over a handful of
 programs, so a fresh core walks, caps and emits nothing a previous core
-with the same key already did.
+with the same key already did.  A plan reads a program's instructions,
+never its embedded data (fused code loads literals at run time), so
+programs with equal instructions share their plans (:func:`engine_plan`):
+guest firmware built per node from one template, differing only in a
+literal such as a CAN identifier, is one set of plans.
 
-Per core remain only what binds the plan over the core's own objects:
-the bound steps (one per instruction, bound on first use), each block's
-fusion countdown, and the fused callables.  *When* a core fuses a block
-is still its own countdown (a plan hit skips the emission, not the
-wait), so everything a core reports - ``Ecu.fused_block_count``
-included - is independent of what ran earlier in the process.
+Hotness belongs to the plan too: a block's fusion countdown
+(:class:`PlanBlock`) counts list dispatches over every core of the plan,
+and once it runs out every core that enters the block runs it fused from
+its first dispatch.  Fused code that leaves a block early, at a load or
+store's escape arm, returns to the engine mid-block; the block entered
+there starts hot (:attr:`EnginePlan.exits`).  Per core remain only what
+binds the plan over the core's own objects: the fused callables and the
+bound steps (one per instruction), each bound on first use - a block a
+core only ever runs fused binds just the steps its code calls
+(``S{i}``).  *When* a core fuses a block therefore depends on what ran
+earlier in the process, and so does every engine count
+(``Ecu.fused_block_count``, blocks built, dispatches by mode); what the
+core computes does not.  Engine counts are introspection and telemetry,
+never part of a record.
 
 Interrupt exactness is preserved by an **event horizon**: the earliest
 ``assert_cycle`` of any queued request, conservatively ignoring masking
@@ -95,6 +107,7 @@ alternate them freely.
 
 from __future__ import annotations
 
+import weakref
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -198,29 +211,53 @@ class PlanBlock:
 
     ``uops`` are the block's micro-ops (the discovery walk's result);
     ``cap`` its worst-case cycle cost (:meth:`BaseCpu._block_cycle_cap`),
-    computed on first use under a cycle ceiling; ``code`` and ``recipe``
-    the fused function's code object and binding recipe, set by the first
-    core to fuse the block (:func:`~repro.core.superblock.fuse_block`).
+    computed on first use under a cycle ceiling; ``countdown`` the list
+    dispatches left, summed over every core of the plan, before the block
+    is fused (:data:`~repro.core.superblock.FUSE_THRESHOLD` at first, 0
+    for a block discovered at one of the plan's escape exits);
+    ``code`` and ``recipe`` the fused function's code object and binding
+    recipe, set by the core that fuses the block first
+    (:func:`~repro.core.superblock.fuse_block`).  Every core that enters
+    the block after that runs it fused from its first dispatch.
     """
 
-    __slots__ = ("uops", "cap", "code", "recipe")
+    __slots__ = ("uops", "cap", "countdown", "code", "recipe")
 
     def __init__(self, uops: list) -> None:
         self.uops = uops
         self.cap: int | None = None
+        self.countdown = FUSE_THRESHOLD
         self.code = None
         self.recipe: tuple | None = None
 
 
 class EnginePlan:
-    """The trace engine's per-(Program, :class:`PlanKey`) cache: the
-    :class:`PlanBlock` for each superblock entry pc discovered so far."""
+    """The trace engine's per-(code, :class:`PlanKey`) cache: the
+    :class:`PlanBlock` for each superblock entry pc discovered so far.
 
-    __slots__ = ("key", "blocks")
+    ``exits`` are the pcs where the plan's fused code returns to the
+    engine from an escape arm, mid-block (``repro.core.superblock``): the
+    block entered there is as hot as the one that escaped, so a block
+    discovered at an exit starts with its countdown run out."""
+
+    __slots__ = ("key", "blocks", "exits")
 
     def __init__(self, key: PlanKey) -> None:
         self.key = key
         self.blocks: dict[int, PlanBlock] = {}
+        self.exits: set[int] = set()
+
+
+class _PlanTable(dict):
+    """One code's engine plans by :class:`PlanKey` (a dict that can be
+    weakly referenced)."""
+
+
+#: plan tables by code, ``(isa, repr of every instruction)``: programs
+#: with equal instructions - every field, addresses included - share one
+#: table, whatever data they embed.  A table lives as long as a program
+#: holds it.
+_PLAN_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def engine_plan(program: Program, key: PlanKey) -> EnginePlan:
@@ -228,10 +265,16 @@ def engine_plan(program: Program, key: PlanKey) -> EnginePlan:
 
     Plans are cached on the program beside ``predecode``'s micro-op table
     and, like it, never rebuilt: a program is immutable once assembled.
+    The cache is shared with every program whose instructions are equal,
+    since nothing in a plan reads the program's data.
     """
     plans = getattr(program, "_engine_plans", None)
     if plans is None:
-        plans = program._engine_plans = {}
+        code = (program.isa, tuple(map(repr, program.instructions)))
+        plans = _PLAN_TABLES.get(code)
+        if plans is None:
+            plans = _PLAN_TABLES[code] = _PlanTable()
+        program._engine_plans = plans
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = EnginePlan(key)
@@ -302,7 +345,7 @@ class BaseCpu:
         self._fast_table: dict | None = None
         self._fast_outcome = Outcome()
         self._plan: EnginePlan | None = None
-        #: entry pc -> [steps, plan block, fusion countdown, fused]
+        #: entry pc -> [plan block, bound steps or None, fused or None]
         self._sb_blocks: dict[int, list] = {}
         #: the interrupt controller fused blocks were bound over (loop
         #: guards bind it at fuse time); a controller swap between runs
@@ -670,22 +713,33 @@ class BaseCpu:
         """This core's entry for the superblock entered at ``pc``.
 
         The block itself comes from the core's engine plan, discovered
-        there by the first core to enter it (:meth:`_discover_block`); the
-        core binds its own steps over the block's micro-ops.  The entry is
-        ``[steps, block, countdown, fused]``: after ``countdown``
-        list-mode dispatches the block is fused into a single generated
-        function (:mod:`repro.core.superblock`), so fusion is only paid
-        for blocks that are actually hot on this core.
+        there by the first core to enter it (:meth:`_discover_block`); a
+        block discovered at one of the plan's escape exits starts hot.
+        The entry is ``[block, steps, fused]``.  A block whose plan
+        countdown has run out is fused at once - bound from the plan's
+        code, emitted first if no core has yet (:mod:`repro.core.superblock`);
+        ``steps``, the core's bound steps for the list, step and
+        budget-prefix paths, wait for their first use (:meth:`_block_steps`).
         """
-        blocks = self._plan.blocks
-        block = blocks.get(pc)
+        plan = self._plan
+        block = plan.blocks.get(pc)
         if block is None:
-            block = blocks[pc] = self._discover_block(pc)
-        steps = [self._bound_step(uop) for uop in block.uops]
-        entry = [steps, block, FUSE_THRESHOLD, None]
+            block = plan.blocks[pc] = self._discover_block(pc)
+            if pc in plan.exits:
+                block.countdown = 0
+        entry = [block, None,
+                 None if block.countdown > 0 else fuse_block(self, block)]
         self._sb_blocks[pc] = entry
         _SB_BUILT.add()
         return entry
+
+    def _block_steps(self, entry: list) -> list:
+        """``entry``'s bound steps, one per micro-op of its block, bound
+        on first use."""
+        steps = entry[1]
+        if steps is None:
+            steps = entry[1] = [self._bound_step(uop) for uop in entry[0].uops]
+        return steps
 
     def _discover_block(self, pc: int) -> PlanBlock:
         """Walk the superblock entered at ``pc`` (once per plan).
@@ -862,9 +916,8 @@ class BaseCpu:
             entry = blocks_get(pc)
             if entry is None:
                 entry = self._superblock_at(pc)
-            steps = entry[0]
-            if len(steps) <= limit - executed:
-                block = entry[1]
+            block = entry[0]
+            if len(block.uops) <= limit - executed:
                 cap = block.cap
                 if cap is None:
                     cap = block.cap = self._block_cycle_cap(block.uops)
@@ -874,21 +927,22 @@ class BaseCpu:
                     # the whole block ends at or below top: every
                     # instruction in it starts below the horizon, where a
                     # poll cannot take anything (see _block_cycle_cap)
-                    fused = entry[3]
+                    fused = entry[2]
                     if fused is not None:
                         fused()
                         _DISPATCH_FUSED.add()
                         continue
-                    for fast_step in steps:
+                    for fast_step in self._block_steps(entry):
                         fast_step()
                     _DISPATCH_LIST.add()
-                    entry[2] -= 1
-                    if entry[2] <= 0:
-                        entry[3] = fuse_block(self, entry[1], steps)
+                    block.countdown -= 1
+                    if block.countdown <= 0:
+                        entry[2] = fuse_block(self, block)
                     continue
+                steps = self._block_steps(entry)
             else:
                 # budget guard: run the allowed prefix, then raise above
-                steps = steps[:limit - executed]
+                steps = self._block_steps(entry)[:limit - executed]
             _DISPATCH_STEP.add()
             for fast_step in steps:
                 if self.cycles >= top:

@@ -3,19 +3,19 @@
 The trace engine (``BaseCpu._run_trace``) executes a superblock's bound
 steps in a list loop, which already removes the per-step dict dispatch
 and interrupt poll.  This module removes the remaining per-instruction
-Python *frames*: once a superblock has been dispatched enough times to
-prove hot, :func:`fuse_block` generates a single function whose body is
-the block's per-step statement sequences laid out inline - fetch
-(inline SRAM/flash timing, the inline clean path of a cached fetch, or a
-prebound thunk), execute, cycle accounting, PC update - and compiles it
-once.  The hottest operand shapes (register moves and ALU, compares,
-immediate shifts, immediate/register-offset loads and stores, MOVW/MOVT,
-zero/sign extension) are inlined as raw statements; everything else
-calls its exec closure or its bound step, so partial inlining still
-wins.  Data accesses inline the bus fast path (behind a per-access MPU
-check on protected cores), or a data cache's clean path.  Conditional
-execution costs no closure call either - condition checks are emitted
-as flag expressions (``_COND_EXPRS``).
+Python *frames*: once a superblock has been dispatched enough times, on
+any cores of its engine plan, to prove hot, :func:`fuse_block` generates
+a single function whose body is the block's per-step statement sequences
+laid out inline - fetch (inline SRAM/flash timing, the inline clean path
+of a cached fetch, or a prebound thunk), execute, cycle accounting, PC
+update - and compiles it once.  The hottest operand shapes (register
+moves and ALU, compares, immediate shifts, immediate/register-offset
+loads and stores, MOVW/MOVT, zero/sign extension) are inlined as raw
+statements; everything else calls its exec closure or its bound step, so
+partial inlining still wins.  Data accesses inline the bus fast path
+(behind a per-access MPU check on protected cores), or a data cache's
+clean path.  Conditional execution costs no closure call either -
+condition checks are emitted as flag expressions (``_COND_EXPRS``).
 
 Built once, placed by one rule
 ------------------------------
@@ -38,8 +38,9 @@ The entry is then placed by one rule:
   (:func:`_flush_span`), and flag writes overwritten later in the span
   are dropped.  A load or store in a span keeps an *escape arm* for its
   rare paths (a span miss, another device, an MPU attached after
-  fusion), which materialises the span and runs the step in place
-  (:func:`_join_span`);
+  fusion), which materialises the span, runs the step in place and
+  returns to the engine (:func:`_join_span`); the block the engine enters
+  there starts hot (``repro.core.cpu.EnginePlan.exits``);
 * otherwise a **barrier**: it flushes the span, with its own fetch as the
   partial contribution, then runs its body, then adds its data
   accounting, cycles, instruction count and PC (:func:`_in_place`).
@@ -110,16 +111,20 @@ Fused code lives in the core's *engine plan* (``repro.core.cpu``), shared
 by every core that runs the same program under the same plan key.  An
 emitter never stores a core's object: each free name it puts in the
 namespace records a *recipe* entry naming which per-core object the name
-stands for (the core, its register list, the fetch device at a pc, the
-I-cache ways of one set, the bound step at a block position, a fresh
-:class:`Outcome`, ...) or a constant that is the same object on every core
-(a micro-op's ``exec``, :class:`AccessRecord`, :class:`Sram`,
-``int.from_bytes``).  The first core to fuse a block emits and compiles
-it and stores the function's code and recipe in the plan block; every
-later core - and the first one too - *binds* it: the recipe resolves on
-that core into the function's defaults, and ``types.FunctionType`` builds
-the callable (the bound names are locals of the generated function; no
-core runs ``exec``).
+stands for (the core, its register list, a bus device, the I-cache ways
+of one set, the core's bound step for a micro-op, a fresh
+:class:`Outcome`, ...) or a constant that is the same object on every
+core (a micro-op's ``exec``, :class:`AccessRecord`, :class:`Sram`,
+``int.from_bytes``); a bus device has one name however many positions
+read it.  The core whose list dispatch makes a block hot emits and
+compiles it and stores the function's code and recipe in the plan block;
+every core - that one too, and every later core from its first dispatch
+of the block - *binds* it: the recipe resolves on that core into the
+function's defaults, and ``types.FunctionType`` builds the callable (the
+bound names are locals of the generated function; no core runs
+``exec``).  A core binds a bound step only for the positions that call
+one (``S{i}``), so a block it only ever runs fused costs it no step per
+instruction.
 
 The rule that makes this sound: **emitters read no live state outside the
 plan key**.  Everything the generated source depends on - core class,
@@ -148,7 +153,9 @@ from repro.memory.sram import Sram
 
 _SIGN_BIT = 0x8000_0000
 
-#: dispatches of a block through the list path before it is fused
+#: list dispatches of an engine-plan block, summed over every core of the
+#: plan, before it is fused; from then on every core that enters the block
+#: binds its code at once (``repro.core.cpu.PlanBlock``)
 FUSE_THRESHOLD = 16
 
 _STORE_MASKS = {1: 0xFF, 2: 0xFFFF, 4: MASK32}
@@ -168,40 +175,34 @@ def device_key(device) -> tuple:
     return (kind, device.base, device.size) + timing
 
 
-#: how each recipe entry resolves on the binding core:
-#: ``resolve(cpu, steps, arg)``, with ``steps`` the core's bound steps for
-#: the block and ``arg`` the entry's fuse-time argument (an address, an
-#: instruction's ``(pc, size)``, a block position, ...)
+#: how each recipe entry resolves on the binding core: ``resolve(cpu, arg)``,
+#: with ``arg`` the entry's fuse-time argument (an address, an
+#: instruction's ``(pc, size)``, a device's base, a micro-op, ...)
 _RESOLVE = {
-    "constant": lambda cpu, steps, value: value,
-    "core": lambda cpu, steps, _: cpu,
-    "registers": lambda cpu, steps, _: cpu.regs.values,
-    "read": lambda cpu, steps, _: cpu.read,
-    "write": lambda cpu, steps, _: cpu.write,
-    "branch": lambda cpu, steps, _: cpu.branch,
-    "mpu_check": lambda cpu, steps, _: cpu._mpu_check,
-    "bus": lambda cpu, steps, _: cpu.bus,
-    "irq": lambda cpu, steps, _: cpu._irq_controller,
-    "fetch_device": lambda cpu, steps, at: cpu._fetch_bus_device(*at),
-    "fetch_device_access":
-        lambda cpu, steps, at: cpu._fetch_bus_device(*at)._access,
-    "literal_device": lambda cpu, steps, address: cpu.bus._lookup(address),
-    "literal_access":
-        lambda cpu, steps, address: cpu.bus._lookup(address)._access,
-    "literal_read": lambda cpu, steps, address: cpu.bus._lookup(address).read,
-    "fetch_thunk": lambda cpu, steps, at: cpu._fetch_thunk(*at),
-    "fetch_port": lambda cpu, steps, _: cpu._fetch_port(),
-    "icache": lambda cpu, steps, _: cpu._fetch_cache(),
-    "icache_stats": lambda cpu, steps, _: cpu._fetch_cache().stats,
-    "icache_fill": lambda cpu, steps, _: cpu._fetch_cache()._fill,
-    "icache_ways":
-        lambda cpu, steps, at: cpu._fetch_cache().lookup_plan(*at)[3],
-    "dcache": lambda cpu, steps, _: cpu._data_cache(),
-    "dcache_stats": lambda cpu, steps, _: cpu._data_cache().stats,
-    "dcache_sets": lambda cpu, steps, _: cpu._data_cache()._lines,
-    "outcome": lambda cpu, steps, _: Outcome(),
-    "cycles": lambda cpu, steps, ins: cpu.compile_cycles(ins),
-    "step": lambda cpu, steps, index: steps[index],
+    "constant": lambda cpu, value: value,
+    "core": lambda cpu, _: cpu,
+    "registers": lambda cpu, _: cpu.regs.values,
+    "read": lambda cpu, _: cpu.read,
+    "write": lambda cpu, _: cpu.write,
+    "branch": lambda cpu, _: cpu.branch,
+    "mpu_check": lambda cpu, _: cpu._mpu_check,
+    "bus": lambda cpu, _: cpu.bus,
+    "irq": lambda cpu, _: cpu._irq_controller,
+    "device": lambda cpu, base: cpu.bus._lookup(base),
+    "device_access": lambda cpu, base: cpu.bus._lookup(base)._access,
+    "literal_read": lambda cpu, address: cpu.bus._lookup(address).read,
+    "fetch_thunk": lambda cpu, at: cpu._fetch_thunk(*at),
+    "fetch_port": lambda cpu, _: cpu._fetch_port(),
+    "icache": lambda cpu, _: cpu._fetch_cache(),
+    "icache_stats": lambda cpu, _: cpu._fetch_cache().stats,
+    "icache_fill": lambda cpu, _: cpu._fetch_cache()._fill,
+    "icache_ways": lambda cpu, at: cpu._fetch_cache().lookup_plan(*at)[3],
+    "dcache": lambda cpu, _: cpu._data_cache(),
+    "dcache_stats": lambda cpu, _: cpu._data_cache().stats,
+    "dcache_sets": lambda cpu, _: cpu._data_cache()._lines,
+    "outcome": lambda cpu, _: Outcome(),
+    "cycles": lambda cpu, ins: cpu.compile_cycles(ins),
+    "step": lambda cpu, uop: cpu._bound_step(uop),
 }
 
 
@@ -215,17 +216,22 @@ class _Names:
     and binds over any core with the same plan ``key``.  Insertion order
     is the generated function's parameter order.
 
+    A bus device the function reads inline has one name however many
+    positions fetch or load from it (:meth:`device`), resolved through the
+    bus by its base address, which the plan key pins.
+
     ``line_run`` is the one piece of emission state that spans positions:
     ``((tag, set_index), local)`` when the previous I-cache access in the
     function was an inline cached fetch that left that line in ``local``,
     else None (see :func:`_emit_cache_fetch`).
     """
 
-    __slots__ = ("key", "recipe", "line_run")
+    __slots__ = ("key", "recipe", "devices", "line_run")
 
     def __init__(self, key) -> None:
         self.key = key
         self.recipe: dict[str, tuple] = {}
+        self.devices: dict[int, str] = {}
         self.line_run: tuple | None = None
 
     def put(self, name: str, kind: str, arg=None) -> None:
@@ -234,6 +240,18 @@ class _Names:
     def default(self, name: str, kind: str, arg=None) -> None:
         if name not in self.recipe:
             self.recipe[name] = (_RESOLVE[kind], arg)
+
+    def device(self, device, access: bool = False) -> str:
+        """The name of bus ``device`` (``D{n}``), or with ``access`` of its
+        bound ``_access`` (``DA{n}``)."""
+        name = self.devices.get(id(device))
+        if name is None:
+            name = self.devices[id(device)] = f"D{len(self.devices)}"
+            self.put(name, "device", device.base)
+        if access:
+            name = "DA" + name[1:]
+            self.default(name, "device_access", device.base)
+        return name
 
 
 #: per-condition source fragments over ``f = cpu.apsr`` - literal
@@ -683,7 +701,7 @@ def _flash_track_dynamic(device, address, size, ftrack) -> None:
         ftrack[id(device)] = (line, None)
 
 
-def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
+def _flash_fetch_lines(ns, device, address, size, stall_var) -> list[str]:
     """The flash instruction-fetch sequence leaving stalls in ``stall_var``.
 
     The buffered-line hit test is inline, and the miss arm transcribes
@@ -691,9 +709,10 @@ def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
     dynamic, the geometry (line address, line width, array latency,
     prefetch mode) folds at fuse time like the SRAM wait states do - so
     steady-state line crossings pay no Python call.  A fetch straddling
-    two lines keeps the bound ``_access`` call (``da``) for its second
+    two lines keeps the bound ``_access`` call (``DA{n}``) for its second
     line (rare, and the first access just rewrote the stream state).
     """
+    dev = ns.device(device)
     line = address & ~(device.line_bytes - 1)
     straddles = address + size > line + device.line_bytes
     lines = [
@@ -724,6 +743,7 @@ def _flash_fetch_lines(device, dev, da, address, size, stall_var) -> list[str]:
     ]
     lines += ["    " + stmt for stmt in miss]
     if straddles:
+        da = ns.device(device, access=True)
         lines.append(f"{stall_var} += {da}({address + size - 1})")
     return lines
 
@@ -840,11 +860,11 @@ def _indent(lines) -> list[str]:
     return ["    " + stmt for stmt in lines]
 
 
-def _device_access(device, dev, da, address, size, side, stall, ftrack):
-    """A read of the plain SRAM or flash ``device`` (bound as ``dev``, its
-    ``_access`` as ``da``) at the constant ``address``: ``(stmts, access)``,
-    for an instruction fetch (``side`` ``'I'``) or a folded literal
-    (``'D'``).
+def _device_access(ns, device, address, size, side, stall, ftrack):
+    """A read of the plain SRAM or flash ``device`` (one name per device,
+    :meth:`_Names.device`) at the constant ``address``: ``(stmts,
+    access)``, for an instruction fetch (``side`` ``'I'``) or a folded
+    literal (``'D'``).
 
     SRAM has constant wait states and counts a read; flash takes the
     statically resolved stream arm when the fuse-time tracker knows the
@@ -852,6 +872,8 @@ def _device_access(device, dev, da, address, size, side, stall, ftrack):
     otherwise (:func:`_flash_fetch_lines`), which leaves its stalls in the
     local ``stall``.  Both are raise-free.
     """
+    dev = ns.device(device)
+    ns.default("AR", "constant", AccessRecord)
     if type(device) is Sram:
         stmts, counters, stall = [], [(dev, "reads")], device.wait_states
     elif (static := _flash_static_parts(device, dev, address, size,
@@ -859,7 +881,7 @@ def _device_access(device, dev, da, address, size, side, stall, ftrack):
         stmts, counters, stall = static
     else:
         _flash_track_dynamic(device, address, size, ftrack)
-        stmts = _flash_fetch_lines(device, dev, da, address, size, stall)
+        stmts = _flash_fetch_lines(ns, device, address, size, stall)
         counters = []
     return list(stmts), _Access(
         stall, reads=1, counters=tuple(counters),
@@ -905,13 +927,8 @@ def _fetch(cpu, uop, index, ns, ftrack) -> dict:
     }
     device = cpu._fetch_bus_device(address, size)
     if device is not None and type(device) in (Sram, Flash):
-        dev = f"D{index}"
-        ns.put(dev, "fetch_device", (address, size))
-        if type(device) is Flash:
-            ns.put(f"DA{index}", "fetch_device_access", (address, size))
-        ns.default("AR", "constant", AccessRecord)
         entry["fetch"], entry["facc"] = _device_access(
-            device, dev, f"DA{index}", address, size, "I", f"s{index}", ftrack)
+            ns, device, address, size, "I", f"s{index}", ftrack)
         return entry
     # fetches through caches or opaque ports may reach flash devices
     # behind the scenes: forget any statically tracked stream state
@@ -950,23 +967,19 @@ def _literal_fold(cpu, address, size, index, ns, ftrack):
     device = cpu.bus._lookup(address)
     if device is None or address + size > device.base + device.size:
         return None
-    ns.default("AR", "constant", AccessRecord)
     stall = f"ds{index}"
     if type(device) not in (Sram, Flash):
+        ns.default("AR", "constant", AccessRecord)
         ns.put(f"DL{index}", "literal_read", address)
         record = f"AR({address}, {size}, 'R', 'D', {stall})"
         return ([f"v, {stall} = DL{index}({address}, {size}, 'D')"],
                 _Access(stall, reads=1, record=record), True)
-    dev = f"DV{index}"
-    ns.put(dev, "literal_device", address)
+    stmts, access = _device_access(ns, device, address, size, "D", stall,
+                                   ftrack)
     ns.default("IFB", "constant", int.from_bytes)
-    if type(device) is Flash:
-        ns.put(f"DAL{index}", "literal_access", address)
-    stmts, access = _device_access(device, dev, f"DAL{index}", address, size,
-                                   "D", stall, ftrack)
     offset = address - device.base
-    read = f"v = IFB({dev}.data[{offset}:{offset + size}], 'little')"
-    return stmts + [read], access, False
+    data = f"{ns.device(device)}.data[{offset}:{offset + size}]"
+    return stmts + [f"v = IFB({data}, 'little')"], access, False
 
 
 def _mediated(load, addr, size, rd) -> list[str]:
@@ -1546,14 +1559,14 @@ _COMPILE_SECONDS = obs.histogram(
     buckets=obs.FAST_SECONDS_BUCKETS)
 
 
-def fuse_block(cpu, block, steps):
+def fuse_block(cpu, block):
     """Fuse one superblock into a single callable (see
     :func:`_fuse_block`; this wrapper only adds out-of-band telemetry)."""
     if not obs.REGISTRY.enabled:
-        return _fuse_block(cpu, block, steps)
+        return _fuse_block(cpu, block)
     start = _perf_counter()
     fused_from = _FUSED_PLAN if block.code is not None else _FUSED_EMITTED
-    fused = _fuse_block(cpu, block, steps)
+    fused = _fuse_block(cpu, block)
     fused_from.add()
     _COMPILE_SECONDS.observe(_perf_counter() - start)
     return fused
@@ -1564,29 +1577,30 @@ def fuse_block(cpu, block, steps):
 _GLOBALS = {"__builtins__": builtins}
 
 
-def _fuse_block(cpu, block, steps):
+def _fuse_block(cpu, block):
     """Fuse one engine-plan block into a single callable bound over ``cpu``.
 
     ``block`` is the plan's block (its micro-ops, and once any core has
-    fused it, the compiled code and binding recipe); ``steps`` are this
-    core's bound step closures for it, the list the engine executes
-    pre-fusion.  The first fusion of a block emits and compiles it
-    (:func:`_emit_block`) and stores code and recipe in the plan; every
-    fusion then binds: the recipe resolves on ``cpu`` into the function's
-    defaults.
+    fused it, the compiled code and binding recipe).  The first fusion of
+    a block emits and compiles it (:func:`_emit_block`), stores code and
+    recipe in the plan and adds the block's escape exits to the plan's
+    (``EnginePlan.exits``); every fusion then binds: the recipe resolves
+    on ``cpu`` into the function's defaults.  Only the positions that call
+    their bound step (``S{i}``) bind one, through ``cpu._bound_step``.
     """
     if block.code is None:
-        block.code, block.recipe = _emit_block(cpu, block.uops)
+        block.code, block.recipe, exits = _emit_block(cpu, block.uops)
+        cpu._plan.exits.update(exits)
     return FunctionType(block.code, _GLOBALS, "_fused",
-                        tuple([resolve(cpu, steps, arg)
-                               for resolve, arg in block.recipe]))
+                        tuple([resolve(cpu, arg) for resolve, arg in block.recipe]))
 
 
 def _emit_block(cpu, uops):
-    """Emit and compile one superblock: ``(code, recipe)``.
+    """Emit and compile one superblock: ``(code, recipe, exits)``.
 
-    ``code`` is the generated function's code object and ``recipe`` one
-    ``(resolve, arg)`` pair per parameter (:class:`_Names`).  Each
+    ``code`` is the generated function's code object, ``recipe`` one
+    ``(resolve, arg)`` pair per parameter (:class:`_Names`) and ``exits``
+    the pcs its escape arms return to the engine at.  Each
     position is built once (:func:`_build_step`) and placed by the rule in
     the module docstring: deferred into the span, or a barrier run in
     place; positions that cannot be inlined call their bound step, so the
@@ -1613,12 +1627,13 @@ def _emit_block(cpu, uops):
         ns.put("IRQ", "irq")
     lines = []
     span: list = []
+    exits = []
     ftrack: dict = {}
     for index, uop in enumerate(uops):
         step = _build_step(cpu, uop, index, ns, ftrack)
         if step is None:
             _flush_span(span, lines)
-            ns.put(f"S{index}", "step", index)
+            ns.put(f"S{index}", "step", uop)
             lines.append(f"S{index}()")
             ftrack.clear()  # the bound step fetches/accesses opaquely
             ns.line_run = None
@@ -1629,6 +1644,8 @@ def _emit_block(cpu, uops):
             _flush_span(span, lines, step)
             lines += _in_place(step)
         else:
+            if step["escape"] is not None:
+                exits.append(step["escape"]["next_pc"])
             _join_span(span, step)
     _flush_span(span, lines)
     if is_loop:
@@ -1647,7 +1664,7 @@ def _emit_block(cpu, uops):
         code = next(const for const in module.co_consts
                     if isinstance(const, CodeType))
         _CODE_CACHE[source] = code
-    return code, tuple(ns.recipe.values())
+    return code, tuple(ns.recipe.values()), exits
 
 
 #: fused functions' code objects memoised by generated source: blocks of

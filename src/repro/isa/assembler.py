@@ -159,8 +159,9 @@ def _nominal_size(isa: str, ins: Instruction) -> int:
     if isa == ISA_THUMB:
         return 4 if ins.mnemonic == "BL" else 2
     if ins.is_branch() and ins.mnemonic in ("B", "BL") and ins.target is None:
-        # label branches start narrow (B) / wide (BL); may widen during layout
-        return 4 if ins.mnemonic == "BL" else 2
+        # label branches start narrow (B) / wide (BL, B.W); a narrow B may
+        # widen during layout
+        return 4 if ins.mnemonic == "BL" or ins.wide else 2
     return thumb.thumb2_width(ins)
 
 

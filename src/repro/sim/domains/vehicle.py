@@ -62,7 +62,6 @@ class VehicleRecord:
     guest_instructions: int
     guest_cycles: int
     irqs_serviced: int
-    fused_blocks: int
     domain: str = "vehicle"
 
     @property
@@ -73,12 +72,15 @@ class VehicleRecord:
     @property
     def verified(self) -> bool:
         """The executed network respects every analytic bound, conserves
-        frames and signal sequences, reproduces the mirrored values, and
-        actually ran guest code on the fused trace engine."""
+        frames and signal sequences, and reproduces the mirrored values.
+
+        Which engine ran the guest is not part of it: how much of a cell
+        runs fused depends on what ran earlier in the process (fusion
+        hotness is counted per engine plan, ``repro.core.cpu``), and a
+        record is a pure function of its spec."""
         return (self.gateway_applied > 0 and self.actuator_applied > 0
                 and self.bound_violations == 0 and self.value_errors == 0
-                and self.conservation_ok and self.checksum_ok
-                and self.fused_blocks > 0)
+                and self.conservation_ok and self.checksum_ok)
 
 
 def synthesize_network(rng, sensors: int, bitrate: int, quantum_us: int):
@@ -149,7 +151,6 @@ class VehicleDomain(ScenarioDomain):
             guest_instructions=sum(e.cpu.instructions_executed for e in ecus),
             guest_cycles=sum(e.cpu.cycles for e in ecus),
             irqs_serviced=sum(e.controller.stats.serviced for e in ecus),
-            fused_blocks=sum(e.fused_block_count() for e in ecus),
         )
 
 

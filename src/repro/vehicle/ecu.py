@@ -230,16 +230,14 @@ class Ecu:
     # introspection
     # ------------------------------------------------------------------
     def fused_block_count(self) -> int:
-        """How many superblock entries have been fused to generated code
-        (non-zero proves the guest ran fused code on the trace engine).
+        """How many of this core's superblock entries hold fused code.
 
-        Counted on this core's own blocks: a block fuses after this
-        core's own dispatch countdown, even when an earlier core left its
-        code in the shared engine plan (``repro.core.cpu``).  Plan-level
-        hotness would make the count, a record field, depend on what ran
-        earlier in the process instead of on the spec alone."""
+        Introspection only, never a record field: hotness is counted per
+        engine plan (``repro.core.cpu``), so a core fuses a block on its
+        first dispatch when earlier cores in the process made it hot, and
+        the count depends on what ran before, not on the spec alone."""
         return sum(1 for entry in self.cpu._sb_blocks.values()
-                   if entry[3] is not None)
+                   if entry[2] is not None)
 
     def stats(self) -> dict:
         cpu = self.cpu

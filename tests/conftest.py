@@ -75,3 +75,15 @@ def obs_enabled():
         yield
     finally:
         (obs.enable if was else obs.disable)()
+
+
+@pytest.fixture
+def dispatches(obs_enabled):
+    """With the registry enabled: reads how many trace-engine dispatches so
+    far took one mode (``engine.superblock.dispatches{mode=...}``).  A
+    cell's ``"fused"`` delta shows its guest ran fused code; engine counts
+    are never part of a record."""
+    def read(mode: str) -> int:
+        series = obs.snapshot()["counters"].get("engine.superblock.dispatches", {})
+        return series.get(f"mode={mode}", 0)
+    return read

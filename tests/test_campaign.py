@@ -219,6 +219,24 @@ def test_record_cache_ignores_corrupt_and_foreign_files(tmp_path):
     cache.put(spec, record)
     replayed = cache.get(spec)
     assert replayed == record
+    # an older vehicle record schema (it carried the engine count
+    # ``fused_blocks``): a stale-schema miss, recomputed and overwritten
+    import json
+
+    vehicle = ScenarioSpec(label="vehicle", domain="vehicle", seed=11,
+                           params=(("sensors", 1), ("horizon_us", 20_000)))
+    record = run_scenario(vehicle)
+    cache.put(vehicle, record)
+    path = cache.path_for(vehicle)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["record"]["fused_blocks"] = 7
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    misses = cache.misses
+    assert cache.get(vehicle) is None
+    assert cache.misses == misses + 1
+    cache.put(vehicle, record)
+    assert "fused_blocks" not in path.read_text(encoding="utf-8")
+    assert cache.get(vehicle) == record
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Engine plans: fresh cores bind cached blocks, caps and fused code.
 
 An engine plan (``repro.core.cpu.EnginePlan``) is shared by every core
-that runs one ``Program`` under one plan key.  These tests pin both halves
-of its contract: cores whose configurations differ in a key input never
-share a plan, and a block bound from a plan leaves a second core
-bit-identical to the reference interpreter - and so campaign records stay
-byte-identical however warm the plans are.  Compiled kernel programs are
-memoised so kernel cells share plans too.
+that runs one program's instructions under one plan key - programs with
+equal instructions share plans whatever data they embed.  These tests
+pin both halves of its contract: cores whose configurations differ in a
+key input never share a plan, and a block bound from a plan leaves a
+second core bit-identical to the reference interpreter - and so campaign
+records stay byte-identical however warm the plans are.  Compiled kernel
+programs are memoised so kernel cells share plans too.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core import FLASH_BASE, SRAM_BASE, Machine, build_arm7, build_cortexm3
+from repro.core import FLASH_BASE, SRAM_BASE, Machine, build_arm7, build_cortexm3, superblock
 from repro.core.arm1156 import Arm1156Core
 from repro.core.cortexm3 import CortexM3Core
+from repro.core.cpu import _PLAN_TABLES
 from repro.core.exceptions import DataAbort
 from repro.core.machines import DEFAULT_FLASH_SIZE, DEFAULT_SRAM_SIZE
 from repro.isa import ISA_THUMB, ISA_THUMB2, assemble
@@ -115,7 +117,7 @@ def _state(machine) -> dict:
 
 def _fused(cpu) -> list[int]:
     """Entry pcs of the blocks this core has fused."""
-    return [pc for pc, entry in cpu._sb_blocks.items() if entry[3] is not None]
+    return [pc for pc, entry in cpu._sb_blocks.items() if entry[2] is not None]
 
 
 def _config(core: str, **options):
@@ -418,10 +420,14 @@ def test_fused_loop_bound_from_a_plan_sees_its_own_irq_queue(obs_enabled):
 
 
 @pytest.mark.parametrize("matrix", ["vehicle-smoke", "vehicle-fault"])
-def test_records_do_not_depend_on_plan_warmth(obs_enabled, matrix, tmp_path):
+def test_records_do_not_depend_on_plan_warmth(obs_enabled, matrix, tmp_path,
+                                              monkeypatch):
     """A fresh interpreter (cold plans) and a second in-process run (every
-    plan warm) stream the same bytes, ``fused_blocks`` included: plans skip
-    emission, never a core's own fusion countdown."""
+    plan warm) stream the same bytes.  Warmth changes when a core fuses a
+    block - a warm core enters a hot block fused from its first dispatch,
+    so it may build other blocks - never what the core computes, and no
+    record carries an engine count.  Each plan block's code is emitted at
+    most once per process."""
     cold = tmp_path / "cold.jsonl"
     result = subprocess.run(
         [sys.executable, "-m", "repro.sim.campaign", "--matrix", matrix,
@@ -429,14 +435,155 @@ def test_records_do_not_depend_on_plan_warmth(obs_enabled, matrix, tmp_path):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=300)
     assert result.returncode == 0, result.stderr
+    emissions = []
+    emit_block = superblock._emit_block
+
+    def recording(cpu, uops):
+        emissions.append((cpu._plan, uops[0].address))
+        return emit_block(cpu, uops)
+
+    monkeypatch.setattr(superblock, "_emit_block", recording)
     first, warm = tmp_path / "first.jsonl", tmp_path / "warm.jsonl"
     assert campaign_main(["--matrix", matrix, "--stream", str(first)]) == 0
-    emitted, planned = _fusions("emitted"), _fusions("plan")
+    planned = _fusions("plan")
     assert campaign_main(["--matrix", matrix, "--stream", str(warm)]) == 0
     assert _fusions("plan") > planned, "the warm run bound nothing from a plan"
-    assert _fusions("emitted") == emitted, "the warm run emitted a block"
-    assert '"fused_blocks":' in warm.read_text()
+    blocks = [(id(plan), pc) for plan, pc in emissions]
+    assert len(blocks) == len(set(blocks)), "a plan block was emitted twice"
+    assert '"fused_blocks"' not in warm.read_text()
     assert warm.read_bytes() == cold.read_bytes() == first.read_bytes()
+
+
+#: one superblock, ``add`` then its return, that fused code runs with no
+#: bound step (both positions have an inline form)
+ADD_ONE = """
+add:
+    adds r0, r0, #1
+    bx lr
+"""
+
+
+def test_hotness_is_counted_per_plan(dispatches):
+    """Fusion hotness belongs to the engine plan.  Two fresh cores over one
+    Program dispatch a block 8 times each through the list path: the
+    block fuses on the 16th list dispatch overall (the second core's
+    8th), and a third core's first dispatch of it already runs fused,
+    with no list dispatch.  A block run through the list path binds its
+    steps once; the third core, which only ever runs the block fused,
+    binds no step for it at all."""
+    _PLAN_TABLES.clear()  # a live program with the same code shares plans
+    program = assemble(ADD_ONE, ISA_THUMB2, base=FLASH_BASE)
+    entry = program.symbols["add"]
+    cores = []
+    for calls in (8, 8):
+        machine = build_cortexm3(program)
+        cpu = machine.cpu
+        binds = []
+
+        def recording(uop, bind_uop=cpu._bind_uop, binds=binds):
+            binds.append(uop.address)
+            return bind_uop(uop)
+
+        cpu._bind_uop = recording
+        for call in range(calls):
+            lists, emitted = dispatches("list"), _fusions("emitted")
+            assert machine.call("add", call) == call + 1
+            assert dispatches("list") == lists + 1
+            hot = len(cores) == 1 and call == calls - 1
+            assert _fusions("emitted") == emitted + hot
+            assert (cpu._sb_blocks[entry][2] is not None) == hot
+        block = cpu._plan.blocks[entry]
+        assert binds == [uop.address for uop in block.uops]
+        assert cpu._sb_blocks[entry][1] == [cpu._fast_table[pc] for pc in binds]
+        cores.append(cpu)
+    assert block.countdown == 0 and block.code is not None
+    third = build_cortexm3(program)
+    lists, fused, planned = (dispatches("list"), dispatches("fused"),
+                             _fusions("plan"))
+    assert third.call("add", 41) == 42
+    assert (dispatches("list"), dispatches("fused"), _fusions("plan")) == (
+        lists, fused + 1, planned + 1)
+    assert third.cpu._sb_blocks[entry][1] is None
+    assert not third.cpu._fast_table.keys() & {uop.address for uop in block.uops}
+    assert third.cpu._plan is cores[0]._plan
+
+
+#: a literal-pool load: programs differing only in ``value`` have equal
+#: instructions and different data
+LITERAL = """
+main:
+    ldr r0, ={value}
+    adds r0, r0, #{add}
+    bx lr
+"""
+
+
+def test_programs_with_equal_code_share_plans(dispatches):
+    """A plan reads a program's instructions, never its data.  Two programs
+    that differ only in a literal-pool value share one plan, so a core of
+    the second enters the block the first made hot fused from its first
+    call - and still loads its own value, at run time.  Programs whose
+    instructions differ do not share."""
+    _PLAN_TABLES.clear()
+
+    def program(value: int, add: int = 1):
+        return assemble(LITERAL.format(value=value, add=add), ISA_THUMB2,
+                        base=FLASH_BASE)
+
+    hot = build_cortexm3(program(0x1234_5678))
+    for _ in range(superblock.FUSE_THRESHOLD):
+        assert hot.call("main") == 0x1234_5679
+    assert _fused(hot.cpu), "the block never fused"
+    twin = build_cortexm3(program(0x0BAD_F00D))
+    lists, fused = dispatches("list"), dispatches("fused")
+    assert twin.call("main") == 0x0BAD_F00E
+    assert (dispatches("list"), dispatches("fused")) == (lists, fused + 1)
+    assert twin.cpu._plan is hot.cpu._plan
+    reference = build_cortexm3(program(0x0BAD_F00D))
+    reference.cpu.fastpath = False
+    reference.call("main")
+    assert _state(twin) == _state(reference)
+    other = build_cortexm3(program(0x1234_5678, add=2))
+    assert other.call("main") == 0x1234_567A
+    assert other.cpu._plan is not hot.cpu._plan
+    assert other.cpu._plan.key == hot.cpu._plan.key
+
+
+#: a load from flash: not an SRAM span hit, so fused code takes the load's
+#: escape arm and returns to the engine at the next instruction
+ESCAPE = """
+main:
+    adds r2, r2, #1
+    ldr r1, [r0, #0]
+    adds r2, r2, #1
+    bx lr
+"""
+
+
+def test_block_entered_at_an_escape_exit_starts_hot(dispatches):
+    """Fused code that leaves a hot block at an escape arm returns to the
+    engine mid-block; the block entered there is as hot as the one that
+    escaped, so it runs fused from its first dispatch instead of counting
+    down list dispatches of its own."""
+    _PLAN_TABLES.clear()
+    program = assemble(ESCAPE, ISA_THUMB2, base=FLASH_BASE)
+    main = program.symbols["main"]
+    machine = build_cortexm3(program)
+    for _ in range(superblock.FUSE_THRESHOLD):
+        machine.call("main", main)
+    plan = machine.cpu._plan
+    exit_pc = main + 4  # after the load
+    assert plan.exits == {exit_pc} and exit_pc not in plan.blocks
+    lists, fused = dispatches("list"), dispatches("fused")
+    machine.call("main", main)
+    assert (dispatches("list"), dispatches("fused")) == (lists, fused + 2)
+    assert plan.blocks[exit_pc].countdown == 0
+    assert exit_pc in _fused(machine.cpu)
+    reference = build_cortexm3(program)
+    reference.cpu.fastpath = False
+    for _ in range(superblock.FUSE_THRESHOLD + 1):
+        reference.call("main", main)
+    assert _state(machine) == _state(reference)
 
 
 def test_kernel_cells_share_one_program_per_configuration(monkeypatch, tmp_path):

@@ -981,7 +981,7 @@ def test_hot_superblocks_fuse():
     machine = _build_machine(ISA_THUMB2, RECORDED_SOURCE)
     machine.call("main", SRAM_BASE)
     blocks = machine.cpu._sb_blocks.values()
-    assert any(entry[3] is not None for entry in blocks), \
+    assert any(entry[2] is not None for entry in blocks), \
         "no superblock was fused on a 40-iteration loop"
 
 
@@ -994,8 +994,8 @@ def test_call_and_cycle_ladder_share_one_engine():
     same objects."""
 
     def fused_blocks(cpu) -> dict:
-        return {pc: entry[3] for pc, entry in cpu._sb_blocks.items()
-                if entry[3] is not None}
+        return {pc: entry[2] for pc, entry in cpu._sb_blocks.items()
+                if entry[2] is not None}
 
     def drive(fastpath: bool):
         machine = _build_machine(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE,
@@ -1172,7 +1172,7 @@ def test_fused_cached_fetch_after_upsets_matches_reference():
                                       lambda: flip_data(loop)), start=1):
             cpu.run_until_cycle(3000 * rung)
             fused.append(loop in cpu._sb_blocks
-                         and cpu._sb_blocks[loop][3] is not None)
+                         and cpu._sb_blocks[loop][2] is not None)
             upset()
         assert cpu.regs.pc // 4 != loop // 4
         cpu.run()
@@ -1220,13 +1220,81 @@ def test_fused_fetches_that_miss_match_reference():
         machine.call("main", 0, trips)
         if fastpath:
             loop = cpu.program.symbols["loop"]
-            assert cpu._sb_blocks[loop][3] is not None, "the loop never fused"
+            assert cpu._sb_blocks[loop][2] is not None, "the loop never fused"
         states.append(_state(machine))
     trace, reference = states
     assert trace == reference
     assert trace["regs"][2] == trips
     icache = dict(trace["caches"][0][0])  # the I-cache's statistics
     assert icache["misses"] > trips
+
+
+#: a fused ARM1156 loop whose trace leaves its head's I-cache line A by a
+#: goto to a 32-bit ``b.w`` that straddles lines B and B + 1, which gotos
+#: back into line A (``tail``); its back-edge ends line A, so the code
+#: after the loop starts a fourth line
+LINE_RUN_STRADDLE_SOURCE = """
+main:
+    movs r2, #0
+    b loop
+    .align 32
+loop:
+    adds r2, r2, #1
+    b far
+tail:
+    cmp r2, r1
+""" + "    nop\n" * 12 + """edge:
+    bne loop
+    bx lr
+    .align 32
+    .space 30
+far:
+    b.w tail
+"""
+
+
+def test_line_run_ends_at_a_straddling_fetch():
+    """A line run never survives a thunk fetch.  The fused loop fetches
+    ``adds`` and ``b far`` in line A, then the straddling ``b.w`` through
+    its thunk, then ``cmp`` back in line A.  On a 1-set, 1-way I-cache
+    the straddle evicts A, so that fetch must scan and miss; a run kept
+    across the thunk would count a hit on the evicted line (and move the
+    miss to the next iteration's head, but not past the loop's exit).
+    The full state, both caches included, equals the reference's."""
+    trips = 60
+    states = []
+    for fastpath in (True, False):
+        machine = _build_machine(ISA_THUMB2, LINE_RUN_STRADDLE_SOURCE,
+                                 core="arm1156-thrash")
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        symbols = cpu.program.symbols
+        line = machine.icache.line_bytes
+        assert symbols["loop"] % line == 0
+        assert symbols["edge"] == symbols["loop"] + line - 2
+        assert symbols["far"] % line == line - 2
+        assert cpu.program.instruction_at(symbols["far"]).size == 4
+        machine.call("main", 0, trips)
+        if fastpath:
+            assert cpu._sb_blocks[symbols["loop"]][2] is not None, \
+                "the loop never fused"
+        states.append(_state(machine))
+    trace, reference = states
+    assert trace == reference
+    assert trace["regs"][2] == trips
+    icache = dict(trace["caches"][0][0])  # the I-cache's statistics
+    assert icache["misses"] >= 3 * trips
+
+
+@pytest.mark.parametrize("core", ["", "arm1156"], ids=["m3", "arm1156"])
+def test_wide_branch_to_a_near_label(core):
+    """``b.w`` to a label a 16-bit B would reach keeps its 32-bit
+    encoding through layout, and both engines run it alike, fused too."""
+    source = "main:\n    b.w near\n    nop\nnear:\n    bx lr\n"
+    program = assemble(source, ISA_THUMB2, base=FLASH_BASE)
+    branch = program.instructions[0]
+    assert (branch.size, branch.target) == (4, program.symbols["near"])
+    assert_equivalent(ISA_THUMB2, source, core=core, calls=FUSE_THRESHOLD + 1)
 
 
 #: a loop whose word load straddles the D-cache line boundary at scratch
@@ -1299,7 +1367,7 @@ def _dcache_runs(source: str, trips: int, between=None) -> list[dict]:
         machine.call("main", SRAM_BASE, trips)
         if fastpath:
             loop = cpu.program.symbols["loop"]
-            assert cpu._sb_blocks[loop][3] is not None, "the loop never fused"
+            assert cpu._sb_blocks[loop][2] is not None, "the loop never fused"
         if between is not None:
             between(machine)
             machine.call("main", SRAM_BASE, trips)
@@ -1377,7 +1445,7 @@ def test_fused_asr_at_step_32_keeps_its_fetch_stall():
         for _ in range(FUSE_THRESHOLD + 1):
             machine.call("main", 0, 0, 1)
         main = machine.cpu.program.symbols["main"]
-        assert machine.cpu._sb_blocks[main][3] is not None, "main never fused"
+        assert machine.cpu._sb_blocks[main][2] is not None, "main never fused"
 
 
 def test_cond_checks_agree_with_condition_passed_exhaustively():

@@ -179,15 +179,17 @@ def _fault_record(kind: str, **params):
 
 
 @pytest.mark.parametrize("kind", FAULT_KINDS)
-def test_every_fault_kind_verifies_with_its_specified_verdicts(kind):
+def test_every_fault_kind_verifies_with_its_specified_verdicts(kind, dispatches):
+    before = dispatches("fused")
     record = _fault_record(kind)
+    # the guest actually ran fused code (an engine count, not a record field)
+    assert dispatches("fused") > before
     assert record.domain == "vehicle_fault"
     assert record.fault_kind == kind
     assert record.verified, (record.verdicts, record.expected)
     assert record.expected == EXPECTED_BY_KIND[kind]
     assert set(record.verdicts) == set(VERDICT_CLAIMS)
     assert record.twin_healthy and record.twin_bound_violations == 0
-    assert record.fused_blocks > 0
     assert record.fault_start_us < record.fault_end_us <= record.horizon_us
 
 

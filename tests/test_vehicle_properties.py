@@ -203,7 +203,7 @@ def test_quantum_edges_exact_under_starved_cycle_cap(monkeypatch):
     every quantum edge - and the co-simulated network must not move by a
     byte.  This pins the contract that the cap only ever trades fused
     dispatch for slack, never correctness."""
-    from repro.core.cpu import BaseCpu
+    from repro.core.cpu import _PLAN_TABLES, BaseCpu
     from repro.vehicle.vehicle import _assemble_firmware
 
     reference = _body_fingerprint(200)
@@ -214,14 +214,17 @@ def test_quantum_edges_exact_under_starved_cycle_cap(monkeypatch):
         return 10**9
 
     monkeypatch.setattr(BaseCpu, "_block_cycle_cap", starved_cap)
-    # caps live in the engine plans of the memoised firmware Programs:
-    # fresh Programs make every cap come from the starved model, and
-    # dropping them afterwards keeps the starved caps from later tests
+    # caps live in engine plans, which every Program with the same
+    # instructions shares: fresh Programs over fresh plan tables make
+    # every cap come from the starved model, and dropping both afterwards
+    # keeps the starved caps from later tests
     _assemble_firmware.cache_clear()
+    _PLAN_TABLES.clear()
     try:
         assert _body_fingerprint(200) == reference
     finally:
         _assemble_firmware.cache_clear()
+        _PLAN_TABLES.clear()
     assert starved, "no block cap was computed under the starved model"
 
 
