@@ -70,29 +70,6 @@ class Arm1156Core(VicCore):
             return stalls
         return self.bus.fetch_stalls(addr, size)
 
-    @property
-    def _bus_fetch(self) -> bool:
-        # a plain bus delegation only when the I-cache is absent
-        return self.icache is None
-
-    def _fetch_port(self):
-        if self.icache is None:
-            return self.bus.fetch_stalls
-        icache_read = self.icache.read
-
-        def fetch(addr: int, size: int) -> int:
-            return icache_read(addr, size, "I")[1]
-        return fetch
-
-    def _fetch_thunk(self, address: int, size: int):
-        if self.icache is None:
-            return self.bus.fetch_thunk(address, size)
-        icache_read = self.icache.read
-
-        def thunk(addr=address, size=size):
-            return icache_read(addr, size, "I")[1]
-        return thunk
-
     def _data_inline_plan(self) -> str:
         # cpu.mpu is consulted per access, so an MPU attached after fusion
         # is honoured; with a D-cache, accesses take its clean path inline
@@ -100,9 +77,9 @@ class Arm1156Core(VicCore):
         return "mpu"
 
     def _fetch_cache(self):
-        # lets the fuser emit the cached fetch inline (hit/miss/parity
-        # accounting transcribed from Cache.read) instead of a per
-        # instruction closure-call thunk
+        # fetches read the I-cache when there is one (fetch_stalls), and
+        # the fuser emits that read inline (hit/miss/parity accounting
+        # transcribed from Cache.read)
         return self.icache
 
     def _data_cache(self):

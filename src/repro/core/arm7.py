@@ -31,8 +31,6 @@ class Arm7Core(VicCore):
     # ------------------------------------------------------------------
     # memory paths: one port, I and D interleave on the same devices
     # ------------------------------------------------------------------
-    _bus_fetch = True  # fetch_stalls is a plain bus delegation
-
     def fetch_stalls(self, addr: int, size: int) -> int:
         return self.bus.fetch_stalls(addr, size)
 

@@ -56,8 +56,6 @@ class CortexM3Core(BaseCpu):
     # ------------------------------------------------------------------
     # memory paths
     # ------------------------------------------------------------------
-    _bus_fetch = True  # fetch_stalls is a plain bus delegation
-
     def fetch_stalls(self, addr: int, size: int) -> int:
         return self.bus.fetch_stalls(addr, size)
 

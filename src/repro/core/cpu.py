@@ -108,7 +108,6 @@ alternate them freely.
 from __future__ import annotations
 
 import weakref
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from repro.isa.assembler import Program
@@ -148,10 +147,6 @@ _SB_INVALIDATED = obs.counter(
 
 #: Branching here halts the simulation (the reset value of LR).
 HALT_ADDRESS = 0xFFFFFFFE
-
-#: the interrupt controller of a core that declares none: nothing is
-#: ever queued, so its event horizon is always None
-_NO_CONTROLLER = SimpleNamespace(horizon=None)
 
 #: the cycle ceiling of an unbounded run(): past any reachable cycle count
 _NO_CEILING = 1 << 62
@@ -287,12 +282,13 @@ class BaseCpu:
     #: human-readable core name, overridden by subclasses
     name = "base"
 
-    #: the live interrupt controller, overridden as a property by cores:
-    #: the trace engine and fused loop guards read its ``horizon`` (the
-    #: earliest queued ``assert_cycle``, None when nothing is queued).  A
-    #: core that overrides check_interrupts() without declaring its
-    #: controller is polled before every instruction, as by ``step()``.
-    _irq_controller = _NO_CONTROLLER
+    @property
+    def _irq_controller(self):
+        """The live interrupt controller, which every core declares:
+        ``check_interrupts()`` polls it, and the trace engine and fused
+        loop guards read its ``horizon`` (the earliest queued
+        ``assert_cycle``, None when nothing is queued)."""
+        raise NotImplementedError
 
     #: the memory protection unit consulted on data accesses, or None
     mpu = None
@@ -557,40 +553,45 @@ class BaseCpu:
     def _split_block_ops(self) -> bool:
         return False
 
-    #: True on cores whose ``fetch_stalls`` is a plain delegation to
-    #: ``self.bus`` - the fetch hooks below then bind bus-level fast paths.
-    #: Cores that fetch through a cache leave it False (or override it as
-    #: a property) and supply their own ``_fetch_port``/``_fetch_thunk``.
-    _bus_fetch = False
-
     def _fetch_port(self):
         """The instruction-fetch callable bound into fast steps.
 
-        Binding the bus method directly (``_bus_fetch`` cores) shaves a
-        Python frame per executed instruction.  Must be timing- and
-        statistics-identical to :meth:`fetch_stalls`.
+        Without a fetch cache (:meth:`_fetch_cache`) the bus method itself
+        is bound, which shaves a Python frame per executed instruction.
+        Must be timing- and statistics-identical to :meth:`fetch_stalls`.
         """
-        if self._bus_fetch:
+        cache = self._fetch_cache()
+        if cache is None:
             return self.bus.fetch_stalls
-        return self.fetch_stalls
+        cache_read = cache.read
+
+        def fetch(addr: int, size: int) -> int:
+            return cache_read(addr, size, "I")[1]
+        return fetch
 
     def _fetch_thunk(self, address: int, size: int):
         """A zero-argument fetch closure prebound to one instruction
-        address (the device decode folded at bind time), or ``None`` when
-        the core has no such shortcut.  Must be timing- and
-        statistics-identical to ``fetch_stalls(address, size)``.
+        address (without a fetch cache, the device decode is folded at
+        bind time), or ``None`` when the address is not wholly inside one
+        bus device.  Must be timing- and statistics-identical to
+        ``fetch_stalls(address, size)``.
         """
-        if self._bus_fetch:
+        cache = self._fetch_cache()
+        if cache is None:
             return self.bus.fetch_thunk(address, size)
-        return None
+        cache_read = cache.read
+
+        def thunk(addr=address, size=size):
+            return cache_read(addr, size, "I")[1]
+        return thunk
 
     def _fetch_bus_device(self, address: int, size: int):
         """The bus device instruction fetches at ``address`` resolve to,
-        when the core's fetch path is the plain system bus; ``None`` when
-        fetches go elsewhere (caches) or the address is unmapped.  Lets
-        the superblock fuser inline fetch timing for known device types.
+        when the core has no fetch cache; ``None`` when fetches go through
+        a cache or the address is unmapped.  Lets the superblock fuser
+        inline fetch timing for known device types.
         """
-        if self._bus_fetch:
+        if self._fetch_cache() is None:
             device = self.bus._lookup(address)
             if device is not None and address + size <= device.base + device.size:
                 return device
@@ -622,10 +623,12 @@ class BaseCpu:
     def _fetch_cache(self):
         """The instruction cache fetches go through, or ``None``.
 
-        Cores whose ``fetch_stalls`` is a :class:`~repro.memory.cache.Cache`
-        read return it here so the superblock fuser can emit the cached
-        fetch (hit/miss/parity/LRU accounting) as raw statements instead of
-        a per-instruction closure call.
+        A core fetches either through this :class:`~repro.memory.cache.Cache`
+        (its ``fetch_stalls`` is the cache's read) or, without one, straight
+        from ``self.bus`` (its ``fetch_stalls`` is the bus's); the fetch
+        hooks above bind accordingly.  With a cache, the superblock fuser
+        emits the cached fetch (hit/miss/parity/LRU accounting) as raw
+        statements instead of a per-instruction closure call.
         """
         return None
 
@@ -871,10 +874,6 @@ class BaseCpu:
         # honoured; raise_irq() moves this same object's horizon, so
         # storms raised mid-run (or from handlers) stay visible
         irq = self._irq_controller
-        # unknown interrupt scheme (override without a declared
-        # controller): poll unconditionally, as the reference loop does
-        poll_always = (irq is _NO_CONTROLLER
-                       and type(self).check_interrupts is not BaseCpu.check_interrupts)
         if self._sb_bound_controller is not irq:
             # fused loop guards bind the controller at fuse time: blocks
             # fused over another controller are stale
@@ -896,12 +895,11 @@ class BaseCpu:
                 step()
                 continue
             horizon = irq.horizon
-            if poll_always or (horizon is not None and self.cycles >= horizon):
-                # an interrupt may be eligible right now (or an undeclared
-                # controller needs polling): poll, then one bound micro-op
-                # (no defer re-check after the poll - the reference loop
-                # executes the instruction at the post-entry PC within the
-                # same step)
+            if horizon is not None and self.cycles >= horizon:
+                # an interrupt may be eligible right now: poll, then one
+                # bound micro-op (no defer re-check after the poll - the
+                # reference loop executes the instruction at the post-entry
+                # PC within the same step)
                 check_interrupts()
                 if self.halted:
                     break

@@ -55,8 +55,11 @@ class RecordCache:
         fields = payload.get("record")
         try:
             record = record_class_for(payload.get("domain", ""))(**fields)
-        except (KeyError, TypeError):
-            self.misses += 1  # stale schema: recompute and overwrite
+        except (KeyError, TypeError, ValueError):
+            # stale schema (an unknown domain, missing or unknown fields,
+            # or field content the record class rejects): recompute and
+            # overwrite
+            self.misses += 1
             return None
         self.hits += 1
         return record

@@ -1,4 +1,4 @@
-"""Scenario-domain registry: pluggable build -> run -> record families.
+"""Scenario domains: build -> run -> record families, loaded on first use.
 
 A *scenario domain* is one family of campaign cells - CPU kernels, OSEK
 task sets, CAN traffic matrices, soft-error sweeps - behind a common
@@ -16,19 +16,25 @@ shard, and stream any mix of them:
   because that is the one status that must ride the stream);
 * ``run(spec)`` is build + execute (the campaign worker entry).
 
-Domains register here by name; :func:`record_class_for` lets the stream
-reader rebuild the right record type from a JSONL line's ``domain`` tag.
-Third-party domains can call :func:`register_domain` themselves - nothing
-in the runner is specific to the four built-ins.
+The domains are one static table of names.  A domain is a name in
+``_DOMAINS`` plus a module ``repro.sim.domains.<name>`` that defines
+``DOMAIN``; :func:`get_domain` imports that module the first time a cell
+of its domain runs, so a process pays only for the domains it runs.
+Names arrive from outside the program (stream lines, cache files, specs
+on the wire); one that is not in the table raises ``KeyError`` and is
+never imported.  :func:`record_class_for` lets the stream reader rebuild
+the right record type from a JSONL line's ``domain`` tag.
 """
 
 from __future__ import annotations
+
+import importlib
 
 
 class ScenarioDomain:
     """Base contract for one scenario family (build -> run -> record)."""
 
-    #: registry name; also the ``domain`` field on specs and records
+    #: table name; also the ``domain`` field on specs and records
     name: str = ""
     #: the record dataclass this domain produces (stream reconstruction)
     record_class: type | None = None
@@ -46,93 +52,37 @@ class ScenarioDomain:
         return self.execute(spec, self.build(spec))
 
 
-_REGISTRY: dict[str, ScenarioDomain] = {}
-
-
-def _check_record_contract(name: str, record_class: type) -> None:
-    """Record classes must expose the typed accessors the service and
-    stream readers rely on.  ``hasattr`` sees properties on the class
-    without instantiating, so field-less contracts validate for free."""
-    for accessor in ("status", "verified"):
-        if not hasattr(record_class, accessor):
-            raise ValueError(
-                f"record class {record_class.__name__!r} for {name!r} "
-                f"must define a {accessor!r} property (or field)")
-
-
-def register_domain(domain: ScenarioDomain) -> ScenarioDomain:
-    """Add a domain to the registry (name must be new and non-empty)."""
-    if not domain.name:
-        raise ValueError("scenario domain needs a non-empty name")
-    if domain.record_class is None:
-        raise ValueError(f"domain {domain.name!r} needs a record_class")
-    if domain.name in _REGISTRY:
-        raise ValueError(f"scenario domain {domain.name!r} already registered")
-    _check_record_contract(domain.name, domain.record_class)
-    _REGISTRY[domain.name] = domain
-    return domain
+#: every scenario domain, sorted: each name is a module of this package
+_DOMAINS = ("can", "kernel", "lin", "osek", "soft_error", "vehicle", "vehicle_fault", "wcet")
 
 
 def get_domain(name: str) -> ScenarioDomain:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario domain {name!r}; "
-                       f"registered: {', '.join(domain_names())}") from None
+    """The domain called ``name``, its module imported on first use."""
+    if name not in _DOMAINS:
+        raise KeyError(f"unknown scenario domain {name!r}; registered: {', '.join(_DOMAINS)}")
+    return importlib.import_module(f"{__name__}.{name}").DOMAIN
 
 
-def domain_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-#: record classes with no runnable domain behind them (e.g. the campaign
-#: service's per-cell ``cell_error`` records): the stream reader must
-#: rebuild them, but no spec may name them as a scenario family
-_RECORD_ONLY: dict[str, type] = {}
-
-
-def register_record_class(name: str, record_class: type) -> None:
-    """Register a stream-reconstructible record with no scenario domain."""
-    if not name:
-        raise ValueError("record class registration needs a non-empty name")
-    if name in _REGISTRY or name in _RECORD_ONLY:
-        raise ValueError(f"record domain {name!r} already registered")
-    _check_record_contract(name, record_class)
-    _RECORD_ONLY[name] = record_class
+def domain_names() -> tuple[str, ...]:
+    return _DOMAINS
 
 
 def record_class_for(name: str) -> type:
-    if name in _RECORD_ONLY:
-        return _RECORD_ONLY[name]
+    """The record class a stream line or cache file tagged ``name`` holds.
+
+    ``cell_error`` is the service's per-cell failure record: it rides the
+    same streams as domain records, but no spec can name it, so it has
+    no domain behind it.
+    """
+    if name == "cell_error":
+        from repro.sim.campaign import CellErrorRecord
+
+        return CellErrorRecord
     return get_domain(name).record_class
 
 
-# Built-in domains register on import (import order is alphabetical-ish
-# but irrelevant: registration is name-keyed and side-effect free).
-from repro.sim.domains import can as _can            # noqa: E402
-from repro.sim.domains import kernel as _kernel      # noqa: E402
-from repro.sim.domains import lin as _lin            # noqa: E402
-from repro.sim.domains import osek as _osek          # noqa: E402
-from repro.sim.domains import soft_error as _soft    # noqa: E402
-from repro.sim.domains import vehicle as _vehicle    # noqa: E402
-from repro.sim.domains import vehicle_fault as _vfault  # noqa: E402
-from repro.sim.domains import wcet as _wcet          # noqa: E402
-
-for _module in (_kernel, _osek, _can, _soft, _vehicle, _lin, _wcet,
-                _vfault):
-    register_domain(_module.DOMAIN)
-
-# The service's per-cell failure records ride the same streams as domain
-# records (same JSONL framing, same ``domain`` tag dispatch) but no spec
-# can name them: record-only registration.
-from repro.sim.campaign import CellErrorRecord as _cell_error  # noqa: E402
-
-register_record_class("cell_error", _cell_error)
-
 __all__ = [
     "ScenarioDomain",
-    "register_domain",
-    "register_record_class",
     "get_domain",
     "domain_names",
     "record_class_for",

@@ -20,68 +20,12 @@ than silently mis-executing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.codegen import IrBuilder
+from repro.core import SRAM_BASE
 from repro.sim.campaign import IRQ_COUNTER_OFFSET, ScenarioRecord
 from repro.sim.domains import ScenarioDomain
-
-
-@dataclass
-class KernelOutcome:
-    """One verified machine execution (shared with the soft_error domain)."""
-
-    result: int
-    expected: int
-    cycles: int
-    instructions: int
-    code_bytes: int
-    total_bytes: int
-    machine: object
-    program: object
-    data: bytes
-
-
-def _run_compiled(core: str, program, workload, seed: int,
-                  scale: int, machine_kwargs: tuple = (),
-                  fastpath: bool = True, data: bytes | None = None,
-                  before_call=None) -> KernelOutcome:
-    """The one compile-free half of the kernel pipeline: build a machine
-    for an already-compiled program, load the seeded input exactly as the
-    Table 1 harness does (one memoised input and reference answer per
-    kernel, seed and scale: :func:`~repro.workloads.harness.seeded_input`),
-    run the kernel's entry (its workload name), and verify against the
-    pure-Python reference.
-
-    ``data`` overrides the seeded input blob (same length) - the
-    soft_error domain uses this to run the CPU on an upset-corrupted
-    image while ``expected`` still reflects the loaded bytes (the
-    reference is computed for that image).
-    ``before_call(machine)`` runs after loading, before execution (the
-    kernel domain schedules its IRQ storm there).
-    """
-    from repro.core import SRAM_BASE, build_machine
-    from repro.workloads.harness import seeded_input
-
-    machine = build_machine(core, program, **dict(machine_kwargs))
-    machine.cpu.fastpath = fastpath
-    prepared, expected = seeded_input(workload, seed, scale)
-    blob = prepared.data if data is None else data
-    if len(blob) != len(prepared.data):
-        raise ValueError("data override must match the seeded input length")
-    machine.load_data(SRAM_BASE, blob)
-    if before_call is not None:
-        before_call(machine)
-    result = machine.call(workload.name, *prepared.args(SRAM_BASE))
-    if data is not None:
-        expected = workload.reference(blob, *prepared.args(0))
-    return KernelOutcome(
-        result=result, expected=expected,
-        cycles=machine.cpu.cycles,
-        instructions=machine.cpu.instructions_executed,
-        code_bytes=program.code_bytes,
-        total_bytes=program.code_bytes + program.literal_bytes,
-        machine=machine, program=program, data=blob,
-    )
+from repro.workloads.harness import KernelOutcome, compiled_kernel, run_compiled
+from repro.workloads.kernels import WORKLOADS_BY_NAME
 
 
 def execute_workload(core: str, isa: str, workload_name: str, seed: int,
@@ -90,25 +34,18 @@ def execute_workload(core: str, isa: str, workload_name: str, seed: int,
                      data: bytes | None = None) -> KernelOutcome:
     """Compile (once per process) and run one AutoIndy kernel on a real
     core model."""
-    # Imports are local so the module stays import-light for worker spawn.
-    from repro.workloads.harness import compiled_kernel
-    from repro.workloads.kernels import WORKLOADS_BY_NAME
-
     if workload_name not in WORKLOADS_BY_NAME:
         raise KeyError(f"unknown workload {workload_name!r}")
     workload = WORKLOADS_BY_NAME[workload_name]
     program = compiled_kernel(workload, isa)
-    return _run_compiled(core, program, workload, seed, scale,
-                         machine_kwargs=machine_kwargs, fastpath=fastpath,
-                         data=data)
+    return run_compiled(core, program, workload, seed, scale,
+                        machine_kwargs=machine_kwargs, fastpath=fastpath,
+                        data=data)
 
 
 def _build_irq_tick():
     """A compiled handler: bump a counter word.  Safe to enter from any
     kernel instruction *on the Cortex-M3 only* (hardware stacking)."""
-    from repro.codegen import IrBuilder
-    from repro.core import SRAM_BASE
-
     b = IrBuilder("irq_tick", num_params=0)
     addr = b.const(SRAM_BASE + IRQ_COUNTER_OFFSET)
     b.store(b.add(b.load(addr, 0), 1), addr, 0)
@@ -123,9 +60,6 @@ class KernelDomain(ScenarioDomain):
     record_class = ScenarioRecord
 
     def build(self, spec):
-        from repro.workloads.harness import compiled_kernel
-        from repro.workloads.kernels import WORKLOADS_BY_NAME
-
         if not (spec.core and spec.isa and spec.workload):
             raise ValueError(
                 f"kernel domain needs core/isa/workload, got {spec!r}")
@@ -140,8 +74,6 @@ class KernelDomain(ScenarioDomain):
         return workload, compiled_kernel(workload, spec.isa, handler)
 
     def execute(self, spec, built):
-        from repro.core import SRAM_BASE
-
         workload, program = built
 
         def schedule_storm(machine) -> None:
@@ -156,11 +88,11 @@ class KernelDomain(ScenarioDomain):
         # campaign over the same matrix reproduces run_kernel()
         # cycle-for-cycle; the scenario-private stream (spec.rng) drives
         # the stochastic extras.
-        outcome = _run_compiled(spec.core, program, workload,
-                                spec.seed, spec.scale,
-                                machine_kwargs=spec.machine_kwargs,
-                                fastpath=spec.fastpath,
-                                before_call=schedule_storm)
+        outcome = run_compiled(spec.core, program, workload,
+                               spec.seed, spec.scale,
+                               machine_kwargs=spec.machine_kwargs,
+                               fastpath=spec.fastpath,
+                               before_call=schedule_storm)
 
         serviced = tail_chained = irq_ticks = 0
         if spec.interrupts is not None:

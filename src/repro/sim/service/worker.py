@@ -61,10 +61,11 @@ def main() -> int:
             stdout.write(frame)
             stdout.flush()
 
-    # These are light imports (the heavy domain modules load lazily
-    # inside run_scenario, under the first cell's heartbeat cover);
-    # the ready frame tells the supervisor to drop its spawn grace and
-    # hold this worker to the normal liveness window.
+    # These are light imports: each domain module loads on the first
+    # cell of its domain (get_domain, inside run_scenario), under that
+    # cell's heartbeat cover, so a worker pays only for the domains it
+    # runs.  The ready frame tells the supervisor to drop its spawn grace
+    # and hold this worker to the normal liveness window.
     from repro.sim.campaign import run_scenario
     from repro.sim.campaign.request import record_to_obj, spec_from_obj
 

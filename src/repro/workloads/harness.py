@@ -10,7 +10,10 @@ across the suite (clock frequency divides out, exactly as in GM/MHz).
 Two memos make a campaign's many cells share what does not depend on the
 core: :func:`compiled_kernel` (one Program per kernel, ISA and build
 options) and :func:`seeded_input` (one input and reference answer per
-kernel, seed and scale).  Both are bounded and per process.
+kernel, seed and scale).  Both are bounded and per process.  One runner,
+:func:`run_compiled`, puts a compiled kernel on any of the three cores:
+:func:`run_kernel` (and with it measured WCETs), the kernel domain and
+the soft-error domain all execute through it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.codegen import compile_program
-from repro.core import FLASH_BASE, SRAM_BASE, build_arm7, build_cortexm3
+from repro.core import FLASH_BASE, SRAM_BASE
 from repro.isa import ISA_ARM, ISA_THUMB, ISA_THUMB2, Program
 from repro.sim.rng import DeterministicRng
 from repro.workloads.kernels import AUTOINDY_SUITE, Workload, WorkloadInput
@@ -127,12 +130,61 @@ def seeded_input(workload: Workload, seed: int,
     return prepared, workload.reference(prepared.data, *prepared.args(0))
 
 
-def _build_machine(core: str, program, **kwargs):
-    if core == "arm7":
-        return build_arm7(program, **kwargs)
-    if core in ("m3", "cortex-m3"):
-        return build_cortexm3(program, **kwargs)
-    raise ValueError(f"unknown core {core!r}")
+@dataclass
+class KernelOutcome:
+    """One verified machine execution, with the machine that ran it."""
+
+    result: int
+    expected: int
+    cycles: int
+    instructions: int
+    code_bytes: int
+    total_bytes: int
+    machine: object
+    program: object
+    data: bytes
+
+
+def run_compiled(core: str, program: Program, workload: Workload, seed: int,
+                 scale: int, machine_kwargs=(), fastpath: bool = True,
+                 data: bytes | None = None, before_call=None) -> KernelOutcome:
+    """The one kernel runner: build a machine for an already-compiled
+    program (any core :func:`~repro.core.build_machine` knows), load the
+    seeded input (:func:`seeded_input`), run the kernel's entry (its
+    workload name), and verify against the pure-Python reference.
+
+    ``machine_kwargs`` are the machine builder's options, as a mapping or
+    as ``(name, value)`` pairs.  ``data`` overrides the seeded input blob
+    (same length) - the soft_error domain uses this to run the CPU on an
+    upset-corrupted image while ``expected`` still reflects the loaded
+    bytes (the reference is computed for that image).
+    ``before_call(machine)`` runs after loading, before execution (the
+    kernel domain schedules its IRQ storm there).
+    """
+    # looked up per call, so a wrapper installed on
+    # repro.core.build_machine sees every kernel machine
+    from repro.core import build_machine
+
+    machine = build_machine(core, program, **dict(machine_kwargs))
+    machine.cpu.fastpath = fastpath
+    prepared, expected = seeded_input(workload, seed, scale)
+    blob = prepared.data if data is None else data
+    if len(blob) != len(prepared.data):
+        raise ValueError("data override must match the seeded input length")
+    machine.load_data(SRAM_BASE, blob)
+    if before_call is not None:
+        before_call(machine)
+    result = machine.call(workload.name, *prepared.args(SRAM_BASE))
+    if data is not None:
+        expected = workload.reference(blob, *prepared.args(0))
+    return KernelOutcome(
+        result=result, expected=expected,
+        cycles=machine.cpu.cycles,
+        instructions=machine.cpu.instructions_executed,
+        code_bytes=program.code_bytes,
+        total_bytes=program.code_bytes + program.literal_bytes,
+        machine=machine, program=program, data=blob,
+    )
 
 
 def run_kernel(workload: Workload, core: str, isa: str, seed: int = 2005,
@@ -141,17 +193,13 @@ def run_kernel(workload: Workload, core: str, isa: str, seed: int = 2005,
     """Compile, execute, and verify one kernel on one configuration."""
     program = compiled_kernel(
         workload, isa, backend_options=tuple(sorted((backend_options or {}).items())))
-    machine = _build_machine(core, program, **(machine_kwargs or {}))
-    prepared, expected = seeded_input(workload, seed, scale)
-    machine.load_data(SRAM_BASE, prepared.data)
-    result = machine.call(workload.name, *prepared.args(SRAM_BASE))
+    outcome = run_compiled(core, program, workload, seed, scale,
+                           machine_kwargs=machine_kwargs or ())
     return KernelRun(
         workload=workload.name, isa=isa, core=core,
-        result=result, expected=expected,
-        cycles=machine.cpu.cycles,
-        instructions=machine.cpu.instructions_executed,
-        code_bytes=program.code_bytes,
-        total_bytes=program.code_bytes + program.literal_bytes,
+        result=outcome.result, expected=outcome.expected,
+        cycles=outcome.cycles, instructions=outcome.instructions,
+        code_bytes=outcome.code_bytes, total_bytes=outcome.total_bytes,
     )
 
 

@@ -24,7 +24,7 @@ from repro.sim.campaign import (
     table1_matrix,
 )
 from repro.workloads import run_kernel, table1
-from repro.workloads.kernels import AUTOINDY_SUITE
+from repro.workloads.kernels import AUTOINDY_SUITE, WORKLOADS_BY_NAME
 
 
 def small_matrix() -> list[ScenarioSpec]:
@@ -62,13 +62,16 @@ def test_scenario_rng_is_pure_function_of_spec():
 
 
 def test_scenario_matches_harness_kernel_run():
-    """A campaign cell reproduces run_kernel() cycle-for-cycle."""
-    workload = AUTOINDY_SUITE[0]
-    reference = run_kernel(workload, "m3", "thumb2", seed=2005, scale=2)
-    record = run_scenario(ScenarioSpec(label="t", core="m3", isa="thumb2",
-                                       workload=workload.name,
-                                       seed=2005, scale=2))
-    assert record.to_kernel_run() == reference
+    """A campaign cell reproduces run_kernel() cycle-for-cycle.  The two
+    share one runner, so run_kernel() takes the ARM1156 too."""
+    for workload, core, scale in ((AUTOINDY_SUITE[0], "m3", 2),
+                                  (WORKLOADS_BY_NAME["tblook"], "arm1156", 1)):
+        reference = run_kernel(workload, core, "thumb2", seed=2005, scale=scale)
+        record = run_scenario(ScenarioSpec(label="t", core=core, isa="thumb2",
+                                           workload=workload.name,
+                                           seed=2005, scale=scale))
+        assert record.to_kernel_run() == reference
+        assert reference.verified
 
 
 def test_table1_parallel_equals_serial():
@@ -237,6 +240,25 @@ def test_record_cache_ignores_corrupt_and_foreign_files(tmp_path):
     cache.put(vehicle, record)
     assert "fused_blocks" not in path.read_text(encoding="utf-8")
     assert cache.get(vehicle) == record
+    # a fault record with every field, whose verdicts carry another set of
+    # claims (what a verdict schema change leaves behind): the record class
+    # rejects the content, so it is a miss too, recomputed and overwritten
+    from repro.sim.domains.vehicle_fault import vehicle_fault_matrix
+
+    fault = vehicle_fault_matrix(2005, 1)[0]
+    record = run_scenario(fault)
+    cache.put(fault, record)
+    path = cache.path_for(fault)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["record"]["verdicts"]["recovery"]
+    payload["record"]["verdicts"]["data_age"] = True
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    misses = cache.misses
+    assert cache.get(fault) is None
+    assert cache.misses == misses + 1
+    cache.put(fault, record)
+    assert "data_age" not in path.read_text(encoding="utf-8")
+    assert cache.get(fault) == record
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Scenario domains, shard determinism, and stream robustness.
 
-Covers the domain registry (osek / can / soft_error alongside kernel),
-the shard partitioning guarantee (concatenated shard streams are
+Covers the domain table (osek / can / soft_error alongside kernel, each
+imported on first use), the shard partitioning guarantee (concatenated shard streams are
 byte-identical to the unsharded stream, for arbitrary domain mixes and
 several shard counts), and ``read_campaign_stream`` failure modes
 (truncated trailing line, corrupt records, unknown domains).
@@ -10,6 +10,10 @@ several shard counts), and ``read_campaign_stream`` failure modes
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,20 +36,22 @@ from repro.sim.domains import (
     domain_names,
     get_domain,
     record_class_for,
-    register_domain,
 )
 
 
 # ----------------------------------------------------------------------
-# registry
+# the domain table
 # ----------------------------------------------------------------------
 
 def test_registry_knows_all_builtin_domains():
-    assert domain_names() == ["can", "kernel", "lin", "osek", "soft_error",
-                              "vehicle", "vehicle_fault", "wcet"]
+    assert domain_names() == ("can", "kernel", "lin", "osek", "soft_error",
+                              "vehicle", "vehicle_fault", "wcet")
     for name in domain_names():
         domain = get_domain(name)
+        assert isinstance(domain, ScenarioDomain)
+        assert domain is sys.modules[f"repro.sim.domains.{name}"].DOMAIN
         assert domain.name == name
+        assert domain.record_class is not None
         assert record_class_for(name) is domain.record_class
 
 
@@ -56,16 +62,52 @@ def test_unknown_domain_is_a_clear_error():
         run_scenario(ScenarioSpec(label="x", domain="bogus"))
 
 
-def test_register_domain_rejects_duplicates_and_incomplete():
-    class Dupe(ScenarioDomain):
-        name = "kernel"
-        record_class = dict
-    with pytest.raises(ValueError, match="already registered"):
-        register_domain(Dupe())
-    class Nameless(ScenarioDomain):
-        record_class = dict
-    with pytest.raises(ValueError, match="non-empty name"):
-        register_domain(Nameless())
+#: run in a fresh interpreter: look up the names given as arguments (each
+#: must raise KeyError), rebuild a ``cell_error`` record, run one kernel
+#: cell, and report what each step imported
+_IMPORT_PROBE = """
+import json, sys
+from repro.sim.campaign import ScenarioSpec, run_scenario
+from repro.sim.domains import get_domain, record_class_for
+
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    for lookup in (get_domain, record_class_for):
+        try:
+            lookup(name)
+        except KeyError:
+            continue
+        raise SystemExit(f"{lookup.__name__}({name!r}) did not raise KeyError")
+outside = sorted(set(sys.modules) - before)
+record_class_for("cell_error")
+after_cell_error = sorted(set(sys.modules) - before)
+record = run_scenario(ScenarioSpec(label="k", core="m3", isa="thumb2", workload="tblook"))
+print(json.dumps({"outside": outside, "cell_error": after_cell_error,
+                  "verified": record.verified, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_a_cell_imports_only_its_own_domain():
+    """Domains load on first use: a fresh process that runs one kernel
+    cell imports the kernel domain and no other, nor the vehicle, OSEK or
+    CAN stacks the other domains stand on.  A name from outside the table
+    is refused without importing anything, and rebuilding a
+    ``cell_error`` record imports nothing."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outside_names = ["", "os", "vehicle.firmware", "__init__"]
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *outside_names],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["outside"] == []
+    assert seen["cell_error"] == []
+    assert seen["verified"]
+    modules = seen["modules"]
+    assert [m for m in modules if m.startswith("repro.sim.domains.")] == [
+        "repro.sim.domains.kernel"]
+    for stack in ("repro.vehicle", "repro.rtos.kernel", "repro.network.can_bus"):
+        assert stack not in modules
 
 
 def test_spec_param_lookup():
@@ -420,15 +462,23 @@ def test_lin_domain_schedule_bounds_simulation():
 
 
 def test_wcet_domain_measures_executed_cycles():
-    spec = ScenarioSpec(label="wcet", domain="wcet", core="m3",
-                        isa="thumb2", workload="bitmnp", seed=3,
-                        params=(("samples", 3),))
-    record = run_scenario(spec)
-    assert record.domain == "wcet"
-    assert 0 < record.observed_min <= record.observed_max
-    assert record.wcet_cycles == int(record.observed_max * 1.2)
-    assert record.wcet_us >= 1
-    assert record.verified
+    """A WCET cell's estimate is the padded maximum of run_kernel() over
+    its sample seeds, on the cached ARM1156 as on the M3."""
+    from repro.workloads import WORKLOADS_BY_NAME, run_kernel
+
+    for core, workload in (("m3", "bitmnp"), ("arm1156", "tblook")):
+        spec = ScenarioSpec(label="wcet", domain="wcet", core=core,
+                            isa="thumb2", workload=workload, seed=3,
+                            params=(("samples", 3),))
+        record = run_scenario(spec)
+        cycles = [run_kernel(WORKLOADS_BY_NAME[workload], core, "thumb2",
+                             seed=seed).cycles for seed in range(record.samples)]
+        assert record.domain == "wcet"
+        assert (record.observed_min, record.observed_max) == (min(cycles), max(cycles))
+        assert 0 < record.observed_min <= record.observed_max
+        assert record.wcet_cycles == int(record.observed_max * 1.2)
+        assert record.wcet_us >= 1
+        assert record.verified
 
 
 def test_wcet_domain_requires_cpu_fields():
