@@ -39,13 +39,17 @@ both on randomised programs, and the golden corpus pins both:
   superblock as one dispatch with no per-step interrupt poll.  List, step
   and poll dispatch run the same bound step for an instruction, and fused
   code calls it where it has no inline form.  Hot superblocks are *fused*
-  into single generated code objects (:mod:`repro.core.superblock`); a
-  fused block ending in a loop *back-edge* loops inside the generated code
-  under an inline guard, so a whole loop iteration is one generated
-  function executed N times with zero engine dispatch between iterations.
-  Superblocks are built lazily per entry address (a branch target
-  mid-block simply starts its own block).  A program is immutable once
-  assembled, so its micro-op table and engine plans are never rebuilt.
+  into single generated code objects (:mod:`repro.core.superblock`), and
+  the blocks of a hot loop into one: a *loop region* (:class:`Region`,
+  :func:`loop_regions`) holds the blocks whose heads lie in a natural
+  loop's address range, and a member's exit to another member - the
+  back-edge, either arm of a branch inside the loop, a switch's case -
+  continues inside the generated function under the checks this loop
+  would make, so a loop with branches runs whole iterations with zero
+  engine dispatch between them.  Superblocks are built lazily per entry
+  address (a branch target mid-block simply starts its own block).  A
+  program is immutable once assembled, so its micro-op table and engine
+  plans are never rebuilt.
 
 Engine plans: what cores share and what each core owns
 ------------------------------------------------------
@@ -57,7 +61,8 @@ plan is keyed by every core or bus fact that block discovery, the cycle
 caps and the fused-code emitters read (:class:`PlanKey`, taken when the
 core's dispatch table is built), and holds, per entry pc, the block's
 micro-ops, its worst-case cycle cap, and - once any core has fused it -
-the compiled code with its binding recipe (:mod:`repro.core.superblock`).
+the compiled code with its binding recipe (:mod:`repro.core.superblock`),
+and the plan's loop regions, read from its instructions.
 Campaign cells build thousands of short-lived cores over a handful of
 programs, so a fresh core walks, caps and emits nothing a previous core
 with the same key already did.  A plan reads a program's instructions,
@@ -75,8 +80,9 @@ there starts hot (:attr:`EnginePlan.exits`).  Per core remain only what
 binds the plan over the core's own objects: the fused callables and the
 bound steps (one per instruction), each bound on first use - a block a
 core only ever runs fused binds just the steps its code calls
-(``S{i}``).  *When* a core fuses a block therefore depends on what ran
-earlier in the process, and so does every engine count
+(``S{i}``), and a region's function once for all its members.  *When* a
+core fuses a block therefore depends on what ran earlier in the process,
+and so does every engine count
 (``Ecu.fused_block_count``, blocks built, dispatches by mode); what the
 core computes does not.  Engine counts are introspection and telemetry,
 never part of a record.
@@ -89,16 +95,16 @@ horizon no controller poll can have an effect, so chained execution is
 unobservable: a superblock runs whole, from its step list or fused,
 whenever its worst-case cycle cap (:meth:`BaseCpu._block_cycle_cap`)
 ends it at or below the horizon - interrupts queued for later do not
-demote it - and a fused loop re-enters only while the horizon it started
-under is unchanged.  Once the horizon is reached the engine polls the
-controller and dispatches one bound micro-op per instruction, exactly
-like ``step()``.
+demote it - and a region enters another member only while the horizon it
+started under is unchanged and that member's cap fits the same way.  Once
+the horizon is reached the engine polls the controller and dispatches one
+bound micro-op per instruction, exactly like ``step()``.
 
 One dispatch loop serves both public entries.  :meth:`BaseCpu.run` runs
 to halt; :meth:`BaseCpu.run_until_cycle`, the **cycle-coupled** entry used
 by the multi-ECU co-simulation (:mod:`repro.vehicle`), stops at the first
 instruction boundary at or past a cycle ceiling.  The ceiling joins the
-event horizon in one dispatch limit, so fused loops keep looping between
+event horizon in one dispatch limit, so fused regions keep looping between
 bus events, and bounded runs compose exactly: any sequence of ceilings
 executes the same instruction stream as one run to the final ceiling.
 Both entries share the cached and fused superblocks, so a machine may
@@ -108,6 +114,7 @@ alternate them freely.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from repro.isa.assembler import Program
@@ -210,20 +217,100 @@ class PlanBlock:
     dispatches left, summed over every core of the plan, before the block
     is fused (:data:`~repro.core.superblock.FUSE_THRESHOLD` at first, 0
     for a block discovered at one of the plan's escape exits);
+    ``region`` the :class:`Region` whose member the block is, or None;
     ``code`` and ``recipe`` the fused function's code object and binding
     recipe, set by the core that fuses the block first
-    (:func:`~repro.core.superblock.fuse_block`).  Every core that enters
-    the block after that runs it fused from its first dispatch.
+    (:func:`~repro.core.superblock.fuse_block`) - on every member of a
+    region at once, since they share the region's code.  Every core that
+    enters the block after that runs it fused from its first dispatch.
     """
 
-    __slots__ = ("uops", "cap", "countdown", "code", "recipe")
+    __slots__ = ("uops", "cap", "countdown", "region", "code", "recipe")
 
     def __init__(self, uops: list) -> None:
         self.uops = uops
         self.cap: int | None = None
         self.countdown = FUSE_THRESHOLD
+        self.region: Region | None = None
         self.code = None
         self.recipe: tuple | None = None
+
+
+class Region:
+    """A hot loop's plan blocks, fused into one generated function.
+
+    ``members`` are the entry pcs of its blocks, ascending
+    (:func:`loop_regions`); ``blocks`` their :class:`PlanBlock`, each with
+    its cycle cap, gathered when the region is first fused.  The region's
+    function is emitted once per plan, when the first member's countdown
+    runs out, and its code and recipe are stored on every member's block.
+    A member's exit to another member continues inside the function
+    (:mod:`repro.core.superblock`).
+    """
+
+    __slots__ = ("members", "blocks")
+
+    def __init__(self, members: tuple) -> None:
+        self.members = members
+        self.blocks: list | None = None
+
+
+def _loop_heads(table: dict, addresses: list, start: int, end: int,
+                split_block_ops: bool) -> tuple:
+    """The member heads of the loop range ``[start, end]``: the loop head,
+    every direct-branch target of an instruction in the range that lies
+    in it, and the instruction after every non-chainable micro-op in it.
+    Under ``split_block_ops`` a block transfer heads no member, so
+    ``_fastpath_defer`` still screens it on every dispatch."""
+    heads = {start}
+    for address in addresses[bisect_left(addresses, start):
+                             bisect_right(addresses, end)]:
+        uop = table[address]
+        target = uop.branch_target
+        if target is not None and start <= target <= end:
+            heads.add(target)
+        if not uop.chainable and uop.next_pc <= end:
+            heads.add(uop.next_pc)
+    return tuple(sorted(
+        pc for pc in heads
+        if pc in table and not (split_block_ops and table[pc].is_block_op)))
+
+
+def loop_regions(table: dict, split_block_ops: bool, block_length,
+                 max_positions: int) -> dict[int, Region]:
+    """The :class:`Region` of each member pc of a program's micro-op table.
+
+    A natural loop is the address range from a direct ``B`` back-edge's
+    target to the branch.  Overlapping ranges merge, so an outer loop
+    holds its inner loops.  A region compiles every position of its
+    member blocks (``block_length(pc)`` micro-ops for the block entered at
+    member head ``pc``, :func:`_loop_heads`), and a merged range whose
+    blocks hold more than ``max_positions`` drops its outermost loop and
+    tries the loops inside it.  Everything here reads instructions and
+    the plan's own block discovery only, so every program that shares a
+    plan shares its regions.
+    """
+    addresses = sorted(table)
+    loops = sorted(((uop.branch_target, uop.address) for uop in table.values()
+                    if uop.is_back_edge and uop.branch_target in table),
+                   key=lambda loop: (loop[0], -loop[1]))
+    regions: dict[int, Region] = {}
+    index = 0
+    while index < len(loops):
+        start, end = loops[index]
+        merged = index + 1
+        while merged < len(loops) and loops[merged][0] <= end:
+            end = max(end, loops[merged][1])
+            merged += 1
+        heads = _loop_heads(table, addresses, start, end, split_block_ops)
+        if sum(map(block_length, heads)) > max_positions:
+            index += 1
+            continue
+        region = Region(heads)
+        for pc in heads:
+            regions[pc] = region
+        index = merged
+    return regions
 
 
 class EnginePlan:
@@ -233,14 +320,17 @@ class EnginePlan:
     ``exits`` are the pcs where the plan's fused code returns to the
     engine from an escape arm, mid-block (``repro.core.superblock``): the
     block entered there is as hot as the one that escaped, so a block
-    discovered at an exit starts with its countdown run out."""
+    discovered at an exit starts with its countdown run out.  ``regions``
+    maps each loop region member's pc to its :class:`Region`
+    (:func:`loop_regions`, read on the plan's first block discovery)."""
 
-    __slots__ = ("key", "blocks", "exits")
+    __slots__ = ("key", "blocks", "exits", "regions")
 
     def __init__(self, key: PlanKey) -> None:
         self.key = key
         self.blocks: dict[int, PlanBlock] = {}
         self.exits: set[int] = set()
+        self.regions: dict[int, Region] | None = None
 
 
 class _PlanTable(dict):
@@ -285,8 +375,8 @@ class BaseCpu:
     @property
     def _irq_controller(self):
         """The live interrupt controller, which every core declares:
-        ``check_interrupts()`` polls it, and the trace engine and fused
-        loop guards read its ``horizon`` (the earliest queued
+        ``check_interrupts()`` polls it, and the trace engine and region
+        transitions read its ``horizon`` (the earliest queued
         ``assert_cycle``, None when nothing is queued)."""
         raise NotImplementedError
 
@@ -331,11 +421,12 @@ class BaseCpu:
         #: the engine switch: the trace engine when True, the reference
         #: interpreter when False
         self.fastpath = True
-        #: instruction ceiling of the current run, read by fused loop
-        #: guards (set per run by _run_trace)
+        #: instruction ceiling of the current run, read by region
+        #: transitions (set per run by _run_trace)
         self._sb_limit = 0
-        #: cycle limit read by fused loop guards (set by _run_trace)
-        self._sb_cycle_limit = 0
+        #: the dispatch limit a fused call was entered under, read by
+        #: region transitions (set per fused dispatch by _run_trace)
+        self._sb_top = 0
         #: pc -> bound step (bound once, on first use); list, step and
         #: poll dispatch and fused code's fallback share them
         self._fast_table: dict | None = None
@@ -343,9 +434,11 @@ class BaseCpu:
         self._plan: EnginePlan | None = None
         #: entry pc -> [plan block, bound steps or None, fused or None]
         self._sb_blocks: dict[int, list] = {}
-        #: the interrupt controller fused blocks were bound over (loop
-        #: guards bind it at fuse time); a controller swap between runs
-        #: drops the fused blocks so they rebind
+        #: region -> its function bound over this core (one per region)
+        self._sb_regions: dict[Region, object] = {}
+        #: the interrupt controller fused code was bound over (region
+        #: transitions bind it at fuse time); a controller swap between
+        #: runs drops the fused blocks so they rebind
         self._sb_bound_controller = None
 
     # ------------------------------------------------------------------
@@ -709,32 +802,74 @@ class BaseCpu:
             fetch_cache=_geometry(self._fetch_cache()),
             data_cache=_geometry(self._data_cache()))
 
-    #: runaway guard for a single superblock (keeps lazy build bounded)
+    #: runaway guard for a single superblock (keeps lazy build bounded),
+    #: and the most positions one loop region compiles
     _SB_MAX_LEN = 128
 
     def _superblock_at(self, pc: int) -> list:
         """This core's entry for the superblock entered at ``pc``.
 
-        The block itself comes from the core's engine plan, discovered
-        there by the first core to enter it (:meth:`_discover_block`); a
-        block discovered at one of the plan's escape exits starts hot.
-        The entry is ``[block, steps, fused]``.  A block whose plan
-        countdown has run out is fused at once - bound from the plan's
-        code, emitted first if no core has yet (:mod:`repro.core.superblock`);
-        ``steps``, the core's bound steps for the list, step and
-        budget-prefix paths, wait for their first use (:meth:`_block_steps`).
+        The block itself comes from the core's engine plan
+        (:meth:`_plan_block`).  The entry is ``[block, steps, fused]``.  A
+        block whose plan countdown has run out is fused at once - bound
+        from the plan's code, emitted first if no core has yet
+        (:meth:`_fuse`); ``steps``, the core's bound steps for the list,
+        step and budget-prefix paths, wait for their first use
+        (:meth:`_block_steps`).
         """
-        plan = self._plan
-        block = plan.blocks.get(pc)
-        if block is None:
-            block = plan.blocks[pc] = self._discover_block(pc)
-            if pc in plan.exits:
-                block.countdown = 0
-        entry = [block, None,
-                 None if block.countdown > 0 else fuse_block(self, block)]
+        block = self._plan_block(pc)
+        entry = [block, None, None if block.countdown > 0 else self._fuse(block)]
         self._sb_blocks[pc] = entry
         _SB_BUILT.add()
         return entry
+
+    def _plan_block(self, pc: int) -> PlanBlock:
+        """The plan's block entered at ``pc``, discovered there by the
+        first core to enter it (:meth:`_discover_block`), with its loop
+        region (:func:`loop_regions`, read once per plan: a region
+        compiles no more positions than one superblock may hold).  A block
+        discovered at one of the plan's escape exits starts hot."""
+        plan = self._plan
+        block = plan.blocks.get(pc)
+        if block is None:
+            if plan.regions is None:
+                plan.regions = loop_regions(
+                    predecode(self.program), plan.key.split_block_ops,
+                    lambda head: len(self._discover_block(head).uops),
+                    self._SB_MAX_LEN)
+            block = plan.blocks[pc] = self._discover_block(pc)
+            block.region = plan.regions.get(pc)
+            if pc in plan.exits:
+                block.countdown = 0
+        return block
+
+    def _fuse(self, block: PlanBlock):
+        """``block``'s fused callable on this core
+        (:func:`~repro.core.superblock.fuse_block`).
+
+        A region member's callable is its region's, bound once per core
+        and installed in the entry of every member the core has built; a
+        member built later finds it here.  The region's first fusion in
+        the plan gathers every member's block and cycle cap, and runs
+        every member's countdown out.
+        """
+        region = block.region
+        if region is None:
+            return fuse_block(self, block)
+        fused = self._sb_regions.get(region)
+        if fused is None:
+            if region.blocks is None:
+                region.blocks = [self._plan_block(pc) for pc in region.members]
+                for member in region.blocks:
+                    member.countdown = 0
+                    if member.cap is None:
+                        member.cap = self._block_cycle_cap(member.uops)
+            fused = self._sb_regions[region] = fuse_block(self, block)
+            for pc in region.members:
+                entry = self._sb_blocks.get(pc)
+                if entry is not None:
+                    entry[2] = fused
+        return fused
 
     def _block_steps(self, entry: list) -> list:
         """``entry``'s bound steps, one per micro-op of its block, bound
@@ -850,21 +985,24 @@ class BaseCpu:
         ceiling ``until`` (the co-simulation quantum; unbounded runs use
         one past any reachable cycle) and the interrupt controller's event
         horizon.  A superblock runs whole - from its step list, or as
-        fused code, where a loop keeps iterating while its guard holds -
-        when its worst-case cycle cap fits under ``top``, whether or not
-        interrupts are queued.  In the last cap's worth of cycles before
-        ``top`` the engine dispatches steps with an exact cycle test,
-        which pins the stop point to the first instruction boundary at or
-        past ``until`` regardless of quantum splits or fusion state.  At
-        or past the horizon it polls and single-steps exactly like
-        ``step()`` until the queue drains or recedes into the future
-        again.  A bounded run also returns when the core goes to sleep;
-        an unbounded one ticks through WFI with ``step()``.
+        fused code - when its worst-case cycle cap fits under ``top``,
+        whether or not interrupts are queued.  Fused code of a loop region
+        reads ``top`` from ``_sb_top``, published here before each fused
+        call, and enters another member only under this loop's own tests
+        (the member's cap under ``top``, its length inside the budget, an
+        unchanged horizon, no halt, sleep or IT block), so it leaves the
+        machine wherever this loop would have.  In the last cap's worth of
+        cycles before ``top`` the engine dispatches steps with an exact
+        cycle test, which pins the stop point to the first instruction
+        boundary at or past ``until`` regardless of quantum splits or
+        fusion state.  At or past the horizon it polls and single-steps
+        exactly like ``step()`` until the queue drains or recedes into the
+        future again.  A bounded run also returns when the core goes to
+        sleep; an unbounded one ticks through WFI with ``step()``.
         """
         table = self._fast_dispatch_table()
-        # fused loop guards compare against the same ceilings this loop
-        # enforces, so a loop-fused block never overruns the budget the
-        # per-block dispatch would have respected
+        # region transitions check the same budget this loop enforces, so
+        # fused code never overruns what per-block dispatch would respect
         self._sb_limit = limit
         step, check_interrupts = self.step, self.check_interrupts
         defer = None
@@ -875,10 +1013,11 @@ class BaseCpu:
         # storms raised mid-run (or from handlers) stay visible
         irq = self._irq_controller
         if self._sb_bound_controller is not irq:
-            # fused loop guards bind the controller at fuse time: blocks
-            # fused over another controller are stale
+            # region transitions bind the controller at fuse time: code
+            # fused over another controller is stale
             if self._sb_blocks:
                 self._sb_blocks = {}
+                self._sb_regions = {}
                 _SB_INVALIDATED.add()
             self._sb_bound_controller = irq
         bounded = until is not None
@@ -919,14 +1058,15 @@ class BaseCpu:
                 cap = block.cap
                 if cap is None:
                     cap = block.cap = self._block_cycle_cap(block.uops)
-                # fused loop guards iterate only below this limit too
-                self._sb_cycle_limit = top - cap
-                if self.cycles <= self._sb_cycle_limit:
+                if self.cycles <= top - cap:
                     # the whole block ends at or below top: every
                     # instruction in it starts below the horizon, where a
                     # poll cannot take anything (see _block_cycle_cap)
                     fused = entry[2]
                     if fused is not None:
+                        # a region's transitions make this same test
+                        # against top before entering another member
+                        self._sb_top = top
                         fused()
                         _DISPATCH_FUSED.add()
                         continue
@@ -935,7 +1075,7 @@ class BaseCpu:
                     _DISPATCH_LIST.add()
                     block.countdown -= 1
                     if block.countdown <= 0:
-                        entry[2] = fuse_block(self, block)
+                        entry[2] = self._fuse(block)
                     continue
                 steps = self._block_steps(entry)
             else:
@@ -958,8 +1098,8 @@ class BaseCpu:
     def _block_cycle_cap(self, uops) -> int:
         """A sound worst-case cycle bound for one superblock execution.
 
-        The dispatch loop runs a whole block (or one more fused-loop
-        iteration) only from at or below ``top - cap``, with ``top`` the
+        The dispatch loop runs a whole block (and a region enters one as
+        a member) only from at or below ``top - cap``, with ``top`` the
         lower of the cycle ceiling and the interrupt event horizon, also
         while requests are queued.  The cap is therefore a correctness
         bound for interrupt timing, not only for the quantum: a shortfall

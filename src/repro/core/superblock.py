@@ -49,16 +49,28 @@ A position with no inline form (a predicated op with a dynamic cost, an
 ender the emitters do not cover) flushes the span and calls its bound
 step.
 
-A block terminated by a predictable taken branch - a loop *back-edge*
-whose target is the block's own head - does not end fusion at the
-branch.  The generated function wraps the body in a loop whose taken path
-revalidates the branch condition inline and re-enters the body directly,
-so a whole loop iteration is one code object executed N times under the
-interrupt event horizon; the guard falls back to the engine (bit-exactly,
-at an instruction boundary) on loop exit, when an interrupt is raised
-with an earlier assert cycle, one block cycle cap before the cycle
-ceiling or the horizon, and at the instruction budget
-(:func:`_loop_backedge`).
+Loop regions
+------------
+A hot loop runs as one generated function, a *region*
+(``repro.core.cpu.Region``): the plan blocks whose heads lie in a
+natural loop's address range, from a ``B`` back-edge's target to the
+branch - the loop head, every direct-branch target in the range, and the
+instruction after every non-chainable micro-op in it - with overlapping
+ranges merged (the outermost wins) while the member blocks hold no more
+positions than one superblock may (``BaseCpu._SB_MAX_LEN``).  A
+self-loop is the one-member region.  The function wraps its members in a
+``while True:`` that selects the member at ``pc`` (:func:`_emit_block`),
+and a member's exit to another member - a back-edge, either arm of a
+conditional branch, a fall-through into a head, or the pc an opaque
+ender (``S{i}()``, ``BR(...)``) left - is a *transition*
+(:func:`_transition`): it continues in place only under exactly the
+checks the engine's dispatch loop would make before running that member
+(the event horizon unchanged since entry, the member's cycle cap - a
+folded constant - under the dispatch limit the engine published, its
+length inside the instruction budget, and after an opaque ender a core
+neither halted nor asleep with no IT block queued).  Any other exit
+returns, bit-exactly at an instruction boundary, and so do escape arms.
+A block outside every region is fused alone and returns at its end.
 
 Bit-exactness contract
 ----------------------
@@ -100,8 +112,9 @@ found or filled (``_Names.line_run``).  Nothing between the two can have
 touched the I-cache: the other accesses go to the D-cache, a separate
 cache (the ARM1156 refuses a unified one), or to the bus, and no device
 reaches a cache.  These end a run: a bound-step call ``S{i}()`` (its fetch
-is opaque), a fetch that straddles a line (it calls the thunk), and the
-loop head, so each iteration of a fused loop opens with a scan.  Every
+is opaque), a fetch that straddles a line (it calls the thunk), and a
+region member's head, which other members enter, so each member opens
+with a scan (and with no flash stream state tracked).  Every
 fetch still tests that the cache is clean.  Every position of a core
 with an I-cache stays a barrier: its fetch calls out on a miss.
 
@@ -904,8 +917,9 @@ def _fetch(cpu, uop, index, ns, ftrack) -> dict:
     * ``cond``: the predicate expression, or None; ``base``: the cycles
       when the step executes (a branch: when taken), a constant or an
       expression; ``branches``: 1 for a taken branch;
-    * ``next_pc``: the PC after the step (None when the body writes it)
-      and ``fall``: the PC after a skip;
+    * ``next_pc``: the PC after the step (None when the body writes it),
+      ``fall``: the PC after a skip, and ``target``: for a taken branch
+      whose body writes the PC, that PC when it is a constant;
     * ``escape``: for a span member with a rare mediated arm, the entry
       that arm runs in place; ``barrier``: something in the step can
       raise or call out, or it is predicated, so it runs in place.
@@ -923,7 +937,7 @@ def _fetch(cpu, uop, index, ns, ftrack) -> dict:
         "pc": address, "fetch": [], "calls": False, "facc": None,
         "body": [], "flags": {}, "dacc": [], "cond": None, "base": 0,
         "branches": 0, "next_pc": uop.next_pc, "fall": uop.next_pc,
-        "escape": None, "barrier": False,
+        "target": None, "escape": None, "barrier": False,
     }
     device = cpu._fetch_bus_device(address, size)
     if device is not None and type(device) in (Sram, Flash):
@@ -1237,36 +1251,64 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
     return True
 
 
-def _branch_lines(cpu, ins) -> list[str] | None:
-    """The taken path of a block-ending branch, or None for a closure call.
+def _branch_lines(cpu, ins) -> tuple[list[str] | None, int | None]:
+    """The taken path of a block-ending branch, or None for a closure call,
+    and the pc it leaves the core at when that is a constant (else None).
 
     Covers exactly the shapes ``_compile_branch`` specialises (resolved
-    targets, register BX/BLX not via the PC).  The ``cpu.branch`` call is
+    targets, register BX/BLX not via the PC), and the table branches
+    (:func:`_table_branch_lines`).  The ``cpu.branch`` call is
     kept unless the core inlines a constant target: halt detection and
-    the cores' exception-return hooks live there.
+    the cores' exception-return hooks live there, so after the call the
+    pc is known only at run time.
     """
     op = ins.mnemonic
+    if op in ("TBB", "TBH"):
+        return _table_branch_lines(cpu, ins), None
     if op not in ("B", "BL", "BX", "BLX"):
-        return None
+        return None, None
     if op in ("BX", "BLX") and ins.rm is not None:
         if ins.rm == PC:
-            return None
+            return None, None
         if op == "BLX":
             # read the target before writing LR: `blx lr` must branch to
             # the OLD link register (same order as _compile_branch)
             return [f"t = rvals[{ins.rm}]",
                     f"rvals[14] = {(ins.address + ins.size) & MASK32}",
-                    "BR(t & ~1)"]
-        return [f"BR(rvals[{ins.rm}] & ~1)"]
+                    "BR(t & ~1)"], None
+        return [f"BR(rvals[{ins.rm}] & ~1)"], None
     if ins.target is None:
-        return None  # unresolved label: generic path raises
+        return None, None  # unresolved label: generic path raises
     lines = []
     if op == "BL":
         lines.append(f"rvals[14] = {(ins.address + ins.size) & MASK32}")
     elif op != "B":
-        return None  # BX/BLX without rm: fallback handler raises
+        return None, None  # BX/BLX without rm: fallback handler raises
     inline = cpu._branch_inline(ins.target)
-    return lines + (inline if inline is not None else [f"BR({ins.target})"])
+    if inline is None:
+        return lines + [f"BR({ins.target})"], None
+    return lines + inline, ins.target & MASK32
+
+
+def _table_branch_lines(cpu, ins) -> list[str] | None:
+    """A ``TBB``/``TBH`` table branch, as ``_exec_table_branch`` runs it:
+    the entry read mediated through ``cpu.read`` (``RD``; the MPU, the
+    data cache and every fault), then ``cpu.branch`` to the PC value plus
+    twice the entry.  The read leaves the bus's data-side span
+    (``SystemBus._span_d``, a decode cache) on the table's device - flash,
+    for a table in code - so the span it found is put back, and the case's
+    SRAM accesses still hit inline.  None for an index register that is
+    the PC."""
+    if ins.rn is None or ins.rm is None or ins.rm == PC:
+        return None
+    pc = (ins.address + (8 if cpu.program.isa == "arm" else 4)) & MASK32
+    base = str(pc) if ins.rn == PC else f"rvals[{ins.rn}]"
+    index = f"rvals[{ins.rm}]" if ins.mnemonic == "TBB" else f"rvals[{ins.rm}] * 2"
+    size = 1 if ins.mnemonic == "TBB" else 2
+    return ["cpu._data_stalls = 0", "sp = bus._span_d",
+            f"t = RD(({base} + {index}) & {MASK32}, {size})",
+            "bus._span_d = sp",
+            f"BR(({pc} + t * 2) & {MASK32})"]
 
 
 def _build_step(cpu, uop, index, ns, ftrack):
@@ -1276,7 +1318,8 @@ def _build_step(cpu, uop, index, ns, ftrack):
     A chainable micro-op gets its fetch, then its body: a load or store
     (:func:`_mem_step`), an inline data-processing form (:func:`_emit_exec`)
     or a call of its exec closure.  A block-ending branch gets its fetch
-    and its taken path (:func:`_branch_lines`).  The step *defers* into the
+    and its taken path (:func:`_branch_lines`); a table branch's path
+    reads its entry mediated (:func:`_table_branch_lines`).  The step *defers* into the
     current span when it is unpredicated, has a static cost, fetches
     without calling out, and nothing in its body can raise or call out
     (a taken branch only as a pure goto, whose PC write the span absorbs);
@@ -1294,7 +1337,7 @@ def _build_step(cpu, uop, index, ns, ftrack):
     else:
         # a branch executes taken: its cost is the taken cost, and a
         # skip's cost must be static too
-        taken_lines = _branch_lines(cpu, ins)
+        taken_lines, target = _branch_lines(cpu, ins)
         base = getattr(cycle_fn, "static_taken", None) if base is not None else None
         if taken_lines is None or base is None:
             return None
@@ -1304,12 +1347,14 @@ def _build_step(cpu, uop, index, ns, ftrack):
     if taken_lines is not None:
         # always bound: core inline forms route their rare arms through it
         ns.default("BR", "branch")
-        entry["branches"] = 1
+        entry.update(branches=1, target=target)
         if deferrable and taken_lines == [f"rvals[15] = {uop.branch_target}"]:
             # a pure goto: the span's PC chain continues at the target
             entry["next_pc"] = uop.branch_target
         else:
             entry.update(body=taken_lines, next_pc=None, barrier=True)
+        if ins.mnemonic in ("TBB", "TBH"):
+            entry["dacc"] = [_MEDIATED]  # the table read's stalls
         return entry
     # a predicated body may or may not run: it gets no static flash-state
     # folding (a throwaway tracker), and the device state is unknown after
@@ -1390,7 +1435,7 @@ def _in_place(entry, taken_tail=(), skip_tail=()) -> list[str]:
     faults sees its fetch accounted and nothing of its own.  A predicated
     step runs all of it only when its condition holds; skipped, it costs
     one cycle plus its fetch.  ``taken_tail`` and ``skip_tail`` end the two
-    arms (a loop back-edge's guard and its exit).
+    arms (a region member's transitions).
     """
     run = list(entry["body"])
     if entry["flags"]:
@@ -1495,73 +1540,126 @@ def _flush_span(span, lines, barrier=None) -> None:
     span.clear()
 
 
-def _backedge_eligible(cpu, uop, entry) -> bool:
-    """Whether the block's ender is a fusable loop back-edge: a direct
-    branch to the block's own head with a statically known cycle cost."""
-    if not uop.is_back_edge or uop.branch_target != entry:
-        return False
-    cycle_fn = cpu.compile_cycles(uop.ins)
-    return (getattr(cycle_fn, "static_base", None) is not None
-            and getattr(cycle_fn, "static_taken", None) is not None)
+def _transition(pc, heads: dict, multi: bool) -> list[str]:
+    """The end of a region member's arm that leaves the core at ``pc``: a
+    constant, or None when the arm's ender (``S{i}()``, ``BR(...)``) left
+    it in ``rvals[15]``.
 
-
-def _loop_backedge(cpu, step, entry, count) -> list[str]:
-    """A loop back-edge's step run in place, *continuing* the enclosing
-    while-loop.
-
-    The taken path does the branch's own bookkeeping, then revalidates
-    the conditions the engine's dispatch loop would have checked before
-    re-entering the block - PC really back at the head and not halted
-    (only when the real ``cpu.branch`` had to be called), the interrupt
-    controller's event horizon unchanged since the function was entered
-    (``h0``), one more full iteration under the dispatch limit
-    (``_sb_cycle_limit``, one block cycle cap below the lower of the cycle
-    ceiling and ``h0``), and one more full iteration inside the
-    instruction budget.  Only a request raised from inside the loop (an
-    MMIO doorbell) can move the horizon there: a request is removed only
-    by ``check_interrupts`` and exception return, and neither runs inside
-    fused code, so an earlier pending interrupt shows up as a changed
-    horizon.  When every guard holds the generated loop continues with
-    zero engine dispatch; otherwise - and when a predicated back-edge
-    falls through - the function returns with the machine exactly where
-    per-step execution would have left it, and the engine takes over.
+    The arm continues at the member entered there only under exactly the
+    checks the engine's dispatch loop would make before running that
+    member whole: the event horizon unchanged since the function was
+    entered (``h0``; only a request raised from inside the function, an
+    MMIO doorbell, can move it: requests leave the queue only through
+    ``check_interrupts`` and exception return, which fused code reaches
+    only through an opaque ender, and those are checked here too), the
+    member's cycle cap (a folded constant) ending at or below the
+    dispatch limit ``top`` the engine published, its length inside the
+    instruction budget ``lim``, and - after an opaque ender - the core
+    neither halted nor asleep, with no IT block queued.  Anything else
+    returns with the machine exactly where the engine takes over.
     """
-    recheck = []
-    if cpu._branch_inline(entry) is None:
-        # a full branch() call may halt or redirect: revalidate before
-        # looping
-        recheck = [f"if cpu.halted or rvals[15] != {entry}:", "    return"]
-    # IRQ is the interrupt controller bound at fuse time (the engine drops
-    # all fused blocks if the controller is swapped between runs), so the
-    # event-horizon revalidation is one attribute compare per iteration.
-    # The cycle test keeps a fused loop looping between co-simulation bus
-    # events and queued interrupts, and returns, bit-exactly at an
-    # iteration boundary, when the quantum or the horizon (minus the
-    # block's cycle cap) is reached; unbounded runs with nothing queued
-    # set the limit past any reachable cycle.
-    guard = ("IRQ.horizon != h0 or cpu.cycles >= cpu._sb_cycle_limit"
-             f" or cpu.instructions_executed + {count} > cpu._sb_limit")
-    return _in_place(step, [*recheck, f"if {guard}:", "    return", "continue"],
-                     ["return"])
+    if pc is None:
+        lines = ["if cpu.halted or cpu.sleeping or cpu._it_queue:", "    return"]
+        if multi:
+            lines += ["pc = rvals[15]", "m = MB.get(pc)"]
+        else:
+            lines.append("m = MB.get(rvals[15])")
+        return lines + [
+            "if (m is None or IRQ.horizon != h0 or cpu.cycles > top - m[0]"
+            " or cpu.instructions_executed > lim - m[1]):",
+            "    return", "continue"]
+    if pc not in heads:
+        return ["return"]
+    cap, length = heads[pc]
+    lines = [f"if (IRQ.horizon != h0 or cpu.cycles > top - {cap}"
+             f" or cpu.instructions_executed > lim - {length}):", "    return"]
+    if multi:
+        lines.append(f"pc = {pc}")
+    return lines + ["continue"]
+
+
+def _dispatch(bodies) -> list[str]:
+    """Member ``bodies`` (``(pc, lines)``, ascending) selected by the
+    local ``pc``: a binary search on the member pcs.  Only member pcs reach
+    it (the engine enters the function at a member, and every transition
+    tests its target), so a single candidate needs no test."""
+    if len(bodies) == 1:
+        return bodies[0][1]
+    mid = len(bodies) // 2
+    return [f"if pc < {bodies[mid][0]}:", *_indent(_dispatch(bodies[:mid])),
+            "else:", *_indent(_dispatch(bodies[mid:]))]
+
+
+def _emit_member(cpu, uops, base, ns, exits, heads, multi) -> list[str]:
+    """One block's statements, its positions numbered from ``base``.
+
+    Each position is built once (:func:`_build_step`) and placed by the
+    rule in the module docstring: deferred into the span, or a barrier run
+    in place; positions that cannot be inlined call their bound step, so
+    the code is behaviourally the list loop with the frames removed.  A
+    region member (``heads``: each member pc's cycle cap and length) ends
+    every arm that leaves the block with a transition
+    (:func:`_transition`).  The block opens with no line run and an empty
+    flash tracker: control reaches it from other members as well.
+    """
+    def leave(pc) -> list[str]:
+        return _transition(pc, heads, multi) if heads else []
+
+    ns.line_run = None
+    lines: list[str] = []
+    span: list = []
+    ftrack: dict = {}
+    last = len(uops) - 1
+    for offset, uop in enumerate(uops):
+        index = base + offset
+        step = _build_step(cpu, uop, index, ns, ftrack)
+        if step is None:
+            _flush_span(span, lines)
+            ns.put(f"S{index}", "step", uop)
+            lines.append(f"S{index}()")
+            ftrack.clear()  # the bound step fetches/accesses opaquely
+            ns.line_run = None
+            if offset == last:
+                lines += leave(uop.next_pc if uop.chainable else None)
+        elif step["barrier"]:
+            _flush_span(span, lines, step)
+            if offset == last:
+                taken = step["next_pc"]
+                if taken is None:
+                    taken = step["target"]
+                lines += _in_place(step, leave(taken), leave(step["fall"]))
+            else:
+                lines += _in_place(step)
+        else:
+            if step["escape"] is not None:
+                exits.append(step["escape"]["next_pc"])
+            _join_span(span, step)
+    if span:
+        next_pc = span[-1]["next_pc"]
+        _flush_span(span, lines)
+        lines += leave(next_pc)
+    return lines
 
 
 _SB_FUSED = obs.counter(
     "engine.superblocks.fused",
-    "Superblocks fused into a single callable, by where the code came "
-    "from: emitted here on an engine-plan miss, or bound from the plan")
+    "Superblocks and loop regions fused into a single callable, by where "
+    "the code came from: emitted here on an engine-plan miss, or bound "
+    "from the plan")
 _FUSED_EMITTED = _SB_FUSED.labels(source="emitted")
 _FUSED_PLAN = _SB_FUSED.labels(source="plan")
 _COMPILE_SECONDS = obs.histogram(
     "engine.superblock.compile_seconds",
-    "Wall time to fuse one superblock: emit + compile + bind on an "
-    "engine-plan miss (code-cache hits included), the bind alone on a "
+    "Wall time to fuse one superblock or region: emit + compile + bind on "
+    "an engine-plan miss (code-cache hits included), the bind alone on a "
     "plan hit; binds and cache hits land in the lowest buckets",
     buckets=obs.FAST_SECONDS_BUCKETS)
 
 
 def fuse_block(cpu, block):
-    """Fuse one superblock into a single callable (see
-    :func:`_fuse_block`; this wrapper only adds out-of-band telemetry)."""
+    """Fuse one superblock, or the region it is a member of, into a single
+    callable (see :func:`_fuse_block`; this wrapper only adds out-of-band
+    telemetry)."""
     if not obs.REGISTRY.enabled:
         return _fuse_block(cpu, block)
     start = _perf_counter()
@@ -1581,38 +1679,44 @@ def _fuse_block(cpu, block):
     """Fuse one engine-plan block into a single callable bound over ``cpu``.
 
     ``block`` is the plan's block (its micro-ops, and once any core has
-    fused it, the compiled code and binding recipe).  The first fusion of
-    a block emits and compiles it (:func:`_emit_block`), stores code and
-    recipe in the plan and adds the block's escape exits to the plan's
+    fused it, the compiled code and binding recipe).  The first fusion
+    emits and compiles the code (:func:`_emit_block`) - for a region
+    member (``repro.core.cpu.Region``) the code of the whole region,
+    whose blocks the engine has gathered - stores code and recipe on
+    every block it covers and adds its escape exits to the plan's
     (``EnginePlan.exits``); every fusion then binds: the recipe resolves
     on ``cpu`` into the function's defaults.  Only the positions that call
     their bound step (``S{i}``) bind one, through ``cpu._bound_step``.
     """
     if block.code is None:
-        block.code, block.recipe, exits = _emit_block(cpu, block.uops)
+        region = block.region
+        blocks = [block] if region is None else region.blocks
+        code, recipe, exits = _emit_block(cpu, blocks, region is not None)
+        for covered in blocks:
+            covered.code, covered.recipe = code, recipe
         cpu._plan.exits.update(exits)
     return FunctionType(block.code, _GLOBALS, "_fused",
                         tuple([resolve(cpu, arg) for resolve, arg in block.recipe]))
 
 
-def _emit_block(cpu, uops):
-    """Emit and compile one superblock: ``(code, recipe, exits)``.
+def _emit_block(cpu, blocks, region: bool):
+    """Emit and compile one fused function: ``(code, recipe, exits)``.
 
     ``code`` is the generated function's code object, ``recipe`` one
     ``(resolve, arg)`` pair per parameter (:class:`_Names`) and ``exits``
-    the pcs its escape arms return to the engine at.  Each
-    position is built once (:func:`_build_step`) and placed by the rule in
-    the module docstring: deferred into the span, or a barrier run in
-    place; positions that cannot be inlined call their bound step, so the
-    fused function is behaviourally the list loop with the frames removed.
+    the pcs its escape arms return to the engine at.  ``blocks`` are one
+    superblock, or with ``region`` a loop region's member blocks, each
+    emitted by :func:`_emit_member` with its positions numbered on from
+    the previous member's.
 
-    When the block is terminated by a loop back-edge (a direct branch
-    back to the block's own head), the whole body is wrapped in a
-    ``while True:`` whose taken-branch path continues in place (see
-    :func:`_loop_backedge`): a full loop iteration runs as one
-    generated code object executed N times, with the per-iteration guard
-    limited to the branch condition, the event horizon, the cycle
-    ceiling, and the instruction budget.
+    A region's function wraps the members in a ``while True:`` that
+    selects the member at ``pc`` (:func:`_dispatch`; one member needs no
+    selection), so a member's exit to another member - a loop back-edge,
+    either arm of a conditional branch, a fall-through into a head, or
+    the pc an opaque ender left - continues in place under the checks of
+    :func:`_transition`, with no engine dispatch between them.  It reads
+    the horizon, the engine's dispatch limit and the instruction budget
+    once, on entry.
     """
     ns = _Names(cpu._plan.key)
     ns.put("cpu", "core")
@@ -1620,37 +1724,27 @@ def _emit_block(cpu, uops):
     ns.put("RD", "read")
     ns.put("WR", "write")
     ns.put("bus", "bus")
-    last = len(uops) - 1
-    is_loop = (not uops[last].chainable
-               and _backedge_eligible(cpu, uops[last], uops[0].address))
-    if is_loop:
+    heads = {}
+    if region:
+        heads = {block.uops[0].address: (block.cap, len(block.uops))
+                 for block in blocks}
         ns.put("IRQ", "irq")
-    lines = []
-    span: list = []
-    exits = []
-    ftrack: dict = {}
-    for index, uop in enumerate(uops):
-        step = _build_step(cpu, uop, index, ns, ftrack)
-        if step is None:
-            _flush_span(span, lines)
-            ns.put(f"S{index}", "step", uop)
-            lines.append(f"S{index}()")
-            ftrack.clear()  # the bound step fetches/accesses opaquely
-            ns.line_run = None
-        elif is_loop and index == last:
-            _flush_span(span, lines, step)
-            lines += _loop_backedge(cpu, step, uops[0].address, len(uops))
-        elif step["barrier"]:
-            _flush_span(span, lines, step)
-            lines += _in_place(step)
-        else:
-            if step["escape"] is not None:
-                exits.append(step["escape"]["next_pc"])
-            _join_span(span, step)
-    _flush_span(span, lines)
-    if is_loop:
-        lines = (["h0 = IRQ.horizon", "while True:"]
-                 + ["    " + stmt for stmt in lines])
+        ns.put("MB", "constant", heads)
+    multi = len(blocks) > 1
+    exits: list = []
+    bodies = []
+    base = 0
+    for block in blocks:
+        bodies.append((block.uops[0].address,
+                       _emit_member(cpu, block.uops, base, ns, exits, heads,
+                                    multi)))
+        base += len(block.uops)
+    lines = bodies[0][1]
+    if region:
+        lines = ["h0 = IRQ.horizon", "top = cpu._sb_top", "lim = cpu._sb_limit"]
+        if multi:
+            lines.append("pc = rvals[15]")
+        lines += ["while True:", *_indent(_dispatch(bodies))]
     # every bound object becomes a default parameter, so the generated
     # body resolves them as locals (LOAD_FAST) instead of dict lookups
     params = ", ".join(f"{name}={name}" for name in ns.recipe)
@@ -1660,7 +1754,7 @@ def _emit_block(cpu, uops):
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             _CODE_CACHE.clear()  # crude bound; refilling is cheap
-        module = compile(source, f"<superblock@{uops[0].address:#x}>", "exec")
+        module = compile(source, f"<superblock@{bodies[0][0]:#x}>", "exec")
         code = next(const for const in module.co_consts
                     if isinstance(const, CodeType))
         _CODE_CACHE[source] = code

@@ -101,8 +101,8 @@ class MicroOp:
     ``branch_target`` is the statically resolved branch destination for
     direct ``B``/``BL`` micro-ops (``None`` otherwise), and
     ``is_back_edge`` marks a direct ``B`` whose target is at or before its
-    own address - the loop back-edge shape the trace-superblock fuser
-    chains across (:mod:`repro.core.superblock`).
+    own address - the back-edge that closes a natural loop, whose range
+    the trace engine fuses as one region (``repro.core.cpu.loop_regions``).
     """
 
     __slots__ = ("ins", "address", "size", "next_pc", "cond_check", "exec",

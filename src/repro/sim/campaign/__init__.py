@@ -125,8 +125,10 @@ transport error, and the ``done`` summary counts such cells in
 
 from __future__ import annotations
 
+import importlib
 import json
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -524,30 +526,64 @@ def vehicle_smoke_matrix(seed: int = 2005, scale: int = 1) -> list[ScenarioSpec]
     return fleet + fine + lin_matrix(seed=seed, scale=scale)[:2]
 
 
-def available_matrices() -> dict:
-    """Built-in matrix builders by CLI name; each is ``f(seed, scale)``."""
-    from repro.sim.domains.can import can_matrix
-    from repro.sim.domains.lin import lin_matrix
-    from repro.sim.domains.osek import osek_matrix
-    from repro.sim.domains.soft_error import soft_error_matrix
-    from repro.sim.domains.vehicle import vehicle_matrix
-    from repro.sim.domains.vehicle_fault import vehicle_fault_matrix
-    from repro.sim.domains.wcet import wcet_matrix
+def _irq_sweep_matrix(seed: int = 2005, scale: int = 4) -> list[ScenarioSpec]:
+    """The ``irq-sweep`` matrix: :func:`interrupt_sweep_matrix` at its
+    default rates."""
+    return interrupt_sweep_matrix(seed=seed, scale=scale)
 
-    return {
-        "table1": table1_matrix,
-        "irq-sweep": lambda seed, scale: interrupt_sweep_matrix(
-            seed=seed, scale=scale),
-        "osek": osek_matrix,
-        "can": can_matrix,
-        "soft-error": soft_error_matrix,
-        "vehicle": vehicle_matrix,
-        "vehicle-fault": vehicle_fault_matrix,
-        "lin": lin_matrix,
-        "wcet": wcet_matrix,
-        "vehicle-smoke": vehicle_smoke_matrix,
-        "smoke": smoke_matrix,
-    }
+
+#: built-in matrices by CLI name: the module and name of the builder, and
+#: the domains its cells run.  Naming a matrix imports its module alone,
+#: and listing them imports none.
+_MATRICES = {
+    "table1": ("repro.sim.campaign", "table1_matrix", ("kernel",)),
+    "irq-sweep": ("repro.sim.campaign", "_irq_sweep_matrix", ("kernel",)),
+    "osek": ("repro.sim.domains.osek", "osek_matrix", ("osek",)),
+    "can": ("repro.sim.domains.can", "can_matrix", ("can",)),
+    "soft-error": ("repro.sim.domains.soft_error", "soft_error_matrix", ("soft_error",)),
+    "vehicle": ("repro.sim.domains.vehicle", "vehicle_matrix", ("vehicle",)),
+    "vehicle-fault": (
+        "repro.sim.domains.vehicle_fault",
+        "vehicle_fault_matrix",
+        ("vehicle_fault",),
+    ),
+    "lin": ("repro.sim.domains.lin", "lin_matrix", ("lin",)),
+    "wcet": ("repro.sim.domains.wcet", "wcet_matrix", ("wcet",)),
+    "vehicle-smoke": ("repro.sim.campaign", "vehicle_smoke_matrix", ("lin", "vehicle")),
+    "smoke": (
+        "repro.sim.campaign",
+        "smoke_matrix",
+        ("can", "kernel", "lin", "osek", "soft_error", "vehicle", "wcet"),
+    ),
+}
+
+
+class _MatrixTable(Mapping):
+    """The built-in matrix builders by CLI name, each ``f(seed, scale)``;
+    a builder's module is imported when its name is looked up."""
+
+    def __getitem__(self, name: str):
+        module, builder, _ = _MATRICES[name]
+        return getattr(importlib.import_module(module), builder)
+
+    def __iter__(self):
+        return iter(_MATRICES)
+
+    def __len__(self) -> int:
+        return len(_MATRICES)
+
+
+def available_matrices() -> Mapping:
+    """Built-in matrix builders by CLI name; each is ``f(seed, scale)``.
+    Membership and iteration import nothing; looking a name up imports
+    that matrix's module only."""
+    return _MatrixTable()
+
+
+def matrix_domains(name: str) -> tuple[str, ...]:
+    """The domains the cells of built-in matrix ``name`` run, read from
+    the static table (no import)."""
+    return _MATRICES[name][2]
 
 
 # ----------------------------------------------------------------------
@@ -635,10 +671,8 @@ def main(argv: list[str] | None = None) -> int:
 
     matrices = mod.available_matrices()
     if args.list:
-        for name, builder in sorted(matrices.items()):
-            specs = builder(args.seed, args.scale)
-            domains = sorted({s.domain for s in specs})
-            print(f"{name:12} {len(specs):4} cells  domains: {', '.join(domains)}")
+        for name in sorted(matrices):
+            print(f"{name:14} domains: {', '.join(mod.matrix_domains(name))}")
         return 0
     if not args.matrix:
         parser.error("--matrix is required (or use --list)")

@@ -26,6 +26,7 @@ from repro.sim.campaign import (
     available_matrices,
     execute_request,
     main,
+    matrix_domains,
     read_campaign_stream,
     run_scenario,
     shard_bounds,
@@ -108,6 +109,34 @@ def test_a_cell_imports_only_its_own_domain():
         "repro.sim.domains.kernel"]
     for stack in ("repro.vehicle", "repro.rtos.kernel", "repro.network.can_bus"):
         assert stack not in modules
+
+
+#: run in a fresh interpreter: resolve the table1 matrix by name and list
+#: every matrix name, then report which modules that loaded
+_MATRIX_PROBE = """
+import json, sys
+from repro.sim.campaign import CampaignRequest, available_matrices
+specs = CampaignRequest(matrix="table1").resolve_specs()
+names = sorted(available_matrices())
+print(json.dumps({"cells": len(specs), "names": len(names),
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def test_naming_a_matrix_imports_only_its_module():
+    """A matrix name resolves through a static table: a fresh process that
+    resolves ``table1`` and lists every name loads no domain module and
+    not the vehicle stack."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", _MATRIX_PROBE],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert (seen["cells"], seen["names"]) == (18, 11)
+    modules = seen["modules"]
+    assert [m for m in modules if m.startswith("repro.sim.domains.")] == []
+    assert [m for m in modules if m.startswith("repro.vehicle")] == []
 
 
 def test_spec_param_lookup():
@@ -403,6 +432,8 @@ def test_builtin_matrices_cover_all_domains():
         assert specs, name
         assert len({s.key() for s in specs}) == len(specs), (
             f"matrix {name} has colliding scenario keys")
+        # --list prints the static table's domains without building
+        assert matrix_domains(name) == tuple(sorted({s.domain for s in specs}))
 
 
 def test_cli_runs_a_sharded_smoke_slice(tmp_path, capsys):

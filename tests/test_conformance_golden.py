@@ -48,13 +48,18 @@ ENGINES = (
 
 #: AutoIndy kernels in the corpus: table-driven, bit-twiddling, and
 #: control-heavy shapes (the golden seed/scale match the Table 1 harness).
-KERNEL_PROGRAMS = ("ttsprk", "tblook", "canrdr", "bitmnp")
+#: ``puwmod``'s mode switch is a ``TBB`` table branch on Thumb-2, an
+#: ``add pc`` jump table on ARM and a compare chain on Thumb; ``bitmnp``'s
+#: leading-zero count is a bit-scan loop on ARMv4T Thumb - loop regions
+#: with many members.
+KERNEL_PROGRAMS = ("ttsprk", "tblook", "canrdr", "bitmnp", "puwmod", "rspeed")
 KERNEL_SEED = 2005
 KERNEL_SCALE = 1
 
 #: Hand-written programs covering engine-sensitive shapes the kernels
 #: don't force: tight backward-branch loops (superblock re-entry and
-#: trace-engine loop fusion), LDM/STM with write-back (specialised
+#: trace-engine loop fusion), a nested loop with a while-shaped inner
+#: loop (one loop region), LDM/STM with write-back (specialised
 #: predecode), IT predication (Thumb-2 only), IRQs landing on loop
 #: back-edges, the ARM1156 cached fetch path, and Cortex-M3 literal-pool
 #: loads under an MPU.
@@ -203,6 +208,33 @@ loop:
 """
 
 
+# A nested loop whose inner loop is while-shaped: the exit test at its
+# head and an unconditional back-edge, 0 to 7 trips.  The outer loop's
+# region holds the inner loop's members too.
+ASM_NESTED_WHILE = """
+main:
+    movs r2, #0
+    movs r3, #0
+outer:
+    movs r5, r3
+    movs r6, #7
+    ands r5, r5, r6
+scan:
+    cmp r5, #0
+    beq done
+    adds r2, r2, r5
+    subs r5, r5, #1
+    b scan
+done:
+    adds r3, r3, #1
+    cmp r3, #40
+    bne outer
+    str r2, [r0, #0]
+    mov r0, r2
+    bx lr
+"""
+
+
 def _golden_mpu():
     from repro.core.machines import DEFAULT_FLASH_SIZE, DEFAULT_SRAM_SIZE
     from repro.memory.mpu import Mpu
@@ -225,6 +257,8 @@ ASM_PROGRAMS: dict[str, dict] = {
     "it_blocks": {"source": ASM_IT_BLOCKS, "args": (9, 4),
                   "isas": ("thumb2",)},
     "counted_loop": {"source": ASM_COUNTED_LOOP, "args": (),
+                     "isas": ("arm", "thumb", "thumb2")},
+    "nested_while": {"source": ASM_NESTED_WHILE, "args": (),
                      "isas": ("arm", "thumb", "thumb2")},
     # assert cycles 60/66 are exact back-edge execution cycles on the M3
     # timeline (the loop branch runs every 6 cycles from 6), and land

@@ -23,10 +23,11 @@ from repro import obs
 from repro.core import FLASH_BASE, SRAM_BASE, Machine, build_arm7, build_cortexm3, superblock
 from repro.core.arm1156 import Arm1156Core
 from repro.core.cortexm3 import CortexM3Core
-from repro.core.cpu import _PLAN_TABLES
+from repro.core.cpu import _PLAN_TABLES, loop_regions
 from repro.core.exceptions import DataAbort
 from repro.core.machines import DEFAULT_FLASH_SIZE, DEFAULT_SRAM_SIZE
 from repro.isa import ISA_THUMB, ISA_THUMB2, assemble
+from repro.isa.predecode import predecode
 from repro.memory.bus import SystemBus
 from repro.memory.cache import Cache
 from repro.memory.flash import Flash
@@ -120,6 +121,13 @@ def _fused(cpu) -> list[int]:
     return [pc for pc, entry in cpu._sb_blocks.items() if entry[2] is not None]
 
 
+def _callables(cpu) -> int:
+    """The fused callables this core has bound: one per block fused
+    alone, one per loop region however many of its members it entered."""
+    return len({id(entry[2]) for entry in cpu._sb_blocks.values()
+                if entry[2] is not None})
+
+
 def _config(core: str, **options):
     return lambda program: _machine(program, core, **options)
 
@@ -185,8 +193,9 @@ def test_plans_never_cross_a_layout(pair):
 
 def _second_core_binds(build, run) -> tuple:
     """Core A fuses with ``run``; then a fresh core B (same Program and
-    layout) runs the same and must bind every block it fuses from the
-    plan.  Returns B and a reference-engine machine that ran the same."""
+    layout) runs the same and must bind everything it fuses from the
+    plan, once per fused callable.  Returns B and a reference-engine
+    machine that ran the same."""
     first = build()
     run(first)
     assert _fused(first.cpu), "core A never fused the hot block"
@@ -196,7 +205,7 @@ def _second_core_binds(build, run) -> tuple:
     assert second.cpu.program is first.cpu.program
     assert second.cpu._plan is first.cpu._plan
     assert _fusions("emitted") == emitted
-    assert _fusions("plan") - planned == len(_fused(second.cpu)) > 0
+    assert _fusions("plan") - planned == _callables(second.cpu) > 0
     reference = build()
     reference.cpu.fastpath = False
     run(reference)
@@ -370,6 +379,36 @@ tick:
 """
 
 
+#: the same doorbell in a loop with a diamond: odd trips ring it from one
+#: member of the loop's region, even trips write the next word from
+#: another, so the ring that queues the IRQ is followed by transitions
+BRANCHY_DOORBELL_LOOP = """
+main:
+    ldr r0, =0x40000000
+    movs r1, #0
+loop:
+    adds r1, r1, #1
+    movs r2, #1
+    ands r2, r2, r1
+    cmp r2, #0
+    beq even
+    str r1, [r0, #0]
+    b next
+even:
+    str r1, [r0, #4]
+next:
+    cmp r1, #40
+    bne loop
+    bx lr
+tick:
+    ldr r0, =0x20000100
+    ldr r1, [r0, #0]
+    adds r1, r1, #1
+    str r1, [r0, #0]
+    bx lr
+"""
+
+
 class Doorbell:
     """An MMIO word whose ``ring``-th write queues IRQ 1 on its core's NVIC
     - from inside the fused loop that wrote it - asserting a few loop
@@ -395,13 +434,11 @@ class Doorbell:
         return 0
 
 
-def test_fused_loop_bound_from_a_plan_sees_its_own_irq_queue(obs_enabled):
-    """A fused loop bound on core B must test B's interrupt queue: B's
+def _rings_its_own_irq(source: str) -> None:
+    """Core B binds ``source``'s fused code from core A's plan; B's
     doorbell queues an IRQ mid-loop, and the handler must enter exactly
-    when the reference takes it.  With the MPU attached before the first
-    run, the doorbell store is inline and the loop keeps looping, so only
-    the loop guard's horizon test can stop it before the assert cycle."""
-    program = assemble(DOORBELL_LOOP, ISA_THUMB2, base=FLASH_BASE)
+    when the reference takes it."""
+    program = assemble(source, ISA_THUMB2, base=FLASH_BASE)
 
     def build() -> Machine:
         machine = _machine(program, "m3", mpu=True)
@@ -417,6 +454,72 @@ def test_fused_loop_bound_from_a_plan_sees_its_own_irq_queue(obs_enabled):
     assert irqs(second) == irqs(reference)
     assert len(irqs(second)) == 1
     assert second.sram.data[0x100] == 1
+
+
+def test_fused_loop_bound_from_a_plan_sees_its_own_irq_queue(obs_enabled):
+    """A fused loop bound on core B must test B's interrupt queue.  With
+    the MPU attached before the first run, the doorbell store is inline
+    and the loop keeps looping, so only the horizon test of its back-edge
+    transition can stop it before the assert cycle."""
+    _rings_its_own_irq(DOORBELL_LOOP)
+
+
+def test_loop_region_bound_from_a_plan_sees_its_own_irq_queue(obs_enabled):
+    """The same doorbell in a loop region of several members: only the
+    horizon test of the transitions between them can stop the region
+    before the assert cycle."""
+    _rings_its_own_irq(BRANCHY_DOORBELL_LOOP)
+
+
+#: a loop nest (a while-shaped inner loop inside an outer loop) and a
+#: self-loop after it
+LOOP_NEST = """
+main:
+    movs r0, #0
+    movs r2, #0
+outer:
+    movs r1, #5
+inner:
+    cmp r1, #0
+    beq inner_done
+inner_body:
+    subs r1, r1, #1
+    adds r2, r2, #1
+    b inner
+inner_done:
+    adds r0, r0, #1
+    cmp r0, #4
+    bne outer
+tail:
+    subs r2, r2, #1
+    bne tail
+    mov r0, r2
+    bx lr
+"""
+
+
+def test_loop_regions_merge_nested_loops_and_drop_an_outer_loop_over_the_cap():
+    """``loop_regions`` merges a loop nest into one region whose members
+    are the outer head, the inner head, the branch targets and the
+    instructions after non-chainable micro-ops inside the range; a nest
+    whose member blocks hold more positions than the cap drops its outer
+    loop and keeps the inner loop as a region.  The self-loop after the
+    nest is a one-member region either way."""
+    program = assemble(LOOP_NEST, ISA_THUMB, base=FLASH_BASE)
+    at = {name: program.symbols[name]
+          for name in ("outer", "inner", "inner_body", "inner_done", "tail")}
+    table = predecode(program)
+
+    def members(cap):
+        regions = loop_regions(table, False, lambda pc: 10, cap)
+        return sorted({region.members for region in regions.values()})
+
+    nest = (at["outer"], at["inner"], at["inner_body"], at["inner_done"])
+    assert members(40) == [nest, (at["tail"],)]
+    regions = loop_regions(table, False, lambda pc: 10, 40)
+    assert all(regions[pc] is regions[at["outer"]] for pc in nest)
+    assert members(39) == [(at["inner"], at["inner_body"]), (at["tail"],)]
+    assert members(9) == []
 
 
 @pytest.mark.parametrize("matrix", ["vehicle-smoke", "vehicle-fault"])
@@ -438,9 +541,9 @@ def test_records_do_not_depend_on_plan_warmth(obs_enabled, matrix, tmp_path,
     emissions = []
     emit_block = superblock._emit_block
 
-    def recording(cpu, uops):
-        emissions.append((cpu._plan, uops[0].address))
-        return emit_block(cpu, uops)
+    def recording(cpu, blocks, region):
+        emissions.append((cpu._plan, blocks[0].uops[0].address))
+        return emit_block(cpu, blocks, region)
 
     monkeypatch.setattr(superblock, "_emit_block", recording)
     first, warm = tmp_path / "first.jsonl", tmp_path / "warm.jsonl"

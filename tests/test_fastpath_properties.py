@@ -8,9 +8,11 @@ registers, flags, memory, cycle counts, bus statistics, and trace - on
 every core, for arbitrary programs, with and without interrupts.  These
 tests generate randomised programs (hypothesis) including LDM/STM,
 write-back addressing, predicated skips, and loopy control flow
-(back-edges, loop-carried flags, IT blocks inside loops), and run curated
+(back-edges, inner while loops, switches, loop-carried flags, IT blocks
+inside loops - fused as multi-member loop regions), and run curated
 worst cases (IT blocks, WFI, interrupt storms landing mid-superblock and
-exactly on loop back-edge cycles, restartable LDM windows, access-record
+exactly on every member ender of a fused loop region, the instruction
+budget running out inside one, restartable LDM windows, access-record
 streams), executing each on both engines and diffing the complete
 machine state.
 """
@@ -41,7 +43,8 @@ from repro.isa import (
 )
 from repro.memory.mpu import Mpu
 from repro.sim.trace import TraceRecorder
-from repro.workloads import TABLE1_CONFIGS, run_kernel
+from repro.workloads import TABLE1_CONFIGS
+from repro.workloads.harness import compiled_kernel, run_compiled
 from repro.workloads.kernels import AUTOINDY_SUITE
 
 SCRATCH_BYTES = 64
@@ -347,6 +350,13 @@ _LOOP_OPS = st.one_of(
     # assembly try/except) - predication forces the engines' step() path
     st.tuples(st.just("it"), st.sampled_from(["eq", "ne", "ge", "lt"]),
               REG, REG, REG),
+    # a while-shaped inner loop: the exit test at its head, an
+    # unconditional back-edge (the shape of bitmnp's bit scan on ARMv4T)
+    st.tuples(st.just("while"), st.integers(min_value=0, max_value=5), REG,
+              st.sampled_from(["adds", "subs"]), REG, REG, REG),
+    # a switch written as a compare chain into cases that branch to one
+    # join (the shape of puwmod's mode switch in 16-bit Thumb)
+    st.tuples(st.just("switch"), REG, REG, REG, REG, REG, REG, REG),
     *_predicated_ops(WOFF_LOOP),
 )
 
@@ -355,7 +365,12 @@ def render_loop(ops: list[tuple], trips: int, isa: str = ISA_ARM) -> str:
     """A counted loop whose body is the generated ops: the trip counter
     lives in scratch memory (word 14) so arbitrary body ops cannot
     clobber it, and the back-edge flags are loop-carried state the trace
-    engine's guard must revalidate every iteration."""
+    engine's guard must revalidate every iteration.  Skips, inner while
+    loops and switches make the loop's fused region a multi-member one,
+    whose members hand over through a branch arm to a constant member or
+    a fall-through into a member head; after an IT block's ``IT`` (an
+    opaque ender) the transition reads the pc it left and must return
+    to the engine, which steps the predicated instructions."""
     lines = ["main:", "    push {r4, r5, r6, r7}",
              f"    movs r1, #{trips}",
              "    str r1, [r0, #56]",
@@ -397,6 +412,34 @@ def render_loop(ops: list[tuple], trips: int, isa: str = ISA_ARM) -> str:
             lines.append(f"    ite {cond}")
             lines.append(f"    add{cond} r{rd}, r{rd}, #1")
             lines.append(f"    add{inverse} r{rd}, r{rd}, #3")
+        elif kind == "while":
+            _, count, rc, mnem, rd, rn, rm = op
+            if rd == rc:
+                rd = rc % 7 + 1  # the body must not write the counter
+            lines += [f"    movs r{rc}, #{count}",
+                      f"wloop_{index}:",
+                      f"    cmp r{rc}, #0",
+                      f"    beq wdone_{index}",
+                      f"    {mnem} r{rd}, r{rn}, r{rm}",
+                      f"    subs r{rc}, r{rc}, #1",
+                      f"    b wloop_{index}",
+                      f"wdone_{index}:"]
+        elif kind == "switch":
+            _, rs, rsrc, d0, d1, n1, d2, n2 = op
+            lines += [f"    movs r{rs}, #3",
+                      f"    ands r{rs}, r{rs}, r{rsrc}",
+                      f"    cmp r{rs}, #0",
+                      f"    beq case0_{index}",
+                      f"    cmp r{rs}, #1",
+                      f"    beq case1_{index}",
+                      f"    adds r{d2}, r{n2}, r{rs}",
+                      f"    b join_{index}",
+                      f"case0_{index}:",
+                      f"    adds r{d0}, r{d0}, #1",
+                      f"    b join_{index}",
+                      f"case1_{index}:",
+                      f"    subs r{d1}, r{n1}, r{rs}",
+                      f"join_{index}:"]
         elif kind in ("pred_alu", "pred_mem"):
             lines.append(_render_predicated(op, isa))
     lines += [
@@ -420,9 +463,10 @@ TRIPS = st.one_of(st.integers(min_value=FUSE_THRESHOLD + 1, max_value=64),
        st.tuples(IMM8, IMM8, IMM8))
 @settings(max_examples=40, deadline=None)
 def test_random_loop_programs_bit_identical(ops, trips, args):
-    """Random counted loops - the trace engine fuses the back-edge into a
-    generated while-loop - must leave identical machine state on every
-    core and engine, for every loop body shape and trip count."""
+    """Random counted loops - the trace engine fuses each into one loop
+    region, whose members hand over inside the generated function - must
+    leave identical machine state on every core and engine, for every
+    loop body shape and trip count."""
     r1, r2, r3 = args
     for isa, core in RANDOM_CONFIGS:
         source = render_loop(ops, trips, isa)
@@ -433,88 +477,162 @@ def test_random_loop_programs_bit_identical(ops, trips, args):
         assert_equivalent(isa, source, args=(SRAM_BASE, r1, r2, r3), core=core)
 
 
-def _backedge_cycles(isa: str, source: str, core: str = "",
-                     args=()) -> list[int]:
-    """The cycle counts at which the reference interpreter sits at the
-    loop's back-edge branch, about to execute it."""
+def _loop_enders(program, members: bool) -> set[int]:
+    """The addresses of the ``loop`` label's back-edge branch or, with
+    ``members``, of every branch (a table branch too) from the loop head
+    to the back-edge: the enders of the members of the loop's fused
+    region (and the gotos a member's trace runs through)."""
+    head = program.symbols["loop"]
+    backedge = max(address for address, ins in program._by_address.items()
+                   if ins.mnemonic == "B" and ins.target == head)
+    if not members:
+        return {backedge}
+    return {address for address, ins in program._by_address.items()
+            if head <= address <= backedge and ins.mnemonic in ("B", "TBB")}
+
+
+def _ender_storm(isa: str, source: str, core: str, members: bool,
+                 stride: int, offset: int, count: int,
+                 priorities: bool) -> list[int]:
+    """The assert cycles of an IRQ storm recorded on the reference
+    interpreter running ``main``: past a warm-up of about 20 loop
+    iterations (25 visits of a back-edge, 120 of a branchy loop's enders;
+    the trace engine has fused the loop by then), every ``stride``-th
+    time it sits at one of the loop's enders (:func:`_loop_enders`), about
+    to run it, one IRQ asserts ``offset - 1`` cycles from there - up to
+    ``count`` of them, IRQ ``n`` at priority ``n % 3`` when
+    ``priorities``.  Raised on the same core before the run, the storm
+    replays that timeline, so with ``offset`` 1 every IRQ asserts exactly
+    as its ender is about to execute, once the earlier ones were taken."""
     machine = _build_machine(isa, source, core=core)
     cpu = machine.cpu
-    machine.cpu.fastpath = False
-    program = cpu.program
-    loop_head = program.symbols["loop"]
-    backedge = None
-    for address, ins in program._by_address.items():
-        if ins.mnemonic == "B" and ins.target == loop_head:
-            backedge = address
-    assert backedge is not None, "no back-edge branch found"
-    # drive the reference interpreter by hand, sampling at the back-edge
-    cpu.regs.write(0, SRAM_BASE)
-    for register, value in enumerate(args, start=1):
-        cpu.regs.write(register, value)
-    cpu.regs.pc = program.symbols["main"]
-    cycles = []
+    cpu.fastpath = False
+    controller = cpu.nvic if hasattr(cpu, "nvic") else cpu.vic
+    handler = cpu.program.symbols["handler"]
+    enders = _loop_enders(cpu.program, members)
+    warm = 120 if members else 25
+    cpu.regs.lr = HALT_ADDRESS
+    cpu.regs.pc = cpu.program.symbols["main"]
+    asserts, visits = [], 0
     while not cpu.halted:
-        if cpu.regs.pc == backedge:
-            cycles.append(cpu.cycles)
+        assert cpu.instructions_executed < 100_000, "main never returned"
+        if cpu.regs.pc in enders and len(asserts) < count:
+            if visits >= warm and (visits - warm) % stride == 0:
+                asserts.append(cpu.cycles + offset - 1)
+                number = len(asserts)
+                extra = {"priority": number % 3} if priorities else {}
+                controller.raise_irq(number, handler=handler,
+                                     at_cycle=asserts[-1], **extra)
+            visits += 1
         cpu.step()
-    return cycles
+    return asserts
+
+
+def _storm_states(isa: str, source: str, core: str, asserts: list[int],
+                  priorities: bool) -> list[dict]:
+    """Each engine's final state after ``main`` under the storm
+    ``asserts`` (IRQ ``n`` at ``asserts[n - 1]``, at priority ``n % 3``
+    when ``priorities``), with the controller's delivery records."""
+    states = []
+    for _, fastpath in ENGINES:
+        machine = _build_machine(isa, source, core=core, trace=True)
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        controller = cpu.nvic if hasattr(cpu, "nvic") else cpu.vic
+        handler = cpu.program.symbols["handler"]
+        for number, cycle in enumerate(asserts, start=1):
+            extra = {"priority": number % 3} if priorities else {}
+            controller.raise_irq(number, handler=handler, at_cycle=cycle,
+                                 **extra)
+        machine.call("main")
+        state = _state(machine)
+        state["irq_records"] = [
+            (r.number, r.assert_cycle, r.entry_cycle, r.exit_cycle,
+             getattr(r, "tail_chained", None))
+            for r in controller.stats.records
+        ]
+        states.append(state)
+    return states
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2))
 @settings(max_examples=20, deadline=None)
 def test_irq_storms_exactly_on_backedge_cycles(stride, offset):
     """IRQ storms whose assert cycles land *exactly* on the cycles at
-    which the loop's back-edge executes (and one cycle around them) must
-    be taken at the same instruction boundary with identical latency
-    records on every engine - the trace engine's fused loop has to bail
-    out of its generated while-loop at precisely those points."""
-    edges = _backedge_cycles(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE)
-    asserts = [cycle + offset - 1 for cycle in edges[::stride]][:12]
-    states = []
-    for _, fastpath in ENGINES:
-        machine = _build_machine(ISA_THUMB2, STRAIGHTLINE_LOOP_SOURCE,
-                                 trace=True)
-        machine.cpu.fastpath = fastpath
-        handler = machine.cpu.program.symbols["handler"]
-        for number, cycle in enumerate(asserts, start=1):
-            machine.cpu.nvic.raise_irq(number, handler=handler,
-                                       at_cycle=cycle, priority=number % 3)
-        machine.call("main")
-        state = _state(machine)
-        state["irq_records"] = [
-            (r.number, r.assert_cycle, r.entry_cycle, r.exit_cycle,
-             r.tail_chained)
-            for r in machine.cpu.nvic.stats.records
-        ]
-        states.append(state)
-    assert all(state == states[0] for state in states)
-    assert states[0]["irq_records"], "storm never delivered"
+    which a fused loop's back-edge - and, in a loop with a switch (a
+    compare chain, or a table branch) and an inner while loop, each member
+    ender of its region - is about to execute (and one cycle around them)
+    must be taken at the same
+    instruction boundary with identical latency records on every engine:
+    the region has to return from its generated function, or not enter
+    the next member, at precisely those points."""
+    for source, members in ((STRAIGHTLINE_LOOP_SOURCE, False),
+                            (BRANCHY_LOOP_SOURCE, True),
+                            (TBB_LOOP_SOURCE, True)):
+        asserts = _ender_storm(ISA_THUMB2, source, "", members, stride,
+                               offset, 12, True)
+        assert len(asserts) == 12
+        states = _storm_states(ISA_THUMB2, source, "", asserts, True)
+        assert states[0] == states[1], (members, stride, offset)
+        assert len(states[0]["irq_records"]) == 12
 
 
 def test_vic_irqs_on_backedge_cycles_bit_identical():
-    """The same back-edge-exact storm on the VIC cores (ARM7 and the
-    cached-fetch ARM1156), whose handlers carry the software preamble."""
+    """The same ender-exact storms on the VIC cores (ARM7 and the
+    cached-fetch ARM1156), whose handlers carry the software preamble:
+    on the back-edge of a single-block loop, and on every member ender of
+    a branchy loop's region."""
     for isa, core in ((ISA_THUMB, ""), (ISA_THUMB2, "arm1156")):
-        edges = _backedge_cycles(isa, VIC_LOOP_SOURCE, core=core)
-        asserts = [cycle for cycle in edges[::4]][:8]
+        for source, members in ((VIC_LOOP_SOURCE, False),
+                                (BRANCHY_VIC_LOOP_SOURCE, True)):
+            asserts = _ender_storm(isa, source, core, members, 4, 1, 8, False)
+            assert len(asserts) == 8
+            states = _storm_states(isa, source, core, asserts, False)
+            assert states[0] == states[1], (isa, core, members)
+            assert len(states[0]["irq_records"]) == 8
+
+
+@pytest.mark.parametrize("isa,core", [(ISA_THUMB, ""), (ISA_THUMB2, ""),
+                                      (ISA_THUMB2, "arm1156")],
+                         ids=["arm7-thumb", "m3", "arm1156"])
+def test_instruction_budget_runs_out_inside_a_region(isa, core):
+    """A run whose instruction budget runs out inside a fused loop region
+    - at each of 24 consecutive budgets, so inside members and at
+    transitions alike - raises at the reference's instruction count and
+    leaves the reference's state: a transition enters a member only when
+    the whole member fits the budget, and the engine runs the allowed
+    prefix of the member it would not enter."""
+    from repro.core.exceptions import ExecutionError
+
+    for budget in range(900, 924):
         states = []
         for _, fastpath in ENGINES:
-            machine = _build_machine(isa, VIC_LOOP_SOURCE, core=core,
-                                     trace=True)
+            machine = _build_machine(isa, BRANCHY_LOOP, core=core)
             machine.cpu.fastpath = fastpath
-            handler = machine.cpu.program.symbols["handler"]
-            for number, cycle in enumerate(asserts, start=1):
-                machine.cpu.vic.raise_irq(number, handler=handler,
-                                          at_cycle=cycle)
-            machine.call("main")
+            with pytest.raises(ExecutionError, match="exceeded"):
+                machine.call("main", max_instructions=budget)
+            if fastpath:
+                assert machine.cpu._sb_regions, "the loop never fused"
             states.append(_state(machine))
-        assert all(state == states[0] for state in states), (isa, core)
+        assert states[0] == states[1], budget
+        assert states[0]["executed"] == budget
 
 
 # The software-preamble handler restores its scratch registers with a
 # plain (restart-safe) pop and returns via bx lr: a pop-to-PC interrupt
 # return could itself be abandoned mid-transfer on the ARM1156 after its
 # return-unwind side effects, which real handlers avoid for this reason.
+VIC_HANDLER = """
+handler:
+    push {r1, r2}
+    ldr r1, =0x20000030
+    ldr r2, [r1]
+    adds r2, r2, #1
+    str r2, [r1]
+    pop {r1, r2}
+    bx lr
+"""
+
 VIC_LOOP_SOURCE = """
 main:
     movs r0, #0
@@ -527,13 +645,56 @@ loop:
     bne loop
     mov r0, r2
     bx lr
-handler:
-    push {r1, r2}
-    ldr r1, =0x20000030
-    ldr r2, [r1]
+""" + VIC_HANDLER
+
+#: a loop whose region has many members: a switch written as a compare
+#: chain into cases that branch to one join, then a while-shaped inner
+#: loop (exit test at its head, unconditional back-edge) of 0 to 3 trips
+BRANCHY_LOOP = """
+main:
+    movs r0, #0
+    movs r2, #0
+loop:
+    adds r2, r2, #3
+    movs r3, #3
+    ands r3, r3, r0
+    cmp r3, #0
+    beq case0
+    cmp r3, #1
+    beq case1
+    eors r2, r2, r0
+    b join
+case0:
+    adds r2, r2, #7
+    b join
+case1:
+    lsls r4, r2, #1
+    adds r2, r2, r4
+join:
+    movs r4, r3
+scan:
+    cmp r4, #0
+    beq done
     adds r2, r2, #1
-    str r2, [r1]
-    pop {r1, r2}
+    subs r4, r4, #1
+    b scan
+done:
+    adds r0, r0, #1
+    cmp r0, #80
+    bne loop
+    mov r0, r2
+    bx lr
+"""
+
+#: the VIC cores take an IRQ without saving the flags, so a handler that
+#: interrupts a compare and its branch must leave them alone: this one
+#: records the interrupted trip with no flag-setting instruction
+BRANCHY_VIC_LOOP_SOURCE = BRANCHY_LOOP + """
+handler:
+    push {r1}
+    ldr r1, =0x20000030
+    str r0, [r1]
+    pop {r1}
     bx lr
 """
 
@@ -573,29 +734,30 @@ def test_it_blocks_bit_identical(cond, mask, args):
 # curated equivalence cases
 # ----------------------------------------------------------------------
 
-def test_autoindy_suite_bit_identical():
-    """Every Table 1 cell: fast and reference runs agree exactly."""
-    for _, core, isa in TABLE1_CONFIGS:
-        for workload in AUTOINDY_SUITE:
-            fast = run_kernel(workload, core, isa, seed=7, scale=2)
-            slow = run_kernel(workload, core, isa, seed=7, scale=2,
-                              machine_kwargs={})
-            assert fast == slow  # sanity: determinism of the harness itself
-            # now force the reference path for the comparison run
-            from repro.codegen import compile_program
-            from repro.core import build_machine
-            from repro.sim.rng import DeterministicRng
+#: every core configuration the kernels run on: the Table 1 three and
+#: the ARM1156 (the ``engine`` benchmark's four)
+KERNEL_CONFIGS = (*((core, isa) for _, core, isa in TABLE1_CONFIGS),
+                  ("arm1156", ISA_THUMB2))
 
-            fn = workload.build()
-            program = compile_program([fn], isa, base=FLASH_BASE)
-            prepared = workload.make_input(DeterministicRng(7), 2)
-            machine = build_machine(core, program)
-            machine.cpu.fastpath = False
-            machine.load_data(SRAM_BASE, prepared.data)
-            result = machine.call(fn.name, *prepared.args(SRAM_BASE))
-            assert (result, machine.cpu.cycles,
-                    machine.cpu.instructions_executed) == (
-                fast.result, fast.cycles, fast.instructions), workload.name
+
+def test_autoindy_suite_bit_identical():
+    """Every kernel on every core configuration: the trace engine leaves
+    the reference's full machine state - registers, flags, counters, bus
+    statistics, caches, scratch memory and the kernel's whole input image
+    in SRAM - and both verify against the kernel's reference answer."""
+    for core, isa in KERNEL_CONFIGS:
+        for workload in AUTOINDY_SUITE:
+            program = compiled_kernel(workload, isa)
+            states = []
+            for _, fastpath in ENGINES:
+                outcome = run_compiled(core, program, workload, seed=7,
+                                       scale=2, fastpath=fastpath)
+                assert outcome.result == outcome.expected
+                state = _state(outcome.machine)
+                state["image"] = bytes(
+                    outcome.machine.sram.data[:len(outcome.data)])
+                states.append(state)
+            assert states[0] == states[1], (core, isa, workload.name)
 
 
 INTERRUPT_SOURCE = """
@@ -664,6 +826,48 @@ def test_irq_asserts_land_mid_superblock(cycles):
         states.append(state)
     assert all(state == states[0] for state in states)
 
+
+M3_HANDLER = """
+handler:
+    ldr r1, =0x20000100
+    ldr r2, [r1]
+    adds r2, r2, #1
+    str r2, [r1]
+    bx lr
+"""
+
+BRANCHY_LOOP_SOURCE = BRANCHY_LOOP + M3_HANDLER
+
+#: a loop whose switch is the table branch: ``TBB`` runs inline, but the
+#: pc it leaves comes from a table entry read at run time (through
+#: ``cpu.branch``), so the region enters each case through a dynamic
+#: transition; a dead ``b join`` after the table makes the first case a
+#: member head like the others
+TBB_LOOP_SOURCE = """
+main:
+    movs r0, #0
+    movs r2, #0
+loop:
+    adds r2, r2, #3
+    movs r3, #3
+    ands r3, r3, r0
+    tbb [pc, r3]
+    .byte 3, 5, 7, 9
+    b join
+    adds r2, r2, #7
+    b join
+    adds r2, r2, #1
+    b join
+    eors r2, r2, r0
+    b join
+    subs r2, r2, #2
+join:
+    adds r0, r0, #1
+    cmp r0, #80
+    bne loop
+    mov r0, r2
+    bx lr
+""" + M3_HANDLER
 
 STRAIGHTLINE_LOOP_SOURCE = """
 main:
