@@ -32,21 +32,26 @@ both on randomised programs, and the golden corpus pins both:
   falls back to it for IT-block predication, sleep (WFI) ticks, and
   anything a core defers (the ARM1156's restartable LDM/STM windows).
 * the **trace engine** (the default) - binds each predecoded micro-op
-  (:mod:`repro.isa.predecode`) once per core into one *bound step*, with
-  its cycle cost prebound by :meth:`BaseCpu.compile_cycles`, chains them
-  into *superblocks* (the straight-line run from an entry address,
-  continued through unconditional direct branches), and executes each
-  superblock as one dispatch with no per-step interrupt poll.  List, step
-  and poll dispatch run the same bound step for an instruction, and fused
-  code calls it where it has no inline form.  Hot superblocks are *fused*
-  into single generated code objects (:mod:`repro.core.superblock`), and
-  the blocks of a hot loop into one: a *loop region* (:class:`Region`,
-  :func:`loop_regions`) holds the blocks whose heads lie in a natural
-  loop's address range, and a member's exit to another member - the
-  back-edge, either arm of a branch inside the loop, a switch's case -
-  continues inside the generated function under the checks this loop
-  would make, so a loop with branches runs whole iterations with zero
-  engine dispatch between them.  Superblocks are built lazily per entry
+  (:mod:`repro.isa.predecode`: the instruction, its predicate, its
+  reference handler prebound and its kind) once per core into one *bound
+  step*, with its cycle cost prebound by :meth:`BaseCpu.compile_cycles`,
+  chains them into *superblocks* (the straight-line run from an entry
+  address, continued through unconditional direct branches), and executes
+  each superblock as one dispatch with no per-step interrupt poll.  List,
+  step and poll dispatch run the same bound step for an instruction, so
+  they execute the reference semantics.  Hot superblocks are *fused* into
+  single generated code objects (:mod:`repro.core.superblock`), the only
+  fast transcription of the semantics: its emitters write the hot shapes
+  out inline and call the micro-op's handler or bound step for the rest,
+  so an instruction's semantics live in the reference handlers and, for
+  a hot shape, in one emitter.  The blocks of a hot loop fuse into one
+  function: a *loop region* (:class:`Region`, :func:`loop_regions`)
+  holds the blocks whose heads lie in a natural loop's address range,
+  and a member's exit to another member - the back-edge, either arm of a
+  branch inside the loop, a switch's case - continues inside the
+  generated function under the checks this loop would make, so a loop
+  with branches runs whole iterations with zero engine dispatch between
+  them.  Superblocks are built lazily per entry
   address (a branch target mid-block simply starts its own block).  A
   program is immutable once assembled, so its micro-op table and engine
   plans are never rebuilt.

@@ -8,11 +8,12 @@ any cores of its engine plan, to prove hot, :func:`fuse_block` generates
 a single function whose body is the block's per-step statement sequences
 laid out inline - fetch (inline SRAM/flash timing, the inline clean path
 of a cached fetch, or a prebound thunk), execute, cycle accounting, PC
-update - and compiles it once.  The hottest operand shapes (register
-moves and ALU, compares, immediate shifts, immediate/register-offset
-loads and stores, MOVW/MOVT, zero/sign extension) are inlined as raw
-statements; everything else calls its exec closure or its bound step, so
-partial inlining still wins.  Data accesses inline the bus fast path
+update - and compiles it once.  The hot operand shapes (register moves
+and ALU, compares, immediate and register shifts, immediate/register-
+offset loads and stores, block transfers, MOVW/MOVT, ADR, extensions and
+reversals) are inlined as raw statements; everything else calls its
+micro-op's ``exec`` (the prebound reference handler) or its bound step,
+so partial inlining still wins.  Data accesses inline the bus fast path
 (behind a per-access MPU check on protected cores), or a data cache's
 clean path.  Conditional execution costs no closure call either -
 condition checks are emitted as flag expressions (``_COND_EXPRS``).
@@ -30,11 +31,12 @@ call out.
 The entry is then placed by one rule:
 
 * **deferred** into the current *span* when it is unpredicated, has a
-  static cost and nothing in it can raise or call out.  For a run of such
-  steps nothing outside the core's registers can observe the boundaries
-  between them, so their counters (cycles, instruction count, bus
-  reads/writes/stalls, access records, taken gotos) and the intermediate
-  PC writes are summed into one flush at the span's end
+  static cost, nothing in it can raise or call out and its body reads no
+  flag (the dead-flag pass below sees only flag writes).  For a run of
+  such steps nothing outside the core's registers can observe the
+  boundaries between them, so their counters (cycles, instruction count,
+  bus reads/writes/stalls, access records, taken gotos) and the
+  intermediate PC writes are summed into one flush at the span's end
   (:func:`_flush_span`), and flag writes overwritten later in the span
   are dropped.  A load or store in a span keeps an *escape arm* for its
   rare paths (a span miss, another device, an MPU attached after
@@ -75,13 +77,13 @@ A block outside every region is fused alone and returns at its end.
 Bit-exactness contract
 ----------------------
 Every emitted statement sequence is a literal transcription of the
-core's bound step (``BaseCpu._bind_uop``) and the predecode closure body
-(:mod:`repro.isa.predecode`), in the same order: fetch, predicate,
-execute, cycle/instruction accounting, PC write.  A span reorders only
-what nothing can observe, and every barrier and escape arm materialises
-it first, so a fault raised mid-block (bus fault, MPU abort) leaves
-registers, counters, and bus statistics in exactly the state per-step
-execution would; the property tests in
+core's bound step (``BaseCpu._bind_uop``) and the instruction's reference
+handler (:mod:`repro.isa.semantics`), in the same order: fetch,
+predicate, execute, cycle/instruction accounting, PC write.  A span
+reorders only what nothing can observe, and every barrier and escape arm
+materialises it first, so a fault raised mid-block (bus fault, MPU
+abort) leaves registers, counters, and bus statistics in exactly the
+state per-step execution would; the property tests in
 ``tests/test_fastpath_properties.py`` diff complete machine state across
 both engines to keep it that way.
 
@@ -157,8 +159,9 @@ from types import CodeType, FunctionType
 from typing import NamedTuple
 
 from repro import obs
+from repro.isa.instructions import BLOCK_OPS
 from repro.isa.registers import MASK32, PC
-from repro.isa.semantics import _LOAD_SIZES, _SIGNED_LOADS, _STORE_SIZES, Outcome
+from repro.isa.semantics import _LOAD_SIZES, _SIGNED_LOADS, _STORE_SIZES, Outcome, shift_c
 from repro.memory.bus import AccessRecord
 from repro.memory.cache import parity32
 from repro.memory.flash import Flash
@@ -295,22 +298,18 @@ def _cond_test(ins) -> str:
     return _COND_EXPRS[ins.cond.name]
 
 
-def _no_pc(*regs):
-    return all(r is None or r != PC for r in regs)
-
-
 def _shift_operand_lines(ins, value_var: str, carry_var: str | None):
     """Statements computing the shifted second operand into ``value_var``
     and the shifter carry (a bool) into ``carry_var``, or ``None``.
 
     A literal transcription of ``shift_c`` for a constant amount in
-    1..31 (amount 0 is the no-shift path and 32 keeps the closure), with
+    1..31 (amount 0 is the no-shift path and 32 calls the handler), with
     the register value pre-masked as all ``rvals`` entries are.  A
     ``carry_var`` of ``None`` skips the carry computation (consumers that
     discard the shifter carry, like the adder-flagged ADD/SUB).
     """
     kind, amount = ins.shift.kind, ins.shift.amount
-    if not 1 <= amount <= 31 or ins.rm is None or ins.rm == PC:
+    if not 1 <= amount <= 31 or ins.rm is None:
         return None
     x = f"rvals[{ins.rm}]"
     if kind == "LSL":
@@ -339,12 +338,12 @@ def _shift_operand_lines(ins, value_var: str, carry_var: str | None):
 
 
 # ----------------------------------------------------------------------
-# exec-body emitters: return statement lines or None (-> closure call)
+# exec-body emitters: return statement lines or None (-> handler call)
 # ----------------------------------------------------------------------
 
 def _emit_mov(ins):
     rd, rm = ins.rd, ins.rm
-    if not _no_pc(rd, rm) or rd is None:
+    if rd is None:
         return None
     mvn = ins.mnemonic == "MVN"
     if ins.shift is not None:
@@ -389,7 +388,7 @@ def _emit_mov(ins):
 def _emit_add_sub(ins):
     op = ins.mnemonic
     rd, rn, rm = ins.rd, ins.rn, ins.rm
-    if not _no_pc(rd, rn, rm) or rd is None or rn is None:
+    if rd is None or rn is None:
         return None
     shift_lines = None
     if rm is not None and ins.shift is not None:
@@ -446,7 +445,7 @@ _LOGIC_EXPR = {
 
 def _emit_logic(ins):
     rd, rn, rm = ins.rd, ins.rn, ins.rm
-    if not _no_pc(rd, rn, rm) or rd is None or rn is None:
+    if rd is None or rn is None:
         return None
     if rm is not None and ins.shift is not None:
         # shifted operand: flag-setting forms take C from the shifter
@@ -476,7 +475,7 @@ def _emit_shift(ins):
     op = ins.mnemonic
     rd, rn = ins.rd, ins.rn
     amount = ins.imm
-    if (not _no_pc(rd, rn) or rd is None or rn is None or ins.rm is not None
+    if (rd is None or rn is None or ins.rm is not None
             or amount is None or not 1 <= amount <= 31):
         return None
     lines = [f"x = rvals[{rn}]"]
@@ -501,10 +500,27 @@ def _emit_shift(ins):
     return lines
 
 
+def _emit_register_shift(ins, ns):
+    """A register-controlled LSL/LSR/ASR/ROR: ``shift_c`` itself, by the
+    amount register's low byte.  A shift by 0 passes the carry in
+    through, so the flag-setting form reads C."""
+    rd, rn = ins.rd, ins.rn
+    if rd is None or rn is None:
+        return None
+    ns.default("SHC", "constant", shift_c)
+    carry = "cpu.apsr.c" if ins.setflags else "False"
+    lines = [f"r, c = SHC(rvals[{rn}], '{ins.mnemonic}', rvals[{ins.rm}] & 255, {carry})",
+             f"rvals[{rd}] = r"]
+    if ins.setflags:
+        lines += ["f = cpu.apsr", f"f.n = r >= {_SIGN_BIT}", "f.z = r == 0",
+                  "f.c = c"]
+    return lines
+
+
 def _emit_compare(ins):
     op = ins.mnemonic
     rn, rm = ins.rn, ins.rm
-    if not _no_pc(rn, rm) or rn is None or ins.shift is not None:
+    if rn is None or ins.shift is not None:
         return None
     if rm is None and ins.imm is None:
         return None
@@ -543,7 +559,7 @@ def _emit_compare(ins):
 
 def _emit_mul(ins):
     rd, rn, rm = ins.rd, ins.rn, ins.rm
-    if not _no_pc(rd, rn, rm) or rd is None or rn is None or rm is None:
+    if rd is None or rn is None or rm is None:
         return None
     lines = [f"r = (rvals[{rn}] * rvals[{rm}]) & {MASK32}", f"rvals[{rd}] = r"]
     if ins.setflags:
@@ -551,14 +567,26 @@ def _emit_mul(ins):
     return lines
 
 
-def _emit_extend(ins):
+#: the reversals of ``_exec_unary`` over a pre-masked ``x``:
+#: ``byte_reverse32``, ``byte_reverse_halves`` and ``bit_reverse32``
+_REVERSE_EXPR = {
+    "REV": ("((x & 0xFF) << 24) | ((x & 0xFF00) << 8)"
+            " | ((x & 0xFF0000) >> 8) | ((x & 0xFF000000) >> 24)"),
+    "REV16": f"(((x & 0x00FF00FF) << 8) | ((x & 0xFF00FF00) >> 8)) & {MASK32}",
+    "RBIT": "int(format(x, '032b')[::-1], 2)",
+}
+
+
+def _emit_unary(ins):
     op = ins.mnemonic
     rd = ins.rd
     src = ins.rm if ins.rm is not None else ins.rn
-    if not _no_pc(rd, src) or rd is None or src is None:
+    if rd is None or src is None:
         return None
     if op == "CLZ":
         return [f"rvals[{rd}] = 32 - rvals[{src}].bit_length()"]
+    if op in _REVERSE_EXPR:
+        return [f"x = rvals[{src}]", f"rvals[{rd}] = {_REVERSE_EXPR[op]}"]
     if op in ("UXTB", "UXTH"):
         mask = 0xFF if op == "UXTB" else 0xFFFF
         return [f"rvals[{rd}] = rvals[{src}] & {mask}"]
@@ -572,7 +600,7 @@ def _emit_extend(ins):
 
 def _emit_movw_movt(ins):
     rd = ins.rd
-    if rd is None or rd == PC or ins.imm is None:
+    if rd is None or ins.imm is None:
         return None
     if ins.mnemonic == "MOVW":
         return [f"rvals[{rd}] = {ins.imm & 0xFFFF}"]
@@ -583,7 +611,7 @@ def _emit_movw_movt(ins):
 def _emit_ubfx(ins):
     rd, rn = ins.rd, ins.rn
     lsb, width = ins.bf_lsb, ins.bf_width
-    if not _no_pc(rd, rn) or rd is None or rn is None:
+    if rd is None or rn is None:
         return None
     if lsb is None or width is None or not 0 < width <= 32 - lsb:
         return None
@@ -619,12 +647,23 @@ def _mpu_preamble(ns, addr_expr: str, size: int, is_write: bool) -> list:
 _NOOP_OPS = frozenset({"NOP", "DSB", "ISB", "BKPT"})
 
 
-def _emit_exec(ins):
+def _pc_value(cpu, ins) -> int:
+    """The PC an instruction reads, as ``BaseCpu.pc_read_value`` gives it:
+    its address plus 8 in ARM state, plus 4 in Thumb state."""
+    return ins.address + (8 if cpu.program.isa == "arm" else 4)
+
+
+def _emit_exec(cpu, ins, ns):
     """Inline statements for one data-processing exec body, or ``None``.
 
-    ``None`` means no inline form: the caller keeps the prebound exec
-    closure, which is always correct.  Every form here touches registers
-    and flags only, so none can raise or call out.  Their temporaries
+    ``None`` means no inline form: the caller calls the micro-op's
+    ``exec``, its prebound reference handler - always correct, except
+    that fused code never sets ``cpu.current_address``, so a handler that
+    reads the PC must have an inline form (ADR here; literal loads in
+    :func:`_mem_step`).  A chainable micro-op names no PC
+    (``repro.isa.predecode.uop_kind``).  Every form here touches registers
+    and flags only, so none can raise or call out; one whose body reads a
+    flag is placed as a barrier (:func:`_build_step`).  Their temporaries
     (``x``, ``r``, ``sx``, ...) carry no digits: a position's own locals
     (``s{i}``, ``ds{i}``, ``a{i}``, ``ln{i}``) end in its index and can live
     until the span's flush, so a temporary equal to one of them would
@@ -640,17 +679,21 @@ def _emit_exec(ins):
     if op in _LOGIC_EXPR:
         return _emit_logic(ins)
     if op in ("LSL", "LSR", "ASR", "ROR"):
-        return _emit_shift(ins)
+        return _emit_shift(ins) if ins.rm is None else _emit_register_shift(ins, ns)
     if op in ("CMP", "CMN", "TST", "TEQ"):
         return _emit_compare(ins)
     if op == "MUL":
         return _emit_mul(ins)
-    if op in ("CLZ", "UXTB", "UXTH", "SXTB", "SXTH"):
-        return _emit_extend(ins)
+    if op in ("CLZ", "UXTB", "UXTH", "SXTB", "SXTH", "REV", "REV16", "RBIT"):
+        return _emit_unary(ins)
     if op in ("MOVW", "MOVT"):
         return _emit_movw_movt(ins)
     if op == "UBFX":
         return _emit_ubfx(ins)
+    if op == "ADR" and ins.rd is not None:
+        # _exec_adr: Align(PC, 4) plus the offset, folded
+        value = ((_pc_value(cpu, ins) & ~3) + (ins.imm or 0)) & MASK32
+        return [f"rvals[{ins.rd}] = {value}"]
     return None
 
 
@@ -1149,12 +1192,37 @@ def _dcache_store(ns, addr, size, rd, stall) -> list[str]:
                       "else:", f"    DC._update({addr}, {size}, {value})"])]
 
 
-def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
-    """Fill in ``entry``'s body and data access for a plain load or store;
-    False when it has no inline form (write-back, post-index, the PC as a
-    register operand).
+def _block_transfer(ins) -> list[str]:
+    """An LDM/STM/PUSH/POP whose list holds no PC, as ``_exec_block`` runs
+    it: one mediated access per register (``RD``/``WR``: the MPU, the data
+    cache and every fault), in ascending register order from the base,
+    then the base or SP written back - last, so an access that faults
+    leaves it unchanged, and an LDM that loads its base keeps the loaded
+    value."""
+    regs = sorted(ins.reglist)
+    op, end = ins.mnemonic, 4 * len(regs)
+    rn = 13 if op in ("PUSH", "POP") else ins.rn
+    lines = ["cpu._data_stalls = 0",
+             f"ba = rvals[13] - {end}" if op == "PUSH" else f"ba = rvals[{rn}]"]
+    for slot, reg in enumerate(regs):
+        addr = f"ba + {4 * slot}" if slot else "ba"
+        if op in ("PUSH", "STM"):
+            lines.append(f"WR({addr}, 4, rvals[{reg}])")
+        else:
+            lines.append(f"rvals[{reg}] = RD({addr}, 4) & {MASK32}")
+    if op == "PUSH":
+        lines.append(f"rvals[13] = ba & {MASK32}")
+    elif op == "POP" or (ins.writeback and not (op == "LDM" and rn in regs)):
+        lines.append(f"rvals[{rn}] = (ba + {end}) & {MASK32}")
+    return lines
 
-    One emitter, three shapes:
+
+def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
+    """Fill in ``entry``'s body and data access for a load, a store or a
+    block transfer; False when it has no inline form (write-back,
+    post-index).
+
+    One emitter, four shapes:
 
     * **a span member** (``deferrable``, and the plan key has no data
       cache and no fuse-time MPU): a span-cache hit on SRAM, or a
@@ -1166,16 +1234,22 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
       literal (:func:`_span_cache_access`, :func:`_literal_fold`);
     * **through the D-cache**, when the plan key has a data cache: a
       barrier whose clean path is inline (:func:`_dcache_load`,
-      :func:`_dcache_store`); literal loads read through the cache too.
+      :func:`_dcache_store`); literal loads read through the cache too;
+    * **a block transfer**: a barrier of mediated accesses
+      (:func:`_block_transfer`).
+
+    A ``mem`` micro-op names no PC but as a literal load's base
+    (``repro.isa.predecode.uop_kind``).
     """
     ins = uop.ins
     op, mem, rd = ins.mnemonic, ins.mem, ins.rd
+    if op in BLOCK_OPS:
+        ftrack.clear()  # the mediated accesses may reach a flash device
+        entry.update(body=_block_transfer(ins), dacc=[_MEDIATED], barrier=True)
+        return True
+    if mem is None or rd is None or mem.writeback or mem.postindex:
+        return False
     load = op in _LOAD_SIZES
-    if not load and op not in _STORE_SIZES:
-        return False
-    if (mem is None or rd is None or rd == PC or mem.writeback or mem.postindex
-            or mem.rm == PC or (not load and mem.rn == PC)):
-        return False
     size = _LOAD_SIZES[op] if load else _STORE_SIZES[op]
     plan = ns.key.data_plan
     deferrable = (deferrable and ns.key.data_cache is None
@@ -1193,8 +1267,7 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
                     escape=None)
 
     if mem.rn == PC:
-        pc_off = 8 if cpu.program.isa == "arm" else 4
-        address = (((ins.address + pc_off) & ~3) + mem.offset) & MASK32
+        address = ((_pc_value(cpu, ins) & ~3) + mem.offset) & MASK32
     elif mem.rm is None:
         expr = f"(rvals[{mem.rn}] + {mem.offset}) & {MASK32}"
     else:
@@ -1252,15 +1325,17 @@ def _mem_step(cpu, uop, index, ns, ftrack, entry, deferrable) -> bool:
 
 
 def _branch_lines(cpu, ins) -> tuple[list[str] | None, int | None]:
-    """The taken path of a block-ending branch, or None for a closure call,
-    and the pc it leaves the core at when that is a constant (else None).
+    """The taken path of a block-ending branch, or None for a bound-step
+    call, and the pc it leaves the core at when that is a constant (else
+    None).
 
-    Covers exactly the shapes ``_compile_branch`` specialises (resolved
-    targets, register BX/BLX not via the PC), and the table branches
-    (:func:`_table_branch_lines`).  The ``cpu.branch`` call is
-    kept unless the core inlines a constant target: halt detection and
-    the cores' exception-return hooks live there, so after the call the
-    pc is known only at run time.
+    Covers the direct branches with a resolved target, register BX/BLX
+    not via the PC, and the table branches (:func:`_table_branch_lines`),
+    each as ``_exec_branch`` or ``_exec_table_branch`` runs it; the rest
+    (an unresolved label raises there) call the bound step.  The
+    ``cpu.branch`` call is kept unless the core inlines a constant
+    target: halt detection and the cores' exception-return hooks live
+    there, so after the call the pc is known only at run time.
     """
     op = ins.mnemonic
     if op in ("TBB", "TBH"):
@@ -1272,7 +1347,7 @@ def _branch_lines(cpu, ins) -> tuple[list[str] | None, int | None]:
             return None, None
         if op == "BLX":
             # read the target before writing LR: `blx lr` must branch to
-            # the OLD link register (same order as _compile_branch)
+            # the OLD link register (same order as _exec_branch)
             return [f"t = rvals[{ins.rm}]",
                     f"rvals[14] = {(ins.address + ins.size) & MASK32}",
                     "BR(t & ~1)"], None
@@ -1301,7 +1376,7 @@ def _table_branch_lines(cpu, ins) -> list[str] | None:
     the PC."""
     if ins.rn is None or ins.rm is None or ins.rm == PC:
         return None
-    pc = (ins.address + (8 if cpu.program.isa == "arm" else 4)) & MASK32
+    pc = _pc_value(cpu, ins) & MASK32
     base = str(pc) if ins.rn == PC else f"rvals[{ins.rn}]"
     index = f"rvals[{ins.rm}]" if ins.mnemonic == "TBB" else f"rvals[{ins.rm}] * 2"
     size = 1 if ins.mnemonic == "TBB" else 2
@@ -1315,16 +1390,19 @@ def _build_step(cpu, uop, index, ns, ftrack):
     """Build one fused position's step entry (see :func:`_fetch`), or
     ``None`` when it has no inline form and calls its bound step.
 
-    A chainable micro-op gets its fetch, then its body: a load or store
-    (:func:`_mem_step`), an inline data-processing form (:func:`_emit_exec`)
-    or a call of its exec closure.  A block-ending branch gets its fetch
-    and its taken path (:func:`_branch_lines`); a table branch's path
-    reads its entry mediated (:func:`_table_branch_lines`).  The step *defers* into the
+    A chainable micro-op gets its fetch, then its body: a load, store or
+    block transfer (:func:`_mem_step`), an inline data-processing form
+    (:func:`_emit_exec`) or a call of its ``exec``, the prebound reference
+    handler.  A block-ending branch gets its fetch and its taken path
+    (:func:`_branch_lines`); a table branch's path reads its entry
+    mediated (:func:`_table_branch_lines`).  The step *defers* into the
     current span when it is unpredicated, has a static cost, fetches
-    without calling out, and nothing in its body can raise or call out
-    (a taken branch only as a pure goto, whose PC write the span absorbs);
-    otherwise it is a barrier.  A predicated step with a dynamic cost,
-    and any other block ender, has no inline form.
+    without calling out, nothing in its body can raise or call out (a
+    taken branch only as a pure goto, whose PC write the span absorbs),
+    and its body reads no flag (the span's dead-flag pass sees only flag
+    writes, so a later reader would let it drop a write the reader
+    needs); otherwise it is a barrier.  A predicated step with a dynamic
+    cost, and any other block ender, has no inline form.
     """
     ins = uop.ins
     cycle_fn = cpu.compile_cycles(ins)
@@ -1362,7 +1440,7 @@ def _build_step(cpu, uop, index, ns, ftrack):
     mem = uop.kind == "mem"
     if not (mem and _mem_step(cpu, uop, index, ns, body_track, entry,
                               deferrable)):
-        lines = None if mem else _emit_exec(ins)
+        lines = None if mem else _emit_exec(cpu, ins, ns)
         if lines is None:
             ns.put(f"E{index}", "constant", uop.exec)
             ns.put(f"O{index}", "outcome")
@@ -1370,13 +1448,15 @@ def _build_step(cpu, uop, index, ns, ftrack):
             if mem:
                 entry["body"].insert(0, "cpu._data_stalls = 0")
                 entry["dacc"] = [_MEDIATED]
-                body_track.clear()  # closure-run accesses may reach flash
+                body_track.clear()  # handler-run accesses may reach flash
         else:
             for stmt in lines:
                 if stmt.startswith("f."):
                     entry["flags"][stmt[2]] = stmt
                 elif stmt != "f = cpu.apsr":
                     entry["body"].append(stmt)
+                    if "cpu.apsr" in stmt:
+                        entry["barrier"] = True  # the body reads a flag
     if mem and cond is not None:
         ftrack.clear()
     if base is None:

@@ -5,8 +5,9 @@ Interrupt entry is largely a *software* affair on these cores: the hardware
 only swaps the PC and banks LR (the banking folded into the core's fixed
 ``ENTRY_OVERHEAD``); saving and restoring the working registers is the
 handler's job - the "preamble/postamble" the paper's section 3.2.1 contrasts
-with the Cortex-M3's hardware scheme (:mod:`repro.core.nvic`).  The return
-is a branch to the interrupted PC, which un-banks LR and clears the I-bit.
+with the Cortex-M3's hardware scheme (:mod:`repro.core.nvic`).  Entry also
+banks the flags, as CPSR goes to SPSR_irq.  The return is a branch to the
+interrupted PC, which un-banks LR, restores the flags and clears the I-bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from repro.core.cpu import HALT_ADDRESS, BaseCpu
 from repro.core.exceptions import InterruptRecord, InterruptRequest, RequestQueue
 from repro.isa.assembler import Program
-from repro.isa.registers import MASK32
+from repro.isa.registers import MASK32, Apsr
 from repro.memory.bus import SystemBus
 from repro.sim.trace import TraceRecorder
 
@@ -41,9 +42,9 @@ class VicController(RequestQueue):
 
 class VicCore(BaseCpu):
     """A core on the system bus that takes interrupts through a
-    :class:`VicController`: entry swaps the PC, banks LR and sets the
-    I-bit after the core's fixed ``ENTRY_OVERHEAD`` cycles (each core
-    declares its own); a branch back to the interrupted PC returns."""
+    :class:`VicController`: entry swaps the PC, banks LR and the flags and
+    sets the I-bit after the core's fixed ``ENTRY_OVERHEAD`` cycles (each
+    core declares its own); a branch back to the interrupted PC returns."""
 
     def __init__(self, program: Program, bus: SystemBus,
                  vic: VicController | None = None,
@@ -51,8 +52,9 @@ class VicCore(BaseCpu):
         super().__init__(program, trace)
         self.bus = bus
         self.vic = vic or VicController()
-        #: (record, interrupted pc, banked LR) per active handler
-        self._return_stack: list[tuple[InterruptRecord, int, int]] = []
+        #: (record, interrupted pc, banked LR, banked flags) per active
+        #: handler
+        self._return_stack: list[tuple[InterruptRecord, int, int, Apsr]] = []
 
     @property
     def _irq_controller(self):
@@ -72,7 +74,8 @@ class VicCore(BaseCpu):
                                  assert_cycle=request.assert_cycle,
                                  entry_cycle=self.cycles)
         self.vic.stats.records.append(record)
-        self._return_stack.append((record, return_addr, banked_lr))
+        self._return_stack.append((record, return_addr, banked_lr,
+                                   self.apsr.copy()))  # CPSR -> SPSR_irq
         self.interrupts_enabled = False   # I-bit set on entry
         self.regs.pc = request.handler
         self.trace.emit(self.cycles, "irq", "enter", number=request.number,
@@ -82,10 +85,12 @@ class VicCore(BaseCpu):
     def branch(self, target: int) -> None:
         super().branch(target)
         if self._return_stack and target == self._return_stack[-1][1]:
-            record, _, banked_lr = self._return_stack.pop()
+            record, _, banked_lr, spsr = self._return_stack.pop()
             record.exit_cycle = self.cycles
             self.regs.lr = banked_lr        # un-bank the user-mode LR
-            self.interrupts_enabled = True  # CPSR restored on return
+            flags = self.apsr               # CPSR restored from SPSR_irq
+            flags.n, flags.z, flags.c, flags.v = spsr.n, spsr.z, spsr.c, spsr.v
+            self.interrupts_enabled = True  # with the I-bit clear
             self.trace.emit(self.cycles, "irq", "exit", number=record.number)
 
     def _branch_inline(self, target: int) -> list[str] | None:

@@ -42,7 +42,7 @@ from repro.isa.registers import (
     parse_register,
     register_name,
 )
-from repro.isa.predecode import MicroOp, compile_exec, predecode
+from repro.isa.predecode import MicroOp, predecode
 from repro.isa.semantics import (
     Outcome,
     UndefinedInstruction,
@@ -64,7 +64,7 @@ __all__ = [
     "Instruction", "Mem", "Shift", "instr",
     "LR", "MASK32", "PC", "SP", "Apsr", "RegisterFile",
     "parse_register", "register_name",
-    "MicroOp", "compile_exec", "predecode",
+    "MicroOp", "predecode",
     "Outcome", "UndefinedInstruction", "add_with_carry", "execute",
     "shift_c", "to_signed",
     "encode_thumb", "encode_thumb2", "encode_thumb2_imm", "thumb2_expand_imm",

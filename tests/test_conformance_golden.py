@@ -59,8 +59,8 @@ KERNEL_SCALE = 1
 #: Hand-written programs covering engine-sensitive shapes the kernels
 #: don't force: tight backward-branch loops (superblock re-entry and
 #: trace-engine loop fusion), a nested loop with a while-shaped inner
-#: loop (one loop region), LDM/STM with write-back (specialised
-#: predecode), IT predication (Thumb-2 only), IRQs landing on loop
+#: loop (one loop region), LDM/STM with write-back (inline in fused
+#: code), IT predication (Thumb-2 only), IRQs landing on loop
 #: back-edges, the ARM1156 cached fetch path, and Cortex-M3 literal-pool
 #: loads under an MPU.
 ASM_ALU_LOOP = """

@@ -26,8 +26,9 @@ from repro.core.cortexm3 import CortexM3Core
 from repro.core.cpu import _PLAN_TABLES, loop_regions
 from repro.core.exceptions import DataAbort
 from repro.core.machines import DEFAULT_FLASH_SIZE, DEFAULT_SRAM_SIZE
-from repro.isa import ISA_THUMB, ISA_THUMB2, assemble
-from repro.isa.predecode import predecode
+from repro.isa import ISA_THUMB, ISA_THUMB2, Mem, Shift, assemble, instr
+from repro.isa.predecode import predecode, uop_kind
+from repro.isa.registers import PC
 from repro.memory.bus import SystemBus
 from repro.memory.cache import Cache
 from repro.memory.flash import Flash
@@ -356,6 +357,108 @@ def test_barrier_store_faults_exactly_inside_a_fused_loop():
     assert states[0] == states[1]
     assert states[0]["mpu_faults"] == 1
     assert states[0]["regs"][2] == 30
+
+
+#: pushes three registers, stores them at r0 and pops them back, r1
+#: times: the loop's PUSH and STM each move a three-register list
+BLOCK_LOOP = """
+main:
+    movs r2, #0
+    movs r4, #4
+    movs r5, #5
+    movs r6, #6
+loop:
+    push {r4, r5, r6}
+    stm r0, {r4, r5, r6}
+    pop {r4, r5, r6}
+    adds r2, r2, #1
+    cmp r2, r1
+    bne loop
+    bx lr
+"""
+
+
+@pytest.mark.parametrize("transfer", ["push", "stm"])
+def test_block_transfer_faults_exactly_on_a_middle_register(transfer):
+    """An M3 whose MPU is attached at build runs the loop fused; then a
+    32-byte hole denies the second slot of its PUSH (the hole at SP - 8)
+    or of its STM (at r0 + 4), and the loop, entered again at its head
+    with new register values, faults inside fused code on the middle
+    register: the first register's word is written, the second is not,
+    the PUSH does not write SP back, and registers, memory, bus
+    statistics and the fault count equal the reference's."""
+    program = assemble(BLOCK_LOOP, ISA_THUMB2, base=FLASH_BASE)
+    hole = SRAM_BASE + 0x100
+    if transfer == "push":
+        sp, base, first = hole + 8, SRAM_BASE + 0x40, hole - 4
+    else:
+        sp, base, first = SRAM_BASE + 0x1C0, hole - 4, hole - 4
+    # SP after the fault: the PUSH's own fault leaves it, the STM's
+    # follows the PUSH that ran first
+    fault_sp = sp if transfer == "push" else sp - 12
+    states = []
+    for fastpath in (True, False):
+        mpu = Mpu(min_region_size=32, background_perms="none")
+        mpu.configure(0, SRAM_BASE, 0x1000, perms="rw")
+        machine = build_cortexm3(program, mpu=mpu)
+        cpu = machine.cpu
+        cpu.fastpath = fastpath
+        cpu.call("main", base, 40, sp=sp)
+        if fastpath:
+            assert cpu._plan.key.mpu
+            assert program.symbols["loop"] in _fused(cpu), "the loop never fused"
+        mpu.configure(1, hole, 32, perms="none")
+        for reg in (4, 5, 6):
+            cpu.regs.write(reg, 0x40 + reg)
+        with pytest.raises(DataAbort):
+            cpu.call("loop", base, 40, sp=sp)
+        states.append(_state(machine))
+    assert states[0] == states[1]
+    assert states[0]["mpu_faults"] == 1
+    assert states[0]["regs"][13] == fault_sp
+    offset = first - SRAM_BASE
+    assert states[0]["sram"][offset:offset + 8] == bytes([0x44, 0, 0, 0, 5, 0, 0, 0])
+
+
+@pytest.mark.parametrize("ins,kind", [
+    # the PC in each operand position, and in a register list
+    (instr("ADD", rd=PC, rn=1, rm=2), "ctl"),
+    (instr("ADD", rd=1, rn=PC, imm=4), "ctl"),
+    (instr("ADD", rd=1, rn=2, rm=PC), "ctl"),
+    (instr("MLA", rd=1, rn=2, rm=3, ra=PC), "ctl"),
+    (instr("LDR", rd=PC, mem=Mem(rn=1)), "ctl"),
+    (instr("LDR", rd=1, mem=Mem(rn=2, rm=PC)), "ctl"),
+    (instr("LDR", rd=1, mem=Mem(rn=PC, rm=2)), "ctl"),
+    (instr("LDR", rd=1, mem=Mem(rn=PC, offset=4, writeback=True)), "ctl"),
+    (instr("LDR", rd=1, mem=Mem(rn=PC, offset=4, postindex=True)), "ctl"),
+    (instr("STR", rd=1, mem=Mem(rn=PC, offset=4)), "ctl"),
+    (instr("POP", reglist=(4, PC)), "ctl"),
+    (instr("LDM", rn=1, reglist=(2, PC)), "ctl"),
+    (instr("ADR", rd=PC, imm=4), "ctl"),
+    # the control and system mnemonics
+    (instr("B", target=0x100), "ctl"),
+    (instr("BX", rm=14), "ctl"),
+    (instr("TBB", rn=1, rm=2), "ctl"),
+    (instr("WFI"), "ctl"),
+    (instr("CPSID"), "ctl"),
+    # a literal load's base is the one PC a chainable micro-op names
+    (instr("LDR", rd=1, mem=Mem(rn=PC, offset=8)), "mem"),
+    (instr("LDRSH", rd=1, mem=Mem(rn=PC, offset=8)), "mem"),
+    (instr("PUSH", reglist=(4, 14)), "mem"),
+    (instr("STM", rn=1, reglist=(2, 3), writeback=True), "mem"),
+    (instr("STR", rd=1, mem=Mem(rn=2, offset=4, writeback=True)), "mem"),
+    (instr("ADR", rd=1, imm=8), "alu"),
+    (instr("ADC", rd=1, rn=2, rm=3, shift=Shift("LSL", 3)), "alu"),
+    (instr("CMP", rn=1, rm=2, shift=Shift("ASR", 4)), "alu"),
+    (instr("LSL", rd=1, rn=1, rm=3, setflags=True), "alu"),
+    (instr("NOP"), "alu"),
+], ids=repr)
+def test_micro_op_kind_rule(ins, kind):
+    """One rule gives a micro-op its kind: ``ctl`` for the control and
+    system mnemonics and anything that names the PC (a literal load's base
+    excepted), ``mem`` for loads, stores and block transfers, ``alu`` for
+    the rest."""
+    assert uop_kind(ins) == kind
 
 
 #: the loop rings a doorbell every iteration; one ring queues an IRQ

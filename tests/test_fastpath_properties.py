@@ -188,6 +188,129 @@ def _predicated_ops(woff):
     )
 
 
+#: a shift amount register's value: 0 passes the carry in through, 32 and
+#: 33 shift everything out, 255 is the most its low byte holds
+SHIFT_BY = st.one_of(st.just(0), st.integers(min_value=1, max_value=31),
+                     st.sampled_from([32, 33, 255]))
+#: an operand shift (kind, amount) every ISA with shifted operands encodes
+OPERAND_SHIFT = st.one_of(
+    st.tuples(st.sampled_from(["lsl", "ror"]), st.integers(min_value=1, max_value=31)),
+    st.tuples(st.sampled_from(["lsr", "asr"]), st.integers(min_value=1, max_value=32)))
+#: a PUSH list and a POP list of the same length (registers r1-r7)
+PUSH_POP = st.lists(REG, min_size=1, max_size=4, unique=True).flatmap(
+    lambda pushed: st.tuples(st.just(tuple(pushed)), st.lists(
+        REG, min_size=len(pushed), max_size=len(pushed), unique=True).map(tuple)))
+
+
+#: chainable shapes that fused code writes out inline or runs through
+#: the reference handler: register-controlled shifts, the carry ops
+#: (ADC/SBC/RSB), shifted operands and compares, MVN/TEQ/ORN, the long
+#: multiplies and dividers, bitfields, MOVW/MOVT, ADR and PUSH/POP;
+#: :func:`_render_shape` drops a form the ISA does not encode
+_SHAPES = (
+    st.tuples(st.just("shift_reg"), st.sampled_from(["lsl", "lsr", "asr", "ror"]),
+              st.booleans(), REG, REG, SHIFT_BY),
+    st.tuples(st.just("carry"), st.sampled_from(["adc", "sbc", "rsb"]),
+              st.booleans(), REG, REG, REG, st.none() | OPERAND_SHIFT),
+    st.tuples(st.just("shifted"),
+              st.sampled_from(["add", "sub", "and", "orr", "eor", "bic",
+                               "mov", "mvn", "orn"]),
+              st.booleans(), REG, REG, REG, OPERAND_SHIFT),
+    st.tuples(st.just("shifted_cmp"), st.sampled_from(["cmp", "cmn", "tst", "teq"]),
+              REG, REG, OPERAND_SHIFT),
+    st.tuples(st.just("logic2"), st.sampled_from(["mvns", "teq", "orn"]),
+              REG, REG, REG),
+    st.tuples(st.just("mul_long"),
+              st.sampled_from(["mla", "mls", "umull", "smull", "sdiv", "udiv"]),
+              REG, REG, REG, REG),
+    st.tuples(st.just("bitfield"), st.sampled_from(["bfi", "bfc", "ubfx", "sbfx"]),
+              REG, REG, st.integers(min_value=0, max_value=31),
+              st.integers(min_value=1, max_value=32)),
+    st.tuples(st.just("movw_movt"), st.sampled_from(["movw", "movt"]), REG,
+              st.integers(min_value=0, max_value=0xFFFF)),
+    st.tuples(st.just("adr"), REG),
+    st.tuples(st.just("push_pop"), PUSH_POP),
+)
+
+
+#: what each ISA encodes of the shapes above (16-bit Thumb: two-operand
+#: flag-setting forms only; the ARM subset: no Thumb-2 additions)
+_THUMB2_ONLY = {"orn", "mls", "sdiv", "udiv", "bitfield", "movw_movt", "adr"}
+_THUMB_SHAPES = {"shift_reg", "carry", "mvns", "push_pop"}
+
+
+#: folds C into r8 at once (an ADC is a barrier: it reads C); no other
+#: op writes r8, so the final state holds every carry this observed
+_CARRY_INTO_R8 = ["    movs r3, #0", "    adcs r3, r3", "    add r8, r3"]
+
+
+def _render_shape(op, isa: str) -> list[str]:
+    """One shape of ``_SHAPES`` as assembly lines, or none
+    when ``isa`` lacks it.
+
+    A register-controlled shift opens with a shift by 0, which passes C
+    through: an ADC leaves C clear, a compare sets it, and the shift's
+    carry is folded into r8 at once - a shift deferred into the span,
+    where the dead-flag pass drops the compare's C write, reads the stale
+    one.  The shift by the drawn amount follows, its carry folded in too.
+    ADR accumulates its value in r9, which no other op writes."""
+    kind, mnem = op[0], op[1]
+    if isa != ISA_THUMB2 and (kind in _THUMB2_ONLY or mnem in _THUMB2_ONLY):
+        return []
+    if isa == ISA_THUMB and kind not in _THUMB_SHAPES and mnem not in _THUMB_SHAPES:
+        return []
+    if kind == "shift_reg":
+        _, mnem, flags, rd, rn, amount = op
+        if isa == ISA_THUMB:
+            by_zero = drawn = f"{mnem}s r{rd}, r3"
+        else:
+            by_zero = f"{mnem}s r{rd}, r{rn}, r3"
+            drawn = f"{mnem}{'s' if flags else ''} r{rd}, r{rn}, r3"
+        return ["    movs r3, #0", "    adcs r3, r3", "    movs r3, #0",
+                "    cmp r3, r3", f"    {by_zero}", *_CARRY_INTO_R8,
+                f"    movs r3, #{amount}", f"    {drawn}", *_CARRY_INTO_R8]
+    if kind == "carry":
+        _, mnem, flags, rd, rn, rm, shift = op
+        if isa == ISA_THUMB:
+            if mnem == "rsb":
+                return [f"    rsbs r{rd}, r{rn}, #0"]
+            return [f"    {mnem}s r{rd}, r{rm}"]
+        operand = f", {shift[0]} #{shift[1]}" if shift else ""
+        return [f"    {mnem}{'s' if flags else ''} r{rd}, r{rn}, r{rm}{operand}"]
+    if kind == "shifted":
+        _, mnem, flags, rd, rn, rm, (shift, amount) = op
+        sources = f"r{rm}" if mnem in ("mov", "mvn") else f"r{rn}, r{rm}"
+        return [f"    {mnem}{'s' if flags else ''} r{rd}, {sources}, {shift} #{amount}"]
+    if kind == "shifted_cmp":
+        _, mnem, rn, rm, (shift, amount) = op
+        return [f"    {mnem} r{rn}, r{rm}, {shift} #{amount}"]
+    if kind == "logic2":
+        _, mnem, rd, rn, rm = op
+        operands = {"mvns": f"r{rd}, r{rm}", "teq": f"r{rn}, r{rm}",
+                    "orn": f"r{rd}, r{rn}, r{rm}"}[mnem]
+        return [f"    {mnem} {operands}"]
+    if kind == "mul_long":
+        _, mnem, rd, ra, rn, rm = op
+        if mnem in ("sdiv", "udiv"):
+            return [f"    {mnem} r{rd}, r{rn}, r{rm}"]
+        if mnem in ("umull", "smull") and ra == rd:
+            ra = rd % 7 + 1  # distinct low and high halves
+        return [f"    {mnem} r{rd}, r{ra}, r{rn}, r{rm}"]
+    if kind == "bitfield":
+        _, mnem, rd, rn, lsb, width = op
+        width = min(width, 32 - lsb)
+        source = "" if mnem == "bfc" else f"r{rn}, "
+        return [f"    {mnem} r{rd}, {source}#{lsb}, #{width}"]
+    if kind == "movw_movt":
+        _, mnem, rd, imm = op
+        return [f"    {mnem} r{rd}, #{imm}"]
+    if kind == "adr":
+        return [f"    adr r{op[1]}, main", f"    add r9, r{op[1]}"]
+    pushed, popped = op[1]  # push_pop
+    return [f"    push {{{', '.join(f'r{r}' for r in sorted(pushed))}}}",
+            f"    pop {{{', '.join(f'r{r}' for r in sorted(popped))}}}"]
+
+
 def _render_predicated(op, isa: str) -> str:
     """One predicated op: its condition suffix in the ARM ISA only."""
     kind = op[0]
@@ -226,10 +349,10 @@ _OPS = st.one_of(
               st.sampled_from(["beq", "bne", "bcs", "bcc", "bge", "blt",
                                "bgt", "ble", "bmi", "bpl"]),
               st.sampled_from(["adds", "subs", "eors"]), REG, REG, REG),
-    # block transfers (specialised LDM/STM predecode), +/- base write-back
+    # block transfers (inline in fused code), +/- base write-back
     st.tuples(st.just("block"), st.sampled_from(["ldm", "stm"]),
               REGLIST, st.booleans()),
-    # pre-/post-indexed addressing (write-back load/store predecode)
+    # pre-/post-indexed addressing (the reference handler in fused code)
     st.tuples(st.just("ldr_wb"),
               st.sampled_from(["ldr", "ldrb", "ldrh", "ldrsb", "ldrsh"]),
               REG, WOFF, st.booleans()),
@@ -293,9 +416,18 @@ def render(ops: list[tuple], isa: str = ISA_ARM) -> str:
                 lines.append(f"    {mnem} r{rd}, [r3, #{word * 4}]!")
         elif kind in ("pred_alu", "pred_mem"):
             lines.append(_render_predicated(op, isa))
+        else:
+            lines += _render_shape(op, isa)
     lines.append("    pop {r4, r5, r6, r7}")
     lines.append("    bx lr")
     return "\n".join(lines)
+
+
+#: one of every chainable shape, with random operands, shuffled among a
+#: few random ops
+SHAPE_PROGRAMS = st.tuples(st.tuples(*_SHAPES),
+                           st.lists(_OPS, max_size=6)).flatmap(
+    lambda drawn: st.permutations([*drawn[0], *drawn[1]]))
 
 
 @given(st.lists(_OPS, min_size=1, max_size=24),
@@ -313,6 +445,26 @@ def test_random_programs_bit_identical(ops, args):
             assemble(source, isa, base=FLASH_BASE)
         except (AssemblyError, EncodingError):
             continue  # e.g. a wide-only op in 16-bit Thumb: not this test's concern
+        assert_equivalent(isa, source, args=(SRAM_BASE, r1, r2, r3), core=core,
+                          calls=FUSE_THRESHOLD + 1)
+
+
+@given(SHAPE_PROGRAMS, st.tuples(IMM8, IMM8, IMM8))
+@settings(max_examples=25, deadline=None)
+def test_random_programs_reach_every_chainable_shape(ops, args):
+    """Every program holds each shape of ``_SHAPES`` once -
+    those fused code writes out inline (register shifts, PUSH/POP, ADR,
+    MOVW/MOVT, most shifted operands) and those it runs through the
+    reference handler (the carry ops, the long multiplies and dividers,
+    most bitfields) - so each runs inside fused code on every core whose
+    ISA encodes it, and leaves the reference's state there."""
+    r1, r2, r3 = args
+    for isa, core in RANDOM_CONFIGS:
+        source = render(ops, isa)
+        try:
+            assemble(source, isa, base=FLASH_BASE)
+        except (AssemblyError, EncodingError):
+            continue  # a random op the ISA lacks: not this test's concern
         assert_equivalent(isa, source, args=(SRAM_BASE, r1, r2, r3), core=core,
                           calls=FUSE_THRESHOLD + 1)
 
@@ -581,15 +733,20 @@ def test_vic_irqs_on_backedge_cycles_bit_identical():
     """The same ender-exact storms on the VIC cores (ARM7 and the
     cached-fetch ARM1156), whose handlers carry the software preamble:
     on the back-edge of a single-block loop, and on every member ender of
-    a branchy loop's region."""
+    a branchy loop's region.  The handler sets flags and lands between a
+    compare and its branch; the core banks the flags on entry and
+    restores them on return, so the stormed loop computes its IRQ-free
+    result."""
     for isa, core in ((ISA_THUMB, ""), (ISA_THUMB2, "arm1156")):
         for source, members in ((VIC_LOOP_SOURCE, False),
                                 (BRANCHY_VIC_LOOP_SOURCE, True)):
+            quiet = _build_machine(isa, source, core=core).call("main")
             asserts = _ender_storm(isa, source, core, members, 4, 1, 8, False)
             assert len(asserts) == 8
             states = _storm_states(isa, source, core, asserts, False)
             assert states[0] == states[1], (isa, core, members)
             assert len(states[0]["irq_records"]) == 8
+            assert states[0]["regs"][0] == quiet, (isa, core, members)
 
 
 @pytest.mark.parametrize("isa,core", [(ISA_THUMB, ""), (ISA_THUMB2, ""),
@@ -686,17 +843,7 @@ done:
     bx lr
 """
 
-#: the VIC cores take an IRQ without saving the flags, so a handler that
-#: interrupts a compare and its branch must leave them alone: this one
-#: records the interrupted trip with no flag-setting instruction
-BRANCHY_VIC_LOOP_SOURCE = BRANCHY_LOOP + """
-handler:
-    push {r1}
-    ldr r1, =0x20000030
-    str r0, [r1]
-    pop {r1}
-    bx lr
-"""
+BRANCHY_VIC_LOOP_SOURCE = BRANCHY_LOOP + VIC_HANDLER
 
 
 _IT_CONDS = ["eq", "ne", "cs", "cc", "ge", "lt", "gt", "le"]
@@ -1108,7 +1255,7 @@ def test_access_records_bit_identical(core):
 def test_fused_blx_through_lr_reads_target_before_linking():
     """Regression: a fused `blx lr` must branch to the OLD link register,
     not the just-written return address - the target read has to precede
-    the LR write, exactly as in the predecode closure.  The loop runs well
+    the LR write, exactly as in the reference handler.  The loop runs well
     past the fusion threshold so the generated-code path is exercised."""
     source = """
     main:

@@ -8,9 +8,11 @@ each pair alternates between the trees, so drift on the host hits both
 alike), then records, per workload, seed and end-to-end metric: its unit and
 direction, its bound from ``BENCHMARK.json``, each side's median and
 quartiles and every run's value, the pairs the change won, and the
-rounds.  The host, the Python version and the ``.pyc`` condition go in
-too, since cold-start numbers mean nothing without them.  It prints the
-delta table a performance claim cites::
+rounds.  Each entry also carries the conditions it was measured under -
+the host, the Python version, the ``.pyc`` condition and the seconds per
+run - since cold-start numbers mean nothing without them and several
+invocations build one ledger.  It prints the delta table a performance
+claim cites::
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workloads engine --seeds 7 --pairs 10 --out BENCH_24.json
@@ -82,7 +84,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 
 def conditions() -> dict:
-    """Host, interpreter and bytecode-cache condition of these runs."""
+    """Host, interpreter and bytecode-cache condition of this invocation's
+    runs."""
     no_pyc = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     return {"host": f"{platform.node()} ({platform.machine()}, "
                     f"{os.cpu_count()} CPUs, {platform.system()} {platform.release()})",
@@ -133,6 +136,7 @@ def main(argv=None) -> int:
     ledger = {"results": []}
     if args.out.exists():
         ledger = json.loads(args.out.read_text(encoding="utf-8"))
+    measured_under = {**conditions(), "seconds": seconds}
     fresh = []
     for workload in args.workloads.split(","):
         for seed in map(int, args.seeds.split(",")):
@@ -146,13 +150,12 @@ def main(argv=None) -> int:
             for metric in metrics:
                 entry = compare(metric, [r[metric["name"]] for r in runs["parent"]],
                                 [r[metric["name"]] for r in runs["change"]])
-                fresh.append({"workload": workload, "seed": seed, **entry})
+                fresh.append({"workload": workload, "seed": seed, **entry,
+                              **measured_under})
     done = {(e["workload"], e["seed"], e["metric"]) for e in fresh}
     kept = [e for e in ledger["results"]
             if (e["workload"], e["seed"], e["metric"]) not in done]
-    ledger = {**conditions(), "seconds": seconds,
-              "command": "perfbench/run.py --trace 0",
-              "results": kept + fresh}
+    ledger = {"command": "perfbench/run.py --trace 0", "results": kept + fresh}
     args.out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     print(table(fresh))
